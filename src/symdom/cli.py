@@ -18,8 +18,10 @@ validation or numerical-guard failures.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -61,16 +63,24 @@ def format_complex(v: complex) -> str:
 
 
 def parse_complex(obj, where: str) -> complex:
+    """A finite complex number from a JSON number, "re+imj" or [re, im]."""
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, str):
+        value = complex(obj)
+    elif isinstance(obj, str):
         try:
-            return complex(obj.replace(" ", ""))
+            value = complex(obj.replace(" ", ""))
         except ValueError:
             raise ConfigError(f"config error at '{where}': not a complex literal: {obj!r}")
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise ConfigError(f"config error at '{where}': expected number, \"re+imj\", or [re, im]")
+    elif isinstance(obj, list) and len(obj) == 2:
+        try:
+            value = complex(float(obj[0]), float(obj[1]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"config error at '{where}': [re, im] needs two real numbers")
+    else:
+        raise ConfigError(f"config error at '{where}': expected number, \"re+imj\", or [re, im]")
+    if not cmath.isfinite(value):
+        raise ConfigError(f"config error at '{where}': not a finite number: {obj!r}")
+    return value
 
 
 def format_real(v: float) -> str:
@@ -250,6 +260,11 @@ def cmd_kernel(cfg: dict) -> int:
     d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
     num_pairs = cfg.get("num_pairs", 20)
     max_norm = cfg.get("max_norm", 0.6)
+    if not isinstance(max_norm, (int, float)) or not 0 <= max_norm < 1:
+        raise ConfigError(
+            "config error at 'max_norm': must be a number in [0, 1); partial "
+            "sums converge only inside the domain"
+        )
     gram_degree = cfg.get("gram_degree", 6)
     rng = np.random.default_rng(cfg["seed"])
 
@@ -313,6 +328,9 @@ def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         for key in ("start", "stop", "steps"):
             if key not in grid:
                 raise ConfigError(f"config error at 'grid.{key}': required field is missing")
+        for key in ("start", "stop"):
+            if not isinstance(grid[key], (int, float)) or not math.isfinite(grid[key]):
+                raise ConfigError(f"config error at 'grid.{key}': not a finite number")
         axis = np.linspace(grid["start"], grid["stop"], int(grid["steps"]))
         mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
         for combo in np.column_stack([m.ravel() for m in mesh]):
@@ -363,6 +381,8 @@ def _default_polys(n: int) -> list[Polynomial]:
 def cmd_calculus(cfg: dict) -> int:
     dom = config_domain(cfg)
     level = cfg.get("level", _DEFAULT_LEVELS.get((dom.kind, dom.rank if dom.kind == "polydisc" else dom.dim), 4))
+    if not isinstance(level, int) or level < 1:
+        raise ConfigError("config error at 'level': must be an integer >= 1")
     h = cfg.get("tuple_size", 6 if dom.dim == 1 else 5)
     radius = cfg.get("spectral_radius", 0.6)
     num_tuples = cfg.get("num_tuples", 3)
@@ -377,7 +397,7 @@ def cmd_calculus(cfg: dict) -> int:
     if not z0_list:
         z0_list = [np.array([0.3] + [0.0] * (dom.dim - 1), dtype=complex)]
 
-    quad = shilov_quadrature(dom, int(level))
+    quad = shilov_quadrature(dom, level)
     tuples = [
         random_commuting_tuple(dom.dim, h, rng, spectral_radius=radius)
         for _ in range(num_tuples)
@@ -426,8 +446,8 @@ def _invariance_families(cfg: dict, dom: DomainSpec) -> list[tuple[str, list]]:
     permissive = cfg.get("permissive")
     if permissive is not None:
         c = permissive.get("c", 1.0)
-        if not isinstance(c, (int, float)) or c <= 0:
-            raise ConfigError("config error at 'permissive.c': positive real required")
+        if not isinstance(c, (int, float)) or not 0 < c < math.inf:
+            raise ConfigError("config error at 'permissive.c': positive finite real required")
         d_shift = permissive.get("d", [0.0] * n)
         shift = point_from_config(d_shift, dom, "permissive.d")
         coords = [

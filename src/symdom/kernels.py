@@ -20,6 +20,8 @@ import hashlib
 import json
 import math
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,11 +408,16 @@ def resolve_cache_dir(cache_dir: str | None) -> str | None:
     return os.environ.get(CACHE_ENV_VAR)
 
 
+def _cache_path(cache_dir: str, dom: DomainSpec, lam: float, max_degree: int) -> str:
+    return os.path.join(cache_dir, f"basis-{cache_key(dom, lam, max_degree)}.npz")
+
+
 def save_basis(basis: TruncatedBasis, cache_dir: str) -> str:
+    """Write the basis to the cache atomically: a temporary file in the
+    cache directory is renamed into place, so a reader sees the old file,
+    the new one or none, never a torn write."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(
-        cache_dir, f"basis-{cache_key(basis.dom, basis.lam, basis.max_degree)}.npz"
-    )
+    path = _cache_path(cache_dir, basis.dom, basis.lam, basis.max_degree)
     header = json.dumps(
         {
             "format_version": CACHE_FORMAT_VERSION,
@@ -422,27 +429,51 @@ def save_basis(basis: TruncatedBasis, cache_dir: str) -> str:
         sort_keys=True,
     )
     arrays = {f"change_{d}": c for d, c in enumerate(basis.change)}
-    np.savez(path, header=np.array(header), **arrays)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".basis-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, header=np.array(header), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
+def _valid_change(mat: np.ndarray, size: int) -> bool:
+    return (
+        mat.shape == (size, size)
+        and bool(np.all(np.isfinite(mat)))
+        and np.array_equal(mat, np.triu(mat))
+    )
+
+
 def load_basis(dom: DomainSpec, lam: float, max_degree: int, cache_dir: str) -> TruncatedBasis | None:
-    path = os.path.join(cache_dir, f"basis-{cache_key(dom, lam, max_degree)}.npz")
+    """Cached basis, or None on a miss.
+
+    A file that cannot be read, or whose change matrices are not finite
+    upper-triangular matrices of the right shape, counts as a miss; the
+    caller rebuilds and rewrites it.
+    """
+    path = _cache_path(cache_dir, dom, lam, max_degree)
     if not os.path.exists(path):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["header"]))
-        if header.get("format_version") != CACHE_FORMAT_VERSION:
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            header = json.loads(str(data["header"]))
+            change = [np.array(data[f"change_{d}"]) for d in range(max_degree + 1)]
+    except (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile):
+        return None
+    if header.get("format_version") != CACHE_FORMAT_VERSION:
+        return None
+    if header.get("domain") != dom.to_json() or header.get("D") != max_degree:
+        raise ValidationError(f"cache file {path} does not match its key")
+    if header.get("lambda") != float(lam):
+        raise ValidationError(f"cache file {path} does not match its key")
+    for d, mat in enumerate(change):
+        if not _valid_change(mat, len(multi_indices(dom.dim, d))):
             return None
-        if header.get("domain") != dom.to_json() or header.get("D") != max_degree:
-            raise ValidationError(f"cache file {path} does not match its key")
-        if header.get("lambda") != float(lam):
-            raise ValidationError(f"cache file {path} does not match its key")
-        change = []
-        for d in range(max_degree + 1):
-            mat = np.array(data[f"change_{d}"])
-            mat.setflags(write=False)
-            change.append(mat)
+        mat.setflags(write=False)
     return TruncatedBasis(dom, float(lam), int(max_degree), tuple(change))
 
 

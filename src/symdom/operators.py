@@ -6,6 +6,20 @@ kernel space.  Submodules are spanned by generator multiples truncated back
 into the window, which keeps them exactly invariant under the truncated
 coordinate multipliers, so the compressed tuple commutes in exact
 arithmetic for every generator set.
+
+Multiplication by z^gamma maps degree d to degree d + |gamma|, so operators
+are assembled and compressed from these degree-shift blocks; no dense
+dim x dim product is formed on the quotient path.  ``quotient_model`` picks
+one of two paths from its generators:
+
+- graded path, when every generator is homogeneous: the submodule is
+  graded, the quotient splits as the sum over d of P_d orth M_d, and each
+  degree gets its own SVD.  Every quotient basis vector is supported on
+  exactly one degree, its label.
+- filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
+  one SVD of all generator columns and a complement adapted to the degree
+  filtration.  Each quotient basis vector is supported on degrees <= its
+  label.
 """
 
 from __future__ import annotations
@@ -26,12 +40,11 @@ from .errors import (
 )
 from .kernels import (
     TruncatedBasis,
-    _position,
     _shift_positions,
     cached_truncated_basis,
     multi_indices,
 )
-from .polynomials import Polynomial, RationalSymbol
+from .polynomials import MultiIndex, Polynomial, RationalSymbol
 from .sampling import closed_domain_samples
 
 SPAN_RANK_TOL = 1e-10
@@ -41,24 +54,50 @@ DENOMINATOR_SAMPLES = 10_000
 CONDITION_CUTOFF = 1e12
 
 
-def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
-    """Matrix of P_D M_f P_D in the orthonormal graded basis."""
+def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray:
+    """Block of multiplication by z^gamma from degree d to degree
+    d + |gamma|, in the orthonormal basis."""
+    g = sum(gamma)
+    rmap = _shift_positions(basis.dom.dim, d, gamma)
+    scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
+    scattered[rmap, :] = basis.change[d]
+    return scipy.linalg.solve_triangular(basis.change[d + g], scattered, lower=False)
+
+
+def _coordinate_blocks(basis: TruncatedBasis, i: int) -> list[np.ndarray]:
+    """Degree-shift blocks d -> d + 1 of the truncated coordinate
+    multiplier z_i, for d = 0 .. D - 1."""
+    gamma = tuple(int(k == i) for k in range(basis.dom.dim))
+    return [_shift_block(basis, gamma, d) for d in range(basis.max_degree)]
+
+
+def _shift_norm(blocks) -> float:
+    """2-norm of a degree-shift operator from its blocks.
+
+    T maps each degree into a single other degree, so T*T is block-diagonal
+    and ||T||_2 is exactly the largest block norm.
+    """
+    return max((np.linalg.norm(b, 2) for b in blocks), default=0.0)
+
+
+def _check_symbol(basis: TruncatedBasis, f: Polynomial) -> None:
     if f.nvars != basis.dom.dim:
         raise ValidationError(
             f"symbol in {f.nvars} variables on {basis.dom.label()}"
         )
-    n, D = basis.dom.dim, basis.max_degree
+
+
+def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
+    """Matrix of P_D M_f P_D in the orthonormal graded basis."""
+    _check_symbol(basis, f)
+    D = basis.max_degree
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     for gamma, coeff in f.terms.items():
         g = sum(gamma)
         for d in range(0, D - g + 1):
-            rmap = _shift_positions(n, d, gamma)
-            scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
-            scattered[rmap, :] = basis.change[d]
-            block = scipy.linalg.solve_triangular(
-                basis.change[d + g], scattered, lower=False
+            out[basis.block_slice(d + g), basis.block_slice(d)] += (
+                coeff * _shift_block(basis, gamma, d)
             )
-            out[basis.block_slice(d + g), basis.block_slice(d)] += coeff * block
     return out
 
 
@@ -67,6 +106,41 @@ def coordinate_mult_ops(basis: TruncatedBasis) -> list[np.ndarray]:
         mult_op(basis, Polynomial.coordinate(i, basis.dom.dim))
         for i in range(basis.dom.dim)
     ]
+
+
+def _degree_rows(basis: TruncatedBasis, mat: np.ndarray):
+    """Per degree d: the columns of ``mat`` that are nonzero on degree-d
+    rows, and ``mat`` restricted to those rows and columns."""
+    out = []
+    for d in range(basis.max_degree + 1):
+        rows = mat[basis.block_slice(d)]
+        keep = np.flatnonzero(rows.any(axis=0))
+        out.append((keep, rows[:, keep]))
+    return out
+
+
+def _sandwich(
+    basis: TruncatedBasis, f: Polynomial, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """left^H P_D M_f P_D right, assembled from degree-shift blocks.
+
+    No dim x dim product is formed; columns supported on few degrees (the
+    graded quotient basis, the identity) make the blocks small.
+    """
+    _check_symbol(basis, f)
+    lrows = _degree_rows(basis, left)
+    rrows = lrows if right is left else _degree_rows(basis, right)
+    out = np.zeros((left.shape[1], right.shape[1]), dtype=complex)
+    for gamma, coeff in f.terms.items():
+        g = sum(gamma)
+        for d in range(0, basis.max_degree - g + 1):
+            lcols, lblock = lrows[d + g]
+            rcols, rblock = rrows[d]
+            if lcols.size and rcols.size:
+                out[np.ix_(lcols, rcols)] += coeff * (
+                    lblock.conj().T @ _shift_block(basis, gamma, d) @ rblock
+                )
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -78,15 +152,19 @@ def _truncate(poly: Polynomial, max_degree: int) -> Polynomial:
     return Polynomial(poly.nvars, kept)
 
 
+def _check_generators(basis: TruncatedBasis, generators) -> None:
+    if not generators or any(g.is_zero() for g in generators):
+        raise ValidationError("need at least one nonzero generator")
+    if any(g.nvars != basis.dom.dim for g in generators):
+        raise ValidationError("generator variable count mismatch")
+
+
 def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
     """Orthonormal coordinates of the truncated products f_j z^alpha."""
     generators = list(generators)
-    if not generators or any(g.is_zero() for g in generators):
-        raise ValidationError("need at least one nonzero generator")
+    _check_generators(basis, generators)
     cols = []
     for f in generators:
-        if f.nvars != basis.dom.dim:
-            raise ValidationError("generator variable count mismatch")
         min_deg = min(sum(a) for a in f.terms)
         if min_deg > basis.max_degree:
             continue
@@ -99,6 +177,31 @@ def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
     if not cols:
         raise ValidationError("generators produce an empty span at this degree")
     return np.column_stack(cols)
+
+
+def _graded_columns(basis: TruncatedBasis, generators) -> list[np.ndarray]:
+    """Per degree d, the degree-d orthonormal coordinates of the products
+    f z^alpha with |alpha| = d - deg f, for homogeneous generators f."""
+    _check_generators(basis, generators)
+    n = basis.dom.dim
+    out = []
+    for d, size in enumerate(basis.degree_sizes):
+        blocks = []
+        for f in generators:
+            k = f.degree()
+            if k > d:
+                continue
+            ncols = len(multi_indices(n, d - k))
+            coeffs = np.zeros((size, ncols), dtype=complex)
+            for beta, c in f.terms.items():
+                coeffs[_shift_positions(n, d - k, beta), np.arange(ncols)] += c
+            blocks.append(
+                scipy.linalg.solve_triangular(basis.change[d], coeffs, lower=False)
+            )
+        out.append(np.hstack(blocks) if blocks else np.zeros((size, 0), dtype=complex))
+    if not any(c.shape[1] for c in out):
+        raise ValidationError("generators produce an empty span at this degree")
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,24 +218,31 @@ class SubmoduleSpan:
         return self.basis.dim - self.rank
 
 
+def _span_of_columns(basis: TruncatedBasis, generators, cols) -> SubmoduleSpan:
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = int(np.sum(s > SPAN_RANK_TOL * s[0])) if s.size else 0
+    return SubmoduleSpan(basis, tuple(generators), u[:, :rank], rank)
+
+
 def submodule_span(basis: TruncatedBasis, generators) -> SubmoduleSpan:
     """Span of truncated generator multiples, orthonormalized by SVD.
 
     Singular values below ``SPAN_RANK_TOL`` times the largest one count as
     zero when deciding the rank.
     """
-    cols = _generator_columns(basis, generators)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > SPAN_RANK_TOL * s[0])) if s.size else 0
-    return SubmoduleSpan(basis, tuple(generators), u[:, :rank], rank)
+    generators = tuple(generators)
+    return _span_of_columns(basis, generators, _generator_columns(basis, generators))
 
 
 @dataclass(frozen=True)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
 
-    ``quotient_onb`` columns are orthonormal, each supported on degrees
-    <= its ``degree_labels`` entry; the labels drive windowed Schatten norms.
+    ``quotient_onb`` columns are orthonormal and sorted by ``degree_labels``;
+    the labels drive windowed Schatten norms.  When every generator is
+    homogeneous (the graded path, and the whole space) each column is
+    supported on exactly the degree of its label.  Otherwise (the
+    filtration path) each column is supported on degrees <= its label.
     """
 
     basis: TruncatedBasis
@@ -184,35 +294,107 @@ def _filtration_complement(
     return np.column_stack(chosen), np.asarray(labels, dtype=int)
 
 
-def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
-    """Quotient module model: projector onto M^(D) orth and compressed tuple.
+def _check_invariance(defect: float, scale: float) -> None:
+    if defect > INVARIANCE_TOL * max(1.0, scale):
+        raise NumericallySingular(
+            f"truncated submodule not invariant, defect {defect:.2e}"
+        )
 
-    Asserts the two structural identities that hold in exact arithmetic:
-    M^(D) is invariant under the truncated multipliers (defect <= 1e-12) and
-    the compressed coordinates commute (defect <= 1e-10).
+
+def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
+    """Quotient by homogeneous generators: M^(D) and its complement split
+    as sums over d of M_d and P_d orth M_d, so every step runs per degree.
+
+    The generator columns are block-diagonal by degree, so one SVD per
+    degree, with the rank counted against the largest singular value over
+    all degrees, applies the same rank rule as one SVD of all columns.
     """
-    span = submodule_span(basis, generators)
+    svds = []
+    for cols in _graded_columns(basis, generators):
+        if cols.shape[1]:
+            u, s, _ = np.linalg.svd(cols, full_matrices=True)
+        else:
+            u, s = np.eye(cols.shape[0], dtype=complex), np.zeros(0)
+        svds.append((u, s))
+    cutoff = SPAN_RANK_TOL * max(s[0] for _, s in svds if s.size)
+    module_blocks, quotient_blocks = [], []
+    for u, s in svds:
+        rank = int(np.sum(s > cutoff))
+        module_blocks.append(u[:, :rank])
+        quotient_blocks.append(u[:, rank:])
+    sizes = [q.shape[1] for q in quotient_blocks]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    nq = int(starts[-1])
+
+    # Each coordinate multiplier shifts degree d to d + 1, so its compression,
+    # its norm and the invariance defect Q^H T M are assembled blockwise.
+    compressed, scale, defect = [], 0.0, 0.0
+    for i in range(basis.dom.dim):
+        blocks = _coordinate_blocks(basis, i)
+        scale = max(scale, _shift_norm(blocks))
+        mat = np.zeros((nq, nq), dtype=complex)
+        for d, t in enumerate(blocks):
+            left = quotient_blocks[d + 1].conj().T @ t
+            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = (
+                left @ quotient_blocks[d]
+            )
+            if left.size and module_blocks[d].size:
+                defect = max(defect, np.linalg.norm(left @ module_blocks[d], 2))
+        compressed.append(mat)
+    _check_invariance(defect, scale)
+    if nq:
+        koszul.check_commuting(compressed)
+    return QuotientModel(
+        basis,
+        tuple(generators),
+        scipy.linalg.block_diag(*module_blocks),
+        scipy.linalg.block_diag(*quotient_blocks),
+        labels,
+        tuple(compressed),
+    )
+
+
+def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
+    """Quotient by arbitrary generators through the filtration-adapted
+    complement; the only path for inhomogeneous generators."""
     cols = _generator_columns(basis, generators)
+    span = _span_of_columns(basis, generators, cols)
     quotient_onb, labels = _filtration_complement(basis, cols)
-    coords = coordinate_mult_ops(basis)
+    coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
     compressed = tuple(
-        quotient_onb.conj().T @ t @ quotient_onb for t in coords
+        _sandwich(basis, z, quotient_onb, quotient_onb) for z in coords
     )
     if quotient_onb.shape[1] and span.rank:
         defect = max(
-            np.linalg.norm(quotient_onb.conj().T @ t @ span.onb, 2) for t in coords
+            np.linalg.norm(_sandwich(basis, z, quotient_onb, span.onb), 2)
+            for z in coords
         )
-        if defect > INVARIANCE_TOL * max(
-            1.0, max(np.linalg.norm(t, 2) for t in coords)
-        ):
-            raise NumericallySingular(
-                f"truncated submodule not invariant, defect {defect:.2e}"
-            )
+        scale = max(
+            _shift_norm(_coordinate_blocks(basis, i)) for i in range(basis.dom.dim)
+        )
+        _check_invariance(defect, scale)
     if quotient_onb.shape[1]:
         koszul.check_commuting(compressed)
     return QuotientModel(
         basis, tuple(generators), span.onb, quotient_onb, labels, compressed
     )
+
+
+def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
+    """Quotient module model: projector onto M^(D) orth and compressed tuple.
+
+    Homogeneous generators take the graded path (per-degree complements,
+    see ``_graded_model``); any inhomogeneous generator takes the
+    filtration path.  Both assert the two structural identities that hold
+    in exact arithmetic: M^(D) is invariant under the truncated multipliers
+    (defect <= 1e-12) and the compressed coordinates commute (defect
+    <= 1e-10).
+    """
+    generators = tuple(generators)
+    if generators and all(len(g.homogeneous_parts()) == 1 for g in generators):
+        return _graded_model(basis, generators)
+    return _filtration_model(basis, generators)
 
 
 def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
@@ -230,8 +412,7 @@ def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     """S_f = P M_f P restricted to the quotient."""
-    q = model.quotient_onb
-    return q.conj().T @ mult_op(model.basis, f) @ q
+    return _sandwich(model.basis, f, model.quotient_onb, model.quotient_onb)
 
 
 def compress_rational(

@@ -185,6 +185,22 @@ def test_spectrum_grid_and_cache(tmp_path):
     assert len([r for r in read_csv(out)[1:] if r[1] == "point_test"]) == 9
 
 
+def test_truncated_cache_file_is_rebuilt(tmp_path):
+    out1 = str(tmp_path / "a.csv")
+    out2 = str(tmp_path / "b.csv")
+    cache = tmp_path / "cache"
+    cfg = write_cfg(tmp_path, "cfg.json", invariance_cfg(out1))
+    args = ["invariance", "--config", cfg, "--cache-dir", str(cache)]
+    assert main(args) == 0
+    files = sorted(cache.iterdir())
+    assert len(files) == 2  # one basis per degree, no temporary files left
+    whole = files[0].read_bytes()
+    files[0].write_bytes(whole[: len(whole) // 2])
+    assert main(args + ["--out", out2]) == 0
+    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert files[0].read_bytes() == whole
+
+
 # ---------------------------------------------------------------------
 # calculus
 # ---------------------------------------------------------------------
@@ -342,6 +358,52 @@ def test_unknown_family(tmp_path, capsys):
     )
     assert main(["invariance", "--config", cfg]) == 2
     assert "unknown family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "polydisc", "n": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3]]},
+                "points": [["BAD", 0.2]],
+            },
+        ),
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "polydisc", "n": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3]]},
+                "grid": {"start": "BAD", "stop": 0.5, "steps": 2},
+            },
+        ),
+        ("invariance", invariance_cfg(None, z0=["BAD", 0.0])),
+        ("invariance", invariance_cfg(None, permissive={"c": "BAD"})),
+        ("calculus", {"domain": {"kind": "ball", "n": 1}, "z0_list": [[[0.1, "BAD"]]]}),
+    ],
+)
+def test_non_finite_config_numbers_rejected(tmp_path, capsys, command, cfg, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"BAD"', bad))
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error at" in capsys.readouterr().err
+
+
+def test_calculus_level_zero_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "cfg.json", {"domain": {"kind": "ball", "n": 1}, "level": 0})
+    assert main(["calculus", "--config", cfg]) == 2
+    assert "'level'" in capsys.readouterr().err
+
+
+def test_kernel_max_norm_outside_domain_is_config_error(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    cfg = write_cfg(tmp_path, "cfg.json", kernel_cfg(out, max_norm=1.5))
+    assert main(["kernel", "--config", cfg]) == 2
+    assert "'max_norm'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_bad_domain_kind(tmp_path):

@@ -1,6 +1,7 @@
 """Kernel coefficient blocks, Gram blocks and closed-form norms, truncated
 orthonormal bases, kernel evaluation, and the disk cache."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,22 @@ def test_cache_roundtrip(tmp_path):
 
 def test_cache_miss_returns_none(tmp_path):
     assert load_basis(BALL2, 2.0, 9, str(tmp_path)) is None
+
+
+def test_cache_rejects_invalid_change_matrices(tmp_path):
+    basis = truncated_basis(BALL2, 3.0, 4)
+    good = basis.change[2]
+    lower = good.copy()
+    lower[2, 0] = 0.5
+    nonfinite = good.copy()
+    nonfinite[0, 1] = np.nan
+    for bad in (lower, nonfinite, good[:-1, :-1]):
+        change = basis.change[:2] + (bad,) + basis.change[3:]
+        save_basis(dataclasses.replace(basis, change=change), str(tmp_path))
+        assert load_basis(BALL2, 3.0, 4, str(tmp_path)) is None
+    rebuilt = cached_truncated_basis(BALL2, 3.0, 4, cache_dir=str(tmp_path))
+    assert np.array_equal(rebuilt.change[2], good)
+    assert load_basis(BALL2, 3.0, 4, str(tmp_path)) is not None
 
 
 def test_cached_builder_hits_disk(tmp_path):

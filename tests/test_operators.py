@@ -4,10 +4,14 @@ compressions, cross-commutators, Schatten norms, and the profile harness."""
 import numpy as np
 import pytest
 
+from symdom import operators
 from symdom.domains import DomainSpec
 from symdom.errors import DenominatorVanishes, NotPermissive, ValidationError
 from symdom.kernels import truncated_basis
 from symdom.operators import (
+    _coordinate_blocks,
+    _filtration_model,
+    _shift_norm,
     compress,
     compress_rational,
     coordinate_mult_ops,
@@ -150,6 +154,76 @@ def test_whole_space_quotient_is_empty():
     basis = truncated_basis(BALL2, 2.0, 4)
     model = quotient_model(basis, [Polynomial.constant(2, 1.0)])
     assert model.dim_quotient == 0
+
+
+# (domain, weight, degree) triples for the graded-path checks
+GRADED_CASES = [
+    (BALL2, 2.0, 7),
+    (POLY2, 2.0, 6),
+    (DomainSpec.matrix_ball(2, 2), 2.5, 4),
+]
+
+
+def graded_generator_sets(n):
+    z1, z2 = Polynomial.coordinate(0, n), Polynomial.coordinate(1, n)
+    return [[z1], [z1 * z2], [z1 * z1, z1 * z2], [z1, z1 * 2.0], [Polynomial.constant(n, 1.0)]]
+
+
+def column_degrees(basis, vec):
+    return {
+        d for d in range(basis.max_degree + 1) if np.any(vec[basis.block_slice(d)] != 0)
+    }
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_graded_path_matches_filtration_path(dom, lam, d_trunc, monkeypatch, rng):
+    basis = truncated_basis(dom, lam, d_trunc)
+    n = dom.dim
+    symbols = [Polynomial.coordinate(0, n), Polynomial.coordinate(1, n)]
+    for gens in graded_generator_sets(n):
+        graded = quotient_model(basis, gens)
+        filtered = _filtration_model(basis, gens)
+        assert graded.dim_quotient == filtered.dim_quotient
+        assert np.array_equal(graded.degree_labels, filtered.degree_labels)
+        assert np.abs(graded.projector() - filtered.projector()).max() < 1e-12
+        for k, label in enumerate(graded.degree_labels):
+            assert column_degrees(basis, graded.quotient_onb[:, k]) == {label}
+        f = random_poly(n, 2, rng)
+        q = graded.quotient_onb
+        dense = q.conj().T @ mult_op(basis, f) @ q
+        assert np.abs(compress(graded, f) - dense).max(initial=0.0) < 1e-12
+        args = (dom, lam, gens, symbols, [2.0, 3.0], [d_trunc])
+        rows = essential_normality_profile(*args)
+        monkeypatch.setattr(operators, "quotient_model", _filtration_model)
+        reference = essential_normality_profile(*args)
+        monkeypatch.undo()
+        for a, b in zip(rows, reference, strict=True):
+            assert a.dim_quotient == b.dim_quotient
+            assert abs(a.schatten_full - b.schatten_full) < 1e-10
+            assert abs(a.schatten_windowed - b.schatten_windowed) < 1e-10
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
+    basis = truncated_basis(dom, lam, d_trunc)
+    for i in range(dom.dim):
+        dense = np.linalg.norm(mult_op(basis, Polynomial.coordinate(i, dom.dim)), 2)
+        assert abs(_shift_norm(_coordinate_blocks(basis, i)) - dense) <= 1e-12 * dense
+
+
+def test_inhomogeneous_generator_takes_filtration_path():
+    basis = truncated_basis(BALL2, 3.0, 8)
+    gens = [Z1 * Z1 + Z2]
+    model = quotient_model(basis, gens)
+    span = submodule_span(basis, gens)
+    want = np.eye(basis.dim) - span.onb @ span.onb.conj().T
+    assert np.abs(model.projector() - want).max() < 1e-12
+    q = model.quotient_onb
+    for t, s in zip(coordinate_mult_ops(basis), model.tuple_mats):
+        assert np.abs(q.conj().T @ t @ q - s).max() < 1e-12
+    supports = [column_degrees(basis, q[:, k]) for k in range(model.dim_quotient)]
+    assert all(max(sup) == label for sup, label in zip(supports, model.degree_labels))
+    assert any(len(sup) > 1 for sup in supports)
 
 
 # ---------------------------------------------------------------------
