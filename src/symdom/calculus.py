@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import koszul
 from .domains import (
@@ -41,7 +40,7 @@ from .errors import (
     SpectrumTouchesBoundary,
     ValidationError,
 )
-from .polynomials import Polynomial, RationalSymbol
+from .polynomials import Polynomial, RationalSymbol, poly_det
 
 BOUNDARY_TOL = 1e-9
 SERIES_TERM_TOL = 1e-14
@@ -99,6 +98,8 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     count = (4**level) * SPHERE_BASE_NODES
     if count > 5_000_000:
         raise ValidationError("sphere rule too large at this level")
+    from scipy.stats import qmc  # costly to import; only the sphere rule needs it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sampler = qmc.Sobol(d=2 * dom.dim, scramble=False)
@@ -419,7 +420,7 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
         ]
         for k in range(r)
     ]
-    q = _poly_det(amat)
+    q = poly_det(amat)
     adj = _poly_adjugate(amat)
     # numeric-left, symbolic-middle, numeric-right product, entry by entry
     middle = [
@@ -442,25 +443,6 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
     return out
 
 
-def _poly_det(mat: list[list[Polynomial]]) -> Polynomial:
-    import itertools as _it
-
-    r = len(mat)
-    n = mat[0][0].nvars
-    total = Polynomial.zero(n)
-    for perm in _it.permutations(range(r)):
-        sign = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = Polynomial.constant(n, float(sign))
-        for i in range(r):
-            prod = prod * mat[i][perm[i]]
-        total = total + prod
-    return total
-
-
 def _poly_adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
     r = len(mat)
     n = mat[0][0].nvars
@@ -474,7 +456,7 @@ def _poly_adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
                 for a in range(r)
                 if a != i
             ]
-            cof = _poly_det(minor)
+            cof = poly_det(minor)
             if (i + j) % 2:
                 cof = -1.0 * cof
             adj[j][i] = cof

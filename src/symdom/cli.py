@@ -40,7 +40,7 @@ from .kernels import (
     CACHE_ENV_VAR,
     cached_truncated_basis,
     closed_form_norm,
-    gram_block,
+    gram_blocks,
     kernel_eval,
     multi_indices,
     series_partial_sum,
@@ -144,6 +144,20 @@ def cfg_get(cfg: dict, key: str, default=_REQUIRED):
     if default is _REQUIRED:
         raise ConfigError(f"config error at '{key}': required field is missing")
     return default
+
+
+def checked_number(
+    value, where: str, *, integer: bool, low: float, below: float = math.inf, why: str = ""
+):
+    """``value`` if it is an integer (or, with ``integer=False``, a real
+    number) with low <= value < below; booleans, NaN and infinities are
+    rejected with a config error."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, kinds) and not isinstance(value, bool) and low <= value < below:
+        return value
+    kind = "an integer" if integer else "a number"
+    span = f">= {low:g}" if below == math.inf else f"in [{low:g}, {below:g})"
+    raise ConfigError(f"config error at '{where}': must be {kind} {span}{why}")
 
 
 def _as_int_list(obj, where: str) -> list[int]:
@@ -258,14 +272,12 @@ def cmd_kernel(cfg: dict) -> int:
     dom = config_domain(cfg)
     lam = float(cfg_get(cfg, "lambda"))
     d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
-    num_pairs = cfg.get("num_pairs", 20)
-    max_norm = cfg.get("max_norm", 0.6)
-    if not isinstance(max_norm, (int, float)) or not 0 <= max_norm < 1:
-        raise ConfigError(
-            "config error at 'max_norm': must be a number in [0, 1); partial "
-            "sums converge only inside the domain"
-        )
-    gram_degree = cfg.get("gram_degree", 6)
+    num_pairs = checked_number(cfg.get("num_pairs", 20), "num_pairs", integer=True, low=1)
+    max_norm = checked_number(
+        cfg.get("max_norm", 0.6), "max_norm", integer=False, low=0, below=1,
+        why="; partial sums converge only inside the domain",
+    )
+    gram_degree = checked_number(cfg.get("gram_degree", 6), "gram_degree", integer=True, low=0)
     rng = np.random.default_rng(cfg["seed"])
 
     pairs = [
@@ -278,8 +290,8 @@ def cmd_kernel(cfg: dict) -> int:
         for k, (z, w) in enumerate(pairs):
             err = abs(series_partial_sum(dom, lam, z, w, d_trunc) - kernel_eval(dom, lam, z, w))
             rows.append([label, format_real(lam), "partial_sum_error", d_trunc, k, format_real(err)])
-    for d in range(gram_degree + 1):
-        block = gram_block(dom, lam, d)
+    for block in gram_blocks(dom, lam, gram_degree):
+        d = block.degree
         if dom.kind == "matrixball":
             eigs = np.linalg.eigvalsh(block.gram)
             rows.append([label, format_real(lam), "gram_min_eig", d, "", format_real(eigs.min())])
@@ -331,7 +343,8 @@ def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         for key in ("start", "stop"):
             if not isinstance(grid[key], (int, float)) or not math.isfinite(grid[key]):
                 raise ConfigError(f"config error at 'grid.{key}': not a finite number")
-        axis = np.linspace(grid["start"], grid["stop"], int(grid["steps"]))
+        steps = checked_number(grid["steps"], "grid.steps", integer=True, low=0)
+        axis = np.linspace(grid["start"], grid["stop"], steps)
         mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
         for combo in np.column_stack([m.ravel() for m in mesh]):
             points.append(combo.astype(complex))
@@ -380,12 +393,14 @@ def _default_polys(n: int) -> list[Polynomial]:
 
 def cmd_calculus(cfg: dict) -> int:
     dom = config_domain(cfg)
-    level = cfg.get("level", _DEFAULT_LEVELS.get((dom.kind, dom.rank if dom.kind == "polydisc" else dom.dim), 4))
-    if not isinstance(level, int) or level < 1:
-        raise ConfigError("config error at 'level': must be an integer >= 1")
-    h = cfg.get("tuple_size", 6 if dom.dim == 1 else 5)
-    radius = cfg.get("spectral_radius", 0.6)
-    num_tuples = cfg.get("num_tuples", 3)
+    default_level = _DEFAULT_LEVELS.get((dom.kind, dom.rank if dom.kind == "polydisc" else dom.dim), 4)
+    level = checked_number(cfg.get("level", default_level), "level", integer=True, low=1)
+    h = checked_number(cfg.get("tuple_size", 6 if dom.dim == 1 else 5), "tuple_size", integer=True, low=1)
+    radius = checked_number(
+        cfg.get("spectral_radius", 0.6), "spectral_radius", integer=False, low=0, below=1,
+        why="; the calculus needs the joint spectrum inside the domain",
+    )
+    num_tuples = checked_number(cfg.get("num_tuples", 3), "num_tuples", integer=True, low=1)
     rng = np.random.default_rng(cfg["seed"])
     if "polys" in cfg:
         polys = [poly_from_json(p, dom.dim, f"polys[{i}]") for i, p in enumerate(cfg["polys"])]
@@ -478,7 +493,14 @@ def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
     d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
     gens = config_generators(cfg, dom)
     p_values = cfg.get("p_values", [2.0])
+    if not isinstance(p_values, list) or not p_values:
+        raise ConfigError("config error at 'p_values': must be a non-empty list of numbers >= 1")
+    for i, p in enumerate(p_values):
+        if p != math.inf:  # p = inf (JSON Infinity) is the operator norm
+            checked_number(p, f"p_values[{i}]", integer=False, low=1)
     window = cfg.get("window")
+    if window is not None:
+        checked_number(window, "window", integer=True, low=0)
     cache_dir = cfg.get("cache_dir")
     families = _invariance_families(cfg, dom)
 

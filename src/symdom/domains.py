@@ -23,6 +23,7 @@ from .errors import (
     SingularBergmanOperator,
     ValidationError,
 )
+from .polynomials import Polynomial, poly_det
 
 BERGMAN_RCOND_CUTOFF = 1e-12
 
@@ -280,21 +281,10 @@ def generic_poly_terms(dom: DomainSpec) -> dict[tuple[tuple[int, ...], tuple[int
 
     ``alpha`` indexes monomials in z, ``beta`` in conj(w), both over the
     flattened coordinates; every term has equal total degree in each slot.
+    Ball and matrix ball expand det(I_r - z w*) over the 2n variables
+    (z, conj(w)).
     """
     n = dom.dim
-    zero = (0,) * n
-
-    def e(i: int) -> tuple[int, ...]:
-        out = [0] * n
-        out[i] = 1
-        return tuple(out)
-
-    if dom.kind == "ball":
-        terms = {(zero, zero): 1.0}
-        for i in range(n):
-            terms[(e(i), e(i))] = -1.0
-        return terms
-
     if dom.kind == "polydisc":
         terms = {}
         for subset in itertools.product((0, 1), repeat=n):
@@ -303,47 +293,19 @@ def generic_poly_terms(dom: DomainSpec) -> dict[tuple[tuple[int, ...], tuple[int
         return terms
 
     r, c = dom.rows, dom.cols
-    entry: list[list[dict]] = [
+    z = [Polynomial.coordinate(i, 2 * n) for i in range(n)]
+    wbar = [Polynomial.coordinate(n + i, 2 * n) for i in range(n)]
+    mat = [
         [
-            {(e(k * c + j), e(l * c + j)): 1.0 for j in range(c)}
+            Polynomial.constant(2 * n, float(k == l))
+            - sum((z[k * c + j] * wbar[l * c + j] for j in range(c)), Polynomial.zero(2 * n))
             for l in range(r)
         ]
         for k in range(r)
     ]
-
-    def bimul(p: dict, q: dict) -> dict:
-        out: dict = {}
-        for (a1, b1), c1 in p.items():
-            for (a2, b2), c2 in q.items():
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return out
-
-    total = {(zero, zero): 1.0}
-    for size in range(1, r + 1):
-        for rowset in itertools.combinations(range(r), size):
-            for perm in itertools.permutations(rowset):
-                sgn = _perm_sign(rowset, perm)
-                prod = {(zero, zero): float((-1) ** size) * sgn}
-                for k, l in zip(rowset, perm):
-                    prod = bimul(prod, entry[k][l])
-                for key, val in prod.items():
-                    total[key] = total.get(key, 0.0) + val
-    return {key: val for key, val in total.items() if val != 0.0}
-
-
-def _perm_sign(base: tuple[int, ...], perm: tuple[int, ...]) -> float:
-    pos = {v: i for i, v in enumerate(base)}
-    seq = [pos[v] for v in perm]
-    sign = 1.0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    return {
+        (alpha[:n], alpha[n:]): coeff.real for alpha, coeff in poly_det(mat).terms.items()
+    }
 
 
 def spectral_norm(dom: DomainSpec, z) -> float:

@@ -7,10 +7,14 @@ conj(w), so the kernel expands into degree blocks
 
 with m_d the graded-lex monomial vector of degree d.  Blocks are produced
 by the power recurrence mu P' Q = Q' P (Euler derivative on the z-grading),
-which needs only the finitely many blocks of Delta itself.  For continuous
-Wallach weights C_d is positive definite; the Gram matrix of monomials is
-its blockwise inverse, and a triangular Cholesky change of basis yields the
-orthonormal graded basis used by the operator layer.
+which needs only the finitely many blocks of Delta itself.  Delta is
+invariant under the torus z -> u z v (u, v diagonal unitaries), so C_d is
+block-diagonal by torus weight and is stored as a sparse CSR array; the
+recurrence runs on its nonzeros only.  For continuous Wallach weights C_d
+is positive definite, and the orthonormal graded basis used by the operator
+layer is its reverse Cholesky factor U (upper triangular, U U^T = C_d),
+taken once per connected component of the sparsity pattern.  The Gram
+matrix of monomials, C_d^{-1}, is kept as a diagnostic.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .domains import DomainSpec, flatten_point, generic_poly, generic_poly_terms
 from .errors import (
@@ -37,7 +43,6 @@ from .errors import (
 from .polynomials import MultiIndex, Polynomial
 from .wallach import classify_weight, rising_factorial
 
-MATRIXBALL_DEGREE_CEILING = 24
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "SYMDOM_CACHE_DIR"
 
@@ -86,10 +91,12 @@ def _shift_positions(n: int, d: int, gamma: MultiIndex) -> np.ndarray:
 @dataclass(frozen=True)
 class SeriesBlock:
     """Degree-d coefficient block C_d of the kernel expansion (real, since
-    Delta has real coefficients and the weight is real)."""
+    Delta has real coefficients and the weight is real), as a sparse CSR
+    array: only entries whose row and column monomials share a torus
+    weight can be nonzero."""
 
     degree: int
-    coeffs: np.ndarray
+    coeffs: scipy.sparse.csr_array
 
 
 def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiIndex, float]]]:
@@ -105,68 +112,57 @@ def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiInde
     return by_degree
 
 
-def _check_degree(dom: DomainSpec, max_degree: int, unsafe_large_degree: bool) -> None:
-    if max_degree < 0:
-        raise ValidationError("max_degree must be non-negative")
-    if (
-        dom.kind == "matrixball"
-        and max_degree > MATRIXBALL_DEGREE_CEILING
-        and not unsafe_large_degree
-    ):
-        raise ValidationError(
-            f"matrixball degree {max_degree} exceeds ceiling "
-            f"{MATRIXBALL_DEGREE_CEILING}; block sizes grow like d^(dim-1) "
-            "(pass unsafe_large_degree=True to override)"
-        )
-
-
 @functools.lru_cache(maxsize=8)
 def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
     n = dom.dim
     delta = _delta_blocks(dom)
     mu = -lam
-    blocks: list[np.ndarray] = [np.ones((1, 1))]
+    blocks = [scipy.sparse.coo_array(np.ones((1, 1)))]
     for d in range(1, max_degree + 1):
-        size = len(multi_indices(n, d))
-        acc = np.zeros((size, size))
+        rows, cols, vals = [], [], []
         for j, terms in delta.items():
             if j > d:
                 continue
             prev = blocks[d - j]
             factor = ((mu + 1.0) * j - d) / d
             for alpha, beta, coeff in terms:
-                rmap = _shift_positions(n, d - j, alpha)
-                cmap = _shift_positions(n, d - j, beta)
-                acc[np.ix_(rmap, cmap)] += (factor * coeff) * prev
+                rows.append(_shift_positions(n, d - j, alpha)[prev.row])
+                cols.append(_shift_positions(n, d - j, beta)[prev.col])
+                vals.append((factor * coeff) * prev.data)
+        size = len(multi_indices(n, d))
+        acc = scipy.sparse.coo_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size),
+        )
+        acc.sum_duplicates()
         blocks.append(acc)
     out = []
     for d, mat in enumerate(blocks):
-        mat = (mat + mat.T) / 2.0  # Hermitian (real symmetric) by circularity
-        mat.setflags(write=False)
+        # Hermitian (real symmetric) by circularity
+        mat = scipy.sparse.csr_array((mat + mat.T) / 2.0)
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.setflags(write=False)
         out.append(SeriesBlock(d, mat))
     return tuple(out)
 
 
-def kernel_series(
-    dom: DomainSpec, lam: float, max_degree: int, *, unsafe_large_degree: bool = False
-) -> tuple[SeriesBlock, ...]:
+def kernel_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
     """Blocks C_0 .. C_{max_degree} of Delta^{-lam}; any real weight."""
-    _check_degree(dom, max_degree, unsafe_large_degree)
+    if max_degree < 0:
+        raise ValidationError("max_degree must be non-negative")
     return _kernel_series_cached(dom, float(lam), int(max_degree))
 
 
-def series_partial_sum(
-    dom: DomainSpec, lam: float, z, w, max_degree: int, *, unsafe_large_degree: bool = False
-) -> complex:
+def series_partial_sum(dom: DomainSpec, lam: float, z, w, max_degree: int) -> complex:
     """Evaluate sum_{d <= max_degree} m_d(z)^T C_d conj(m_d(w))."""
-    blocks = kernel_series(dom, lam, max_degree, unsafe_large_degree=unsafe_large_degree)
+    blocks = kernel_series(dom, lam, max_degree)
     zf = flatten_point(dom, z)
     wf = flatten_point(dom, w)
     total = 0.0 + 0.0j
     for block in blocks:
         mz = _monomial_vector(zf, block.degree)
         mw = _monomial_vector(wf, block.degree)
-        total += mz @ block.coeffs @ np.conj(mw)
+        total += mz @ (block.coeffs @ np.conj(mw))
     return complex(total)
 
 
@@ -202,21 +198,23 @@ def _require_module_weight(dom: DomainSpec, lam: float) -> None:
         )
 
 
-def gram_blocks(
-    dom: DomainSpec, lam: float, max_degree: int, *, unsafe_large_degree: bool = False
-) -> tuple[GramBlock, ...]:
-    """Blockwise inverse of the kernel coefficients, G_d = C_d^{-1}."""
+def gram_blocks(dom: DomainSpec, lam: float, max_degree: int) -> tuple[GramBlock, ...]:
+    """Blockwise inverse of the kernel coefficients, G_d = C_d^{-1}.
+
+    A dense diagnostic (``symdom kernel``, the norm oracles); the basis is
+    built from C_d directly.
+    """
     _require_module_weight(dom, lam)
-    series = kernel_series(dom, lam, max_degree, unsafe_large_degree=unsafe_large_degree)
     out = []
-    for block in series:
+    for block in kernel_series(dom, lam, max_degree):
+        coeffs = block.coeffs.toarray()
         try:
-            cho = scipy.linalg.cho_factor(block.coeffs, lower=True)
+            cho = scipy.linalg.cho_factor(coeffs, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericallySingular(
                 f"degree-{block.degree} coefficient block is not positive definite"
             ) from exc
-        gram = scipy.linalg.cho_solve(cho, np.eye(block.coeffs.shape[0]))
+        gram = scipy.linalg.cho_solve(cho, np.eye(coeffs.shape[0]))
         gram = (gram + gram.T) / 2.0
         gram.setflags(write=False)
         out.append(GramBlock(block.degree, gram))
@@ -275,8 +273,10 @@ class TruncatedBasis:
 
     ``change[d]`` is the upper-triangular matrix whose column k gives the
     monomial coefficients (graded-lex order) of the k-th degree-d basis
-    element.  Triangularity pins the basis down uniquely given the monomial
-    order, so serialized bases reload bit-identically.
+    element; it is the reverse Cholesky factor of the kernel block,
+    ``change[d] @ change[d].T == C_d``.  Triangularity pins the basis down
+    uniquely given the monomial order, so serialized bases reload
+    bit-identically.
     """
 
     dom: DomainSpec
@@ -351,41 +351,51 @@ class TruncatedBasis:
         return complex(self.eval_at(z) @ np.conj(self.eval_at(w)))
 
     def monomial_norm(self, alpha) -> float:
-        """Squared norm of z^alpha read off the Gram data used to build the
-        basis (inverse change of basis)."""
+        """Squared norm of z^alpha read off the inverse change of basis."""
         alpha = tuple(int(a) for a in alpha)
         d = sum(alpha)
         pos = _position(self.dom.dim, d)[alpha]
-        # row of L^{-1}: solve L x = e_pos, norm^2 = |x|^2 since basis is ON
+        # column of U^{-1}: solve U x = e_pos, norm^2 = |x|^2 since basis is ON
         c = np.zeros(self.degree_sizes[d])
         c[pos] = 1.0
         x = scipy.linalg.solve_triangular(self.change[d], c, lower=False)
         return float(x @ x)
 
 
-@functools.lru_cache(maxsize=8)
-def _truncated_basis_cached(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
-    grams = gram_blocks(dom, lam, max_degree)
-    change = []
-    for block in grams:
+def _reverse_cholesky(block: SeriesBlock) -> np.ndarray:
+    """Upper-triangular U with positive diagonal and U U^T = C_d.
+
+    One factorization per connected component of the sparsity pattern of
+    C_d (its torus-weight blocks): flip(cholesky(flip(C))) on the
+    component's indices, taken in increasing order, so the scattered U
+    stays upper triangular.
+    """
+    size = block.coeffs.shape[0]
+    _, labels = connected_components(block.coeffs, directed=False)
+    order = np.argsort(labels, kind="stable")
+    dense = block.coeffs.toarray()
+    change = np.zeros((size, size))
+    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        sub = np.ix_(idx, idx)
         try:
-            lower = np.linalg.cholesky(block.gram)
+            lower = np.linalg.cholesky(dense[sub][::-1, ::-1])
         except np.linalg.LinAlgError as exc:
             raise NumericallySingular(
-                f"degree-{block.degree} Gram block is not positive definite"
+                f"degree-{block.degree} coefficient block is not positive definite"
             ) from exc
-        mat = scipy.linalg.solve_triangular(
-            lower.T, np.eye(lower.shape[0]), lower=False
-        )
-        mat.setflags(write=False)
-        change.append(mat)
+        change[sub] = lower[::-1, ::-1]
+    change.setflags(write=False)
+    return change
+
+
+@functools.lru_cache(maxsize=8)
+def _truncated_basis_cached(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
+    _require_module_weight(dom, lam)
+    change = [_reverse_cholesky(block) for block in kernel_series(dom, lam, max_degree)]
     return TruncatedBasis(dom, lam, max_degree, tuple(change))
 
 
-def truncated_basis(
-    dom: DomainSpec, lam: float, max_degree: int, *, unsafe_large_degree: bool = False
-) -> TruncatedBasis:
-    _check_degree(dom, max_degree, unsafe_large_degree)
+def truncated_basis(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
     return _truncated_basis_cached(dom, float(lam), int(max_degree))
 
 

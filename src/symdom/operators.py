@@ -58,6 +58,9 @@ def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray
     """Block of multiplication by z^gamma from degree d to degree
     d + |gamma|, in the orthonormal basis."""
     g = sum(gamma)
+    if g == 0:
+        # z^0 = 1: exactly the identity, without a triangular solve's rounding
+        return np.eye(basis.degree_sizes[d])
     rmap = _shift_positions(basis.dom.dim, d, gamma)
     scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
     scattered[rmap, :] = basis.change[d]

@@ -8,6 +8,7 @@ plus evaluation at points and at commuting matrix tuples.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -175,10 +176,6 @@ class Polynomial:
             out += c * term
         return out
 
-    def conjugate_coeffs(self) -> "Polynomial":
-        """Same monomials, conjugated coefficients."""
-        return Polynomial(self.nvars, {a: np.conj(c) for a, c in self.terms.items()})
-
     def label(self) -> str:
         """Compact human-readable form, used in CSV symbol columns."""
         if not self.terms:
@@ -198,6 +195,20 @@ class Polynomial:
                 cs = f"{c.real:g}" if c.imag == 0 else f"({c.real:g}{c.imag:+g}j)"
                 bits.append(cs if mono == "1" else f"{cs}*{mono}")
         return "+".join(bits).replace("+-", "-")
+
+
+def poly_det(mat: list[list[Polynomial]]) -> Polynomial:
+    """Determinant of a square matrix of polynomials (Leibniz expansion)."""
+    r = len(mat)
+    n = mat[0][0].nvars
+    total = Polynomial.zero(n)
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        prod = Polynomial.constant(n, (-1.0) ** inversions)
+        for i, j in enumerate(perm):
+            prod = prod * mat[i][j]
+        total = total + prod
+    return total
 
 
 @dataclass(frozen=True)

@@ -86,24 +86,3 @@ def random_commuting_tuple(
             mat *= spectral_radius * rng.uniform(0.5, 1.0) / rho
         mats.append(mat)
     return mats
-
-
-def random_diagonalizable_tuple(
-    n: int,
-    h: int,
-    rng: np.random.Generator,
-    max_norm: float = 0.7,
-    dom: DomainSpec | None = None,
-) -> list[np.ndarray]:
-    """Commuting tuple with well-separated semisimple joint spectrum.
-
-    Joint eigenvalue vectors are drawn inside the domain (spectral norm
-    <= max_norm) and conjugated by one moderately conditioned similarity.
-    """
-    dom = dom or DomainSpec.polydisc(n)
-    points = np.array([random_point(dom, rng, max_norm) for _ in range(h)])
-    sim = np.eye(h) + 0.25 * (
-        rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
-    )
-    sim_inv = np.linalg.inv(sim)
-    return [sim @ np.diag(points[:, i]) @ sim_inv for i in range(n)]

@@ -95,17 +95,6 @@ def classify_weight(lam: float, dom: DomainSpec) -> WallachVerdict:
     return WallachVerdict(WallachClass.NOT_IN_WALLACH)
 
 
-def wallach_membership_by_pochhammer(
-    lam: float, dom: DomainSpec, max_weight: int = 24
-) -> bool:
-    """Independent route: lam lies in the Wallach set iff (lam)_m >= 0 for
-    every partition, sampled here up to ``max_weight``."""
-    return all(
-        pochhammer(lam, m, dom.char_a) >= 0.0
-        for m in partitions_up_to(max_weight, dom.rank)
-    )
-
-
 def finite_rank_membership(lam: float, a: float, r: int, kmax: int = 64) -> bool:
     """True when the kernel power series of Delta^{-lam} has finitely many
     nonzero degree blocks.

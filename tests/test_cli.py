@@ -4,11 +4,15 @@ deterministic reruns, overrides, and config error reporting."""
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from symdom.cli import main, normalize_config, summary_path_for
+from symdom.domains import DomainSpec
+from symdom.kernels import gram_block
 
 Z1_JSON = {"nvars": 2, "terms": {"1,0": 1.0}}
 
@@ -96,6 +100,11 @@ def test_kernel_matrixball_psd_column(tmp_path):
     eig_rows = [r for r in read_csv(out)[1:] if r[2] == "gram_min_eig"]
     assert len(eig_rows) == 4
     assert all(float(r[5]) > 0 for r in eig_rows)
+    # one gram_blocks call serves every degree, same values as block by block
+    for d, r in enumerate(eig_rows):
+        block = gram_block(DomainSpec.matrix_ball(2, 2), 4.0, d)
+        assert r[3] == str(d)
+        assert r[5] == repr(float(np.linalg.eigvalsh(block.gram).min()))
 
 
 def test_kernel_seed_override_changes_samples(tmp_path):
@@ -404,6 +413,63 @@ def test_kernel_max_norm_outside_domain_is_config_error(tmp_path, capsys):
     assert main(["kernel", "--config", cfg]) == 2
     assert "'max_norm'" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+BALL1 = {"kind": "ball", "n": 1}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("kernel", kernel_cfg(None, num_pairs=-1), "num_pairs"),
+        ("kernel", kernel_cfg(None, num_pairs=True), "num_pairs"),
+        ("kernel", kernel_cfg(None, gram_degree="x"), "gram_degree"),
+        ("kernel", kernel_cfg(None, max_norm=False), "max_norm"),
+        ("calculus", {"domain": BALL1, "num_tuples": "3"}, "num_tuples"),
+        ("calculus", {"domain": BALL1, "num_tuples": 0}, "num_tuples"),
+        ("calculus", {"domain": BALL1, "spectral_radius": 1.5}, "spectral_radius"),
+        ("calculus", {"domain": BALL1, "tuple_size": 0}, "tuple_size"),
+        ("calculus", {"domain": BALL1, "level": True}, "level"),
+        ("invariance", invariance_cfg(None, p_values=[0.5]), "p_values[0]"),
+        ("invariance", invariance_cfg(None, p_values=[]), "p_values"),
+        ("invariance", invariance_cfg(None, window="x"), "window"),
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "polydisc", "n": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3]]},
+                "grid": {"start": 0.0, "stop": 0.5, "steps": -1},
+            },
+            "grid.steps",
+        ),
+    ],
+)
+def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command, cfg, field):
+    cfg = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_invariance_accepts_infinite_p(tmp_path):
+    # p = inf is the operator norm; JSON spells it Infinity
+    out = str(tmp_path / "inv.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json",
+        invariance_cfg(out, D_list=[3], p_values=[float("inf")], families=["coordinates"]),
+    )
+    assert main(["invariance", "--config", cfg]) == 0
+    assert {r[5] for r in read_csv(out)[1:]} == {"inf"}
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, symdom.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_bad_domain_kind(tmp_path):

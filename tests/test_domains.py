@@ -10,6 +10,7 @@ from symdom.domains import (
     bergman_matrix,
     flatten_point,
     generic_poly,
+    generic_poly_terms,
     mobius,
     point_from_json,
     point_to_json,
@@ -220,6 +221,34 @@ def test_generic_poly_nonvanishing_inside(any_domain, rng):
         w = random_point(any_domain, rng, max_norm=0.95)
         if spectral_norm(any_domain, z) * spectral_norm(any_domain, w) < 1:
             assert generic_poly(any_domain, z, w) != 0
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        DomainSpec.ball(1),
+        DomainSpec.ball(2),
+        DomainSpec.ball(3),
+        DomainSpec.polydisc(2),
+        DomainSpec.matrix_ball(1, 3),
+        DomainSpec.matrix_ball(2, 2),
+        DomainSpec.matrix_ball(2, 3),
+        DomainSpec.matrix_ball(3, 3),
+    ],
+    ids=lambda dom: dom.label(),
+)
+def test_generic_poly_terms_evaluate_to_generic_poly(dom, rng):
+    terms = generic_poly_terms(dom)
+    for alpha, beta in terms:
+        assert sum(alpha) == sum(beta)
+    for _ in range(20):
+        z, w = random_point(dom, rng), random_point(dom, rng)
+        zf, wbar = flatten_point(dom, z), np.conj(flatten_point(dom, w))
+        value = sum(
+            coeff * np.prod(zf ** np.array(alpha)) * np.prod(wbar ** np.array(beta))
+            for (alpha, beta), coeff in terms.items()
+        )
+        assert abs(value - generic_poly(dom, z, w)) < 1e-13
 
 
 # ---------------------------------------------------------------------

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
+
+from symdom import kernels
 
 from symdom.domains import DomainSpec
 from symdom.errors import (
     BranchCutError,
     NotAModuleWeight,
-    ValidationError,
 )
 from symdom.kernels import (
     cache_key,
@@ -110,9 +114,18 @@ def test_finite_rank_series_terminates():
         assert any(np.abs(b.coeffs).max() > 1e-10 for b in blocks[: bound + 1])
 
 
-def test_matrixball_degree_ceiling_guard():
-    with pytest.raises(ValidationError):
-        kernel_series(MB22, 2.0, 25)
+def test_matrixball_series_beyond_degree_24(rng):
+    blocks = kernel_series(MB22, 2.5, 30)
+    assert len(blocks) == 31
+    assert all(scipy.sparse.issparse(b.coeffs) for b in blocks)
+    # torus-weight blocks: well under 1 % of the top block is stored
+    top = blocks[-1].coeffs
+    assert top.nnz < 0.01 * top.shape[0] ** 2
+    for _ in range(5):
+        z = random_point(MB22, rng, max_norm=0.6)
+        w = random_point(MB22, rng, max_norm=0.6)
+        err = abs(series_partial_sum(MB22, 2.5, z, w, 30) - kernel_eval(MB22, 2.5, z, w))
+        assert err <= 1e-8
 
 
 # ---------------------------------------------------------------------
@@ -202,7 +215,7 @@ def test_partial_sums_converge_to_kernel(rng):
 
 
 def test_partial_sums_converge_matrixball(rng):
-    blocks = kernel_series(MB22, 2.5, 25, unsafe_large_degree=True)
+    blocks = kernel_series(MB22, 2.5, 25)
     zs = np.stack([random_point(MB22, rng, max_norm=0.6) for _ in range(100)])
     ws = np.stack([random_point(MB22, rng, max_norm=0.6) for _ in range(100)])
     totals = np.zeros(100, dtype=complex)
@@ -210,7 +223,7 @@ def test_partial_sums_converge_matrixball(rng):
         alphas = np.array(multi_indices(4, block.degree))
         mz = np.prod(zs[:, None, :] ** alphas[None, :, :], axis=2)
         mw = np.prod(ws[:, None, :] ** alphas[None, :, :], axis=2)
-        totals += np.einsum("pi,ij,pj->p", mz, block.coeffs, np.conj(mw))
+        totals += np.sum(mz * (block.coeffs @ np.conj(mw).T).T, axis=1)
     closed = np.array([kernel_eval(MB22, 2.5, z, w) for z, w in zip(zs, ws)])
     assert np.abs(totals - closed).max() <= 1e-8
 
@@ -218,6 +231,53 @@ def test_partial_sums_converge_matrixball(rng):
 # ---------------------------------------------------------------------
 # truncated orthonormal basis
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "dom, lam, D",
+    [
+        (DomainSpec.ball(3), 2.5, 8),
+        (POLY2, 2.5, 8),
+        (DomainSpec.matrix_ball(1, 3), 2.5, 8),
+        (MB22, 2.5, 10),
+        (MB22, 1.05, 10),
+        (DomainSpec.matrix_ball(2, 3), 3.5, 6),
+    ],
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
+)
+def test_basis_is_reverse_cholesky_per_component(dom, lam, D, monkeypatch):
+    # one factorization per connected component of each C_d, and no inverse
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the basis path takes no inverse")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in ("inv", "cho_factor", "cho_solve", "solve_triangular"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
+    kernels._truncated_basis_cached.cache_clear()
+    basis = truncated_basis(dom, lam, D)
+    monkeypatch.undo()
+
+    series = kernel_series(dom, lam, D)
+    components = [connected_components(b.coeffs, directed=False)[0] for b in series]
+    assert len(factored) == sum(components)
+    assert sum(shape[0] for shape in factored) == basis.dim
+    if dom == MB22:
+        # torus weights of MB(2,2): (row sums, column sums), (d + 1)^2 of them
+        assert components == [(d + 1) ** 2 for d in range(D + 1)]
+    for block, change in zip(series, basis.change):
+        coeffs = block.coeffs.toarray()
+        assert np.array_equal(change, np.triu(change))
+        assert np.all(np.diag(change) > 0)
+        assert np.abs(change @ change.T - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+
 
 def test_basis_dimensions_and_labels():
     basis = truncated_basis(BALL2, 3.0, 4)
