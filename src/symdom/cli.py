@@ -46,7 +46,7 @@ from .kernels import (
     series_partial_sum,
 )
 from .koszul import joint_eigenvalues, taylor_point_test
-from .operators import essential_normality_profile, quotient_model, whole_space_model
+from .operators import essential_normality_profile, quotient_model
 from .polynomials import Polynomial
 from .sampling import random_commuting_tuple, random_point
 from .wallach import classify_weight
@@ -153,19 +153,21 @@ def checked_number(
     number) with low <= value < below; booleans, NaN and infinities are
     rejected with a config error."""
     kinds = int if integer else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool) and low <= value < below:
-        return value
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        if low <= value < below and value > -math.inf:
+            return value
     kind = "an integer" if integer else "a number"
-    span = f">= {low:g}" if below == math.inf else f"in [{low:g}, {below:g})"
+    if low == -math.inf:
+        span = "that is finite"
+    else:
+        span = f">= {low:g}" if below == math.inf else f"in [{low:g}, {below:g})"
     raise ConfigError(f"config error at '{where}': must be {kind} {span}{why}")
 
 
 def _as_int_list(obj, where: str) -> list[int]:
-    if not isinstance(obj, list) or not obj or not all(
-        isinstance(x, int) and x >= 0 for x in obj
-    ):
+    if not isinstance(obj, list) or not obj:
         raise ConfigError(f"config error at '{where}': must be a non-empty list of integers >= 0")
-    return list(obj)
+    return [checked_number(x, f"{where}[{i}]", integer=True, low=0) for i, x in enumerate(obj)]
 
 
 def load_config(path: str) -> dict:
@@ -194,13 +196,9 @@ def normalize_config(cfg: dict, command: str) -> dict:
     except ValidationError as exc:
         raise ConfigError(f"config error at 'domain': {exc}")
     out["domain"] = dom.to_json()
-    out.setdefault("seed", 0)
-    if not isinstance(out["seed"], int):
-        raise ConfigError("config error at 'seed': must be an integer")
+    checked_number(out.setdefault("seed", 0), "seed", integer=True, low=0)
     if "lambda" in out:
-        lam = out["lambda"]
-        if not isinstance(lam, (int, float)):
-            raise ConfigError("config error at 'lambda': must be a number")
+        lam = checked_number(out["lambda"], "lambda", integer=False, low=-math.inf)
         if command in ("kernel", "invariance") or (
             command == "spectrum" and out.get("tuple", {}).get("kind", "model") == "model"
         ):
@@ -325,9 +323,7 @@ def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         if d_trunc is None:
             raise ConfigError("config error at 'tuple.D': truncation degree required")
         basis = cached_truncated_basis(dom, lam, int(d_trunc), cache_dir=cfg.get("cache_dir"))
-        gens = config_generators(cfg, dom)
-        model = quotient_model(basis, gens) if gens else whole_space_model(basis)
-        return list(model.tuple_mats)
+        return list(quotient_model(basis, config_generators(cfg, dom)).tuple_mats)
     raise ConfigError(f"config error at 'tuple.kind': unknown kind {kind!r}")
 
 
@@ -340,11 +336,12 @@ def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         for key in ("start", "stop", "steps"):
             if key not in grid:
                 raise ConfigError(f"config error at 'grid.{key}': required field is missing")
-        for key in ("start", "stop"):
-            if not isinstance(grid[key], (int, float)) or not math.isfinite(grid[key]):
-                raise ConfigError(f"config error at 'grid.{key}': not a finite number")
+        start, stop = (
+            checked_number(grid[key], f"grid.{key}", integer=False, low=-math.inf)
+            for key in ("start", "stop")
+        )
         steps = checked_number(grid["steps"], "grid.steps", integer=True, low=0)
-        axis = np.linspace(grid["start"], grid["stop"], steps)
+        axis = np.linspace(start, stop, steps)
         mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
         for combo in np.column_stack([m.ravel() for m in mesh]):
             points.append(combo.astype(complex))
@@ -460,9 +457,9 @@ def _invariance_families(cfg: dict, dom: DomainSpec) -> list[tuple[str, list]]:
     coords = [Polynomial.coordinate(i, n) for i in range(n)]
     permissive = cfg.get("permissive")
     if permissive is not None:
-        c = permissive.get("c", 1.0)
-        if not isinstance(c, (int, float)) or not 0 < c < math.inf:
-            raise ConfigError("config error at 'permissive.c': positive finite real required")
+        c = checked_number(permissive.get("c", 1.0), "permissive.c", integer=False, low=0)
+        if c == 0:
+            raise ConfigError("config error at 'permissive.c': must be positive")
         d_shift = permissive.get("d", [0.0] * n)
         shift = point_from_config(d_shift, dom, "permissive.d")
         coords = [

@@ -34,19 +34,23 @@ def _as_tuple(mats) -> list[np.ndarray]:
     return mats
 
 
-def check_commuting(mats, tol: float = COMMUTE_TOL) -> float:
+def _guard_commuting(worst: float) -> float:
+    if worst > COMMUTE_TOL:
+        raise NotCommuting(f"relative commutator defect {worst:.2e} > {COMMUTE_TOL:.0e}")
+    return worst
+
+
+def check_commuting(mats) -> float:
     """Max pairwise commutator norm, relative to the largest component norm.
 
-    Raises :class:`NotCommuting` above ``tol``.
+    Raises :class:`NotCommuting` above ``COMMUTE_TOL``.
     """
     mats = _as_tuple(mats)
     scale = max(max(np.linalg.norm(m, 2) for m in mats), 1.0)
     worst = 0.0
     for a, b in itertools.combinations(mats, 2):
         worst = max(worst, np.linalg.norm(a @ b - b @ a, 2) / scale)
-    if worst > tol:
-        raise NotCommuting(f"relative commutator defect {worst:.2e} > {tol:.0e}")
-    return worst
+    return _guard_commuting(worst)
 
 
 # ---------------------------------------------------------------------
@@ -82,18 +86,12 @@ def creation_matrices(n: int, k: int) -> list[np.ndarray]:
 
 def creation_operators_full(n: int) -> list[np.ndarray]:
     """Theta_i on the whole exterior algebra (dimension 2^n), subsets ordered
-    by (size, lex)."""
-    full_order = [s for k in range(n + 1) for s in _subsets(n, k)]
-    pos = {s: i for i, s in enumerate(full_order)}
-    mats = []
-    for i in range(n):
-        theta = np.zeros((2**n, 2**n))
-        for s in full_order:
-            if i in s:
-                continue
-            sign = (-1) ** sum(1 for j in s if j < i)
-            theta[pos[tuple(sorted(s + (i,)))], pos[s]] = sign
-        mats.append(theta)
+    by (size, lex): the blocks of ``creation_matrices`` at their offsets."""
+    starts = np.cumsum([0] + [len(_subsets(n, k)) for k in range(n + 1)])
+    mats = [np.zeros((2**n, 2**n)) for _ in range(n)]
+    for k in range(n):
+        for theta, block in zip(mats, creation_matrices(n, k)):
+            theta[starts[k + 1]:starts[k + 2], starts[k]:starts[k + 1]] = block
     return mats
 
 
@@ -150,17 +148,17 @@ def _rank(sv: np.ndarray, cutoff: float) -> int:
     return int(np.sum(sv > cutoff))
 
 
-def regularity_report(cx: KoszulComplex, rank_tol: float = RANK_TOL) -> RegularityReport:
+def regularity_report(cx: KoszulComplex) -> RegularityReport:
     """Exactness at every stage by rank counting.
 
-    Singular values below ``rank_tol`` times the largest singular value of
+    Singular values below ``RANK_TOL`` times the largest singular value of
     the whole complex count as zero.  Stage k is exact when
     nullity(D_k) = rank(D_{k-1}); the top stage needs D_{n-1} surjective.
     """
     svals = [np.linalg.svd(d, compute_uv=False) if min(d.shape) else np.zeros(0)
              for d in cx.boundaries]
     scale = max((float(sv[0]) for sv in svals if sv.size), default=0.0)
-    cutoff = rank_tol * max(scale, 1e-300)
+    cutoff = RANK_TOL * max(scale, 1e-300)
     ranks = [_rank(sv, cutoff) for sv in svals]
     dims = cx.stage_dims()
     defects = []
@@ -177,11 +175,11 @@ def regularity_report(cx: KoszulComplex, rank_tol: float = RANK_TOL) -> Regulari
     )
 
 
-def is_regular(cx: KoszulComplex, rank_tol: float = RANK_TOL) -> bool:
-    return regularity_report(cx, rank_tol).regular
+def is_regular(cx: KoszulComplex) -> bool:
+    return regularity_report(cx).regular
 
 
-def taylor_point_test(mats, w, rank_tol: float = RANK_TOL) -> RegularityReport:
+def taylor_point_test(mats, w) -> RegularityReport:
     """Regularity of the shifted tuple (T_1 - w_1, ..., T_n - w_n).
 
     Singular exactly at the points of the joint spectrum.
@@ -192,7 +190,7 @@ def taylor_point_test(mats, w, rank_tol: float = RANK_TOL) -> RegularityReport:
         raise ValidationError(f"point has {w.size} entries, tuple has {len(mats)}")
     eye = np.eye(mats[0].shape[0], dtype=complex)
     shifted = [t - wi * eye for t, wi in zip(mats, w)]
-    return regularity_report(koszul_boundaries(shifted), rank_tol)
+    return regularity_report(koszul_boundaries(shifted))
 
 
 # ---------------------------------------------------------------------
@@ -233,11 +231,11 @@ def _match_rows(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def joint_eigenvalues(mats, seed: int = 0, consensus_tol: float = CONSENSUS_TOL) -> np.ndarray:
+def joint_eigenvalues(mats, seed: int = 0) -> np.ndarray:
     """Joint eigenvalue vectors of a commuting tuple, shape (h, n).
 
     Two independent randomized triangularizations must agree after greedy
-    matching within ``consensus_tol``; otherwise :class:`ConsensusFailure`.
+    matching within ``CONSENSUS_TOL``; otherwise :class:`ConsensusFailure`.
     """
     mats = _as_tuple(mats)
     check_commuting(mats)
@@ -245,7 +243,7 @@ def joint_eigenvalues(mats, seed: int = 0, consensus_tol: float = CONSENSUS_TOL)
     first = _joint_eigs_once(mats, rng)
     second = _joint_eigs_once(mats, rng)
     gap = _match_rows(first, second)
-    if gap > consensus_tol:
+    if gap > CONSENSUS_TOL:
         raise ConsensusFailure(
             f"randomized joint-eigenvalue runs disagree by {gap:.2e}"
         )

@@ -2,24 +2,27 @@
 quotient compressions.
 
 Everything acts on the degree-<= D orthonormal basis of a continuous-weight
-kernel space.  Submodules are spanned by generator multiples truncated back
-into the window, which keeps them exactly invariant under the truncated
-coordinate multipliers, so the compressed tuple commutes in exact
-arithmetic for every generator set.
-
-Multiplication by z^gamma maps degree d to degree d + |gamma|, so operators
-are assembled and compressed from these degree-shift blocks; no dense
-dim x dim product is formed on the quotient path.  ``quotient_model`` picks
-one of two paths from its generators:
+kernel space.  Multiplication by a homogeneous f maps degree d to degree
+d + deg f, so every operator is assembled from these degree-shift blocks of
+P_D M_f P_D (``_mult_block``); no dense dim x dim product is formed on the
+quotient path.  The submodule generated by f_1, ..., f_m is the span of the
+ranges of the truncated multipliers P_D M_{f_j} P_D, which keeps it exactly
+invariant under the truncated coordinate multipliers, so the compressed
+tuple commutes in exact arithmetic for every generator set.
+``quotient_model`` picks one of two paths from its generators:
 
 - graded path, when every generator is homogeneous: the submodule is
-  graded, the quotient splits as the sum over d of P_d orth M_d, and each
-  degree gets its own SVD.  Every quotient basis vector is supported on
-  exactly one degree, its label.
+  graded, its degree-d columns are the multiplier blocks from degree
+  d - deg f_j into degree d, the quotient splits as the sum over d of
+  P_d orth M_d, and each degree gets its own SVD.  Every quotient basis
+  vector is supported on exactly one degree, its label.  An empty
+  generator list is the zero submodule: rank 0 in every degree, so the
+  quotient is the whole space.  The scale, invariance and commutator guards
+  are all taken as per-degree block norms.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
-  one SVD of all generator columns and a complement adapted to the degree
-  filtration.  Each quotient basis vector is supported on degrees <= its
-  label.
+  one SVD of the columns of every P_D M_{f_j} P_D and a complement adapted
+  to the degree filtration.  Each quotient basis vector is supported on
+  degrees <= its label.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import koszul
+from .calculus import BOUNDARY_TOL
 from .domains import DomainSpec, spectral_norm
 from .errors import (
     DenominatorVanishes,
@@ -42,7 +46,6 @@ from .kernels import (
     TruncatedBasis,
     _shift_positions,
     cached_truncated_basis,
-    multi_indices,
 )
 from .polynomials import MultiIndex, Polynomial, RationalSymbol
 from .sampling import closed_domain_samples
@@ -67,11 +70,17 @@ def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray
     return scipy.linalg.solve_triangular(basis.change[d + g], scattered, lower=False)
 
 
+def _mult_block(basis: TruncatedBasis, f: Polynomial, d: int) -> np.ndarray:
+    """Block of P_D M_f P_D from degree d to degree d + deg f, for a
+    homogeneous f, in the orthonormal basis."""
+    return sum(c * _shift_block(basis, gamma, d) for gamma, c in f.terms.items())
+
+
 def _coordinate_blocks(basis: TruncatedBasis, i: int) -> list[np.ndarray]:
     """Degree-shift blocks d -> d + 1 of the truncated coordinate
     multiplier z_i, for d = 0 .. D - 1."""
-    gamma = tuple(int(k == i) for k in range(basis.dom.dim))
-    return [_shift_block(basis, gamma, d) for d in range(basis.max_degree)]
+    z = Polynomial.coordinate(i, basis.dom.dim)
+    return [_mult_block(basis, z, d) for d in range(basis.max_degree)]
 
 
 def _shift_norm(blocks) -> float:
@@ -80,7 +89,22 @@ def _shift_norm(blocks) -> float:
     T maps each degree into a single other degree, so T*T is block-diagonal
     and ||T||_2 is exactly the largest block norm.
     """
-    return max((np.linalg.norm(b, 2) for b in blocks), default=0.0)
+    return max((np.linalg.norm(b, 2) for b in blocks if b.size), default=0.0)
+
+
+def _check_shift_commuting(tuple_blocks) -> float:
+    """``koszul.check_commuting`` for a tuple of degree-shift operators
+    given by their blocks d -> d + 1.
+
+    [T_i, T_j] maps degree d to d + 2 through T_i(d+1) T_j(d) - T_j(d+1) T_i(d),
+    so every norm is a largest block norm.
+    """
+    scale = max(max(_shift_norm(blocks) for blocks in tuple_blocks), 1.0)
+    worst = 0.0
+    for a, b in itertools.combinations(tuple_blocks, 2):
+        comm = [a[d + 1] @ b[d] - b[d + 1] @ a[d] for d in range(len(a) - 1)]
+        worst = max(worst, _shift_norm(comm) / scale)
+    return koszul._guard_commuting(worst)
 
 
 def _check_symbol(basis: TruncatedBasis, f: Polynomial) -> None:
@@ -93,14 +117,10 @@ def _check_symbol(basis: TruncatedBasis, f: Polynomial) -> None:
 def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
     """Matrix of P_D M_f P_D in the orthonormal graded basis."""
     _check_symbol(basis, f)
-    D = basis.max_degree
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for gamma, coeff in f.terms.items():
-        g = sum(gamma)
-        for d in range(0, D - g + 1):
-            out[basis.block_slice(d + g), basis.block_slice(d)] += (
-                coeff * _shift_block(basis, gamma, d)
-            )
+    for k, part in f.homogeneous_parts().items():
+        for d in range(basis.max_degree - k + 1):
+            out[basis.block_slice(d + k), basis.block_slice(d)] = _mult_block(basis, part, d)
     return out
 
 
@@ -134,14 +154,13 @@ def _sandwich(
     lrows = _degree_rows(basis, left)
     rrows = lrows if right is left else _degree_rows(basis, right)
     out = np.zeros((left.shape[1], right.shape[1]), dtype=complex)
-    for gamma, coeff in f.terms.items():
-        g = sum(gamma)
-        for d in range(0, basis.max_degree - g + 1):
-            lcols, lblock = lrows[d + g]
+    for k, part in f.homogeneous_parts().items():
+        for d in range(basis.max_degree - k + 1):
+            lcols, lblock = lrows[d + k]
             rcols, rblock = rrows[d]
             if lcols.size and rcols.size:
-                out[np.ix_(lcols, rcols)] += coeff * (
-                    lblock.conj().T @ _shift_block(basis, gamma, d) @ rblock
+                out[np.ix_(lcols, rcols)] += (
+                    lblock.conj().T @ _mult_block(basis, part, d) @ rblock
                 )
     return out
 
@@ -150,59 +169,39 @@ def _sandwich(
 # submodules and quotients
 # ---------------------------------------------------------------------
 
-def _truncate(poly: Polynomial, max_degree: int) -> Polynomial:
-    kept = {a: c for a, c in poly.terms.items() if sum(a) <= max_degree}
-    return Polynomial(poly.nvars, kept)
-
-
 def _check_generators(basis: TruncatedBasis, generators) -> None:
-    if not generators or any(g.is_zero() for g in generators):
-        raise ValidationError("need at least one nonzero generator")
+    if any(g.is_zero() for g in generators):
+        raise ValidationError("generators must be nonzero")
     if any(g.nvars != basis.dom.dim for g in generators):
         raise ValidationError("generator variable count mismatch")
 
 
 def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
-    """Orthonormal coordinates of the truncated products f_j z^alpha."""
-    generators = list(generators)
+    """Columns spanning the truncated submodule: for each generator f, the
+    truncated multiplier P_D M_f P_D on the source degrees <= D - min deg f
+    (on higher degrees it truncates to zero)."""
     _check_generators(basis, generators)
     cols = []
     for f in generators:
-        min_deg = min(sum(a) for a in f.terms)
-        if min_deg > basis.max_degree:
-            continue
-        for d in range(0, basis.max_degree - min_deg + 1):
-            for alpha in multi_indices(basis.dom.dim, d):
-                product = _truncate(f * Polynomial.monomial(alpha), basis.max_degree)
-                if product.is_zero():
-                    continue
-                cols.append(basis.to_coords(product))
+        top = basis.max_degree - min(sum(a) for a in f.terms)
+        if top >= 0:
+            cols.append(mult_op(basis, f)[:, : basis.offset(top + 1)])
     if not cols:
         raise ValidationError("generators produce an empty span at this degree")
-    return np.column_stack(cols)
+    return np.hstack(cols)
 
 
 def _graded_columns(basis: TruncatedBasis, generators) -> list[np.ndarray]:
-    """Per degree d, the degree-d orthonormal coordinates of the products
-    f z^alpha with |alpha| = d - deg f, for homogeneous generators f."""
+    """Per degree d, the blocks of P_D M_f P_D from degree d - deg f into
+    degree d, side by side, for homogeneous generators f."""
     _check_generators(basis, generators)
-    n = basis.dom.dim
     out = []
     for d, size in enumerate(basis.degree_sizes):
-        blocks = []
-        for f in generators:
-            k = f.degree()
-            if k > d:
-                continue
-            ncols = len(multi_indices(n, d - k))
-            coeffs = np.zeros((size, ncols), dtype=complex)
-            for beta, c in f.terms.items():
-                coeffs[_shift_positions(n, d - k, beta), np.arange(ncols)] += c
-            blocks.append(
-                scipy.linalg.solve_triangular(basis.change[d], coeffs, lower=False)
-            )
+        blocks = [
+            _mult_block(basis, f, d - f.degree()) for f in generators if f.degree() <= d
+        ]
         out.append(np.hstack(blocks) if blocks else np.zeros((size, 0), dtype=complex))
-    if not any(c.shape[1] for c in out):
+    if generators and not any(c.shape[1] for c in out):
         raise ValidationError("generators produce an empty span at this degree")
     return out
 
@@ -242,10 +241,13 @@ class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
 
     ``quotient_onb`` columns are orthonormal and sorted by ``degree_labels``;
-    the labels drive windowed Schatten norms.  When every generator is
-    homogeneous (the graded path, and the whole space) each column is
-    supported on exactly the degree of its label.  Otherwise (the
-    filtration path) each column is supported on degrees <= its label.
+    the labels drive windowed Schatten norms.  The submodule is spanned by
+    the degree blocks of the truncated multipliers by the generators.  When
+    every generator is homogeneous (the graded path; no generators at all
+    gives the whole space on this path) each column is supported on exactly
+    the degree of its label, and the scale, invariance and commutator guards
+    are per-degree block norms.  Otherwise (the filtration path) each column
+    is supported on degrees <= its label.
     """
 
     basis: TruncatedBasis
@@ -311,6 +313,7 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     The generator columns are block-diagonal by degree, so one SVD per
     degree, with the rank counted against the largest singular value over
     all degrees, applies the same rank rule as one SVD of all columns.
+    Without generators every degree keeps rank 0: the whole space.
     """
     svds = []
     for cols in _graded_columns(basis, generators):
@@ -319,7 +322,7 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
         else:
             u, s = np.eye(cols.shape[0], dtype=complex), np.zeros(0)
         svds.append((u, s))
-    cutoff = SPAN_RANK_TOL * max(s[0] for _, s in svds if s.size)
+    cutoff = SPAN_RANK_TOL * max((s[0] for _, s in svds if s.size), default=0.0)
     module_blocks, quotient_blocks = [], []
     for u, s in svds:
         rank = int(np.sum(s > cutoff))
@@ -331,23 +334,23 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     nq = int(starts[-1])
 
     # Each coordinate multiplier shifts degree d to d + 1, so its compression,
-    # its norm and the invariance defect Q^H T M are assembled blockwise.
-    compressed, scale, defect = [], 0.0, 0.0
+    # the norms and the invariance defect Q^H T M are taken blockwise.
+    compressed, tuple_blocks, scale, defect = [], [], 0.0, 0.0
     for i in range(basis.dom.dim):
         blocks = _coordinate_blocks(basis, i)
         scale = max(scale, _shift_norm(blocks))
         mat = np.zeros((nq, nq), dtype=complex)
+        sblocks = []
         for d, t in enumerate(blocks):
             left = quotient_blocks[d + 1].conj().T @ t
-            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = (
-                left @ quotient_blocks[d]
-            )
+            sblocks.append(left @ quotient_blocks[d])
+            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = sblocks[-1]
             if left.size and module_blocks[d].size:
                 defect = max(defect, np.linalg.norm(left @ module_blocks[d], 2))
         compressed.append(mat)
+        tuple_blocks.append(sblocks)
     _check_invariance(defect, scale)
-    if nq:
-        koszul.check_commuting(compressed)
+    _check_shift_commuting(tuple_blocks)
     return QuotientModel(
         basis,
         tuple(generators),
@@ -387,30 +390,23 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
 def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient module model: projector onto M^(D) orth and compressed tuple.
 
-    Homogeneous generators take the graded path (per-degree complements,
-    see ``_graded_model``); any inhomogeneous generator takes the
-    filtration path.  Both assert the two structural identities that hold
-    in exact arithmetic: M^(D) is invariant under the truncated multipliers
-    (defect <= 1e-12) and the compressed coordinates commute (defect
-    <= 1e-10).
+    Homogeneous generators, and the empty tuple (the zero submodule, whose
+    quotient is the whole space), take the graded path (per-degree
+    complements, see ``_graded_model``); any inhomogeneous generator takes
+    the filtration path.  Both assert the two structural identities that
+    hold in exact arithmetic: M^(D) is invariant under the truncated
+    multipliers (defect <= 1e-12) and the compressed coordinates commute
+    (defect <= 1e-10).
     """
     generators = tuple(generators)
-    if generators and all(len(g.homogeneous_parts()) == 1 for g in generators):
+    if all(len(g.homogeneous_parts()) == 1 for g in generators):
         return _graded_model(basis, generators)
     return _filtration_model(basis, generators)
 
 
 def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
     """Trivial quotient by the zero submodule: the full truncated module."""
-    eye = np.eye(basis.dim, dtype=complex)
-    return QuotientModel(
-        basis,
-        (),
-        np.zeros((basis.dim, 0), dtype=complex),
-        eye,
-        basis.degree_labels(),
-        tuple(coordinate_mult_ops(basis)),
-    )
+    return quotient_model(basis, ())
 
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
@@ -423,7 +419,6 @@ def compress_rational(
     p: Polynomial,
     q: Polynomial,
     *,
-    check_denominator: bool = True,
     seed: int = 20_401,
 ) -> np.ndarray:
     """S_{p/q} = S_p (S_q)^{-1}.
@@ -432,14 +427,13 @@ def compress_rational(
     lower bound >= ``DENOMINATOR_MARGIN``) and S_q must be invertible with
     condition number below ``CONDITION_CUTOFF``.
     """
-    if check_denominator:
-        rng = np.random.default_rng(seed)
-        pts = closed_domain_samples(model.basis.dom, DENOMINATOR_SAMPLES, rng)
-        values = np.abs([q.eval_point(pt) for pt in pts])
-        if values.size and values.min() < DENOMINATOR_MARGIN:
-            raise DenominatorVanishes(
-                f"denominator modulus drops to {values.min():.2e} on the closed domain"
-            )
+    rng = np.random.default_rng(seed)
+    pts = closed_domain_samples(model.basis.dom, DENOMINATOR_SAMPLES, rng)
+    values = np.abs([q.eval_point(pt) for pt in pts])
+    if values.size and values.min() < DENOMINATOR_MARGIN:
+        raise DenominatorVanishes(
+            f"denominator modulus drops to {values.min():.2e} on the closed domain"
+        )
     sq = compress(model, q)
     if sq.shape[0] == 0:
         return sq
@@ -487,7 +481,6 @@ def permissive_transform(
     shift,
     dom: DomainSpec,
     *,
-    boundary_tol: float = 1e-9,
     seed: int = 0,
 ) -> list[np.ndarray]:
     """Affine reparametrization T -> c T + shift of a commuting tuple.
@@ -504,7 +497,7 @@ def permissive_transform(
     eye = np.eye(mats[0].shape[0], dtype=complex)
     out = [c * m + s * eye for m, s in zip(mats, shift)]
     for mu in koszul.joint_eigenvalues(out, seed=seed):
-        if spectral_norm(dom, mu) > 1.0 + boundary_tol:
+        if spectral_norm(dom, mu) > 1.0 + BOUNDARY_TOL:
             raise NotPermissive(
                 f"transformed joint eigenvalue leaves the closed domain "
                 f"(spectral norm {spectral_norm(dom, mu):.6f})"
@@ -568,11 +561,7 @@ def essential_normality_profile(
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
-        model = (
-            quotient_model(basis, generators)
-            if generators
-            else whole_space_model(basis)
-        )
+        model = quotient_model(basis, generators)
         compressed = [compress_symbol(model, s) for s in symbols]
         labels = model.degree_labels
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):

@@ -442,6 +442,29 @@ BALL1 = {"kind": "ball", "n": 1}
             },
             "grid.steps",
         ),
+        # JSON booleans are ints to Python; none of these fields takes one
+        ("kernel", kernel_cfg(None, D_list=[True]), "D_list[0]"),
+        ("kernel", kernel_cfg(None, seed=True), "seed"),
+        ("kernel", kernel_cfg(None, **{"lambda": True}), "lambda"),
+        ("invariance", invariance_cfg(None, D_list=[2], permissive={"c": True}), "permissive.c"),
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "polydisc", "n": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3]]},
+                "grid": {"start": True, "stop": 0.5, "steps": 2},
+            },
+            "grid.start",
+        ),
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "polydisc", "n": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3]]},
+                "grid": {"start": 0.0, "stop": False, "steps": 2},
+            },
+            "grid.stop",
+        ),
     ],
 )
 def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command, cfg, field):

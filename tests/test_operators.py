@@ -4,11 +4,13 @@ compressions, cross-commutators, Schatten norms, and the profile harness."""
 import numpy as np
 import pytest
 
-from symdom import operators
+from symdom import koszul, operators
 from symdom.domains import DomainSpec
-from symdom.errors import DenominatorVanishes, NotPermissive, ValidationError
-from symdom.kernels import truncated_basis
+from symdom.errors import DenominatorVanishes, NotCommuting, NotPermissive, ValidationError
+from symdom.kernels import multi_indices, truncated_basis
 from symdom.operators import (
+    SPAN_RANK_TOL,
+    _check_shift_commuting,
     _coordinate_blocks,
     _filtration_model,
     _shift_norm,
@@ -37,8 +39,6 @@ Z2 = Polynomial.coordinate(1, 2)
 
 
 def random_poly(nvars, degree, rng):
-    from symdom.kernels import multi_indices
-
     terms = {}
     for d in range(degree + 1):
         for alpha in multi_indices(nvars, d):
@@ -209,6 +209,93 @@ def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
     for i in range(dom.dim):
         dense = np.linalg.norm(mult_op(basis, Polynomial.coordinate(i, dom.dim)), 2)
         assert abs(_shift_norm(_coordinate_blocks(basis, i)) - dense) <= 1e-12 * dense
+
+
+def reference_span_projector(basis, gens):
+    """Projector onto span{trunc(f z^alpha)}: coordinates of every truncated
+    product, orthonormalized by one SVD with the span rank rule."""
+    cols = []
+    for f in gens:
+        for d in range(basis.max_degree + 1):
+            for alpha in multi_indices(basis.dom.dim, d):
+                product = f * Polynomial.monomial(alpha)
+                kept = {a: c for a, c in product.terms.items() if sum(a) <= basis.max_degree}
+                if kept:
+                    cols.append(basis.to_coords(Polynomial(product.nvars, kept)))
+    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+    u = u[:, s > SPAN_RANK_TOL * s[0]]
+    return u @ u.conj().T
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_multiplier_ranges_span_the_truncated_products(dom, lam, d_trunc):
+    basis = truncated_basis(dom, lam, d_trunc)
+    z1, z2 = Polynomial.coordinate(0, dom.dim), Polynomial.coordinate(1, dom.dim)
+    eye = np.eye(basis.dim)
+    for gens in ([z1], [z1 * z2], [z1 * z1, z1 * z2], [z1 * z1 + z2]):
+        want = reference_span_projector(basis, gens)
+        span = submodule_span(basis, gens)
+        assert np.abs(span.onb @ span.onb.conj().T - want).max() < 1e-12
+        for model in (quotient_model(basis, gens), _filtration_model(basis, gens)):
+            assert np.abs(model.projector() - (eye - want)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_no_generators_is_the_whole_space(dom, lam, d_trunc):
+    basis = truncated_basis(dom, lam, d_trunc)
+    model = quotient_model(basis, ())
+    assert model.module_onb.shape == (basis.dim, 0)
+    assert np.array_equal(model.projector(), np.eye(basis.dim))
+    assert np.array_equal(model.degree_labels, basis.degree_labels())
+    for s, t in zip(model.tuple_mats, coordinate_mult_ops(basis), strict=True):
+        assert np.abs(s - t).max() < 1e-13
+
+
+def test_graded_path_skips_dense_commutator_check(monkeypatch):
+    def dense_check(mats):
+        raise AssertionError("dense commutator check on the graded path")
+
+    monkeypatch.setattr(koszul, "check_commuting", dense_check)
+    basis = truncated_basis(BALL2, 2.0, 6)
+    for gens in ([Z1], [Z1 * Z2], []):
+        quotient_model(basis, gens)
+    with pytest.raises(AssertionError):
+        quotient_model(basis, [Z1 * Z1 + Z2])
+
+
+def random_shift_tuple(rng, sizes, n):
+    """n random degree-shift operators (blocks d -> d + 1) and their dense
+    matrices on the sum of spaces of the given sizes."""
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    tuple_blocks, mats = [], []
+    for _ in range(n):
+        blocks = [
+            rng.standard_normal((sizes[d + 1], sizes[d]))
+            + 1j * rng.standard_normal((sizes[d + 1], sizes[d]))
+            for d in range(len(sizes) - 1)
+        ]
+        mat = np.zeros((starts[-1], starts[-1]), dtype=complex)
+        for d, b in enumerate(blocks):
+            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = b
+        tuple_blocks.append(blocks)
+        mats.append(mat)
+    return tuple_blocks, mats
+
+
+@pytest.mark.parametrize("sizes", [[1, 2, 3, 4], [3, 0, 2, 5, 1], [2, 3, 3, 2, 4, 1]])
+def test_blockwise_commutator_guard_is_dense_guard(sizes, monkeypatch, rng):
+    for n in (2, 3):
+        tuple_blocks, mats = random_shift_tuple(rng, sizes, n)
+        with pytest.raises(NotCommuting):
+            _check_shift_commuting(tuple_blocks)
+        with pytest.raises(NotCommuting):
+            koszul.check_commuting(mats)
+        monkeypatch.setattr(koszul, "COMMUTE_TOL", np.inf)
+        blockwise = _check_shift_commuting(tuple_blocks)
+        dense = koszul.check_commuting(mats)
+        monkeypatch.undo()
+        assert blockwise > 0
+        assert abs(blockwise - dense) <= 1e-12 * dense
 
 
 def test_inhomogeneous_generator_takes_filtration_path():
