@@ -6,6 +6,10 @@ Two routes to f(T) are implemented and played against each other:
 * the boundary integral  f(T) = sum_nodes weight f(node) Delta(T, node)^{-n/r}
   over a quadrature of the normalized Shilov measure.
 
+The Szegoe kernel Delta(T, node)^{-n/r} depends only on the tuple and the
+node, so it is built once per tuple and node and shared by every polynomial
+and by the error estimate, whose rule is a subset of the same nodes.
+
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
 transformations of tuples through their rational component symbols.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +61,19 @@ _CHUNK = 8192
 
 @dataclass(frozen=True)
 class ShilovQuadrature:
-    """Nodes (rows, flattened points) and probability weights."""
+    """Nodes (rows, flattened points), probability weights and an estimate rule.
+
+    The estimate rule puts equal weights on ``nodes[estimate]``, a sorted
+    subset of the rule's own nodes: every other node per axis on the circle
+    and torus (the nodes of the rule one level down, in the same order; one
+    node at level 1) and the first half of the node stream on the sphere.
+    """
 
     dom: DomainSpec
     level: int
     nodes: np.ndarray
     weights: np.ndarray
+    estimate: np.ndarray
 
     @property
     def node_count(self) -> int:
@@ -94,7 +106,9 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
             grids = np.meshgrid(*([axes] * dom.dim), indexing="ij")
             nodes = np.column_stack([g.reshape(-1) for g in grids])
         weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-        return ShilovQuadrature(dom, level, nodes, weights)
+        grid = np.arange(nodes.shape[0]).reshape((per_axis,) * dom.dim)
+        estimate = grid[(slice(None, None, 2),) * dom.dim].reshape(-1)
+        return ShilovQuadrature(dom, level, nodes, weights, estimate)
     count = (4**level) * SPHERE_BASE_NODES
     if count > 5_000_000:
         raise ValidationError("sphere rule too large at this level")
@@ -115,7 +129,7 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     gauss /= norms[:, None]
     nodes = gauss[:, 0::2] + 1j * gauss[:, 1::2]
     weights = np.full(count, 1.0 / count)
-    return ShilovQuadrature(dom, level, nodes, weights)
+    return ShilovQuadrature(dom, level, nodes, weights, np.arange(count // 2))
 
 
 # ---------------------------------------------------------------------
@@ -271,21 +285,17 @@ def _szegoe_batch(dom: DomainSpec, mats: list[np.ndarray], nodes: np.ndarray) ->
     family, so only batched inverses and products are needed.
     """
     exponent = round(dom.hardy_weight)
-    h = mats[0].shape[0]
-    eye = np.eye(h, dtype=complex)
+    eye = np.eye(mats[0].shape[0], dtype=complex)
     if dom.kind == "ball":
-        base = eye[None, :, :] - np.einsum(
-            "nk,kij->nij", np.conj(nodes), np.stack(mats)
-        )
-        inv = np.linalg.inv(base)
-        out = inv.copy()
+        inv = np.linalg.inv(eye - np.einsum("nk,kij->nij", np.conj(nodes), np.stack(mats)))
+        out = inv
         for _ in range(exponent - 1):
             out = out @ inv
         return out
-    out = np.broadcast_to(eye, (nodes.shape[0], h, h)).copy()
+    out = None
     for k, t in enumerate(mats):
-        base = eye[None, :, :] - np.conj(nodes[:, k])[:, None, None] * t[None, :, :]
-        out = out @ np.linalg.inv(base)
+        inv = np.linalg.inv(eye - np.conj(nodes[:, k])[:, None, None] * t)
+        out = inv if out is None else out @ inv
     return out
 
 
@@ -299,66 +309,72 @@ class CalculusResult:
 
 def integral_calculus(
     mats,
-    f: Polynomial,
+    polys: Sequence[Polynomial],
     quad: ShilovQuadrature,
     dom: DomainSpec,
     tol: float | None = None,
     seed: int = 0,
-) -> CalculusResult:
-    """Boundary-integral value of f(T) with a self-reported error estimate.
+) -> list[CalculusResult]:
+    """Boundary-integral values of f(T), one result per polynomial in ``polys``.
 
-    The estimate compares against the same rule at half resolution (level-1
-    rule for circle and torus, first half of the node stream for the
-    sphere).  When ``tol`` is given and the estimate exceeds it,
-    :class:`QuadratureUnderResolved` is raised.  Chunked accumulation runs
-    in a fixed order, so results are reproducible bit for bit.
+    The spectrum guards run once per tuple, and each node's Szegoe kernel is
+    built once and shared by every polynomial and both rules.  Each result
+    carries a self-reported error estimate: the relative 2-norm gap to the
+    quadrature's estimate rule (equal weights on ``quad.estimate``, a subset
+    of its nodes).  When ``tol`` is given and any polynomial's estimate
+    exceeds it, :class:`QuadratureUnderResolved` is raised.  Chunked
+    accumulation runs in a fixed order, so results are reproducible bit for
+    bit.
     """
     mats, _, radius = _tuple_and_radius(mats, dom, seed)
     _require_interior(radius)
     if quad.dom != dom:
         raise ValidationError("quadrature was built for a different domain")
-    full = _quadrature_sum(dom, mats, f, quad.nodes, quad.weights)
-    if dom.kind == "ball" and dom.dim >= 2:
-        half_n = quad.node_count // 2
-        half = _quadrature_sum(
-            dom, mats, f, quad.nodes[:half_n], np.full(half_n, 1.0 / half_n)
-        )
-    elif quad.level >= 1:
-        lower = shilov_quadrature(dom, quad.level - 1)
-        half = _quadrature_sum(dom, mats, f, lower.nodes, lower.weights)
-    else:
-        half = None
-    if half is None:
-        est = math.nan
-    else:
-        est = float(
-            np.linalg.norm(full - half, 2) / max(1.0, np.linalg.norm(full, 2))
-        )
-    if tol is not None and not (est <= tol):
-        raise QuadratureUnderResolved(
-            f"error estimate {est:.3e} exceeds requested tolerance {tol:.1e}"
-        )
-    return CalculusResult(full, est, quad.node_count, quad.level)
+    polys = list(polys)
+    if not polys:
+        return []
+    full, coarse = _quadrature_sum(dom, mats, polys, quad.nodes, quad.weights, quad.estimate)
+    out = []
+    for value, rough in zip(full, coarse):
+        est = float(np.linalg.norm(value - rough, 2) / max(1.0, np.linalg.norm(value, 2)))
+        if tol is not None and not (est <= tol):
+            raise QuadratureUnderResolved(
+                f"error estimate {est:.3e} exceeds requested tolerance {tol:.1e}"
+            )
+        out.append(CalculusResult(value, est, quad.node_count, quad.level))
+    return out
 
 
 def _quadrature_sum(
     dom: DomainSpec,
     mats: list[np.ndarray],
-    f: Polynomial,
+    polys: list[Polynomial],
     nodes: np.ndarray,
     weights: np.ndarray,
-) -> np.ndarray:
+    estimate: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-rule and estimate-rule sums of f(node) Delta(T, node)^{-n/r}.
+
+    Returns two (P, h, h) stacks, one matrix per polynomial.  Each chunk of
+    nodes gets one kernel batch and one (2P, chunk) coefficient block (full
+    weights, then the estimate rule's equal weights on its nodes, times the
+    values f(node)), accumulated with one matrix product.
+    """
     h = mats[0].shape[0]
-    chunk_sums = []
+    count = len(polys)
+    estimate_weight = 1.0 / estimate.size
+    total = np.zeros((2 * count, h * h), dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
-        sl = slice(start, min(start + _CHUNK, nodes.shape[0]))
-        kernel = _szegoe_batch(dom, mats, nodes[sl])
-        coeff = weights[sl] * _eval_poly_batch(f, nodes[sl])
-        chunk_sums.append(np.einsum("n,nij->ij", coeff, kernel))
-    total = np.zeros((h, h), dtype=complex)
-    for part in chunk_sums:
-        total += part
-    return total
+        stop = min(start + _CHUNK, nodes.shape[0])
+        kernel = _szegoe_batch(dom, mats, nodes[start:stop]).reshape(stop - start, h * h)
+        values = np.array([_eval_poly_batch(f, nodes[start:stop]) for f in polys])
+        coeff = np.zeros((2 * count, stop - start), dtype=complex)
+        coeff[:count] = weights[start:stop] * values
+        local = estimate[np.searchsorted(estimate, start):np.searchsorted(estimate, stop)] - start
+        coeff[count:, local] = estimate_weight * values[:, local]
+        total += coeff @ kernel
+    total = total.reshape(2 * count, h, h)
+    return total[:count], total[count:]
 
 
 # ---------------------------------------------------------------------

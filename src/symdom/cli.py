@@ -31,6 +31,7 @@ import numpy as np
 from .calculus import (
     composition_residual,
     integral_calculus,
+    series_calculus,
     shilov_quadrature,
     mobius_rational_components,
 )
@@ -416,11 +417,10 @@ def cmd_calculus(cfg: dict) -> int:
     ]
     rows: list[list] = []
     label = dom.label()
-    from .calculus import series_calculus
-
+    results = [integral_calculus(mats, polys, quad, dom) for mats in tuples]
     for pi, f in enumerate(polys):
         for ti, mats in enumerate(tuples):
-            res = integral_calculus(mats, f, quad, dom)
+            res = results[ti][pi]
             direct = series_calculus(mats, f)
             scale = max(1.0, np.linalg.norm(direct, 2))
             resid = np.abs(res.value - direct).max() / scale

@@ -184,7 +184,7 @@ def test_criterion_05_integral_formula_suites():
                 mats = random_commuting_tuple(dom.dim, h, rng, spectral_radius=radius)
                 for _ in range(n_polys):
                     f = random_poly(dom.dim, deg, rng)
-                    got = integral_calculus(mats, f, quad, dom).value
+                    got = integral_calculus(mats, [f], quad, dom)[0].value
                     want = series_calculus(mats, f)
                     rel = np.abs(got - want).max() / max(1.0, np.abs(want).max())
                     worst = max(worst, rel)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symdom.calculus import (
+    _szegoe_batch,
     composition_residual,
     delta_power_tuple,
     integral_calculus,
@@ -23,11 +24,12 @@ from symdom.kernels import kernel_eval
 from symdom.koszul import hausdorff_distance, joint_eigenvalues
 from symdom.operators import permissive_transform
 from symdom.polynomials import Polynomial
-from symdom.sampling import random_point
+from symdom.sampling import random_commuting_tuple, random_point
 
 BALL1 = DomainSpec.ball(1)
 BALL2 = DomainSpec.ball(2)
 POLY2 = DomainSpec.polydisc(2)
+POLY3 = DomainSpec.polydisc(3)
 MB22 = DomainSpec.matrix_ball(2, 2)
 
 
@@ -77,6 +79,32 @@ def test_sphere_quadrature_measure():
     assert np.abs(np.linalg.norm(nodes, axis=1) - 1.0).max() < 1e-12
     # mean of w_1 over the uniform sphere measure is 0
     assert abs(weights @ nodes[:, 0]) <= 3.0 / np.sqrt(count)
+
+
+@pytest.mark.parametrize(
+    "dom, level", [(BALL1, 10), (POLY2, 8), (POLY3, 4)], ids=["ball1", "polydisc2", "polydisc3"]
+)
+def test_torus_estimate_rule_is_lower_level(dom, level):
+    quad = shilov_quadrature(dom, level)
+    lower = shilov_quadrature(dom, level - 1)
+    assert np.array_equal(quad.nodes[quad.estimate], lower.nodes)
+
+
+def test_sphere_estimate_rule_is_first_half():
+    quad = shilov_quadrature(BALL2, 2)
+    assert np.array_equal(quad.estimate, np.arange(8000))
+
+
+@pytest.mark.parametrize("dom", [BALL1, POLY2], ids=["ball1", "polydisc2"])
+def test_level_one_uses_one_node_estimate(dom, rng):
+    quad = shilov_quadrature(dom, 1)
+    assert quad.node_count == 2**dom.dim
+    assert quad.estimate.tolist() == [0]
+    mats = random_commuting_tuple(dom.dim, 4, rng, spectral_radius=0.5)
+    polys = [Polynomial.constant(dom.dim, 1.0), Polynomial.coordinate(0, dom.dim)]
+    for res in integral_calculus(mats, polys, quad, dom):
+        assert np.isfinite(res.est_error) and res.est_error > 0
+        assert res.node_count == 2**dom.dim and res.level == 1
 
 
 def test_quadrature_rejects_matrixball_and_bad_level():
@@ -168,9 +196,9 @@ def test_delta_power_boundary_guard():
 def test_integral_constant_and_coordinates():
     t = jordan_like_disc_matrix()
     quad = shilov_quadrature(BALL1, 10)
-    one = integral_calculus([t], Polynomial.constant(1, 1.0), quad, BALL1)
+    one = integral_calculus([t], [Polynomial.constant(1, 1.0)], quad, BALL1)[0]
     assert np.abs(one.value - np.eye(6)).max() < 1e-9
-    z = integral_calculus([t], Polynomial.coordinate(0, 1), quad, BALL1)
+    z = integral_calculus([t], [Polynomial.coordinate(0, 1)], quad, BALL1)[0]
     assert np.abs(z.value - t).max() < 1e-9
 
 
@@ -179,7 +207,7 @@ def test_integral_disc_cubic_frozen():
     quad = shilov_quadrature(BALL1, 10)
     assert len(quad.nodes) == 1024
     f = Polynomial(1, {(3,): 1.0, (1,): -2.0})
-    got = integral_calculus([t], f, quad, BALL1)
+    got = integral_calculus([t], [f], quad, BALL1)[0]
     want = np.linalg.matrix_power(t, 3) - 2 * t
     rel = np.abs(got.value - want).max() / np.abs(want).max()
     assert rel < 1e-9
@@ -190,7 +218,7 @@ def test_integral_polydisc_coordinates(rng):
     mats = diag_tuple([random_point(POLY2, rng, max_norm=0.6) for _ in range(4)])
     quad = shilov_quadrature(POLY2, 6)
     for i in range(2):
-        out = integral_calculus(mats, Polynomial.coordinate(i, 2), quad, POLY2)
+        out = integral_calculus(mats, [Polynomial.coordinate(i, 2)], quad, POLY2)[0]
         assert np.abs(out.value - mats[i]).max() < 1e-9
 
 
@@ -205,10 +233,10 @@ def test_integral_homomorphism(rng):
 
     for _ in range(3):
         f, g = rand_poly(), rand_poly()
-        lhs = integral_calculus([t], f * g, quad, BALL1).value
-        rhs = integral_calculus([t], f, quad, BALL1).value @ integral_calculus(
-            [t], g, quad, BALL1
-        ).value
+        lhs = integral_calculus([t], [f * g], quad, BALL1)[0].value
+        rhs = integral_calculus([t], [f], quad, BALL1)[0].value @ integral_calculus(
+            [t], [g], quad, BALL1
+        )[0].value
         assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, np.abs(lhs).max())
 
 
@@ -217,8 +245,62 @@ def test_integral_underresolved_guard():
     quad = shilov_quadrature(BALL1, 2)
     with pytest.raises(QuadratureUnderResolved):
         integral_calculus(
-            [t], Polynomial(1, {(3,): 1.0}), quad, BALL1, tol=1e-12
+            [t], [Polynomial(1, {(3,): 1.0})], quad, BALL1, tol=1e-12
         )
+
+
+def test_integral_underresolved_guard_checks_every_polynomial():
+    t = 0.3 * np.eye(3)
+    quad = shilov_quadrature(BALL1, 3)
+    good, bad = Polynomial.constant(1, 1.0), Polynomial(1, {(7,): 1.0})
+    est_good, est_bad = (r.est_error for r in integral_calculus([t], [good, bad], quad, BALL1))
+    assert est_good < est_bad
+    tol = np.sqrt(est_good * est_bad)
+    assert integral_calculus([t], [good], quad, BALL1, tol=tol)[0].est_error == est_good
+    for polys in ([good, bad], [bad, good]):
+        with pytest.raises(QuadratureUnderResolved):
+            integral_calculus([t], polys, quad, BALL1, tol=tol)
+
+
+def _one_polynomial_route(dom, mats, f, nodes, weights):
+    # the route taken before the kernel was shared: one polynomial, one rule
+    kernel = _szegoe_batch(dom, mats, nodes)
+    values = sum(c * np.prod(nodes ** np.array(alpha), axis=1) for alpha, c in f.terms.items())
+    return np.einsum("n,nij->ij", weights * values, kernel)
+
+
+@pytest.mark.parametrize(
+    "dom, level", [(BALL1, 4), (POLY2, 7), (BALL2, 2)], ids=["ball1", "polydisc2", "ball2"]
+)
+def test_batched_polynomials_match_one_at_a_time(dom, level, rng):
+    quad = shilov_quadrature(dom, level)
+    if dom.kind == "ball" and dom.dim >= 2:
+        half = quad.nodes[: quad.node_count // 2]
+        rough_nodes, rough_weights = half, np.full(half.shape[0], 1.0 / half.shape[0])
+    else:
+        lower = shilov_quadrature(dom, level - 1)
+        rough_nodes, rough_weights = lower.nodes, lower.weights
+    constant, first, cubic = (0,) * dom.dim, (1,) + (0,) * (dom.dim - 1), (3,) * dom.dim
+    polys = [
+        Polynomial(dom.dim, {alpha: complex(*rng.standard_normal(2)) for alpha in alphas})
+        for alphas in ([constant], [first], [cubic, constant])
+    ]
+    for _ in range(2):
+        mats = random_commuting_tuple(dom.dim, 4, rng, spectral_radius=0.6)
+        results = integral_calculus(mats, polys, quad, dom)
+        assert len(results) == len(polys)
+        for f, res in zip(polys, results):
+            full = _one_polynomial_route(dom, mats, f, quad.nodes, quad.weights)
+            rough = _one_polynomial_route(dom, mats, f, rough_nodes, rough_weights)
+            scale = max(1.0, np.linalg.norm(full, 2))
+            est = np.linalg.norm(full - rough, 2) / scale
+            assert np.linalg.norm(res.value - full, 2) <= 1e-12 * scale
+            assert abs(res.est_error - est) <= 1e-12 * max(1.0, est)
+
+
+def test_integral_calculus_of_no_polynomials():
+    quad = shilov_quadrature(BALL1, 3)
+    assert integral_calculus([jordan_like_disc_matrix()], [], quad, BALL1) == []
 
 
 def test_series_calculus_reference(rng):
@@ -241,7 +323,7 @@ def test_series_matches_integral_on_disc_suite(rng):
             1, {(d,): complex(rng.standard_normal(), rng.standard_normal()) for d in range(4)}
         )
         a = series_calculus([t], f)
-        b = integral_calculus([t], f, quad, BALL1).value
+        b = integral_calculus([t], [f], quad, BALL1)[0].value
         assert np.abs(a - b).max() < 1e-9 * max(1.0, np.abs(a).max())
 
 

@@ -242,6 +242,24 @@ def test_calculus_stdout(tmp_path, capsys):
     assert captured.startswith("domain,check,item,tuple,residual")
 
 
+@pytest.mark.parametrize("kind, n", [("ball", 1), ("polydisc", 2)])
+def test_calculus_level_one_on_circle_and_torus(tmp_path, kind, n):
+    out = str(tmp_path / "calc.csv")
+    cfg = write_cfg(
+        tmp_path,
+        "cfg.json",
+        {"domain": {"kind": kind, "n": n}, "level": 1, "num_tuples": 2, "out": out},
+    )
+    assert main(["calculus", "--config", cfg]) == 0
+    integral = [r for r in read_csv(out)[1:] if r[1] == "integral_vs_series"]
+    # rows run polynomial by polynomial, tuples inside
+    assert [(r[2], r[3]) for r in integral] == [
+        (str(p), str(t)) for p in range(3) for t in range(2)
+    ]
+    assert all(np.isfinite(float(r[5])) for r in integral)
+    assert {r[6] for r in integral} == {str(2**n)}
+
+
 # ---------------------------------------------------------------------
 # invariance
 # ---------------------------------------------------------------------

@@ -313,6 +313,33 @@ def test_mobius_preserves_open_domain(any_domain, rng):
         assert spectral_norm(any_domain, image) < 1.0
 
 
+@pytest.mark.parametrize(
+    "dom",
+    [
+        DomainSpec.ball(1),
+        DomainSpec.ball(3),
+        DomainSpec.polydisc(2),
+        DomainSpec.matrix_ball(1, 3),
+        DomainSpec.matrix_ball(2, 2),
+        DomainSpec.matrix_ball(2, 3),
+    ],
+    ids=lambda dom: dom.label(),
+)
+def test_mobius_transformation_rule(dom, rng):
+    # Delta(g_a z, g_a w) = Delta(a, a) Delta(z, w) / (Delta(z, -a) conj Delta(w, -a))
+    for _ in range(20):
+        a, z, w = (random_point(dom, rng, max_norm=0.8) for _ in range(3))
+        g = mobius(dom, a)
+        minus_a = -flatten_point(dom, a)
+        lhs = generic_poly(dom, g(z), g(w))
+        rhs = (
+            generic_poly(dom, a, a)
+            * generic_poly(dom, z, w)
+            / (generic_poly(dom, z, minus_a) * np.conj(generic_poly(dom, w, minus_a)))
+        )
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
 def test_mobius_rejects_boundary_parameter():
     dom = DomainSpec.ball(2)
     with pytest.raises(PointOutsideDomain):
