@@ -17,7 +17,6 @@ transformations of tuples through their rational component symbols.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -267,17 +266,6 @@ def series_calculus(mats, f: Polynomial) -> np.ndarray:
     return out
 
 
-def _eval_poly_batch(f: Polynomial, nodes: np.ndarray) -> np.ndarray:
-    out = np.zeros(nodes.shape[0], dtype=complex)
-    for alpha, c in f.terms.items():
-        term = np.full(nodes.shape[0], c, dtype=complex)
-        for i, a in enumerate(alpha):
-            if a:
-                term *= nodes[:, i] ** a
-        out += term
-    return out
-
-
 def _szegoe_batch(dom: DomainSpec, mats: list[np.ndarray], nodes: np.ndarray) -> np.ndarray:
     """Delta(T, node)^{-n/r} for a batch of boundary nodes, shape (N, h, h).
 
@@ -367,7 +355,7 @@ def _quadrature_sum(
     for start in range(0, nodes.shape[0], _CHUNK):
         stop = min(start + _CHUNK, nodes.shape[0])
         kernel = _szegoe_batch(dom, mats, nodes[start:stop]).reshape(stop - start, h * h)
-        values = np.array([_eval_poly_batch(f, nodes[start:stop]) for f in polys])
+        values = np.array([f.eval_batch(nodes[start:stop]) for f in polys])
         coeff = np.zeros((2 * count, stop - start), dtype=complex)
         coeff[:count] = weights[start:stop] * values
         local = estimate[np.searchsorted(estimate, start):np.searchsorted(estimate, stop)] - start
@@ -384,10 +372,12 @@ def _quadrature_sum(
 def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
     """Components of g_{z0} as rational symbols p_i / q_i.
 
-    ball: shared denominator 1 + <w, z0>; polydisc: factorwise
-    (w_i + z0_i)/(1 + conj(z0_i) w_i); matrixball: the adjugate of
-    I + w z0* over det(I + w z0*), sandwiched between the Bergman square
-    roots.
+    polydisc: factorwise (w_i + z0_i)/(1 + conj(z0_i) w_i); matrixball:
+    the adjugate of I + w z0* over det(I + w z0*), sandwiched between the
+    Bergman square roots.  The ball is the r = 1 matrix ball: the shared
+    denominator is 1 + <w, z0> and the adjugate is 1.  Only the names follow
+    the family: ``mobius1..n`` on the ball, ``mobius<k><l>`` on the matrix
+    ball.
     """
     z0f = flatten_point(dom, z0)
     if not in_domain(dom, z0f):
@@ -400,23 +390,6 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
         for i in range(n):
             p = coords[i] + Polynomial.constant(n, z0f[i])
             q = Polynomial.constant(n, 1.0) + np.conj(z0f[i]) * coords[i]
-            out.append(RationalSymbol(p, q, name=f"mobius{i + 1}"))
-        return out
-
-    if dom.kind == "ball":
-        q = Polynomial.constant(n, 1.0)
-        for j in range(n):
-            q = q + np.conj(z0f[j]) * coords[j]
-        s = math.sqrt(max(0.0, 1.0 - float(np.vdot(z0f, z0f).real)))
-        z0m = z0f.reshape(1, n)
-        root = hermitian_sqrt(
-            np.eye(n, dtype=complex) - z0m.conj().T @ z0m
-        )
-        out = []
-        for i in range(n):
-            p = z0f[i] * q
-            for j in range(n):
-                p = p + s * root[j, i] * coords[j]
             out.append(RationalSymbol(p, q, name=f"mobius{i + 1}"))
         return out
 
@@ -455,7 +428,8 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
                     weight = left_root[k, a] * right_root[b, l]
                     if weight != 0:
                         p = p + weight * middle[a][b]
-            out.append(RationalSymbol(p, q, name=f"mobius{k + 1}{l + 1}"))
+            name = f"mobius{l + 1}" if dom.kind == "ball" else f"mobius{k + 1}{l + 1}"
+            out.append(RationalSymbol(p, q, name=name))
     return out
 
 
@@ -490,9 +464,7 @@ def mobius_of_tuple(mats, z0, dom: DomainSpec, seed: int = 0) -> list[np.ndarray
     components = mobius_rational_components(dom, z0)
     out = []
     for sym in components:
-        margin = min(
-            (abs(sym.q.eval_point(mu)) for mu in eigs), default=1.0
-        )
+        margin = np.abs(sym.q.eval_batch(eigs)).min()
         if margin < DENOM_SPECTRUM_MARGIN:
             raise SingularDenominator(
                 f"denominator of {sym.name} reaches modulus {margin:.2e} on the spectrum"

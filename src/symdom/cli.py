@@ -106,7 +106,7 @@ def poly_from_json(obj, nvars: int, where: str) -> Polynomial:
             f"config error at '{where}.nvars': {got_n} does not match domain dimension {nvars}"
         )
     terms = {}
-    for key, val in obj["terms"].items():
+    for key, val in checked_container(obj["terms"], f"{where}.terms", dict).items():
         try:
             alpha = tuple(int(part) for part in key.split(","))
         except ValueError:
@@ -165,8 +165,17 @@ def checked_number(
     raise ConfigError(f"config error at '{where}': must be {kind} {span}{why}")
 
 
+def checked_container(value, where: str, kind: type):
+    """``value`` if it is a JSON array (``kind=list``) or object
+    (``kind=dict``); anything else is a config error."""
+    if isinstance(value, kind):
+        return value
+    name = "a list" if kind is list else "an object"
+    raise ConfigError(f"config error at '{where}': must be {name}")
+
+
 def _as_int_list(obj, where: str) -> list[int]:
-    if not isinstance(obj, list) or not obj:
+    if not checked_container(obj, where, list):
         raise ConfigError(f"config error at '{where}': must be a non-empty list of integers >= 0")
     return [checked_number(x, f"{where}[{i}]", integer=True, low=0) for i, x in enumerate(obj)]
 
@@ -198,10 +207,15 @@ def normalize_config(cfg: dict, command: str) -> dict:
         raise ConfigError(f"config error at 'domain': {exc}")
     out["domain"] = dom.to_json()
     checked_number(out.setdefault("seed", 0), "seed", integer=True, low=0)
+    for key in ("out", "cache_dir"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            raise ConfigError(f"config error at '{key}': must be a path string")
     if "lambda" in out:
         lam = checked_number(out["lambda"], "lambda", integer=False, low=-math.inf)
         if command in ("kernel", "invariance") or (
-            command == "spectrum" and out.get("tuple", {}).get("kind", "model") == "model"
+            command == "spectrum"
+            and checked_container(out.get("tuple", {}), "tuple", dict).get("kind", "model")
+            == "model"
         ):
             if not classify_weight(float(lam), dom).is_module_weight:
                 raise ConfigError(
@@ -213,7 +227,7 @@ def normalize_config(cfg: dict, command: str) -> dict:
     if "generators" in out:
         gens = [
             poly_from_json(g, dom.dim, f"generators[{i}]")
-            for i, g in enumerate(out["generators"])
+            for i, g in enumerate(checked_container(out["generators"], "generators", list))
         ]
         out["generators"] = [poly_to_json(g) for g in gens]
         if "D_list" in out and gens:
@@ -310,11 +324,11 @@ def cmd_kernel(cfg: dict) -> int:
 # ---------------------------------------------------------------------
 
 def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
-    spec = cfg.get("tuple", {"kind": "model"})
+    spec = checked_container(cfg.get("tuple", {"kind": "model"}), "tuple", dict)
     kind = spec.get("kind", "model")
     if kind == "diagonal":
-        entries = spec.get("entries")
-        if not isinstance(entries, list) or not entries:
+        entries = checked_container(spec.get("entries"), "tuple.entries", list)
+        if not entries:
             raise ConfigError("config error at 'tuple.entries': non-empty list required")
         pts = [point_from_config(e, dom, f"tuple.entries[{i}]") for i, e in enumerate(entries)]
         return [np.diag([flatten_point(dom, p)[i] for p in pts]) for i in range(dom.dim)]
@@ -323,17 +337,20 @@ def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         d_trunc = spec.get("D", max(cfg["D_list"]) if "D_list" in cfg else None)
         if d_trunc is None:
             raise ConfigError("config error at 'tuple.D': truncation degree required")
-        basis = cached_truncated_basis(dom, lam, int(d_trunc), cache_dir=cfg.get("cache_dir"))
+        d_trunc = checked_number(d_trunc, "tuple.D", integer=True, low=0)
+        basis = cached_truncated_basis(dom, lam, d_trunc, cache_dir=cfg.get("cache_dir"))
         return list(quotient_model(basis, config_generators(cfg, dom)).tuple_mats)
     raise ConfigError(f"config error at 'tuple.kind': unknown kind {kind!r}")
 
 
 def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
     points = [
-        point_from_config(p, dom, f"points[{i}]") for i, p in enumerate(cfg.get("points", []))
+        point_from_config(p, dom, f"points[{i}]")
+        for i, p in enumerate(checked_container(cfg.get("points", []), "points", list))
     ]
     grid = cfg.get("grid")
     if grid is not None:
+        checked_container(grid, "grid", dict)
         for key in ("start", "stop", "steps"):
             if key not in grid:
                 raise ConfigError(f"config error at 'grid.{key}': required field is missing")
@@ -401,11 +418,15 @@ def cmd_calculus(cfg: dict) -> int:
     num_tuples = checked_number(cfg.get("num_tuples", 3), "num_tuples", integer=True, low=1)
     rng = np.random.default_rng(cfg["seed"])
     if "polys" in cfg:
-        polys = [poly_from_json(p, dom.dim, f"polys[{i}]") for i, p in enumerate(cfg["polys"])]
+        polys = [
+            poly_from_json(p, dom.dim, f"polys[{i}]")
+            for i, p in enumerate(checked_container(cfg["polys"], "polys", list))
+        ]
     else:
         polys = _default_polys(dom.dim)
     z0_list = [
-        point_from_config(p, dom, f"z0_list[{i}]") for i, p in enumerate(cfg.get("z0_list", []))
+        point_from_config(p, dom, f"z0_list[{i}]")
+        for i, p in enumerate(checked_container(cfg.get("z0_list", []), "z0_list", list))
     ]
     if not z0_list:
         z0_list = [np.array([0.3] + [0.0] * (dom.dim - 1), dtype=complex)]
@@ -453,10 +474,11 @@ NOISE_FLOOR = 1e-10
 
 def _invariance_families(cfg: dict, dom: DomainSpec) -> list[tuple[str, list]]:
     n = dom.dim
-    wanted = cfg.get("families", ["coordinates", "mobius"])
+    wanted = checked_container(cfg.get("families", ["coordinates", "mobius"]), "families", list)
     coords = [Polynomial.coordinate(i, n) for i in range(n)]
     permissive = cfg.get("permissive")
     if permissive is not None:
+        checked_container(permissive, "permissive", dict)
         c = checked_number(permissive.get("c", 1.0), "permissive.c", integer=False, low=0)
         if c == 0:
             raise ConfigError("config error at 'permissive.c': must be positive")
@@ -489,8 +511,8 @@ def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
     lam = float(cfg_get(cfg, "lambda"))
     d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
     gens = config_generators(cfg, dom)
-    p_values = cfg.get("p_values", [2.0])
-    if not isinstance(p_values, list) or not p_values:
+    p_values = checked_container(cfg.get("p_values", [2.0]), "p_values", list)
+    if not p_values:
         raise ConfigError("config error at 'p_values': must be a non-empty list of numbers >= 1")
     for i, p in enumerate(p_values):
         if p != math.inf:  # p = inf (JSON Infinity) is the operator norm

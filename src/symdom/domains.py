@@ -127,21 +127,23 @@ class DomainSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("domain spec must be an object with a 'kind' field")
         kind = obj["kind"]
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("domain spec needs an integer field 'n'") from exc
+        n = _integer_field(obj, "n", "domain spec")
         if kind == "ball":
             return DomainSpec.ball(n)
         if kind == "polydisc":
             return DomainSpec.polydisc(n)
         if kind == "matrixball":
-            try:
-                r = int(obj["r"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError("matrixball spec needs integer 'r'") from exc
-            return DomainSpec.matrix_ball(r, n)
+            return DomainSpec.matrix_ball(_integer_field(obj, "r", "matrixball spec"), n)
         raise ValidationError(f"unknown domain kind {kind!r}")
+
+
+def _integer_field(obj: dict, key: str, what: str) -> int:
+    """``obj[key]`` if it is an integer; floats, strings and booleans are
+    rejected rather than coerced."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} needs an integer field {key!r}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------
@@ -318,8 +320,8 @@ def spectral_norm(dom: DomainSpec, z) -> float:
     return float(np.linalg.norm(as_matrix(dom, z), 2))
 
 
-def in_domain(dom: DomainSpec, z, tol: float = 0.0) -> bool:
-    return spectral_norm(dom, z) < 1.0 - tol
+def in_domain(dom: DomainSpec, z) -> bool:
+    return spectral_norm(dom, z) < 1.0
 
 
 # ---------------------------------------------------------------------

@@ -469,7 +469,8 @@ def load_basis(dom: DomainSpec, lam: float, max_degree: int, cache_dir: str) -> 
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load drops a handle it opened itself when the zip header is bad
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             header = json.loads(str(data["header"]))
             change = [np.array(data[f"change_{d}"]) for d in range(max_degree + 1)]
     except (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile):

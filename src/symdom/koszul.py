@@ -271,8 +271,6 @@ def spectral_mapping_check(mats, polys: list[Polynomial], seed: int = 0) -> floa
     """Hausdorff distance between f(joint eigenvalues) and the joint
     eigenvalues of f(T); zero in exact arithmetic."""
     eigs = joint_eigenvalues(mats, seed=seed)
-    mapped = np.array(
-        [[p.eval_point(mu) for p in polys] for mu in eigs], dtype=complex
-    )
+    mapped = np.column_stack([p.eval_batch(eigs) for p in polys])
     image_eigs = joint_eigenvalues(polynomial_map_tuple(mats, polys), seed=seed + 1)
     return hausdorff_distance(mapped, image_eigs)

@@ -54,6 +54,7 @@ SPAN_RANK_TOL = 1e-10
 INVARIANCE_TOL = 1e-12
 DENOMINATOR_MARGIN = 1e-3
 DENOMINATOR_SAMPLES = 10_000
+DENOMINATOR_SEED = 20_401
 CONDITION_CUTOFF = 1e12
 
 
@@ -414,22 +415,18 @@ def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     return _sandwich(model.basis, f, model.quotient_onb, model.quotient_onb)
 
 
-def compress_rational(
-    model: QuotientModel,
-    p: Polynomial,
-    q: Polynomial,
-    *,
-    seed: int = 20_401,
-) -> np.ndarray:
+def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.ndarray:
     """S_{p/q} = S_p (S_q)^{-1}.
 
-    The denominator must stay away from zero on the closed domain (sampled
-    lower bound >= ``DENOMINATOR_MARGIN``) and S_q must be invertible with
-    condition number below ``CONDITION_CUTOFF``.
+    The denominator must stay away from zero on the closed domain and S_q
+    must be invertible with condition number below ``CONDITION_CUTOFF``.
+    The lower bound on |q| is the minimum over ``DENOMINATOR_SAMPLES``
+    closed-domain points drawn from the fixed seed ``DENOMINATOR_SEED``
+    (evaluated in one batch) and must be at least ``DENOMINATOR_MARGIN``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DENOMINATOR_SEED)
     pts = closed_domain_samples(model.basis.dom, DENOMINATOR_SAMPLES, rng)
-    values = np.abs([q.eval_point(pt) for pt in pts])
+    values = np.abs(q.eval_batch(pts))
     if values.size and values.min() < DENOMINATOR_MARGIN:
         raise DenominatorVanishes(
             f"denominator modulus drops to {values.min():.2e} on the closed domain"

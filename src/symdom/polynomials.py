@@ -3,7 +3,8 @@
 A polynomial is a map from exponent multi-indices (length-n integer tuples)
 to complex coefficients.  This is deliberately small: just enough arithmetic
 to express symbols, submodule generators and rational Moebius components,
-plus evaluation at points and at commuting matrix tuples.
+plus evaluation at commuting matrix tuples and at points, the latter through
+one batched evaluator, :meth:`Polynomial.eval_batch`.
 """
 
 from __future__ import annotations
@@ -125,17 +126,30 @@ class Polynomial:
 
     # -- evaluation ---------------------------------------------------
     def eval_point(self, z) -> complex:
-        z = np.asarray(z, dtype=complex).reshape(-1)
-        if z.size != self.nvars:
-            raise ValidationError(f"point has {z.size} entries, expected {self.nvars}")
-        total = 0.0 + 0.0j
+        """Value at one point; a one-row call into :meth:`eval_batch`."""
+        z = np.asarray(z, dtype=complex).reshape(1, -1)
+        return complex(self.eval_batch(z)[0])
+
+    def eval_batch(self, points) -> np.ndarray:
+        """Values at many points at once, one point per row of ``points``.
+
+        ``points`` has shape (N, nvars); the result has shape (N,).  Each
+        monomial is formed column by column and the terms are summed in a
+        fixed order.
+        """
+        points = np.asarray(points, dtype=complex)
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise ValidationError(
+                f"points have shape {points.shape}, expected (N, {self.nvars})"
+            )
+        out = np.zeros(points.shape[0], dtype=complex)
         for alpha, c in self.terms.items():
-            term = c
-            for zi, ai in zip(z, alpha):
-                if ai:
-                    term *= zi**ai
-            total += term
-        return complex(total)
+            term = np.full(points.shape[0], c, dtype=complex)
+            for i, a in enumerate(alpha):
+                if a:
+                    term *= points[:, i] ** a
+            out += term
+        return out
 
     def eval_tuple(self, mats) -> np.ndarray:
         """Evaluate on a commuting tuple of square matrices.

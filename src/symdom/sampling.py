@@ -25,6 +25,9 @@ def shilov_samples(dom: DomainSpec, count: int, rng: np.random.Generator) -> np.
 
     ball: unit vectors; polydisc: torus points; matrixball: co-isometries
     (r x c matrices with w w* = I) from the polar part of Gaussian draws.
+    The matrix ball takes one (count, 2, r, c) draw (real then imaginary
+    part of each sample, the stream order of one draw per sample) and one
+    stacked SVD.
     """
     if dom.kind == "ball":
         raw = rng.standard_normal((count, dom.dim)) + 1j * rng.standard_normal(
@@ -34,12 +37,9 @@ def shilov_samples(dom: DomainSpec, count: int, rng: np.random.Generator) -> np.
     if dom.kind == "polydisc":
         return np.exp(2j * np.pi * rng.uniform(size=(count, dom.dim)))
     r, c = dom.rows, dom.cols
-    out = np.empty((count, r * c), dtype=complex)
-    for i in range(count):
-        a = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-        u, _, vh = np.linalg.svd(a, full_matrices=False)
-        out[i] = (u @ vh).reshape(-1)
-    return out
+    draw = rng.standard_normal((count, 2, r, c))
+    u, _, vh = np.linalg.svd(draw[:, 0] + 1j * draw[:, 1], full_matrices=False)
+    return (u @ vh).reshape(count, r * c)
 
 
 def closed_domain_samples(
@@ -58,21 +58,11 @@ def random_commuting_tuple(
     h: int,
     rng: np.random.Generator,
     spectral_radius: float = 0.7,
-    jordan: bool = False,
 ) -> list[np.ndarray]:
-    """Commuting n-tuple on C^h built as polynomials of one seed matrix.
-
-    With ``jordan=True`` the seed is a similarity transform of a Jordan
-    block, so the tuple has defective joint eigenvalues.
-    """
+    """Commuting n-tuple on C^h built as polynomials of one seed matrix."""
     if n < 1 or h < 1:
         raise ValidationError("need n >= 1 and h >= 1")
-    if jordan:
-        seed = np.diag(np.full(h, 0.5 + 0.0j)) + np.diag(np.ones(h - 1), 1)
-        sim = np.eye(h) + 0.3 * rng.standard_normal((h, h))
-        seed = np.linalg.solve(sim, seed @ sim)
-    else:
-        seed = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    seed = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
     radius = max(np.abs(np.linalg.eigvals(seed)))
     if radius > 0:
         seed *= 0.9 / radius

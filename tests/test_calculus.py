@@ -1,6 +1,8 @@
 """Shilov-boundary quadrature, kernel powers of tuples, integral and series
 calculus, Moebius transforms of tuples, and the composition law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from symdom.calculus import (
     series_calculus,
     shilov_quadrature,
 )
-from symdom.domains import DomainSpec
+from symdom.domains import DomainSpec, hermitian_sqrt
 from symdom.errors import (
     QuadratureUnderResolved,
     SpectrumTouchesBoundary,
@@ -377,6 +379,38 @@ def test_mobius_spectral_mapping(rng):
             [[c.p.eval_point(p) / c.q.eval_point(p) for c in comps] for p in pts]
         )
         assert hausdorff_distance(got, want) < 1e-8
+
+
+def ball_mobius_components(n, z0):
+    """The ball's components in closed form: shared denominator 1 + <w, z0>,
+    numerators z0_i q + sqrt(1 - |z0|^2) (sqrt(I - z0* z0) w)_i."""
+    coords = [Polynomial.coordinate(i, n) for i in range(n)]
+    q = Polynomial.constant(n, 1.0)
+    for j in range(n):
+        q = q + np.conj(z0[j]) * coords[j]
+    s = math.sqrt(max(0.0, 1.0 - float(np.vdot(z0, z0).real)))
+    z0m = z0.reshape(1, n)
+    root = hermitian_sqrt(np.eye(n, dtype=complex) - z0m.conj().T @ z0m)
+    out = []
+    for i in range(n):
+        p = z0[i] * q
+        for j in range(n):
+            p = p + s * root[j, i] * coords[j]
+        out.append((p, q))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ball_mobius_is_the_one_row_matrix_ball_formula(rng, n):
+    dom = DomainSpec.ball(n)
+    for _ in range(20):
+        z0 = random_point(dom, rng, max_norm=0.95)
+        comps = mobius_rational_components(dom, z0)
+        assert [c.name for c in comps] == [f"mobius{i + 1}" for i in range(n)]
+        for comp, (p, q) in zip(comps, ball_mobius_components(n, z0)):
+            assert comp.q.terms == q.terms
+            assert comp.p.terms.keys() == p.terms.keys()
+            assert all(abs(comp.p.terms[a] - c) <= 1e-15 for a, c in p.terms.items())
 
 
 def test_composition_residuals(rng):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_kernel_happy_path(tmp_path):
     gram = [r for r in body if r[2] == "gram_vs_oracle"]
     assert len(gram) == 5
     assert all(float(r[5]) < 1e-10 for r in gram)
-    raw = open(out, "rb").read()
+    raw = Path(out).read_bytes()
     assert raw.count(b"\r\n") == len(rows)
 
 
@@ -79,7 +80,7 @@ def test_kernel_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", kernel_cfg(out1))
     assert main(["kernel", "--config", cfg]) == 0
     assert main(["kernel", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_kernel_matrixball_psd_column(tmp_path):
@@ -113,7 +114,7 @@ def test_kernel_seed_override_changes_samples(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", kernel_cfg(out1))
     assert main(["kernel", "--config", cfg]) == 0
     assert main(["kernel", "--config", cfg, "--seed", "5", "--out", out2]) == 0
-    assert open(out1, "rb").read() != open(out2, "rb").read()
+    assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
 
 def test_kernel_d_override(tmp_path):
@@ -188,9 +189,9 @@ def test_spectrum_grid_and_cache(tmp_path):
     args = ["spectrum", "--config", cfg, "--cache-dir", str(cache)]
     assert main(args) == 0
     assert list(cache.iterdir())
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     assert main(args) == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
     assert len([r for r in read_csv(out)[1:] if r[1] == "point_test"]) == 9
 
 
@@ -206,7 +207,7 @@ def test_truncated_cache_file_is_rebuilt(tmp_path):
     whole = files[0].read_bytes()
     files[0].write_bytes(whole[: len(whole) // 2])
     assert main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert files[0].read_bytes() == whole
 
 
@@ -285,10 +286,10 @@ def test_invariance_jobs_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, "cfg.json", invariance_cfg(out1))
     assert main(["invariance", "--config", cfg]) == 0
     assert main(["invariance", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    assert open(summary_path_for(out1), "rb").read() == open(
-        summary_path_for(out2), "rb"
-    ).read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    assert Path(summary_path_for(out1)).read_bytes() == Path(
+        summary_path_for(out2)
+    ).read_bytes()
 
 
 def test_invariance_zero_mobius_matches_coordinates(tmp_path):
@@ -530,3 +531,40 @@ def test_normalize_config_idempotent():
     once = normalize_config(cfg, "invariance")
     twice = normalize_config(json.loads(json.dumps(once)), "invariance")
     assert json.dumps(once, sort_keys=True) == json.dumps(twice, sort_keys=True)
+
+
+BALL2 = {"kind": "ball", "n": 2}
+DIAGONAL = {"kind": "diagonal", "entries": [[0.2, 0.3]]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("invariance", invariance_cfg(None, permissive=1), "permissive"),
+        ("invariance", invariance_cfg(None, generators=3), "generators"),
+        ("invariance", invariance_cfg(None, generators=[{"terms": []}]), "generators[0].terms"),
+        ("invariance", invariance_cfg(None, families=3), "families"),
+        ("spectrum", {"domain": BALL2, "lambda": 2.0, "tuple": "model"}, "tuple"),
+        ("spectrum", {"domain": BALL2, "tuple": "model", "points": [[0.1, 0.1]]}, "tuple"),
+        ("spectrum", {"domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": "x"}}, "tuple.D"),
+        ("spectrum", {"domain": BALL2, "lambda": 2.0, "tuple": {"D": -1}}, "tuple.D"),
+        ("spectrum", {"domain": BALL2, "lambda": 2.0, "tuple": {"D": 3.7}}, "tuple.D"),
+        ("spectrum", {"domain": BALL2, "tuple": DIAGONAL, "points": 5}, "points"),
+        ("spectrum", {"domain": BALL2, "tuple": DIAGONAL, "grid": 3}, "grid"),
+        ("calculus", {"domain": BALL1, "polys": 3}, "polys"),
+        ("calculus", {"domain": BALL1, "z0_list": 5}, "z0_list"),
+        ("kernel", kernel_cfg(3), "out"),
+        ("invariance", invariance_cfg(None, cache_dir=3), "cache_dir"),
+        # the domain size is an integer, never coerced from a float, string or boolean
+        ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": 2.5}), "domain"),
+        ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": "2"}), "domain"),
+        ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": True}), "domain"),
+        ("kernel", kernel_cfg(None, domain={"kind": "matrixball", "n": 2, "r": 1.0}), "domain"),
+    ],
+)
+def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, command, cfg, field):
+    cfg = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}'" in err
+    assert "Traceback" not in err
