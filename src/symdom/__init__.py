@@ -22,7 +22,12 @@ from .kernels import (
     kernel_series,
     truncated_basis,
 )
-from .koszul import joint_eigenvalues, koszul_boundaries, taylor_point_test
+from .koszul import (
+    joint_eigenvalues,
+    koszul_boundaries,
+    taylor_point_test,
+    taylor_point_tests,
+)
 from .operators import (
     QuotientModel,
     compress,

@@ -46,7 +46,7 @@ from .kernels import (
     multi_indices,
     series_partial_sum,
 )
-from .koszul import joint_eigenvalues, taylor_point_test
+from .koszul import joint_eigenvalues, taylor_point_tests
 from .operators import essential_normality_profile, quotient_model
 from .polynomials import Polynomial
 from .sampling import random_commuting_tuple, random_point
@@ -373,8 +373,9 @@ def cmd_spectrum(cfg: dict) -> int:
     mats = _spectrum_tuple(cfg, dom)
     rows: list[list] = []
     label = dom.label()
-    for point in _scan_points(cfg, dom):
-        report = taylor_point_test(mats, flatten_point(dom, point))
+    points = _scan_points(cfg, dom)
+    reports = taylor_point_tests(mats, [flatten_point(dom, p) for p in points])
+    for point, report in zip(points, reports):
         rows.append(
             [
                 label,

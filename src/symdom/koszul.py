@@ -4,6 +4,14 @@ tests, joint eigenvalues, and spectral mapping checks.
 For an n-tuple T acting on C^h the complex lives on C^h tensor the exterior
 algebra of C^n, with boundaries D_k = sum_i T_i (x) Theta_i.  For matrices,
 regularity (exactness at every stage) is decided by SVD rank counting.
+
+Tuples and points are held in their own field: float64 when every
+imaginary part is exactly zero, complex128 otherwise, and a shifted tuple
+takes the wider of the two.  A real tuple tested at a real point therefore
+gets real boundaries and real SVDs, at about a quarter of the complex
+flops.  Scalar shifts leave commutators unchanged, so ``taylor_point_tests``
+computes the pairwise commutators once per tuple and divides them by each
+point's own scale.
 """
 
 from __future__ import annotations
@@ -23,8 +31,17 @@ COMMUTE_TOL = 1e-10
 CONSENSUS_TOL = 1e-6
 
 
+def _in_field(arrays) -> list[np.ndarray]:
+    """The arrays as float64 when all their imaginary parts are exactly zero,
+    else as complex128: the one dtype rule of this module."""
+    arrays = [np.asarray(a) for a in arrays]
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return [np.ascontiguousarray(a, dtype=complex) for a in arrays]
+    return [np.ascontiguousarray(a.real, dtype=float) for a in arrays]
+
+
 def _as_tuple(mats) -> list[np.ndarray]:
-    mats = [np.asarray(m, dtype=complex) for m in mats]
+    mats = _in_field(mats)
     if not mats:
         raise ValidationError("empty operator tuple")
     h = mats[0].shape[0]
@@ -40,17 +57,35 @@ def _guard_commuting(worst: float) -> float:
     return worst
 
 
+def _scale(mats: list[np.ndarray]) -> float:
+    """max(max_i ||T_i||_2, 1), the denominator of the commutator guard."""
+    return max(max(float(np.linalg.norm(m, 2)) for m in mats), 1.0)
+
+
+def _commutator_norm(mats: list[np.ndarray]) -> float:
+    """Largest pairwise commutator norm max_{i<j} ||[T_i, T_j]||_2.
+
+    The products are formed from the tuple divided by its largest entry, so
+    they cannot overflow; the norm is scaled back in Python floats, where a
+    value past the float range becomes inf, which fails the guard, without
+    a warning.
+    """
+    big = max(max(float(np.abs(m).max(initial=0.0)) for m in mats), 1.0)
+    unit = [m / big for m in mats]
+    worst = max(
+        (float(np.linalg.norm(a @ b - b @ a, 2)) for a, b in itertools.combinations(unit, 2)),
+        default=0.0,
+    )
+    return worst * big * big
+
+
 def check_commuting(mats) -> float:
     """Max pairwise commutator norm, relative to the largest component norm.
 
     Raises :class:`NotCommuting` above ``COMMUTE_TOL``.
     """
     mats = _as_tuple(mats)
-    scale = max(max(np.linalg.norm(m, 2) for m in mats), 1.0)
-    worst = 0.0
-    for a, b in itertools.combinations(mats, 2):
-        worst = max(worst, np.linalg.norm(a @ b - b @ a, 2) / scale)
-    return _guard_commuting(worst)
+    return _guard_commuting(_commutator_norm(mats) / _scale(mats))
 
 
 # ---------------------------------------------------------------------
@@ -113,19 +148,30 @@ class KoszulComplex:
         return [self.h * comb(self.n, k) for k in range(self.n + 1)]
 
 
-def koszul_boundaries(mats) -> KoszulComplex:
-    """Assemble D_k = sum_i T_i (x) Theta_i (subset-major Kronecker layout)."""
-    mats = _as_tuple(mats)
-    check_commuting(mats)
+def _assemble(mats: list[np.ndarray]) -> KoszulComplex:
+    """D_k in the subset-major Kronecker layout of sum_i Theta_i (x) T_i,
+    built by writing +-T_i at the nonzeros of ``creation_matrices(n, k)``:
+    each nonzero of the sum comes from exactly one Theta_i."""
     n, h = len(mats), mats[0].shape[0]
+    dtype = np.result_type(*mats)
     boundaries = []
     for k in range(n):
         thetas = creation_matrices(n, k)
-        d = np.zeros((h * thetas[0].shape[0], h * thetas[0].shape[1]), dtype=complex)
+        rows, cols = thetas[0].shape
+        d = np.zeros((rows, h, cols, h), dtype=dtype)
         for theta, t in zip(thetas, mats):
-            d += np.kron(theta, t)
-        boundaries.append(d)
+            r, c = np.nonzero(theta)
+            d[r, :, c, :] = theta[r, c][:, None, None] * t
+        boundaries.append(d.reshape(rows * h, cols * h))
     return KoszulComplex(n, h, tuple(boundaries))
+
+
+def koszul_boundaries(mats) -> KoszulComplex:
+    """Assemble D_k = sum_i T_i (x) Theta_i (subset-major Kronecker layout)
+    after the commutator guard, in the field of the tuple."""
+    mats = _as_tuple(mats)
+    check_commuting(mats)
+    return _assemble(mats)
 
 
 def boundary_square_defect(cx: KoszulComplex) -> float:
@@ -158,6 +204,8 @@ def regularity_report(cx: KoszulComplex) -> RegularityReport:
     svals = [np.linalg.svd(d, compute_uv=False) if min(d.shape) else np.zeros(0)
              for d in cx.boundaries]
     scale = max((float(sv[0]) for sv in svals if sv.size), default=0.0)
+    if not np.isfinite(scale):
+        raise ValidationError("boundary norm beyond the float range")
     cutoff = RANK_TOL * max(scale, 1e-300)
     ranks = [_rank(sv, cutoff) for sv in svals]
     dims = cx.stage_dims()
@@ -175,22 +223,39 @@ def regularity_report(cx: KoszulComplex) -> RegularityReport:
     )
 
 
-def is_regular(cx: KoszulComplex) -> bool:
-    return regularity_report(cx).regular
+def taylor_point_tests(mats, points) -> list[RegularityReport]:
+    """Regularity of the shifted tuple (T_1 - w_1, ..., T_n - w_n) at each
+    point w, one report per point.
+
+    Singular exactly at the points of the joint spectrum.  The pairwise
+    commutators are computed once: a scalar shift does not change them, so
+    each point's guard is that norm over the point's own scale
+    max(max_i ||T_i - w_i||_2, 1), the value ``check_commuting`` gives on
+    the shifted tuple.  Each shifted tuple is real exactly when the tuple
+    and the point both are.
+    """
+    mats = _as_tuple(mats)
+    n, h = len(mats), mats[0].shape[0]
+    points = [_in_field([w])[0].reshape(-1) for w in points]
+    for w in points:
+        if w.size != n:
+            raise ValidationError(f"point has {w.size} entries, tuple has {n}")
+    comm = _commutator_norm(mats)
+    eye = np.eye(h)
+    reports = []
+    for w in points:
+        with np.errstate(over="ignore"):
+            shifted = [t - wi * eye for t, wi in zip(mats, w)]
+        if not all(np.isfinite(t).all() for t in shifted):
+            raise ValidationError("shifted tuple has entries beyond the float range")
+        _guard_commuting(comm / _scale(shifted))
+        reports.append(regularity_report(_assemble(shifted)))
+    return reports
 
 
 def taylor_point_test(mats, w) -> RegularityReport:
-    """Regularity of the shifted tuple (T_1 - w_1, ..., T_n - w_n).
-
-    Singular exactly at the points of the joint spectrum.
-    """
-    mats = _as_tuple(mats)
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if w.size != len(mats):
-        raise ValidationError(f"point has {w.size} entries, tuple has {len(mats)}")
-    eye = np.eye(mats[0].shape[0], dtype=complex)
-    shifted = [t - wi * eye for t, wi in zip(mats, w)]
-    return regularity_report(koszul_boundaries(shifted))
+    """``taylor_point_tests`` at the single point w."""
+    return taylor_point_tests(mats, [w])[0]
 
 
 # ---------------------------------------------------------------------
@@ -201,8 +266,7 @@ def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.nda
     """Diagonal of a simultaneous triangularization from one random
     combination; retries internally if the Schur basis fails to triangularize
     every component."""
-    h = mats[0].shape[0]
-    scale = max(max(np.linalg.norm(m, 2) for m in mats), 1.0)
+    scale = _scale(mats)
     for _ in range(8):
         coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
         combo = sum(c * m for c, m in zip(coeffs, mats))

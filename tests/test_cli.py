@@ -568,3 +568,46 @@ def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert f"config error at '{field}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cfg, gap",
+    [
+        # the commutator of the unshifted entries would overflow: 1e200 * 1e200
+        (
+            {"domain": BALL2, "tuple": {"kind": "diagonal", "entries": [[1e200, 1e200]]},
+             "points": [[1e200, 0.2]]},
+            1e200,
+        ),
+        # the commutator of the shifted tuple would overflow: (S - 1e200)(S - 1e200)
+        (
+            {"domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": 4},
+             "generators": [Z1_JSON], "points": [[1e200, 1e200]]},
+            None,
+        ),
+    ],
+)
+def test_spectrum_huge_finite_inputs_are_answered(tmp_path, capsys, cfg, gap):
+    out = str(tmp_path / "spec.csv")
+    cfg = write_cfg(tmp_path, "cfg.json", dict(cfg, out=out))
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    (test,) = [r for r in read_csv(out)[1:] if r[1] == "point_test"]
+    assert test[3] == "Regular"
+    got = float(test[4])
+    assert np.isfinite(got) and got > 1e199
+    if gap is not None:
+        assert got == gap
+
+
+def test_spectrum_shift_past_the_float_range_is_a_guard_error(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "cfg.json",
+        {"domain": BALL2, "tuple": {"kind": "diagonal", "entries": [[1e308, 0.1]]},
+         "points": [[-1e308, 0.2]]},
+    )
+    assert main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "float range" in err
+    assert "Traceback" not in err

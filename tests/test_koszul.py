@@ -1,6 +1,8 @@
 """Koszul complexes, Taylor regularity point tests, the joint-eigenvalue
 oracle, and spectral mapping for commuting matrix tuples."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,17 @@ from symdom.koszul import (
     KoszulComplex,
     NotCommuting,
     boundary_square_defect,
+    check_commuting,
     creation_matrices,
     creation_operators_full,
     hausdorff_distance,
-    is_regular,
     joint_eigenvalues,
     koszul_boundaries,
     polynomial_map_tuple,
+    regularity_report,
     spectral_mapping_check,
     taylor_point_test,
+    taylor_point_tests,
 )
 from symdom.operators import quotient_model
 from symdom.polynomials import Polynomial
@@ -29,6 +33,21 @@ def commuting_pair_from_one_matrix(h, rng):
     a = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
     b = 0.5 * a @ a + 0.3 * a + 0.1 * np.eye(h)
     return [a, b]
+
+
+def real_commuting_tuple(n, h, rng):
+    """n real quadratic polynomials in one real matrix."""
+    a = rng.standard_normal((h, h)) / np.sqrt(h)
+    return [c0 * np.eye(h) + c1 * a + c2 * a @ a for c0, c1, c2 in rng.standard_normal((n, 3))]
+
+
+def kron_boundaries(mats):
+    """Reference assembly of the boundaries: D_k = sum_i Theta_i (x) T_i by np.kron."""
+    n = len(mats)
+    return [
+        sum(np.kron(theta, t) for theta, t in zip(creation_matrices(n, k), mats))
+        for k in range(n)
+    ]
 
 
 # ---------------------------------------------------------------------
@@ -75,8 +94,8 @@ def test_one_variable_complex_is_the_matrix():
 
 
 def test_one_variable_regularity_is_invertibility():
-    assert is_regular(koszul_boundaries([np.array([[1.0, 1.0], [0.0, 1.0]])]))
-    assert not is_regular(koszul_boundaries([np.array([[0.0, 1.0], [0.0, 0.0]])]))
+    assert regularity_report(koszul_boundaries([np.array([[1.0, 1.0], [0.0, 1.0]])])).regular
+    assert not regularity_report(koszul_boundaries([np.array([[0.0, 1.0], [0.0, 0.0]])])).regular
 
 
 def test_boundary_square_vanishes(rng):
@@ -86,6 +105,23 @@ def test_boundary_square_vanishes(rng):
         assert boundary_square_defect(cx) <= 1e-12 * max(1.0, scale**2)
     triple = random_commuting_tuple(3, 4, rng)
     assert boundary_square_defect(koszul_boundaries(triple)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_placed_boundaries_equal_kron_sum(n, rng):
+    for mats in (real_commuting_tuple(n, 3, rng), random_commuting_tuple(n, 3, rng)):
+        cx = koszul_boundaries(mats)
+        for got, want in zip(cx.boundaries, kron_boundaries(mats), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_boundaries_take_the_field_of_the_tuple(rng):
+    real = real_commuting_tuple(2, 3, rng)
+    assert koszul_boundaries(real).boundaries[0].dtype == np.float64
+    # complex storage with imaginary parts exactly zero is still a real tuple
+    assert koszul_boundaries([m + 0j for m in real]).boundaries[0].dtype == np.float64
+    assert koszul_boundaries([real[0] + 1e-300j, real[1]]).boundaries[0].dtype == np.complex128
 
 
 def test_noncommuting_tuple_rejected(rng):
@@ -141,6 +177,68 @@ def test_report_fields_consistent():
     assert report.regular
     assert len(report.ranks) == 2
     assert len(report.defects) == 3
+
+
+def test_real_path_matches_complex_route_on_mb22_quotient():
+    # the spectrum-mb22 model: real tuple, real grid points
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 6)
+    mats = list(quotient_model(basis, [Polynomial.coordinate(0, 4)]).tuple_mats)
+    assert koszul_boundaries(mats).boundaries[0].dtype == np.float64
+    h = mats[0].shape[0]
+    points = [np.array(w, dtype=complex) for w in itertools.product([-0.5, 0.5], repeat=4)]
+    for w, got in zip(points, taylor_point_tests(mats, points), strict=True):
+        shifted = [m.astype(complex) - wi * np.eye(h) for m, wi in zip(mats, w)]
+        want = regularity_report(KoszulComplex(4, h, tuple(kron_boundaries(shifted))))
+        assert want.regular and got.regular
+        assert got.ranks == want.ranks
+        assert abs(got.min_stage_gap - want.min_stage_gap) <= 1e-12 * want.min_stage_gap
+
+
+def test_stage_gap_closed_form_on_ball2_modulo_z1():
+    # S_{z1} = 0 on the quotient, so off V = {z1 = 0} the gap is |w_1|, at a
+    # real and at a complex point; on V it falls with the truncation degree
+    on_v = []
+    for d_trunc in (4, 8, 12):
+        basis = truncated_basis(DomainSpec.ball(2), 2.0, d_trunc)
+        model = quotient_model(basis, [Polynomial.coordinate(0, 2)])
+        real, cplx, on = taylor_point_tests(model.tuple_mats, [[0.5, 0], [0.5j, 0], [0, 0.5]])
+        for report in (real, cplx):
+            assert report.regular
+            assert abs(report.min_stage_gap - 0.5) <= 1e-12
+        on_v.append(on.min_stage_gap)
+    assert on_v[0] > on_v[1] > on_v[2] > 0
+
+
+def test_point_tests_guard_no_looser_than_per_point_check(rng):
+    h = 4
+    eye = np.eye(h)
+    x, y = rng.standard_normal((2, h, h))
+    # commutator 1e-9: below the guard against the unshifted scale of about
+    # 100, above it at the shift (100, 100), whose scale is 1
+    eps = np.sqrt(1e-9 / np.linalg.norm(x @ y - y @ x, 2))
+    near = [100 * eye + eps * x, 100 * eye + eps * y]
+    cases = [
+        ([x, y], [[0.0, 0.0], [0.3, -0.2j], [5.0, 5.0]]),
+        ([x + 1j * y, y], [[0.0, 0.0], [1.0, 2.0]]),
+        (near, [[0.0, 0.0], [100.0, 100.0], [100.0 + 1j, 100.0]]),
+    ]
+    raised = []
+    for mats, points in cases:
+        for w in points:
+            try:
+                check_commuting([m - wi * eye for m, wi in zip(mats, w)])
+                per_point = False
+            except NotCommuting:
+                per_point = True
+            raised.append(per_point)
+            if per_point:
+                with pytest.raises(NotCommuting):
+                    taylor_point_tests(mats, [w])
+            else:
+                taylor_point_tests(mats, [w])
+        with pytest.raises(NotCommuting):
+            taylor_point_tests(mats, points)
+    assert raised == [True] * 5 + [False, True, True]
 
 
 # ---------------------------------------------------------------------
@@ -250,7 +348,7 @@ def test_regularity_basis_independent(rng):
                 for k in range(n)
             ),
         )
-        assert is_regular(rotated) == is_regular(cx)
+        assert regularity_report(rotated).regular == regularity_report(cx).regular
 
 
 def test_singular_points_inside_spectral_polydisc(rng):
