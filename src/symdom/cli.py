@@ -229,6 +229,9 @@ def normalize_config(cfg: dict, command: str) -> dict:
             poly_from_json(g, dom.dim, f"generators[{i}]")
             for i, g in enumerate(checked_container(out["generators"], "generators", list))
         ]
+        for i, g in enumerate(gens):
+            if g.is_zero():
+                raise ConfigError(f"config error at 'generators[{i}]': must be nonzero")
         out["generators"] = [poly_to_json(g) for g in gens]
         if "D_list" in out and gens:
             top = max(g.degree() for g in gens)
@@ -338,8 +341,11 @@ def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
         if d_trunc is None:
             raise ConfigError("config error at 'tuple.D': truncation degree required")
         d_trunc = checked_number(d_trunc, "tuple.D", integer=True, low=0)
+        gens = config_generators(cfg, dom)
+        if max((g.degree() for g in gens), default=0) > d_trunc:
+            raise ConfigError("config error at 'tuple.D': below the max generator degree")
         basis = cached_truncated_basis(dom, lam, d_trunc, cache_dir=cfg.get("cache_dir"))
-        return list(quotient_model(basis, config_generators(cfg, dom)).tuple_mats)
+        return list(quotient_model(basis, gens).tuple_mats)
     raise ConfigError(f"config error at 'tuple.kind': unknown kind {kind!r}")
 
 
@@ -409,6 +415,8 @@ def _default_polys(n: int) -> list[Polynomial]:
 
 def cmd_calculus(cfg: dict) -> int:
     dom = config_domain(cfg)
+    if dom.kind == "matrixball":
+        raise ConfigError("config error at 'domain': no Shilov quadrature for the matrix ball")
     default_level = _DEFAULT_LEVELS.get((dom.kind, dom.rank if dom.kind == "polydisc" else dom.dim), 4)
     level = checked_number(cfg.get("level", default_level), "level", integer=True, low=1)
     h = checked_number(cfg.get("tuple_size", 6 if dom.dim == 1 else 5), "tuple_size", integer=True, low=1)
@@ -432,7 +440,10 @@ def cmd_calculus(cfg: dict) -> int:
     if not z0_list:
         z0_list = [np.array([0.3] + [0.0] * (dom.dim - 1), dtype=complex)]
 
-    quad = shilov_quadrature(dom, level)
+    try:
+        quad = shilov_quadrature(dom, level)
+    except ValidationError as exc:  # the rule's node count is past its limit
+        raise ConfigError(f"config error at 'level': {exc}")
     tuples = [
         random_commuting_tuple(dom.dim, h, rng, spectral_radius=radius)
         for _ in range(num_tuples)

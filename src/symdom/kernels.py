@@ -453,17 +453,19 @@ def save_basis(basis: TruncatedBasis, cache_dir: str) -> str:
 def _valid_change(mat: np.ndarray, size: int) -> bool:
     return (
         mat.shape == (size, size)
+        and mat.dtype.kind == "f"
         and bool(np.all(np.isfinite(mat)))
         and np.array_equal(mat, np.triu(mat))
+        and bool(np.all(np.diagonal(mat) > 0))
     )
 
 
 def load_basis(dom: DomainSpec, lam: float, max_degree: int, cache_dir: str) -> TruncatedBasis | None:
     """Cached basis, or None on a miss.
 
-    A file that cannot be read, or whose change matrices are not finite
-    upper-triangular matrices of the right shape, counts as a miss; the
-    caller rebuilds and rewrites it.
+    A file that cannot be read, or whose change matrices are not real finite
+    upper-triangular matrices of the right shape with a positive diagonal,
+    counts as a miss; the caller rebuilds and rewrites it.
     """
     path = _cache_path(cache_dir, dom, lam, max_degree)
     if not os.path.exists(path):

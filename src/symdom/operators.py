@@ -8,21 +8,27 @@ P_D M_f P_D (``_mult_block``); no dense dim x dim product is formed on the
 quotient path.  The submodule generated by f_1, ..., f_m is the span of the
 ranges of the truncated multipliers P_D M_{f_j} P_D, which keeps it exactly
 invariant under the truncated coordinate multipliers, so the compressed
-tuple commutes in exact arithmetic for every generator set.
+tuple commutes in exact arithmetic for every generator set.  A model holds
+only the complement: an orthonormal basis Q of M^(D) orth and the
+compressions S_i = Q^H T_i Q.  The submodule is never stored; its
+invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2, which equals
+||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
 ``quotient_model`` picks one of two paths from its generators:
 
 - graded path, when every generator is homogeneous: the submodule is
   graded, its degree-d columns are the multiplier blocks from degree
   d - deg f_j into degree d, the quotient splits as the sum over d of
-  P_d orth M_d, and each degree gets its own SVD.  Every quotient basis
+  P_d orth M_d, and each degree gets its own SVD, whose trailing left
+  singular vectors are the degree-d complement.  Every quotient basis
   vector is supported on exactly one degree, its label.  An empty
   generator list is the zero submodule: rank 0 in every degree, so the
   quotient is the whole space.  The scale, invariance and commutator guards
   are all taken as per-degree block norms.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
-  one SVD of the columns of every P_D M_{f_j} P_D and a complement adapted
-  to the degree filtration.  Each quotient basis vector is supported on
-  degrees <= its label.
+  the columns of every P_D M_{f_j} P_D and the orthocomplement of their
+  span, adapted to the degree filtration; the span's rank is decided only
+  there, by the complement's null spaces.  Each quotient basis vector is
+  supported on degrees <= its label.
 """
 
 from __future__ import annotations
@@ -208,42 +214,13 @@ def _graded_columns(basis: TruncatedBasis, generators) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SubmoduleSpan:
-    """Orthonormal basis of the truncated submodule M^(D)."""
-
-    basis: TruncatedBasis
-    generators: tuple[Polynomial, ...]
-    onb: np.ndarray  # dim x rank, orthonormal columns
-    rank: int
-
-    @property
-    def codim(self) -> int:
-        return self.basis.dim - self.rank
-
-
-def _span_of_columns(basis: TruncatedBasis, generators, cols) -> SubmoduleSpan:
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > SPAN_RANK_TOL * s[0])) if s.size else 0
-    return SubmoduleSpan(basis, tuple(generators), u[:, :rank], rank)
-
-
-def submodule_span(basis: TruncatedBasis, generators) -> SubmoduleSpan:
-    """Span of truncated generator multiples, orthonormalized by SVD.
-
-    Singular values below ``SPAN_RANK_TOL`` times the largest one count as
-    zero when deciding the rank.
-    """
-    generators = tuple(generators)
-    return _span_of_columns(basis, generators, _generator_columns(basis, generators))
-
-
-@dataclass(frozen=True)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
 
     ``quotient_onb`` columns are orthonormal and sorted by ``degree_labels``;
-    the labels drive windowed Schatten norms.  The submodule is spanned by
-    the degree blocks of the truncated multipliers by the generators.  When
+    the labels drive windowed Schatten norms.  The model holds only this
+    complement; the submodule, spanned by the degree blocks of the
+    truncated multipliers by the generators, is ``I - projector()``.  When
     every generator is homogeneous (the graded path; no generators at all
     gives the whole space on this path) each column is supported on exactly
     the degree of its label, and the scale, invariance and commutator guards
@@ -253,7 +230,6 @@ class QuotientModel:
 
     basis: TruncatedBasis
     generators: tuple[Polynomial, ...]
-    module_onb: np.ndarray
     quotient_onb: np.ndarray
     degree_labels: np.ndarray
     tuple_mats: tuple[np.ndarray, ...]
@@ -271,7 +247,11 @@ def _filtration_complement(
     basis: TruncatedBasis, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis of the orthocomplement of span(cols), adapted to the
-    degree filtration: each vector enters at a definite degree."""
+    degree filtration: each vector enters at a definite degree.
+
+    Singular values of the columns below ``SPAN_RANK_TOL`` times the largest
+    one count as zero; at the top degree this decides the span's rank.
+    """
     chosen: list[np.ndarray] = []
     labels: list[int] = []
     for k in range(basis.max_degree + 1):
@@ -301,6 +281,7 @@ def _filtration_complement(
 
 
 def _check_invariance(defect: float, scale: float) -> None:
+    """``defect`` is max_i ||Q^H T_i - S_i Q^H||_2 (see the module notes)."""
     if defect > INVARIANCE_TOL * max(1.0, scale):
         raise NumericallySingular(
             f"truncated submodule not invariant, defect {defect:.2e}"
@@ -324,18 +305,15 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
             u, s = np.eye(cols.shape[0], dtype=complex), np.zeros(0)
         svds.append((u, s))
     cutoff = SPAN_RANK_TOL * max((s[0] for _, s in svds if s.size), default=0.0)
-    module_blocks, quotient_blocks = [], []
-    for u, s in svds:
-        rank = int(np.sum(s > cutoff))
-        module_blocks.append(u[:, :rank])
-        quotient_blocks.append(u[:, rank:])
+    quotient_blocks = [u[:, int(np.sum(s > cutoff)):] for u, s in svds]
     sizes = [q.shape[1] for q in quotient_blocks]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.repeat(np.arange(len(sizes)), sizes)
     nq = int(starts[-1])
 
     # Each coordinate multiplier shifts degree d to d + 1, so its compression,
-    # the norms and the invariance defect Q^H T M are taken blockwise.
+    # the norms and the invariance defect Q^H T - S Q^H are taken blockwise;
+    # a degree where M has rank 0 has a unitary Q_d and no defect.
     compressed, tuple_blocks, scale, defect = [], [], 0.0, 0.0
     for i in range(basis.dom.dim):
         blocks = _coordinate_blocks(basis, i)
@@ -343,11 +321,14 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
         mat = np.zeros((nq, nq), dtype=complex)
         sblocks = []
         for d, t in enumerate(blocks):
+            q = quotient_blocks[d]
             left = quotient_blocks[d + 1].conj().T @ t
-            sblocks.append(left @ quotient_blocks[d])
+            sblocks.append(left @ q)
             mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = sblocks[-1]
-            if left.size and module_blocks[d].size:
-                defect = max(defect, np.linalg.norm(left @ module_blocks[d], 2))
+            if left.size and q.shape[1] < q.shape[0]:
+                defect = max(
+                    defect, np.linalg.norm(left - sblocks[-1] @ q.conj().T, 2)
+                )
         compressed.append(mat)
         tuple_blocks.append(sblocks)
     _check_invariance(defect, scale)
@@ -355,7 +336,6 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     return QuotientModel(
         basis,
         tuple(generators),
-        scipy.linalg.block_diag(*module_blocks),
         scipy.linalg.block_diag(*quotient_blocks),
         labels,
         tuple(compressed),
@@ -365,27 +345,27 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by arbitrary generators through the filtration-adapted
     complement; the only path for inhomogeneous generators."""
-    cols = _generator_columns(basis, generators)
-    span = _span_of_columns(basis, generators, cols)
-    quotient_onb, labels = _filtration_complement(basis, cols)
+    quotient_onb, labels = _filtration_complement(
+        basis, _generator_columns(basis, generators)
+    )
     coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
     compressed = tuple(
         _sandwich(basis, z, quotient_onb, quotient_onb) for z in coords
     )
-    if quotient_onb.shape[1] and span.rank:
+    if quotient_onb.shape[1]:
+        eye = np.eye(basis.dim)
         defect = max(
-            np.linalg.norm(_sandwich(basis, z, quotient_onb, span.onb), 2)
-            for z in coords
+            np.linalg.norm(
+                _sandwich(basis, z, quotient_onb, eye) - s @ quotient_onb.conj().T, 2
+            )
+            for z, s in zip(coords, compressed)
         )
         scale = max(
             _shift_norm(_coordinate_blocks(basis, i)) for i in range(basis.dom.dim)
         )
         _check_invariance(defect, scale)
-    if quotient_onb.shape[1]:
         koszul.check_commuting(compressed)
-    return QuotientModel(
-        basis, tuple(generators), span.onb, quotient_onb, labels, compressed
-    )
+    return QuotientModel(basis, tuple(generators), quotient_onb, labels, compressed)
 
 
 def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:

@@ -2,6 +2,7 @@
 deterministic reruns, overrides, and config error reporting."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 from symdom.cli import main, normalize_config, summary_path_for
 from symdom.domains import DomainSpec
-from symdom.kernels import gram_block
+from symdom.kernels import gram_block, load_basis, save_basis
 
 Z1_JSON = {"nvars": 2, "terms": {"1,0": 1.0}}
 
@@ -209,6 +210,27 @@ def test_truncated_cache_file_is_rebuilt(tmp_path):
     assert main(args + ["--out", out2]) == 0
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     assert files[0].read_bytes() == whole
+
+
+def test_zero_pivot_cache_file_is_rebuilt(tmp_path, capsys):
+    # finite and upper triangular, but singular: a triangular solve with it
+    # would fail, so it must count as a miss
+    out1 = str(tmp_path / "a.csv")
+    out2 = str(tmp_path / "b.csv")
+    cache = tmp_path / "cache"
+    cfg = write_cfg(tmp_path, "cfg.json", invariance_cfg(out1, D_list=[4]))
+    args = ["invariance", "--config", cfg, "--cache-dir", str(cache)]
+    assert main(args) == 0
+    basis = load_basis(DomainSpec.ball(2), 2.0, 4, str(cache))
+    bad = basis.change[2].copy()
+    bad[1, 1] = 0.0
+    change = basis.change[:2] + (bad,) + basis.change[3:]
+    save_basis(dataclasses.replace(basis, change=change), str(cache))
+    assert main(args + ["--out", out2]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    rebuilt = load_basis(DomainSpec.ball(2), 2.0, 4, str(cache))
+    assert np.array_equal(rebuilt.change[2], basis.change[2])
 
 
 # ---------------------------------------------------------------------
@@ -563,6 +585,30 @@ DIAGONAL = {"kind": "diagonal", "entries": [[0.2, 0.3]]}
     ],
 )
 def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, command, cfg, field):
+    cfg = write_cfg(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        # every term zero: the zero polynomial generates nothing
+        ("invariance", invariance_cfg(None, generators=[{"terms": {"1,0": 0.0}}]), "generators[0]"),
+        ("calculus", {"domain": {"kind": "matrixball", "n": 2, "r": 2}}, "domain"),
+        # past the sphere rule's node limit
+        ("calculus", {"domain": BALL2, "level": 7}, "level"),
+        (
+            "spectrum",
+            {"domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": 1},
+             "generators": [{"terms": {"2,0": 1.0}}], "points": [[0.1, 0.1]]},
+            "tuple.D",
+        ),
+    ],
+)
+def test_inputs_the_library_rejects_are_config_errors(tmp_path, capsys, command, cfg, field):
     cfg = write_cfg(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err

@@ -347,7 +347,14 @@ def test_cache_rejects_invalid_change_matrices(tmp_path):
     lower[2, 0] = 0.5
     nonfinite = good.copy()
     nonfinite[0, 1] = np.nan
-    for bad in (lower, nonfinite, good[:-1, :-1]):
+    # the reverse Cholesky factor has a strictly positive diagonal; a zero
+    # pivot would end in a singular triangular solve
+    zero_pivot = good.copy()
+    zero_pivot[1, 1] = 0.0
+    negative_pivot = good.copy()
+    negative_pivot[1, 1] = -negative_pivot[1, 1]
+    wrong_type = good.astype(str)  # np.isfinite cannot take it
+    for bad in (lower, nonfinite, good[:-1, :-1], zero_pivot, negative_pivot, wrong_type):
         change = basis.change[:2] + (bad,) + basis.change[3:]
         save_basis(dataclasses.replace(basis, change=change), str(tmp_path))
         assert load_basis(BALL2, 3.0, 4, str(tmp_path)) is None

@@ -6,7 +6,13 @@ import pytest
 
 from symdom import koszul, operators
 from symdom.domains import DomainSpec
-from symdom.errors import DenominatorVanishes, NotCommuting, NotPermissive, ValidationError
+from symdom.errors import (
+    DenominatorVanishes,
+    NotCommuting,
+    NotPermissive,
+    NumericallySingular,
+    ValidationError,
+)
 from symdom.kernels import multi_indices, truncated_basis
 from symdom.operators import (
     SPAN_RANK_TOL,
@@ -23,7 +29,6 @@ from symdom.operators import (
     permissive_transform,
     quotient_model,
     schatten_norm,
-    submodule_span,
     whole_space_model,
     windowed_submatrix,
 )
@@ -87,28 +92,46 @@ def test_mult_top_degree_truncation():
 
 def test_submodule_codimensions_frozen():
     basis3 = truncated_basis(BALL2, 1.0, 3)
-    span = submodule_span(basis3, [Z1])
-    assert basis3.dim - span.rank == 4  # complement spanned by z2^k, k <= 3
+    # complement spanned by z2^k, k <= 3
+    assert quotient_model(basis3, [Z1]).dim_quotient == 4
 
     basis4 = truncated_basis(BALL2, 1.0, 4)
-    span = submodule_span(basis4, [Z1 * Z2])
-    assert basis4.dim - span.rank == 9  # monomials z1^j, z2^k
+    # monomials z1^j, z2^k
+    assert quotient_model(basis4, [Z1 * Z2]).dim_quotient == 9
 
 
 def test_submodule_rejects_zero_generators():
     basis = truncated_basis(BALL2, 1.0, 3)
-    with pytest.raises(ValidationError):
-        submodule_span(basis, [Polynomial.zero(2)])
+    for gens in ([Polynomial.zero(2)], [Z1, Polynomial.zero(2)]):
+        with pytest.raises(ValidationError):
+            quotient_model(basis, gens)
 
 
 def test_submodule_invariance_under_truncated_multipliers():
     basis = truncated_basis(BALL2, 3.0, 8)
     for gens in ([Z1], [Z1 * Z2], [Z1 * Z1 + Z2]):
-        span = submodule_span(basis, gens)
-        proj = span.onb @ span.onb.conj().T
+        proj = np.eye(basis.dim) - quotient_model(basis, gens).projector()
         for op in coordinate_mult_ops(basis):
             defect = np.linalg.norm((np.eye(basis.dim) - proj) @ op @ proj, 2)
             assert defect <= 1e-12 * max(1.0, np.linalg.norm(op, 2))
+
+
+@pytest.mark.parametrize(
+    "dom, lam, gens",
+    [
+        (BALL2, 2.0, [Z1]),
+        (BALL2, 1.5, [Z2 + Z1 * Z1]),
+        (DomainSpec.matrix_ball(2, 2), 2.5, [Polynomial.coordinate(0, 4)]),
+    ],
+    ids=["ball2-graded", "ball2-filtration", "matrixball22-graded"],
+)
+def test_invariance_guard_fires_on_a_truncated_span(dom, lam, gens, monkeypatch):
+    # a rank cutoff this coarse drops directions of M^(D), so the kept
+    # complement is no longer co-invariant: ||Q^H T - S Q^H|| is of order 1
+    basis = truncated_basis(dom, lam, 5)
+    monkeypatch.setattr(operators, "SPAN_RANK_TOL", 0.6)
+    with pytest.raises(NumericallySingular, match="not invariant"):
+        quotient_model(basis, gens)
 
 
 # ---------------------------------------------------------------------
@@ -234,8 +257,6 @@ def test_multiplier_ranges_span_the_truncated_products(dom, lam, d_trunc):
     eye = np.eye(basis.dim)
     for gens in ([z1], [z1 * z2], [z1 * z1, z1 * z2], [z1 * z1 + z2]):
         want = reference_span_projector(basis, gens)
-        span = submodule_span(basis, gens)
-        assert np.abs(span.onb @ span.onb.conj().T - want).max() < 1e-12
         for model in (quotient_model(basis, gens), _filtration_model(basis, gens)):
             assert np.abs(model.projector() - (eye - want)).max() < 1e-12
 
@@ -244,7 +265,7 @@ def test_multiplier_ranges_span_the_truncated_products(dom, lam, d_trunc):
 def test_no_generators_is_the_whole_space(dom, lam, d_trunc):
     basis = truncated_basis(dom, lam, d_trunc)
     model = quotient_model(basis, ())
-    assert model.module_onb.shape == (basis.dim, 0)
+    assert model.dim_quotient == basis.dim
     assert np.array_equal(model.projector(), np.eye(basis.dim))
     assert np.array_equal(model.degree_labels, basis.degree_labels())
     for s, t in zip(model.tuple_mats, coordinate_mult_ops(basis), strict=True):
@@ -302,8 +323,7 @@ def test_inhomogeneous_generator_takes_filtration_path():
     basis = truncated_basis(BALL2, 3.0, 8)
     gens = [Z1 * Z1 + Z2]
     model = quotient_model(basis, gens)
-    span = submodule_span(basis, gens)
-    want = np.eye(basis.dim) - span.onb @ span.onb.conj().T
+    want = np.eye(basis.dim) - reference_span_projector(basis, gens)
     assert np.abs(model.projector() - want).max() < 1e-12
     q = model.quotient_onb
     for t, s in zip(coordinate_mult_ops(basis), model.tuple_mats):
