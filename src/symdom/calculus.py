@@ -17,13 +17,13 @@ transformations of tuples through their rational component symbols.
 
 from __future__ import annotations
 
-import warnings
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg
-from scipy.special import ndtri
 
 from . import koszul
 from .domains import (
@@ -52,6 +52,12 @@ SERIES_MAX_DEGREE = 400
 DENOM_SPECTRUM_MARGIN = 1e-6
 SPHERE_BASE_NODES = 1000
 _CHUNK = 8192
+# scipy's Joe-Kuo direction-number table; np.load reads it without importing
+# scipy.stats, which would cost more than drawing the points
+_SOBOL_TABLE = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+)
+_SOBOL_BITS = 30
 
 
 # ---------------------------------------------------------------------
@@ -85,7 +91,11 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     circle (disc): 2^level equispaced points, exact for trigonometric
     polynomials of degree < 2^level; torus (polydisc): the product rule;
     sphere (ball, n >= 2): 4^level * 1000 equal-weight low-discrepancy
-    nodes.  The matrix ball is not supported here.
+    nodes, the unscrambled Sobol' points 1..count in 2n dimensions
+    (``_sobol_points``, a numpy Gray-code generator over the Joe-Kuo table
+    that scipy ships, bit for bit ``scipy.stats.qmc.Sobol``) sent to the
+    sphere through the normal quantile and normalized.  The matrix ball is
+    not supported here.
     """
     if level < 1:
         raise ValidationError("level must be at least 1")
@@ -111,13 +121,9 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     count = (4**level) * SPHERE_BASE_NODES
     if count > 5_000_000:
         raise ValidationError("sphere rule too large at this level")
-    from scipy.stats import qmc  # costly to import; only the sphere rule needs it
+    from scipy.special import ndtri  # only the sphere rule needs it
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sampler = qmc.Sobol(d=2 * dom.dim, scramble=False)
-        sampler.fast_forward(1)
-        u = sampler.random(count)
+    u = _sobol_points(2 * dom.dim, count)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     gauss = ndtri(u)
     norms = np.linalg.norm(gauss, axis=1)
@@ -129,6 +135,53 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     nodes = gauss[:, 0::2] + 1j * gauss[:, 1::2]
     weights = np.full(count, 1.0 / count)
     return ShilovQuadrature(dom, level, nodes, weights, np.arange(count // 2))
+
+
+def _sobol_points(d: int, count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled d-dimensional Sobol' sequence.
+
+    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=False)`` after
+    ``fast_forward(1)``: scipy's 30-bit direction numbers built from the
+    Joe-Kuo table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), XORed in
+    Gray-code order (Antonov & Saleev, 1979) and scaled by 2^-30.
+    """
+    with np.load(_SOBOL_TABLE) as table:
+        poly = table["poly"]
+        if d > poly.shape[0]:
+            raise ValidationError(
+                f"the sphere rule needs {d} Sobol dimensions; the direction-number "
+                f"table has {poly.shape[0]}"
+            )
+        poly = poly[:d]
+        vinit = table["vinit"][:d]
+    # row i's primitive polynomial x^m + a_1 x^(m-1) + ... + a_(m-1) x + 1
+    # has degree m = bit_length - 1; taps[i, k] is its bit m-1-k, k < m
+    degree = np.frexp(poly)[1] - 1
+    k = np.arange(vinit.shape[1])
+    below = k < degree[:, None]
+    taps = (poly[:, None] >> np.maximum(degree[:, None] - 1 - k, 0)) & 1 & below
+    v = np.zeros((d, _SOBOL_BITS), dtype=np.int64)
+    v[:, : k.size] = vinit * below
+    v[0] = 1  # the first coordinate is van der Corput's
+    for j in range(_SOBOL_BITS):
+        # v_j = v_(j-m) ^ XOR_k taps_k 2^(k+1) v_(j-k-1); columns below a
+        # row's degree keep their table values (np.where discards the
+        # wrapped indices those rows read)
+        new = v[np.arange(d), j - degree]
+        for i in range(int(degree.max())):
+            new ^= (taps[:, i] * v[:, j - i - 1]) << (i + 1)
+        v[:, j] = np.where(degree <= j, new, v[:, j])
+    v = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    # point k is the XOR of the direction numbers at the set bits of k's
+    # Gray code; the reflected Gray code doubles by XORing column b into
+    # the first 2^b points read backwards
+    out = np.zeros((count + 1, d), dtype=np.uint32)
+    filled = 1
+    for b in range(count.bit_length()):
+        step = min(filled, count + 1 - filled)
+        out[filled : filled + step] = out[filled - step : filled][::-1] ^ v[:, b]
+        filled += step
+    return out[1:] * 2.0**-_SOBOL_BITS
 
 
 # ---------------------------------------------------------------------

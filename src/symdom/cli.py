@@ -442,8 +442,9 @@ def cmd_calculus(cfg: dict) -> int:
 
     try:
         quad = shilov_quadrature(dom, level)
-    except ValidationError as exc:  # the rule's node count is past its limit
-        raise ConfigError(f"config error at 'level': {exc}")
+    except ValidationError as exc:  # past the rule's node limit or the Sobol table's dimensions
+        field = "level" if "level" in str(exc) else "domain"
+        raise ConfigError(f"config error at '{field}': {exc}")
     tuples = [
         random_commuting_tuple(dom.dim, h, rng, spectral_radius=radius)
         for _ in range(num_tuples)

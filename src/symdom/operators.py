@@ -440,12 +440,15 @@ def cross_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def schatten_norm(x: np.ndarray, p: float) -> float:
-    """Schatten p-norm via singular values; p may be inf, must be >= 1."""
+    """Schatten p-norm via singular values (p = 2: the Frobenius norm); p may
+    be inf, must be >= 1."""
     if p < 1:
         raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
     x = np.asarray(x, dtype=complex)
     if min(x.shape) == 0:
         return 0.0
+    if p == 2:  # the Frobenius norm needs no singular values
+        return float(np.linalg.norm(x))
     sv = np.linalg.svd(x, compute_uv=False)
     if np.isinf(p):
         return float(sv[0])

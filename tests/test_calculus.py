@@ -2,11 +2,13 @@
 calculus, Moebius transforms of tuples, and the composition law."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from symdom.calculus import (
+    _sobol_points,
     _szegoe_batch,
     composition_residual,
     delta_power_tuple,
@@ -90,6 +92,37 @@ def test_torus_estimate_rule_is_lower_level(dom, level):
     quad = shilov_quadrature(dom, level)
     lower = shilov_quadrature(dom, level - 1)
     assert np.array_equal(quad.nodes[quad.estimate], lower.nodes)
+
+
+def scipy_sobol(d, count):
+    from scipy.stats import qmc  # the reference route only; the package never imports it
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # counts that are not powers of two
+        sampler = qmc.Sobol(d=d, scramble=False)
+        sampler.fast_forward(1)
+        return sampler.random(count)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_sobol_stream_is_scipy_unscrambled(d):
+    # 1023/1024/1025 and 4095/4096/4097 straddle 2^k; 1000 and 3000 are not powers of two
+    for count in (1, 2, 3, 1000, 1023, 1024, 1025, 3000, 4095, 4096, 4097):
+        got = _sobol_points(d, count)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, scipy_sobol(d, count))
+
+
+def test_sphere_nodes_are_the_scipy_route():
+    from scipy.special import ndtri
+
+    quad = shilov_quadrature(BALL2, 3)
+    gauss = ndtri(np.clip(scipy_sobol(4, 64_000), 1e-12, 1.0 - 1e-12))
+    norms = np.linalg.norm(gauss, axis=1)
+    assert norms[0] == 0.0  # the first point is all 0.5; the rule pins it to an axis
+    gauss[0, 0] = norms[0] = 1.0
+    gauss /= norms[:, None]
+    assert np.array_equal(quad.nodes, gauss[:, 0::2] + 1j * gauss[:, 1::2])
 
 
 def test_sphere_estimate_rule_is_first_half():

@@ -527,13 +527,29 @@ def test_invariance_accepts_infinite_p(tmp_path):
     assert {r[5] for r in read_csv(out)[1:]} == {"inf"}
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, symdom.cli; print('scipy.stats' in sys.modules)"
+def loaded_after(code):
+    """Which of scipy.stats and scipy.special ``code`` leaves loaded in a fresh interpreter."""
+    code += "; import sys; print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_does_not_load_scipy_stats():
+    assert loaded_after("import symdom.cli") == "[]"
+
+
+def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
+    # the sphere rule reads scipy's direction-number table and needs only scipy.special
+    out = str(tmp_path / "calc.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json", {"domain": BALL2, "level": 1, "num_tuples": 1, "out": out}
+    )
+    code = f"from symdom.cli import main; assert main(['calculus', '--config', {cfg!r}]) == 0"
+    assert loaded_after(code) == "['scipy.special']"
+    assert {r[6] for r in read_csv(out)[1:] if r[1] == "integral_vs_series"} == {"4000"}
 
 
 def test_bad_domain_kind(tmp_path):
@@ -600,6 +616,12 @@ def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, com
         ("calculus", {"domain": {"kind": "matrixball", "n": 2, "r": 2}}, "domain"),
         # past the sphere rule's node limit
         ("calculus", {"domain": BALL2, "level": 7}, "level"),
+        # 2n past the rows of the Sobol direction-number table
+        (
+            "calculus",
+            {"domain": {"kind": "ball", "n": 10601}, "level": 1, "num_tuples": 1, "tuple_size": 1},
+            "domain",
+        ),
         (
             "spectrum",
             {"domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": 1},

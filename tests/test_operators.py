@@ -446,6 +446,22 @@ def test_schatten_norm_values(rng):
     assert abs(schatten_norm(np.diag([3.0, 4.0]), 2.0) - 5.0) < 1e-14
 
 
+def test_schatten_two_is_the_svd_route(rng):
+    # p = 2 takes the Frobenius norm, no SVD: it must agree with the singular values
+    def by_svd(x):
+        return float(np.sum(np.linalg.svd(x, compute_uv=False) ** 2) ** 0.5)
+
+    mats = [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in [(7, 7), (5, 9), (30, 30)]
+    ]
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 5)
+    s = quotient_model(basis, [Polynomial.coordinate(0, 4)]).tuple_mats
+    mats += [cross_commutator(a, b) for a in s for b in s]
+    for x in mats:
+        assert abs(schatten_norm(x, 2.0) - by_svd(x)) <= 1e-12 * by_svd(x)
+
+
 def test_schatten_norm_rejects_p_below_one():
     with pytest.raises(ValidationError):
         schatten_norm(np.eye(3), 0.5)
