@@ -616,17 +616,17 @@ def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, com
         ("calculus", {"domain": {"kind": "matrixball", "n": 2, "r": 2}}, "domain"),
         # past the sphere rule's node limit
         ("calculus", {"domain": BALL2, "level": 7}, "level"),
-        # 2n past the rows of the Sobol direction-number table
-        (
-            "calculus",
-            {"domain": {"kind": "ball", "n": 10601}, "level": 1, "num_tuples": 1, "tuple_size": 1},
-            "domain",
-        ),
         (
             "spectrum",
             {"domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": 1},
              "generators": [{"terms": {"2,0": 1.0}}], "points": [[0.1, 0.1]]},
             "tuple.D",
+        ),
+        # 2n past the rows of the Sobol direction-number table
+        (
+            "calculus",
+            {"domain": {"kind": "ball", "n": 10601}, "level": 1, "num_tuples": 1, "tuple_size": 1},
+            "domain",
         ),
     ],
 )
