@@ -12,7 +12,8 @@ Four subcommands share one JSON config file plus flag overrides:
 Output is RFC-4180 CSV (CRLF line endings, mandatory header row); complex
 values are rendered as "re+imj" strings.  Reruns with an identical config
 and seed produce byte-identical CSV bodies.  Every command exits nonzero on
-validation or numerical-guard failures.
+validation or numerical-guard failures: 2 on a config error or an input too
+large for memory, 3 on a numerical guard.
 """
 
 from __future__ import annotations
@@ -349,6 +350,9 @@ def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
     raise ConfigError(f"config error at 'tuple.kind': unknown kind {kind!r}")
 
 
+MAX_SCAN_POINTS = 2**24  # the torus rule's node cap
+
+
 def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
     points = [
         point_from_config(p, dom, f"points[{i}]")
@@ -365,6 +369,10 @@ def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
             for key in ("start", "stop")
         )
         steps = checked_number(grid["steps"], "grid.steps", integer=True, low=0)
+        if steps ** dom.dim > MAX_SCAN_POINTS:
+            raise ConfigError(
+                f"config error at 'grid.steps': {steps}**{dom.dim} points exceed {MAX_SCAN_POINTS}"
+            )
         axis = np.linspace(start, stop, steps)
         mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
         for combo in np.column_stack([m.ravel() for m in mesh]):
@@ -671,6 +679,9 @@ def main(argv: list[str] | None = None) -> int:
     except SymdomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -172,21 +172,6 @@ def _shape_like(ref, flat: np.ndarray) -> np.ndarray:
     return flat.reshape(ref.shape)
 
 
-def point_to_json(z) -> list:
-    """Encode a point as nested [re, im] pairs, matching its array shape."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        return [float(z.real), float(z.imag)]
-    return [point_to_json(part) for part in z]
-
-
-def point_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValidationError("point JSON must nest [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 # ---------------------------------------------------------------------
 # triple product and Bergman operator
 # ---------------------------------------------------------------------

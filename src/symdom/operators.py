@@ -9,8 +9,9 @@ quotient path.  The submodule generated by f_1, ..., f_m is the span of the
 ranges of the truncated multipliers P_D M_{f_j} P_D, which keeps it exactly
 invariant under the truncated coordinate multipliers, so the compressed
 tuple commutes in exact arithmetic for every generator set.  A model holds
-only the complement: an orthonormal basis Q of M^(D) orth and the
-compressions S_i = Q^H T_i Q.  The submodule is never stored; its
+only the complement: an orthonormal basis Q of M^(D) orth, stored as
+degree blocks, and the compressions S_i = Q^H T_i Q, all assembled by one
+block routine (``_sandwich``).  The submodule is never stored; its
 invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2, which equals
 ||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
 ``quotient_model`` picks one of two paths from its generators:
@@ -121,14 +122,15 @@ def _check_symbol(basis: TruncatedBasis, f: Polynomial) -> None:
         )
 
 
+def _identity_blocks(basis: TruncatedBasis) -> list[tuple[int, np.ndarray]]:
+    """The identity in the block form of ``QuotientModel.blocks``."""
+    return [(basis.offset(d), np.eye(size)) for d, size in enumerate(basis.degree_sizes)]
+
+
 def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
     """Matrix of P_D M_f P_D in the orthonormal graded basis."""
-    _check_symbol(basis, f)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for k, part in f.homogeneous_parts().items():
-        for d in range(basis.max_degree - k + 1):
-            out[basis.block_slice(d + k), basis.block_slice(d)] = _mult_block(basis, part, d)
-    return out
+    eye = _identity_blocks(basis)
+    return _sandwich(basis, f, eye, eye, (basis.dim, basis.dim))
 
 
 def coordinate_mult_ops(basis: TruncatedBasis) -> list[np.ndarray]:
@@ -138,35 +140,18 @@ def coordinate_mult_ops(basis: TruncatedBasis) -> list[np.ndarray]:
     ]
 
 
-def _degree_rows(basis: TruncatedBasis, mat: np.ndarray):
-    """Per degree d: the columns of ``mat`` that are nonzero on degree-d
-    rows, and ``mat`` restricted to those rows and columns."""
-    out = []
-    for d in range(basis.max_degree + 1):
-        rows = mat[basis.block_slice(d)]
-        keep = np.flatnonzero(rows.any(axis=0))
-        out.append((keep, rows[:, keep]))
-    return out
-
-
-def _sandwich(
-    basis: TruncatedBasis, f: Polynomial, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """left^H P_D M_f P_D right, assembled from degree-shift blocks.
-
-    No dim x dim product is formed; columns supported on few degrees (the
-    graded quotient basis, the identity) make the blocks small.
-    """
+def _sandwich(basis: TruncatedBasis, f: Polynomial, left, right, shape) -> np.ndarray:
+    """L^H P_D M_f P_D R, a ``shape`` matrix, for L and R in the block form
+    of ``QuotientModel.blocks``; no dim x dim product is formed, and each
+    degree-shift block lands in one contiguous slice."""
     _check_symbol(basis, f)
-    lrows = _degree_rows(basis, left)
-    rrows = lrows if right is left else _degree_rows(basis, right)
-    out = np.zeros((left.shape[1], right.shape[1]), dtype=complex)
+    out = np.zeros(shape, dtype=complex)
     for k, part in f.homogeneous_parts().items():
         for d in range(basis.max_degree - k + 1):
-            lcols, lblock = lrows[d + k]
-            rcols, rblock = rrows[d]
-            if lcols.size and rcols.size:
-                out[np.ix_(lcols, rcols)] += (
+            lstart, lblock = left[d + k]
+            rstart, rblock = right[d]
+            if lblock.size and rblock.size:
+                out[lstart:lstart + lblock.shape[1], rstart:rstart + rblock.shape[1]] += (
                     lblock.conj().T @ _mult_block(basis, part, d) @ rblock
                 )
     return out
@@ -217,30 +202,42 @@ def _graded_columns(basis: TruncatedBasis, generators) -> list[np.ndarray]:
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
 
-    ``quotient_onb`` columns are orthonormal and sorted by ``degree_labels``;
-    the labels drive windowed Schatten norms.  The model holds only this
-    complement; the submodule, spanned by the degree blocks of the
-    truncated multipliers by the generators, is ``I - projector()``.  When
-    every generator is homogeneous (the graded path; no generators at all
-    gives the whole space on this path) each column is supported on exactly
-    the degree of its label, and the scale, invariance and commutator guards
-    are per-degree block norms.  Otherwise (the filtration path) each column
-    is supported on degrees <= its label.
+    The model holds only the complement Q, whose orthonormal columns are
+    sorted by ``degree_labels`` (the labels drive windowed Schatten norms);
+    the submodule is ``I - projector()``.  ``blocks`` stores Q by degree: a
+    pair (start, block) per degree d, where block is the degree-d rows of Q
+    on the columns from start on, and those rows vanish on all other
+    columns.  When every generator is homogeneous (the graded path; no
+    generators at all gives the whole space) each column is supported on
+    exactly its label's degree, so block d is the degree-d complement, and
+    the scale, invariance and commutator guards are per-degree block norms.
+    Otherwise (the filtration path) each column is supported on degrees <=
+    its label, and block d holds every column labelled d or higher.
     """
 
     basis: TruncatedBasis
     generators: tuple[Polynomial, ...]
-    quotient_onb: np.ndarray
+    blocks: tuple[tuple[int, np.ndarray], ...]
     degree_labels: np.ndarray
     tuple_mats: tuple[np.ndarray, ...]
 
     @property
     def dim_quotient(self) -> int:
-        return self.quotient_onb.shape[1]
+        return self.degree_labels.size
+
+    @property
+    def quotient_onb(self) -> np.ndarray:
+        """Q as a dense dim x dim_quotient matrix, assembled from ``blocks``
+        on each access."""
+        q = np.zeros((self.basis.dim, self.dim_quotient), dtype=complex)
+        for d, (start, block) in enumerate(self.blocks):
+            q[self.basis.block_slice(d), start:start + block.shape[1]] = block
+        return q
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector of the truncated space onto the quotient."""
-        return self.quotient_onb @ self.quotient_onb.conj().T
+        q = self.quotient_onb
+        return q @ q.conj().T
 
 
 def _filtration_complement(
@@ -333,30 +330,33 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
         tuple_blocks.append(sblocks)
     _check_invariance(defect, scale)
     _check_shift_commuting(tuple_blocks)
-    return QuotientModel(
-        basis,
-        tuple(generators),
-        scipy.linalg.block_diag(*quotient_blocks),
-        labels,
-        tuple(compressed),
+    # copies: a view would keep each degree's full size_d x size_d u alive
+    blocks = tuple(
+        (int(start), np.array(q, dtype=complex, order="C"))
+        for start, q in zip(starts, quotient_blocks)
     )
+    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(compressed))
 
 
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by arbitrary generators through the filtration-adapted
     complement; the only path for inhomogeneous generators."""
-    quotient_onb, labels = _filtration_complement(
-        basis, _generator_columns(basis, generators)
+    q, labels = _filtration_complement(basis, _generator_columns(basis, generators))
+    nq = labels.size
+    # The labels ascend and each column vanishes above its label, so the
+    # degree-d rows are zero left of the first column labelled d or higher.
+    starts = [int(np.searchsorted(labels, d)) for d in range(basis.max_degree + 1)]
+    blocks = tuple(
+        (start, np.array(q[basis.block_slice(d), start:], order="C"))
+        for d, start in enumerate(starts)
     )
     coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
-    compressed = tuple(
-        _sandwich(basis, z, quotient_onb, quotient_onb) for z in coords
-    )
-    if quotient_onb.shape[1]:
-        eye = np.eye(basis.dim)
+    compressed = tuple(_sandwich(basis, z, blocks, blocks, (nq, nq)) for z in coords)
+    if nq:
+        eye = _identity_blocks(basis)
         defect = max(
             np.linalg.norm(
-                _sandwich(basis, z, quotient_onb, eye) - s @ quotient_onb.conj().T, 2
+                _sandwich(basis, z, blocks, eye, (nq, basis.dim)) - s @ q.conj().T, 2
             )
             for z, s in zip(coords, compressed)
         )
@@ -365,7 +365,7 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
         )
         _check_invariance(defect, scale)
         koszul.check_commuting(compressed)
-    return QuotientModel(basis, tuple(generators), quotient_onb, labels, compressed)
+    return QuotientModel(basis, tuple(generators), blocks, labels, compressed)
 
 
 def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -392,7 +392,7 @@ def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     """S_f = P M_f P restricted to the quotient."""
-    return _sandwich(model.basis, f, model.quotient_onb, model.quotient_onb)
+    return _sandwich(model.basis, f, model.blocks, model.blocks, (model.dim_quotient,) * 2)
 
 
 def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.ndarray:
@@ -503,10 +503,6 @@ class ProfileRow:
     dim_quotient: int
 
 
-def _symbol_degree(symbol) -> int:
-    return symbol.degree()
-
-
 def windowed_submatrix(
     mat: np.ndarray, labels: np.ndarray, max_label: int
 ) -> np.ndarray:
@@ -537,7 +533,7 @@ def essential_normality_profile(
     symbols = list(symbols)
     if not symbols:
         raise ValidationError("need at least one symbol")
-    w = window if window is not None else max(_symbol_degree(s) for s in symbols) + 1
+    w = window if window is not None else max(s.degree() for s in symbols) + 1
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)

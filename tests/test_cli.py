@@ -506,6 +506,16 @@ BALL1 = {"kind": "ball", "n": 1}
             },
             "grid.stop",
         ),
+        # 100000**4 grid points, past the 2**24 cap, before any array is made
+        (
+            "spectrum",
+            {
+                "domain": {"kind": "matrixball", "n": 2, "r": 2},
+                "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3, 0.1, 0.1]]},
+                "grid": {"start": 0, "stop": 0.5, "steps": 100000},
+            },
+            "grid.steps",
+        ),
     ],
 )
 def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command, cfg, field):
@@ -513,6 +523,15 @@ def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"config error at '{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_input_too_large_for_memory_is_an_error_exit(tmp_path, capsys):
+    # a 10**9 x 10**9 random tuple: numpy refuses the allocation outright
+    cfg = write_cfg(tmp_path, "cfg.json", {"domain": BALL1, "tuple_size": 10**9})
+    assert main(["calculus", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

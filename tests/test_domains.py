@@ -12,8 +12,6 @@ from symdom.domains import (
     generic_poly,
     generic_poly_terms,
     mobius,
-    point_from_json,
-    point_to_json,
     quasi_inverse,
     spectral_norm,
     triple_product,
@@ -361,8 +359,3 @@ def test_domain_json_rejects_unknown_kind():
     with pytest.raises(ValidationError):
         DomainSpec.from_json({"kind": "halfplane", "n": 2})
 
-
-def test_point_json_roundtrip(rng):
-    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    back = point_from_json(point_to_json(z))
-    assert np.array_equal(back, z)

@@ -19,6 +19,7 @@ from symdom.operators import (
     _check_shift_commuting,
     _coordinate_blocks,
     _filtration_model,
+    _mult_block,
     _shift_norm,
     compress,
     compress_rational,
@@ -227,6 +228,25 @@ def test_graded_path_matches_filtration_path(dom, lam, d_trunc, monkeypatch, rng
 
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_mult_op_is_dense_block_assembly(dom, lam, d_trunc, rng):
+    basis = truncated_basis(dom, lam, d_trunc)
+    f = random_poly(dom.dim, 3, rng)
+    want = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for k, part in f.homogeneous_parts().items():
+        for d in range(d_trunc - k + 1):
+            want[basis.block_slice(d + k), basis.block_slice(d)] = _mult_block(basis, part, d)
+    assert np.array_equal(mult_op(basis, f), want)
+
+
+def test_graded_blocks_own_their_data_and_beat_the_dense_complement():
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 10)
+    model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
+    assert len(model.blocks) == basis.max_degree + 1
+    assert all(block.base is None for _, block in model.blocks)
+    assert sum(block.nbytes for _, block in model.blocks) < model.quotient_onb.nbytes
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
 def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
     basis = truncated_basis(dom, lam, d_trunc)
     for i in range(dom.dim):
@@ -319,7 +339,7 @@ def test_blockwise_commutator_guard_is_dense_guard(sizes, monkeypatch, rng):
         assert abs(blockwise - dense) <= 1e-12 * dense
 
 
-def test_inhomogeneous_generator_takes_filtration_path():
+def test_inhomogeneous_generator_takes_filtration_path(rng):
     basis = truncated_basis(BALL2, 3.0, 8)
     gens = [Z1 * Z1 + Z2]
     model = quotient_model(basis, gens)
@@ -331,6 +351,11 @@ def test_inhomogeneous_generator_takes_filtration_path():
     supports = [column_degrees(basis, q[:, k]) for k in range(model.dim_quotient)]
     assert all(max(sup) == label for sup, label in zip(supports, model.degree_labels))
     assert any(len(sup) > 1 for sup in supports)
+    # blocks hold every column labelled d or higher, some of them zero on degree d
+    assert any(not block.any(axis=0).all() for _, block in model.blocks)
+    assert all(block.base is None for _, block in model.blocks)
+    f = random_poly(2, 3, rng)
+    assert np.abs(compress(model, f) - q.conj().T @ mult_op(basis, f) @ q).max() < 1e-12
 
 
 # ---------------------------------------------------------------------
