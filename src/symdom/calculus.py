@@ -207,13 +207,13 @@ def matrix_power_principal(a: np.ndarray, mu: float) -> np.ndarray:
     return scipy.linalg.fractional_matrix_power(a, mu)
 
 
-def _tuple_and_radius(mats, dom: DomainSpec, seed: int = 0):
+def _tuple_and_radius(mats, dom: DomainSpec):
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != dom.dim:
         raise ValidationError(
             f"tuple has {len(mats)} components, {dom.label()} needs {dom.dim}"
         )
-    eigs = koszul.joint_eigenvalues(mats, seed=seed)
+    eigs = koszul.joint_eigenvalues(mats)
     radius = max((spectral_norm(dom, mu) for mu in eigs), default=0.0)
     return mats, eigs, radius
 
@@ -225,14 +225,14 @@ def _require_interior(radius: float) -> None:
         )
 
 
-def delta_power_tuple(mats, w, lam: float, dom: DomainSpec, seed: int = 0) -> np.ndarray:
+def delta_power_tuple(mats, w, lam: float, dom: DomainSpec) -> np.ndarray:
     """Delta(T, w)^{-lam} for a commuting tuple with interior spectrum.
 
     ball: (I - sum conj(w_i) T_i)^{-lam}; polydisc: the factorwise product;
     matrixball: the kernel series summed over total-degree blocks with the
     power recurrence transported to matrix arguments.
     """
-    mats, _, radius = _tuple_and_radius(mats, dom, seed)
+    mats, _, radius = _tuple_and_radius(mats, dom)
     _require_interior(radius)
     wf = flatten_point(dom, w)
     if spectral_norm(dom, wf) > 1.0 + BOUNDARY_TOL:
@@ -354,7 +354,6 @@ def integral_calculus(
     quad: ShilovQuadrature,
     dom: DomainSpec,
     tol: float | None = None,
-    seed: int = 0,
 ) -> list[CalculusResult]:
     """Boundary-integral values of f(T), one result per polynomial in ``polys``.
 
@@ -367,7 +366,7 @@ def integral_calculus(
     accumulation runs in a fixed order, so results are reproducible bit for
     bit.
     """
-    mats, _, radius = _tuple_and_radius(mats, dom, seed)
+    mats, _, radius = _tuple_and_radius(mats, dom)
     _require_interior(radius)
     if quad.dom != dom:
         raise ValidationError("quadrature was built for a different domain")
@@ -506,13 +505,13 @@ def _poly_adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
     return adj
 
 
-def mobius_of_tuple(mats, z0, dom: DomainSpec, seed: int = 0) -> list[np.ndarray]:
+def mobius_of_tuple(mats, z0, dom: DomainSpec) -> list[np.ndarray]:
     """Apply g_{z0} to a commuting tuple through its rational components.
 
     Denominators are checked on the joint spectrum first; a modulus below
     ``DENOM_SPECTRUM_MARGIN`` raises :class:`SingularDenominator`.
     """
-    mats, eigs, radius = _tuple_and_radius(mats, dom, seed)
+    mats, eigs, radius = _tuple_and_radius(mats, dom)
     _require_interior(radius)
     components = mobius_rational_components(dom, z0)
     out = []
@@ -528,11 +527,11 @@ def mobius_of_tuple(mats, z0, dom: DomainSpec, seed: int = 0) -> list[np.ndarray
     return out
 
 
-def composition_residual(mats, z0, dom: DomainSpec, seed: int = 0) -> float:
+def composition_residual(mats, z0, dom: DomainSpec) -> float:
     """Largest component deviation of g_{-z0}(g_{z0}(T)) from T."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    forward = mobius_of_tuple(mats, z0, dom, seed=seed)
-    back = mobius_of_tuple(forward, -np.asarray(z0, dtype=complex), dom, seed=seed)
+    forward = mobius_of_tuple(mats, z0, dom)
+    back = mobius_of_tuple(forward, -np.asarray(z0, dtype=complex), dom)
     return max(
         float(np.linalg.norm(a - b, 2)) for a, b in zip(back, mats)
     )

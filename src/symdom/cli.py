@@ -1,6 +1,6 @@
 """Command-line experiment harness.
 
-Four subcommands share one JSON config file plus flag overrides:
+Four subcommands, each reading a JSON config file plus flag overrides:
 
   kernel      partial-sum errors against closed-form kernels and
               Gram-vs-oracle deviations
@@ -8,6 +8,10 @@ Four subcommands share one JSON config file plus flag overrides:
   calculus    integral-vs-direct residuals and Moebius composition checks
   invariance  Schatten profiles of coordinate and Moebius symbol families
               across truncation degrees, with stabilization summary
+
+``FIELDS`` holds one key table per subcommand (kind, default, range).
+``normalize_config`` checks a config against it, unknown and repeated keys
+included, and is the only validator: the commands read checked values.
 
 Output is RFC-4180 CSV (CRLF line endings, mandatory header row); complex
 values are rendered as "re+imj" strings.  Reruns with an identical config
@@ -26,6 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,91 +99,211 @@ def format_point(z: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------
-# config ingestion
+# config ingestion: one key table per subcommand, one checker
 # ---------------------------------------------------------------------
 
-def poly_from_json(obj, nvars: int, where: str) -> Polynomial:
-    """{"terms": {"a1,a2,...": coeff}} with coeff a number or "re+imj"."""
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ConfigError(f"config error at '{where}': expected {{\"terms\": {{...}}}}")
-    got_n = obj.get("nvars", nvars)
-    if got_n != nvars:
-        raise ConfigError(
-            f"config error at '{where}.nvars': {got_n} does not match domain dimension {nvars}"
-        )
-    terms = {}
-    for key, val in checked_container(obj["terms"], f"{where}.terms", dict).items():
-        try:
-            alpha = tuple(int(part) for part in key.split(","))
-        except ValueError:
-            raise ConfigError(f"config error at '{where}.terms': bad multi-index key {key!r}")
-        if len(alpha) != nvars or any(a < 0 for a in alpha):
-            raise ConfigError(
-                f"config error at '{where}.terms': key {key!r} is not a "
-                f"{nvars}-component multi-index"
-            )
-        terms[alpha] = parse_complex(val, f"{where}.terms[{key!r}]")
-    return Polynomial(nvars, terms)
-
-
 def poly_to_json(p: Polynomial) -> dict:
-    keys = sorted(p.terms, key=lambda a: (sum(a), tuple(-x for x in a)))
+    """``p`` as a term map, in the order of ``p.terms``: the order f(T) sums."""
     return {
         "nvars": p.nvars,
-        "terms": {",".join(str(a) for a in alpha): format_complex(p.terms[alpha]) for alpha in keys},
+        "terms": {",".join(str(a) for a in alpha): format_complex(c) for alpha, c in p.terms.items()},
     }
 
 
-def point_from_config(obj, dom: DomainSpec, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dom.dim:
-        raise ConfigError(
-            f"config error at '{where}': expected a list of {dom.dim} complex entries"
-        )
-    return np.array([parse_complex(c, f"{where}[{i}]") for i, c in enumerate(obj)])
+class Field(NamedTuple):
+    """How one config key is checked.
+
+    ``kind`` is int, num (a finite number), p (a number >= 1, or Infinity),
+    path, poly, gen (a nonzero poly), point, choice, list, table or domain.
+    ``default`` is _REQUIRED, None (optional: absent or null leaves the key
+    unset), the value an absent or null key takes, or a function of the
+    domain that gives it.
+    """
+
+    kind: str
+    default: object = None
+    low: float = -math.inf  # int, num and p lie in [low, below)
+    below: float = math.inf
+    of: object = None  # list: the item Field; table: its Fields; choice: (noun, options)
+    nonempty: str = ""  # list: the items' plural, when the list may not be empty
+    why: str = ""  # appended to a range error
 
 
 _REQUIRED = object()
+_POINT = Field("point")
+_GENERATORS = Field("list", [], of=Field("gen"))
+_D_LIST = Field("list", of=Field("int", low=0), nonempty="integers >= 0")
+# the keys the flags set: every subcommand takes them
+_COMMON = {
+    "domain": Field("domain", _REQUIRED),
+    "seed": Field("int", 0, low=0),
+    "out": Field("path"),
+    "cache_dir": Field("path"),
+    "lambda": Field("num"),
+    "D_list": _D_LIST,
+}
+# kernel and invariance need a weight and truncation degrees
+_MODEL = {
+    **_COMMON, "lambda": Field("num", _REQUIRED), "D_list": _D_LIST._replace(default=_REQUIRED)
+}
+_DEFAULT_LEVELS = {("ball", 1): 10, ("polydisc", 1): 10, ("polydisc", 2): 8}
+
+FIELDS = {
+    "kernel": {
+        **_MODEL,
+        "num_pairs": Field("int", 20, low=1),
+        "max_norm": Field("num", 0.6, 0, 1, why="; partial sums converge only inside the domain"),
+        "gram_degree": Field("int", 6, low=0),
+    },
+    "spectrum": {
+        **_COMMON,
+        "generators": _GENERATORS,
+        "tuple": Field("table", {"kind": "model"}, of={
+            "kind": Field("choice", "model", of=("kind", ("model", "diagonal"))),
+            "D": Field("int", low=0),  # default max(D_list)
+            "entries": Field("list", of=_POINT, nonempty="points"),
+        }),
+        "points": Field("list", [], of=_POINT),
+        "grid": Field("table", of={
+            "start": Field("num", _REQUIRED),
+            "stop": Field("num", _REQUIRED),
+            "steps": Field("int", _REQUIRED, low=1),
+        }),
+    },
+    "calculus": {
+        **_COMMON,
+        "level": Field("int", lambda dom: _DEFAULT_LEVELS.get((dom.kind, dom.dim), 4), low=1),
+        "tuple_size": Field("int", lambda dom: 6 if dom.dim == 1 else 5, low=1),
+        "spectral_radius": Field(
+            "num", 0.6, 0, 1, why="; the calculus needs the joint spectrum inside the domain"
+        ),
+        "num_tuples": Field("int", 3, low=1),
+        "polys": Field(
+            "list", lambda dom: [poly_to_json(p) for p in _default_polys(dom.dim)], of=Field("poly")
+        ),
+        "z0_list": Field("list", [], of=_POINT),
+    },
+    "invariance": {
+        **_MODEL,
+        "generators": _GENERATORS,
+        "families": Field(
+            "list", ["coordinates", "mobius"],
+            of=Field("choice", of=("family", ("coordinates", "mobius"))),
+        ),
+        "p_values": Field("list", [2.0], of=Field("p", low=1), nonempty="numbers >= 1"),
+        "window": Field("int", low=0),
+        "z0": Field("point", lambda dom: [0.0] * dom.dim),
+        "permissive": Field("table", {}, of={  # by default the coordinates themselves
+            "c": Field("num", 1.0, low=0),
+            "d": Field("point", lambda dom: [0.0] * dom.dim),
+        }),
+    },
+}
 
 
-def cfg_get(cfg: dict, key: str, default=_REQUIRED):
-    if key in cfg:
-        return cfg[key]
-    if default is _REQUIRED:
-        raise ConfigError(f"config error at '{key}': required field is missing")
-    return default
+def _error(where: str, what: str) -> ConfigError:
+    return ConfigError(f"config error at '{where}': {what}")
 
 
-def checked_number(
-    value, where: str, *, integer: bool, low: float, below: float = math.inf, why: str = ""
-):
-    """``value`` if it is an integer (or, with ``integer=False``, a real
-    number) with low <= value < below; booleans, NaN and infinities are
-    rejected with a config error."""
-    kinds = int if integer else (int, float)
-    if isinstance(value, kinds) and not isinstance(value, bool):
-        if low <= value < below and value > -math.inf:
-            return value
-    kind = "an integer" if integer else "a number"
-    if low == -math.inf:
-        span = "that is finite"
-    else:
-        span = f">= {low:g}" if below == math.inf else f"in [{low:g}, {below:g})"
-    raise ConfigError(f"config error at '{where}': must be {kind} {span}{why}")
-
-
-def checked_container(value, where: str, kind: type):
-    """``value`` if it is a JSON array (``kind=list``) or object
-    (``kind=dict``); anything else is a config error."""
-    if isinstance(value, kind):
+def _check(value, spec: Field, where: str, dom: DomainSpec | None):
+    """``value`` checked against ``spec``, in the JSON form the commands
+    read: numbers as floats, points as [re, im] pairs, polynomials as
+    canonical term maps, tables with every key present.  Anything else is
+    a config error at ``where``."""
+    kind = spec.kind
+    if kind == "p" and value == math.inf:  # the operator norm; JSON spells it Infinity
         return value
-    name = "a list" if kind is list else "an object"
-    raise ConfigError(f"config error at '{where}': must be {name}")
+    if kind in ("int", "num", "p"):
+        integer, low, below = kind == "int", spec.low, spec.below
+        if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool):
+            if low <= value < below and value > -math.inf:
+                return value if integer else float(value)
+        if low == -math.inf:
+            span = "that is finite"
+        else:
+            span = f">= {low:g}" if below == math.inf else f"in [{low:g}, {below:g})"
+        raise _error(where, f"must be {'an integer' if integer else 'a number'} {span}{spec.why}")
+    if kind == "path":
+        if isinstance(value, str):
+            return value
+        raise _error(where, "must be a path string")
+    if kind == "choice":
+        noun, options = spec.of
+        if value in options:
+            return value
+        raise _error(where, f"unknown {noun} {value!r}")
+    if kind == "point":
+        if not isinstance(value, list) or len(value) != dom.dim:
+            raise _error(where, f"expected a list of {dom.dim} complex entries")
+        values = (parse_complex(c, f"{where}[{i}]") for i, c in enumerate(value))
+        return [[z.real, z.imag] for z in values]
+    if kind == "list":
+        if not isinstance(value, list):
+            raise _error(where, "must be a list")
+        if spec.nonempty and not value:
+            raise _error(where, f"must be a non-empty list of {spec.nonempty}")
+        return [_check(item, spec.of, f"{where}[{i}]", dom) for i, item in enumerate(value)]
+    if kind in ("poly", "gen") and not (isinstance(value, dict) and "terms" in value):
+        raise _error(where, 'expected {"terms": {...}}')
+    if not isinstance(value, dict):
+        raise _error(where, "must be an object")
+    known = {"domain": dom.to_json(), "table": spec.of}.get(kind, ("nvars", "terms"))
+    prefix = f"{where}." if where else ""
+    for key in value:
+        if key not in known:
+            raise _error(prefix + key, "unknown key")
+    if kind == "domain":  # parsed already: only the keys of its own JSON form
+        return known
+    if kind == "table":
+        out = {}
+        for key, field in spec.of.items():
+            got = value.get(key)
+            if got is None:
+                got = field.default(dom) if callable(field.default) else field.default
+            if got is _REQUIRED:
+                raise _error(prefix + key, "required field is missing")
+            out[key] = None if got is None else _check(got, field, prefix + key, dom)
+        return out
+    nvars = _check(value.get("nvars", dom.dim), Field("int"), f"{where}.nvars", dom)
+    if nvars != dom.dim:
+        raise _error(f"{where}.nvars", f"{nvars} does not match domain dimension {dom.dim}")
+    if not isinstance(value["terms"], dict):
+        raise _error(f"{where}.terms", "must be an object")
+    terms = {}
+    for key, coeff in value["terms"].items():
+        try:
+            alpha = tuple(int(part) for part in key.split(","))
+        except ValueError:
+            raise _error(f"{where}.terms", f"bad multi-index key {key!r}")
+        if len(alpha) != dom.dim or any(a < 0 for a in alpha):
+            raise _error(f"{where}.terms", f"key {key!r} is not a {dom.dim}-component multi-index")
+        terms[alpha] = parse_complex(coeff, f"{where}.terms[{key!r}]")
+    if kind == "gen":  # generators are held in degree order, whatever order they come in
+        terms = dict(sorted(terms.items(), key=lambda t: (sum(t[0]), tuple(-a for a in t[0]))))
+    poly = Polynomial(dom.dim, terms)
+    if kind == "gen" and poly.is_zero():
+        raise _error(where, "must be nonzero")
+    return poly_to_json(poly)
 
 
-def _as_int_list(obj, where: str) -> list[int]:
-    if not checked_container(obj, where, list):
-        raise ConfigError(f"config error at '{where}': must be a non-empty list of integers >= 0")
-    return [checked_number(x, f"{where}[{i}]", integer=True, low=0) for i, x in enumerate(obj)]
+def _poly(obj: dict) -> Polynomial:
+    """The polynomial of a checked term map."""
+    terms = {tuple(int(a) for a in key.split(",")): complex(c) for key, c in obj["terms"].items()}
+    return Polynomial(obj["nvars"], terms)
+
+
+def _point(obj: list) -> np.ndarray:
+    """The point of a checked list of [re, im] pairs."""
+    return np.array([complex(re, im) for re, im in obj])
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:  # json would keep the last one silently
+            raise _error(key, "duplicate key")
+        obj[key] = value
+    return obj
 
 
 def load_config(path: str) -> dict:
@@ -188,7 +313,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -198,61 +323,52 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+MAX_SCAN_POINTS = 2**24  # the torus rule's node cap
+
+
 def normalize_config(cfg: dict, command: str) -> dict:
-    """Validate common fields and fill defaults; returns a plain dict whose
-    json.dumps(..., sort_keys=True) round-trips through parse unchanged."""
-    out = dict(cfg)
+    """``cfg`` checked against ``FIELDS[command]`` with every default filled
+    in, then the checks that span fields.  This is the only validator: the
+    commands read what it returns.  json.dumps(..., sort_keys=True) of the
+    result round-trips through it unchanged."""
+    if cfg.get("domain") is None:
+        raise _error("domain", "required field is missing")
     try:
-        dom = DomainSpec.from_json(cfg_get(cfg, "domain"))
+        dom = DomainSpec.from_json(cfg["domain"])
     except ValidationError as exc:
-        raise ConfigError(f"config error at 'domain': {exc}")
-    out["domain"] = dom.to_json()
-    checked_number(out.setdefault("seed", 0), "seed", integer=True, low=0)
-    for key in ("out", "cache_dir"):
-        if out.get(key) is not None and not isinstance(out[key], str):
-            raise ConfigError(f"config error at '{key}': must be a path string")
-    if "lambda" in out:
-        lam = checked_number(out["lambda"], "lambda", integer=False, low=-math.inf)
-        if command in ("kernel", "invariance") or (
-            command == "spectrum"
-            and checked_container(out.get("tuple", {}), "tuple", dict).get("kind", "model")
-            == "model"
-        ):
-            if not classify_weight(float(lam), dom).is_module_weight:
-                raise ConfigError(
-                    f"config error at 'lambda': {lam} is not a continuous-class "
-                    f"weight for {dom.label()}"
-                )
-    if "D_list" in out:
-        out["D_list"] = _as_int_list(out["D_list"], "D_list")
-    if "generators" in out:
-        gens = [
-            poly_from_json(g, dom.dim, f"generators[{i}]")
-            for i, g in enumerate(checked_container(out["generators"], "generators", list))
-        ]
-        for i, g in enumerate(gens):
-            if g.is_zero():
-                raise ConfigError(f"config error at 'generators[{i}]': must be nonzero")
-        out["generators"] = [poly_to_json(g) for g in gens]
-        if "D_list" in out and gens:
-            top = max(g.degree() for g in gens)
-            if top > min(out["D_list"]):
-                raise ConfigError(
-                    f"config error at 'generators': max generator degree {top} "
-                    f"exceeds min(D_list) = {min(out['D_list'])}"
-                )
+        raise _error("domain", str(exc))
+    out = _check(cfg, Field("table", of=FIELDS[command]), "", dom)
+    lam, d_list, tup = out["lambda"], out["D_list"], out.get("tuple")
+    if command in ("kernel", "invariance") or tup and tup["kind"] == "model":
+        if lam is None:
+            raise _error("lambda", "required field is missing")
+        if not classify_weight(lam, dom).is_module_weight:
+            raise _error("lambda", f"{lam} is not a continuous-class weight for {dom.label()}")
+    top = max((_poly(g).degree() for g in out.get("generators", [])), default=0)
+    if d_list is not None and top > min(d_list):
+        raise _error("generators", f"max generator degree {top} exceeds min(D_list) = {min(d_list)}")
+    if command == "spectrum":
+        if tup["kind"] == "diagonal" and tup["entries"] is None:
+            raise _error("tuple.entries", "required field is missing")
+        if tup["kind"] == "model":
+            if tup["D"] is None and d_list is None:
+                raise _error("tuple.D", "truncation degree required")
+            tup["D"] = max(d_list) if tup["D"] is None else tup["D"]
+            if top > tup["D"]:
+                raise _error("tuple.D", "below the max generator degree")
+        grid = out["grid"]
+        if grid is not None and grid["steps"] ** dom.dim > MAX_SCAN_POINTS:
+            raise _error("grid.steps", f"{grid['steps']}**{dom.dim} points exceed {MAX_SCAN_POINTS}")
+        if not out["points"] and grid is None:
+            raise _error("points", "no scan points (set 'points' or 'grid')")
+    if command == "calculus" and dom.kind == "matrixball":
+        raise _error("domain", "no Shilov quadrature for the matrix ball")
+    if command == "invariance":
+        if spectral_norm(dom, flatten_point(dom, _point(out["z0"]))) >= 1.0:
+            raise _error("z0", "Moebius parameter must be interior")
+        if out["permissive"]["c"] == 0:
+            raise _error("permissive.c", "must be positive")
     return out
-
-
-def config_domain(cfg: dict) -> DomainSpec:
-    return DomainSpec.from_json(cfg["domain"])
-
-
-def config_generators(cfg: dict, dom: DomainSpec) -> list[Polynomial]:
-    return [
-        poly_from_json(g, dom.dim, f"generators[{i}]")
-        for i, g in enumerate(cfg.get("generators", []))
-    ]
 
 
 # ---------------------------------------------------------------------
@@ -286,28 +402,21 @@ def summary_path_for(out_path: str) -> str:
 # ---------------------------------------------------------------------
 
 def cmd_kernel(cfg: dict) -> int:
-    dom = config_domain(cfg)
-    lam = float(cfg_get(cfg, "lambda"))
-    d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
-    num_pairs = checked_number(cfg.get("num_pairs", 20), "num_pairs", integer=True, low=1)
-    max_norm = checked_number(
-        cfg.get("max_norm", 0.6), "max_norm", integer=False, low=0, below=1,
-        why="; partial sums converge only inside the domain",
-    )
-    gram_degree = checked_number(cfg.get("gram_degree", 6), "gram_degree", integer=True, low=0)
+    dom = DomainSpec.from_json(cfg["domain"])
+    lam, max_norm = cfg["lambda"], cfg["max_norm"]
     rng = np.random.default_rng(cfg["seed"])
 
     pairs = [
         (random_point(dom, rng, max_norm=max_norm), random_point(dom, rng, max_norm=max_norm))
-        for _ in range(num_pairs)
+        for _ in range(cfg["num_pairs"])
     ]
     rows: list[list] = []
     label = dom.label()
-    for d_trunc in d_list:
+    for d_trunc in sorted(cfg["D_list"]):
         for k, (z, w) in enumerate(pairs):
             err = abs(series_partial_sum(dom, lam, z, w, d_trunc) - kernel_eval(dom, lam, z, w))
             rows.append([label, format_real(lam), "partial_sum_error", d_trunc, k, format_real(err)])
-    for block in gram_blocks(dom, lam, gram_degree):
+    for block in gram_blocks(dom, lam, cfg["gram_degree"]):
         d = block.degree
         if dom.kind == "matrixball":
             eigs = np.linalg.eigvalsh(block.gram)
@@ -319,7 +428,7 @@ def cmd_kernel(cfg: dict) -> int:
             dev = np.abs(block.gram - np.diag(oracle)).max() / oracle.max()
             rows.append([label, format_real(lam), "gram_vs_oracle", d, "", format_real(dev)])
     header = ["domain", "lambda", "check", "D", "index", "value"]
-    write_rows(cfg.get("out"), header, rows)
+    write_rows(cfg["out"], header, rows)
     return 0
 
 
@@ -327,67 +436,24 @@ def cmd_kernel(cfg: dict) -> int:
 # spectrum command
 # ---------------------------------------------------------------------
 
-def _spectrum_tuple(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
-    spec = checked_container(cfg.get("tuple", {"kind": "model"}), "tuple", dict)
-    kind = spec.get("kind", "model")
-    if kind == "diagonal":
-        entries = checked_container(spec.get("entries"), "tuple.entries", list)
-        if not entries:
-            raise ConfigError("config error at 'tuple.entries': non-empty list required")
-        pts = [point_from_config(e, dom, f"tuple.entries[{i}]") for i, e in enumerate(entries)]
-        return [np.diag([flatten_point(dom, p)[i] for p in pts]) for i in range(dom.dim)]
-    if kind == "model":
-        lam = float(cfg_get(cfg, "lambda"))
-        d_trunc = spec.get("D", max(cfg["D_list"]) if "D_list" in cfg else None)
-        if d_trunc is None:
-            raise ConfigError("config error at 'tuple.D': truncation degree required")
-        d_trunc = checked_number(d_trunc, "tuple.D", integer=True, low=0)
-        gens = config_generators(cfg, dom)
-        if max((g.degree() for g in gens), default=0) > d_trunc:
-            raise ConfigError("config error at 'tuple.D': below the max generator degree")
-        basis = cached_truncated_basis(dom, lam, d_trunc, cache_dir=cfg.get("cache_dir"))
-        return list(quotient_model(basis, gens).tuple_mats)
-    raise ConfigError(f"config error at 'tuple.kind': unknown kind {kind!r}")
-
-
-MAX_SCAN_POINTS = 2**24  # the torus rule's node cap
-
-
-def _scan_points(cfg: dict, dom: DomainSpec) -> list[np.ndarray]:
-    points = [
-        point_from_config(p, dom, f"points[{i}]")
-        for i, p in enumerate(checked_container(cfg.get("points", []), "points", list))
-    ]
-    grid = cfg.get("grid")
+def cmd_spectrum(cfg: dict) -> int:
+    dom = DomainSpec.from_json(cfg["domain"])
+    spec = cfg["tuple"]
+    if spec["kind"] == "diagonal":
+        entries = [flatten_point(dom, _point(e)) for e in spec["entries"]]
+        mats = [np.diag([p[i] for p in entries]) for i in range(dom.dim)]
+    else:
+        basis = cached_truncated_basis(dom, cfg["lambda"], spec["D"], cache_dir=cfg["cache_dir"])
+        mats = list(quotient_model(basis, [_poly(g) for g in cfg["generators"]]).tuple_mats)
+    rows: list[list] = []
+    label = dom.label()
+    points = [_point(p) for p in cfg["points"]]
+    grid = cfg["grid"]
     if grid is not None:
-        checked_container(grid, "grid", dict)
-        for key in ("start", "stop", "steps"):
-            if key not in grid:
-                raise ConfigError(f"config error at 'grid.{key}': required field is missing")
-        start, stop = (
-            checked_number(grid[key], f"grid.{key}", integer=False, low=-math.inf)
-            for key in ("start", "stop")
-        )
-        steps = checked_number(grid["steps"], "grid.steps", integer=True, low=0)
-        if steps ** dom.dim > MAX_SCAN_POINTS:
-            raise ConfigError(
-                f"config error at 'grid.steps': {steps}**{dom.dim} points exceed {MAX_SCAN_POINTS}"
-            )
-        axis = np.linspace(start, stop, steps)
+        axis = np.linspace(grid["start"], grid["stop"], grid["steps"])
         mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
         for combo in np.column_stack([m.ravel() for m in mesh]):
             points.append(combo.astype(complex))
-    if not points:
-        raise ConfigError("config error at 'points': no scan points (set 'points' or 'grid')")
-    return points
-
-
-def cmd_spectrum(cfg: dict) -> int:
-    dom = config_domain(cfg)
-    mats = _spectrum_tuple(cfg, dom)
-    rows: list[list] = []
-    label = dom.label()
-    points = _scan_points(cfg, dom)
     reports = taylor_point_tests(mats, [flatten_point(dom, p) for p in points])
     for point, report in zip(points, reports):
         rows.append(
@@ -402,16 +468,13 @@ def cmd_spectrum(cfg: dict) -> int:
     for mu in joint_eigenvalues(mats, seed=cfg["seed"]):
         rows.append([label, "joint_eigenvalue", format_point(mu), "", ""])
     header = ["domain", "row_type", "point", "verdict", "min_stage_gap"]
-    write_rows(cfg.get("out"), header, rows)
+    write_rows(cfg["out"], header, rows)
     return 0
 
 
 # ---------------------------------------------------------------------
 # calculus command
 # ---------------------------------------------------------------------
-
-_DEFAULT_LEVELS = {("ball", 1): 10, ("polydisc", 1): 10, ("polydisc", 2): 8}
-
 
 def _default_polys(n: int) -> list[Polynomial]:
     polys = [Polynomial.constant(n, 1.0)]
@@ -422,40 +485,21 @@ def _default_polys(n: int) -> list[Polynomial]:
 
 
 def cmd_calculus(cfg: dict) -> int:
-    dom = config_domain(cfg)
-    if dom.kind == "matrixball":
-        raise ConfigError("config error at 'domain': no Shilov quadrature for the matrix ball")
-    default_level = _DEFAULT_LEVELS.get((dom.kind, dom.rank if dom.kind == "polydisc" else dom.dim), 4)
-    level = checked_number(cfg.get("level", default_level), "level", integer=True, low=1)
-    h = checked_number(cfg.get("tuple_size", 6 if dom.dim == 1 else 5), "tuple_size", integer=True, low=1)
-    radius = checked_number(
-        cfg.get("spectral_radius", 0.6), "spectral_radius", integer=False, low=0, below=1,
-        why="; the calculus needs the joint spectrum inside the domain",
-    )
-    num_tuples = checked_number(cfg.get("num_tuples", 3), "num_tuples", integer=True, low=1)
+    dom = DomainSpec.from_json(cfg["domain"])
     rng = np.random.default_rng(cfg["seed"])
-    if "polys" in cfg:
-        polys = [
-            poly_from_json(p, dom.dim, f"polys[{i}]")
-            for i, p in enumerate(checked_container(cfg["polys"], "polys", list))
-        ]
-    else:
-        polys = _default_polys(dom.dim)
-    z0_list = [
-        point_from_config(p, dom, f"z0_list[{i}]")
-        for i, p in enumerate(checked_container(cfg.get("z0_list", []), "z0_list", list))
-    ]
+    polys = [_poly(p) for p in cfg["polys"]]
+    z0_list = [_point(p) for p in cfg["z0_list"]]
     if not z0_list:
         z0_list = [np.array([0.3] + [0.0] * (dom.dim - 1), dtype=complex)]
 
     try:
-        quad = shilov_quadrature(dom, level)
+        quad = shilov_quadrature(dom, cfg["level"])
     except ValidationError as exc:  # past the rule's node limit or the Sobol table's dimensions
         field = "level" if "level" in str(exc) else "domain"
-        raise ConfigError(f"config error at '{field}': {exc}")
+        raise _error(field, str(exc))
     tuples = [
-        random_commuting_tuple(dom.dim, h, rng, spectral_radius=radius)
-        for _ in range(num_tuples)
+        random_commuting_tuple(dom.dim, cfg["tuple_size"], rng, spectral_radius=cfg["spectral_radius"])
+        for _ in range(cfg["num_tuples"])
     ]
     rows: list[list] = []
     label = dom.label()
@@ -482,7 +526,7 @@ def cmd_calculus(cfg: dict) -> int:
             resid = composition_residual(mats, z0, dom)
             rows.append([label, "composition", zi, ti, format_real(resid), "", ""])
     header = ["domain", "check", "item", "tuple", "residual", "est_error", "node_count"]
-    write_rows(cfg.get("out"), header, rows)
+    write_rows(cfg["out"], header, rows)
     return 0
 
 
@@ -494,61 +538,26 @@ NOISE_FLOOR = 1e-10
 
 
 def _invariance_families(cfg: dict, dom: DomainSpec) -> list[tuple[str, list]]:
-    n = dom.dim
-    wanted = checked_container(cfg.get("families", ["coordinates", "mobius"]), "families", list)
-    coords = [Polynomial.coordinate(i, n) for i in range(n)]
-    permissive = cfg.get("permissive")
-    if permissive is not None:
-        checked_container(permissive, "permissive", dict)
-        c = checked_number(permissive.get("c", 1.0), "permissive.c", integer=False, low=0)
-        if c == 0:
-            raise ConfigError("config error at 'permissive.c': must be positive")
-        d_shift = permissive.get("d", [0.0] * n)
-        shift = point_from_config(d_shift, dom, "permissive.d")
-        coords = [
-            coords[i] * c + Polynomial.constant(n, shift[i]) for i in range(n)
-        ]
-    z0_raw = cfg.get("z0")
-    z0 = (
-        point_from_config(z0_raw, dom, "z0")
-        if z0_raw is not None
-        else np.zeros(n, dtype=complex)
-    )
-    if spectral_norm(dom, flatten_point(dom, z0)) >= 1.0:
-        raise ConfigError("config error at 'z0': Moebius parameter must be interior")
-    families: list[tuple[str, list]] = []
-    for fam in wanted:
-        if fam == "coordinates":
-            families.append(("coordinates", coords))
-        elif fam == "mobius":
-            families.append(("mobius", mobius_rational_components(dom, z0)))
-        else:
-            raise ConfigError(f"config error at 'families': unknown family {fam!r}")
-    return families
+    n, c, shift = dom.dim, cfg["permissive"]["c"], _point(cfg["permissive"]["d"])
+    coords = [Polynomial.coordinate(i, n) * c + Polynomial.constant(n, shift[i]) for i in range(n)]
+    z0 = _point(cfg["z0"])
+    return [
+        (fam, coords if fam == "coordinates" else mobius_rational_components(dom, z0))
+        for fam in cfg["families"]
+    ]
 
 
 def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
-    dom = config_domain(cfg)
-    lam = float(cfg_get(cfg, "lambda"))
-    d_list = sorted(_as_int_list(cfg_get(cfg, "D_list"), "D_list"))
-    gens = config_generators(cfg, dom)
-    p_values = checked_container(cfg.get("p_values", [2.0]), "p_values", list)
-    if not p_values:
-        raise ConfigError("config error at 'p_values': must be a non-empty list of numbers >= 1")
-    for i, p in enumerate(p_values):
-        if p != math.inf:  # p = inf (JSON Infinity) is the operator norm
-            checked_number(p, f"p_values[{i}]", integer=False, low=1)
-    window = cfg.get("window")
-    if window is not None:
-        checked_number(window, "window", integer=True, low=0)
-    cache_dir = cfg.get("cache_dir")
+    dom = DomainSpec.from_json(cfg["domain"])
+    d_list = sorted(cfg["D_list"])
+    gens = [_poly(g) for g in cfg["generators"]]
     families = _invariance_families(cfg, dom)
 
     def run_cell(item):
         fam_name, symbols, d_trunc = item
         return essential_normality_profile(
-            dom, lam, gens, symbols, p_values, [d_trunc],
-            family=fam_name, window=window, cache_dir=cache_dir,
+            dom, cfg["lambda"], gens, symbols, cfg["p_values"], [d_trunc],
+            family=fam_name, window=cfg["window"], cache_dir=cfg["cache_dir"],
         )
 
     cells = [(fam, syms, d) for fam, syms in families for d in d_list]
@@ -595,7 +604,7 @@ def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
                 ]
             )
 
-    out = cfg.get("out")
+    out = cfg["out"]
     write_rows(out, header, rows)
     if out is None:
         sys.stdout.write("\r\n")
@@ -648,14 +657,8 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config error at '--D': not a comma-separated integer list: {args.D!r}")
         if not out["D_list"]:
             raise ConfigError("config error at '--D': empty degree list")
-    if args.lam is not None:
-        out["lambda"] = args.lam
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.out is not None:
-        out["out"] = args.out
-    if args.cache_dir is not None:
-        out["cache_dir"] = args.cache_dir
+    flags = {"lambda": args.lam, "seed": args.seed, "out": args.out, "cache_dir": args.cache_dir}
+    out.update((key, value) for key, value in flags.items() if value is not None)
     return out
 
 
@@ -663,16 +666,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args)
-        cfg = normalize_config(cfg, args.command)
-        if args.command == "kernel":
-            return cmd_kernel(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "calculus":
-            return cmd_calculus(cfg)
-        return cmd_invariance(cfg, jobs=getattr(args, "jobs", 1))
+        jobs = _check(getattr(args, "jobs", 1), Field("int", low=1), "--jobs", None)
+        cfg = normalize_config(apply_overrides(load_config(args.config), args), args.command)
+        if args.command == "invariance":
+            return cmd_invariance(cfg, jobs=jobs)
+        commands = {"kernel": cmd_kernel, "spectrum": cmd_spectrum, "calculus": cmd_calculus}
+        return commands[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -455,14 +455,7 @@ def schatten_norm(x: np.ndarray, p: float) -> float:
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
-def permissive_transform(
-    mats,
-    c: float,
-    shift,
-    dom: DomainSpec,
-    *,
-    seed: int = 0,
-) -> list[np.ndarray]:
+def permissive_transform(mats, c: float, shift, dom: DomainSpec) -> list[np.ndarray]:
     """Affine reparametrization T -> c T + shift of a commuting tuple.
 
     Permissive means the transformed joint eigenvalues stay in the closed
@@ -476,7 +469,7 @@ def permissive_transform(
         raise ValidationError("shift length must match the tuple")
     eye = np.eye(mats[0].shape[0], dtype=complex)
     out = [c * m + s * eye for m, s in zip(mats, shift)]
-    for mu in koszul.joint_eigenvalues(out, seed=seed):
+    for mu in koszul.joint_eigenvalues(out):
         if spectral_norm(dom, mu) > 1.0 + BOUNDARY_TOL:
             raise NotPermissive(
                 f"transformed joint eigenvalue leaves the closed domain "

@@ -16,6 +16,7 @@ from .domains import DomainSpec
 from .errors import PoleError, ValidationError
 
 INTEGER_TOL = 1e-12
+FINITE_RANK_KMAX = 64  # the largest k for which lam = -k counts as finite rank
 
 Partition = tuple[int, ...]
 
@@ -95,7 +96,7 @@ def classify_weight(lam: float, dom: DomainSpec) -> WallachVerdict:
     return WallachVerdict(WallachClass.NOT_IN_WALLACH)
 
 
-def finite_rank_membership(lam: float, a: float, r: int, kmax: int = 64) -> bool:
+def finite_rank_membership(lam: float, a: float, r: int) -> bool:
     """True when the kernel power series of Delta^{-lam} has finitely many
     nonzero degree blocks.
 
@@ -103,15 +104,13 @@ def finite_rank_membership(lam: float, a: float, r: int, kmax: int = 64) -> bool
     partitions m.  Since partitions (k, 0, ..., 0) are unconstrained in their
     first part, the first Pochhammer factor must eventually vanish, which
     forces lam to be a non-positive integer; conversely lam = -k bounds every
-    part by k.  The check accepts lam = -k for 0 <= k <= kmax within
-    ``INTEGER_TOL``.
+    part by k.  The check accepts lam = -k for 0 <= k <= ``FINITE_RANK_KMAX``
+    within ``INTEGER_TOL``.
     """
-    if kmax < 0:
-        raise ValidationError("kmax must be non-negative")
     if lam > INTEGER_TOL:
         return False
     k = round(-lam)
-    return 0 <= k <= kmax and abs(lam + k) <= INTEGER_TOL
+    return 0 <= k <= FINITE_RANK_KMAX and abs(lam + k) <= INTEGER_TOL
 
 
 def finite_rank_degree_bound(lam: float, dom: DomainSpec) -> int:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdom.cli import main, normalize_config, summary_path_for
+from symdom.cli import FIELDS, main, normalize_config, summary_path_for
 from symdom.domains import DomainSpec
 from symdom.kernels import gram_block, load_basis, save_basis
 
@@ -617,6 +617,21 @@ DIAGONAL = {"kind": "diagonal", "entries": [[0.2, 0.3]]}
         ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": "2"}), "domain"),
         ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": True}), "domain"),
         ("kernel", kernel_cfg(None, domain={"kind": "matrixball", "n": 2, "r": 1.0}), "domain"),
+        # a misspelled key is reported, never ignored in favour of the default
+        ("invariance", invariance_cfg(None, p_value=[1.0]), "p_value"),
+        ("invariance", invariance_cfg(None, familes=["coordinates"]), "familes"),
+        ("spectrum", {"domain": BALL2, "lambda": 2.0, "tuple": {"d": 3}, "points": [[0.1, 0.1]]}, "tuple.d"),
+        ("spectrum", {"domain": BALL2, "tuple": DIAGONAL, "grid": {"step": 9}}, "grid.step"),
+        ("kernel", kernel_cfg(None, domain={"kind": "ball", "n": 2, "r": 1}), "domain.r"),
+        ("kernel", kernel_cfg(None, generators=[Z1_JSON]), "generators"),
+        # a polynomial's nvars is an integer, never a boolean or a float
+        (
+            "invariance",
+            invariance_cfg(None, domain=BALL1, generators=[{"nvars": True, "terms": {"1": 1.0}}]),
+            "generators[0].nvars",
+        ),
+        ("invariance", invariance_cfg(None, generators=[dict(Z1_JSON, nvars=2.0)]), "generators[0].nvars"),
+        ("calculus", {"domain": BALL1, "polys": [{"terms": {"1": 1.0}, "var": 1}]}, "polys[0].var"),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, command, cfg, field):
@@ -698,3 +713,70 @@ def test_spectrum_shift_past_the_float_range_is_a_guard_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "float range" in err
     assert "Traceback" not in err
+
+
+def test_duplicate_keys_are_config_errors(tmp_path, capsys):
+    # json.loads alone keeps the last "lambda" and runs with it
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"domain": {"kind": "ball", "n": 2}, "lambda": 0.0, "D_list": [2], "lambda": 2.0}'
+    )
+    assert main(["kernel", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at 'lambda': duplicate key" in err
+    assert "Traceback" not in err
+    path.write_text('{"domain": {"kind": "ball", "n": 2, "n": 3}, "lambda": 2.0, "D_list": [2]}')
+    assert main(["kernel", "--config", str(path)]) == 2
+    assert "config error at 'n': duplicate key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    out = str(tmp_path / "inv.csv")
+    cfg = write_cfg(tmp_path, "cfg.json", invariance_cfg(out))
+    assert main(["invariance", "--config", cfg, "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "config error at '--jobs'" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_config_is_valid():
+    # the README's example invariance.json cannot drift from the key tables
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("Example `invariance.json`:", 1)[1].split("```json", 1)[1]
+    cfg = json.loads(block.split("```", 1)[0])
+    normalized = normalize_config(cfg, "invariance")
+    assert normalized["p_values"] == [3.0]
+    assert normalized["families"] == ["coordinates", "mobius"]
+
+
+def test_readme_schema_lists_every_key():
+    notes = README.read_text(encoding="utf-8").split("Schema notes.", 1)[1].split("\nValues:", 1)[0]
+    bullets = notes.split("\n- ")[1:]
+    common = next(b for b in bullets if b.startswith("Every subcommand"))
+    for command, table in FIELDS.items():
+        text = common + next(b for b in bullets if b.startswith(f"`{command}`"))
+        nested = [k for field in table.values() if field.kind == "table" for k in field.of]
+        missing = [k for k in [*table, *nested] if f"`{k}`" not in text]
+        assert not missing, (command, missing)
+
+
+def test_normalize_config_fills_every_table_key():
+    cfg = normalize_config({"domain": BALL1, "level": 2}, "calculus")
+    assert set(cfg) == set(FIELDS["calculus"])
+    assert (cfg["level"], cfg["tuple_size"], cfg["num_tuples"]) == (2, 6, 3)
+    assert cfg["out"] is None
+
+
+def test_polys_keep_their_term_order_and_generators_are_sorted():
+    # f(T) sums a polynomial's terms in the order given, and the order moves
+    # the last digits of the calculus residuals; generators are held by degree
+    terms = {"2,1": 0.5, "0,0": -0.25, "1,0": 1.5}
+    cfg = normalize_config({"domain": {"kind": "polydisc", "n": 2}, "polys": [{"terms": terms}]}, "calculus")
+    assert list(cfg["polys"][0]["terms"]) == ["2,1", "0,0", "1,0"]
+    cfg = normalize_config(invariance_cfg(None, generators=[{"terms": terms}], D_list=[4]), "invariance")
+    assert list(cfg["generators"][0]["terms"]) == ["0,0", "1,0", "2,1"]
