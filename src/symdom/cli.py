@@ -69,24 +69,30 @@ def format_complex(v: complex) -> str:
     return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
 
 
+def _is_number(obj) -> bool:
+    """A JSON number: JSON booleans are ints to Python, but not numbers."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def parse_complex(obj, where: str) -> complex:
     """A finite complex number from a JSON number, "re+imj" or [re, im]."""
-    if isinstance(obj, (int, float)):
-        value = complex(obj)
-    elif isinstance(obj, str):
+    pair = isinstance(obj, list) and len(obj) == 2
+    if isinstance(obj, str):
         try:
             value = complex(obj.replace(" ", ""))
         except ValueError:
-            raise ConfigError(f"config error at '{where}': not a complex literal: {obj!r}")
-    elif isinstance(obj, list) and len(obj) == 2:
+            raise _error(where, f"not a complex literal: {obj!r}")
+    elif pair and not all(_is_number(x) for x in obj):
+        raise _error(where, "[re, im] needs two real numbers")
+    elif pair or _is_number(obj):
         try:
-            value = complex(float(obj[0]), float(obj[1]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"config error at '{where}': [re, im] needs two real numbers")
+            value = complex(*obj) if pair else complex(obj)
+        except OverflowError:
+            raise _error(where, "not a finite number: an integer past the float range")
     else:
-        raise ConfigError(f"config error at '{where}': expected number, \"re+imj\", or [re, im]")
+        raise _error(where, 'expected number, "re+imj", or [re, im]')
     if not cmath.isfinite(value):
-        raise ConfigError(f"config error at '{where}': not a finite number: {obj!r}")
+        raise _error(where, f"not a finite number: {obj!r}")
     return value
 
 
@@ -215,9 +221,12 @@ def _check(value, spec: Field, where: str, dom: DomainSpec | None):
         return value
     if kind in ("int", "num", "p"):
         integer, low, below = kind == "int", spec.low, spec.below
-        if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool):
+        if _is_number(value) and (isinstance(value, int) or not integer):
             if low <= value < below and value > -math.inf:
-                return value if integer else float(value)
+                if integer:
+                    return value
+                if abs(value) <= sys.float_info.max:  # a larger integer has no float
+                    return float(value)
         if low == -math.inf:
             span = "that is finite"
         else:
@@ -318,6 +327,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise ConfigError(f"config syntax error: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config error at top level: expected a JSON object")
     return cfg

@@ -30,6 +30,18 @@ invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2, which equals
   span, adapted to the degree filtration; the span's rank is decided only
   there, by the complement's null spaces.  Each quotient basis vector is
   supported on degrees <= its label.
+
+The invariance guard compares the defect with ``INVARIANCE_TOL`` times
+max(1, largest ||T_i||_2); that scale cannot lower the threshold below
+``INVARIANCE_TOL``, so its norms are taken only when the defect exceeds it.
+
+On a model, the compression of an affine coordinate symbol c z_i + d is
+c S_i + d I, read from the model's own S_i.  When the generators are
+homogeneous and every symbol of a profile is such a symbol, [S_a, S_b*] =
+c_a conj(c_b) [S_i, S_j*] is block-diagonal by degree (S_i maps degree d to
+d + 1), so the full and windowed Schatten cells come from its degree
+blocks, cut from the model's S_i at the label boundaries; Moebius symbols
+and filtration-path models take the dense commutator.
 """
 
 from __future__ import annotations
@@ -277,9 +289,20 @@ def _filtration_complement(
     return np.column_stack(chosen), np.asarray(labels, dtype=int)
 
 
-def _check_invariance(defect: float, scale: float) -> None:
-    """``defect`` is max_i ||Q^H T_i - S_i Q^H||_2 (see the module notes)."""
-    if defect > INVARIANCE_TOL * max(1.0, scale):
+def _multiplier_scale(basis: TruncatedBasis) -> float:
+    """Largest ||T_i||_2 over the truncated coordinate multipliers."""
+    return max(_shift_norm(_coordinate_blocks(basis, i)) for i in range(basis.dom.dim))
+
+
+def _check_invariance(defect: float, basis: TruncatedBasis) -> None:
+    """``defect`` is max_i ||Q^H T_i - S_i Q^H||_2 (see the module notes).
+
+    It fails when defect > ``INVARIANCE_TOL`` * max(1, scale); the scale is
+    at least 1 there, so it is taken only when defect > ``INVARIANCE_TOL``.
+    """
+    if defect > INVARIANCE_TOL and defect > INVARIANCE_TOL * max(
+        1.0, _multiplier_scale(basis)
+    ):
         raise NumericallySingular(
             f"truncated submodule not invariant, defect {defect:.2e}"
         )
@@ -311,10 +334,9 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     # Each coordinate multiplier shifts degree d to d + 1, so its compression,
     # the norms and the invariance defect Q^H T - S Q^H are taken blockwise;
     # a degree where M has rank 0 has a unitary Q_d and no defect.
-    compressed, tuple_blocks, scale, defect = [], [], 0.0, 0.0
+    compressed, tuple_blocks, defect = [], [], 0.0
     for i in range(basis.dom.dim):
         blocks = _coordinate_blocks(basis, i)
-        scale = max(scale, _shift_norm(blocks))
         mat = np.zeros((nq, nq), dtype=complex)
         sblocks = []
         for d, t in enumerate(blocks):
@@ -328,7 +350,7 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
                 )
         compressed.append(mat)
         tuple_blocks.append(sblocks)
-    _check_invariance(defect, scale)
+    _check_invariance(defect, basis)
     _check_shift_commuting(tuple_blocks)
     # copies: a view would keep each degree's full size_d x size_d u alive
     blocks = tuple(
@@ -360,12 +382,15 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
             )
             for z, s in zip(coords, compressed)
         )
-        scale = max(
-            _shift_norm(_coordinate_blocks(basis, i)) for i in range(basis.dom.dim)
-        )
-        _check_invariance(defect, scale)
+        _check_invariance(defect, basis)
         koszul.check_commuting(compressed)
     return QuotientModel(basis, tuple(generators), blocks, labels, compressed)
+
+
+def _is_graded(generators) -> bool:
+    """Whether ``quotient_model`` takes the graded path: every generator
+    homogeneous."""
+    return all(len(g.homogeneous_parts()) == 1 for g in generators)
 
 
 def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -380,7 +405,7 @@ def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     (defect <= 1e-10).
     """
     generators = tuple(generators)
-    if all(len(g.homogeneous_parts()) == 1 for g in generators):
+    if _is_graded(generators):
         return _graded_model(basis, generators)
     return _filtration_model(basis, generators)
 
@@ -390,8 +415,27 @@ def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
     return quotient_model(basis, ())
 
 
+def _affine_coordinate(symbol) -> tuple[int, complex, complex] | None:
+    """(i, c, d) when ``symbol`` is the polynomial c z_i + d with c != 0,
+    else None."""
+    if not isinstance(symbol, Polynomial):
+        return None
+    zero = (0,) * symbol.nvars
+    linear = [(alpha, c) for alpha, c in symbol.terms.items() if alpha != zero]
+    if len(linear) != 1 or sum(linear[0][0]) != 1:
+        return None
+    (alpha, c), = linear
+    return alpha.index(1), c, symbol.terms.get(zero, 0.0)
+
+
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
-    """S_f = P M_f P restricted to the quotient."""
+    """S_f = P M_f P restricted to the quotient; c S_i + d I, from the
+    model's own S_i, when f = c z_i + d."""
+    _check_symbol(model.basis, f)
+    affine = _affine_coordinate(f)
+    if affine is not None:
+        i, c, d = affine
+        return c * model.tuple_mats[i] + d * np.eye(model.dim_quotient)
     return _sandwich(model.basis, f, model.blocks, model.blocks, (model.dim_quotient,) * 2)
 
 
@@ -442,16 +486,23 @@ def cross_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def schatten_norm(x: np.ndarray, p: float) -> float:
     """Schatten p-norm via singular values (p = 2: the Frobenius norm); p may
     be inf, must be >= 1."""
+    return _block_schatten_norm([x], p)
+
+
+def _block_schatten_norm(blocks, p: float) -> float:
+    """Schatten p-norm of the block-diagonal operator with these diagonal
+    blocks: its singular values are the union of the blocks' ones, and its
+    Frobenius norm (p = 2) the root of their summed squares."""
     if p < 1:
         raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    x = np.asarray(x, dtype=complex)
-    if min(x.shape) == 0:
+    blocks = [b for b in (np.asarray(x, dtype=complex) for x in blocks) if b.size]
+    if not blocks:
         return 0.0
     if p == 2:  # the Frobenius norm needs no singular values
-        return float(np.linalg.norm(x))
-    sv = np.linalg.svd(x, compute_uv=False)
+        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
+    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
     if np.isinf(p):
-        return float(sv[0])
+        return float(sv.max())
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
@@ -503,6 +554,25 @@ def windowed_submatrix(
     return mat[np.ix_(keep, keep)]
 
 
+def _commutator_blocks(model: QuotientModel, i: int, j: int) -> list[np.ndarray]:
+    """Degree-d diagonal blocks, d = 0 .. D, of [S_i, S_j*] on a graded
+    model, where S_i maps degree d to d + 1 through its block S_i(d): block
+    d is S_i(d-1) S_j(d-1)* - S_j(d)* S_i(d), with S(-1) = S(D) = 0."""
+    top = model.basis.max_degree
+    starts = np.searchsorted(model.degree_labels, np.arange(top + 2))
+    degree = [slice(starts[d], starts[d + 1]) for d in range(top + 1)]
+    si, sj = model.tuple_mats[i], model.tuple_mats[j]
+    out = []
+    for d, rows in enumerate(degree):
+        block = np.zeros((rows.stop - rows.start,) * 2, dtype=complex)
+        if d > 0:
+            block += si[rows, degree[d - 1]] @ sj[rows, degree[d - 1]].conj().T
+        if d < top:
+            block -= sj[degree[d + 1], rows].conj().T @ si[degree[d + 1], rows]
+        out.append(block)
+    return out
+
+
 def essential_normality_profile(
     dom: DomainSpec,
     lam: float,
@@ -522,20 +592,37 @@ def essential_normality_profile(
     vectors of degree <= D - w, with w defaulting to one more than the top
     symbol degree; that discards rows and columns polluted by the truncation
     edge.
+
+    When every generator is homogeneous and every symbol is c z_i + d, each
+    commutator is c_a conj(c_b) [S_i, S_j*] and is taken by degree blocks
+    (``_commutator_blocks``), the window keeping degrees <= D - w; otherwise
+    it is the dense ``cross_commutator`` of the compressed symbols.
     """
-    symbols = list(symbols)
+    generators, symbols = tuple(generators), list(symbols)
     if not symbols:
         raise ValidationError("need at least one symbol")
     w = window if window is not None else max(s.degree() for s in symbols) + 1
+    affine = [_affine_coordinate(s) for s in symbols]
+    blockwise = _is_graded(generators) and None not in affine
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
         model = quotient_model(basis, generators)
-        compressed = [compress_symbol(model, s) for s in symbols]
-        labels = model.degree_labels
+        if blockwise:
+            for s in symbols:
+                _check_symbol(basis, s)
+        else:
+            compressed = [compress_symbol(model, s) for s in symbols]
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
-            comm = cross_commutator(compressed[i], compressed[j])
-            windowed = windowed_submatrix(comm, labels, D - w)
+            if blockwise:
+                (a, ca, _), (b, cb, _) = affine[i], affine[j]
+                full = _commutator_blocks(model, a, b)
+                windowed, factor = full[: max(D - w + 1, 0)], abs(ca * cb)
+            else:
+                comm = cross_commutator(compressed[i], compressed[j])
+                full = [comm]
+                windowed = [windowed_submatrix(comm, model.degree_labels, D - w)]
+                factor = 1.0
             for p in p_values:
                 rows.append(
                     ProfileRow(
@@ -546,8 +633,8 @@ def essential_normality_profile(
                         symbols[i].label(),
                         symbols[j].label(),
                         float(p),
-                        schatten_norm(comm, p),
-                        schatten_norm(windowed, p),
+                        factor * _block_schatten_norm(full, p),
+                        factor * _block_schatten_norm(windowed, p),
                         model.dim_quotient,
                     )
                 )

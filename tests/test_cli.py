@@ -516,6 +516,9 @@ BALL1 = {"kind": "ball", "n": 1}
             },
             "grid.steps",
         ),
+        # 401-digit integers: past the floating-point range, never an OverflowError
+        ("kernel", kernel_cfg(None, **{"lambda": 10**400}), "lambda"),
+        ("invariance", invariance_cfg(None, z0=[10**400, 0.0]), "z0[0]"),
     ],
 )
 def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command, cfg, field):
@@ -524,6 +527,27 @@ def test_numeric_fields_out_of_range_are_config_errors(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert f"config error at '{field}'" in err
     assert "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # json refuses integer literals of more than 4300 digits with a ValueError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(kernel_cfg(None)).replace("2.0", "1" + "0" * 5000, 1))
+    assert main(["kernel", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config syntax error" in err
+    assert "Traceback" not in err
+
+
+def test_complex_entries_keep_the_string_form(tmp_path):
+    out = str(tmp_path / "spec.csv")
+    cfg = {
+        "domain": POLY2, "tuple": {"kind": "diagonal", "entries": [["0.2+0.1j", [0.3, 0.0]]]},
+        "points": [["0.2 + 0.1j", 0.3]], "out": out,
+    }
+    assert main(["spectrum", "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 0
+    (test,) = [r for r in read_csv(out)[1:] if r[1] == "point_test"]
+    assert test[3] != "Regular"
 
 
 def test_input_too_large_for_memory_is_an_error_exit(tmp_path, capsys):
@@ -591,6 +615,7 @@ def test_normalize_config_idempotent():
 
 
 BALL2 = {"kind": "ball", "n": 2}
+POLY2 = {"kind": "polydisc", "n": 2}
 DIAGONAL = {"kind": "diagonal", "entries": [[0.2, 0.3]]}
 
 
@@ -632,6 +657,20 @@ DIAGONAL = {"kind": "diagonal", "entries": [[0.2, 0.3]]}
         ),
         ("invariance", invariance_cfg(None, generators=[dict(Z1_JSON, nvars=2.0)]), "generators[0].nvars"),
         ("calculus", {"domain": BALL1, "polys": [{"terms": {"1": 1.0}, "var": 1}]}, "polys[0].var"),
+        # a complex entry is a JSON number, "re+imj" or [re, im] of JSON numbers
+        ("spectrum", {"domain": POLY2, "tuple": DIAGONAL, "points": [[True, 0.0]]}, "points[0][0]"),
+        (
+            "spectrum",
+            {"domain": POLY2, "tuple": {"kind": "diagonal", "entries": [[0.2, ["0.2", 0.0]]]},
+             "points": [[0.1, 0.1]]},
+            "tuple.entries[0][1]",
+        ),
+        (
+            "spectrum",
+            {"domain": POLY2, "tuple": {"kind": "diagonal", "entries": [[0.2, [0.2, False]]]},
+             "points": [[0.1, 0.1]]},
+            "tuple.entries[0][1]",
+        ),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_config_errors(tmp_path, capsys, command, cfg, field):

@@ -32,6 +32,10 @@ COMMAND_DOMAINS = {
 }
 # no large integers: a mutated size such as tuple_size or steps stays small
 ODD = [-1, 0, 1, 2.5, True, None, "x", [], {}, math.nan, math.inf]
+# past the floating-point range: offered only where a number or a complex
+# entry is read, so no size ever takes it, and first, where Hypothesis leans
+HUGE = 10**400
+NUMBER_KINDS = ("num", "p", "point")
 
 
 def valid_value(field, key, domain):
@@ -59,23 +63,39 @@ def valid_value(field, key, domain):
     return dict(domain)
 
 
+def spots(cfg, fields):
+    """Every (parent, key, field) a mutation can hit: the top-level keys,
+    the keys of nested objects and the first entry of each list, with the
+    Field that reads the value there (None off the tables).  The domain
+    comes last: Hypothesis leans towards the first entries."""
+    out = [(cfg, k, fields.get(k)) for k in reversed(cfg)]
+    for name, value in reversed(cfg.items()):
+        if isinstance(value, dict):
+            field = fields.get(name)
+            table = field.of if field is not None and field.kind == "table" else {}
+            out += [(value, k, table.get(k)) for k in value]
+    for name, value in cfg.items():
+        if isinstance(value, list) and value:
+            field = fields.get(name)
+            out.append((value, 0, field.of if field is not None and field.kind == "list" else field))
+    return out
+
+
 @st.composite
 def configs(draw):
     command = draw(st.sampled_from(sorted(FIELDS)))
     domain = DOMAINS[draw(st.sampled_from(COMMAND_DOMAINS[command]))]
-    cfg = {k: valid_value(f, k, domain) for k, f in FIELDS[command].items()}
+    fields = FIELDS[command]
+    cfg = {k: valid_value(f, k, domain) for k, f in fields.items()}
     for _ in range(draw(st.integers(0, 3))):
-        # the domain last: Hypothesis leans towards the first entries
-        spots = [(cfg, k) for k in reversed(cfg)]
-        spots += [(v, k) for v in reversed(cfg.values()) if isinstance(v, dict) for k in v]
-        spots += [(v, 0) for v in cfg.values() if isinstance(v, list) and v]
-        parent, key = draw(st.sampled_from(spots))
+        parent, key, field = draw(st.sampled_from(spots(cfg, fields)))
         action = draw(st.sampled_from(["drop", "rename", "odd"]))
         value = parent.pop(key)
         if action == "rename" and isinstance(parent, dict):
             parent[key[:-1] or "x"] = value  # a typo: the last letter lost
         elif action != "drop":
-            odd = draw(st.sampled_from(ODD))
+            number = field is not None and field.kind in NUMBER_KINDS
+            odd = draw(st.sampled_from([HUGE] * number + ODD))
             if isinstance(parent, dict):
                 parent[key] = odd
             else:

@@ -311,18 +311,19 @@ def test_mobius_preserves_open_domain(any_domain, rng):
         assert spectral_norm(any_domain, image) < 1.0
 
 
-@pytest.mark.parametrize(
-    "dom",
-    [
-        DomainSpec.ball(1),
-        DomainSpec.ball(3),
-        DomainSpec.polydisc(2),
-        DomainSpec.matrix_ball(1, 3),
-        DomainSpec.matrix_ball(2, 2),
-        DomainSpec.matrix_ball(2, 3),
-    ],
-    ids=lambda dom: dom.label(),
-)
+# rank <= 2: Delta's factors stay near 1 at spectral norms <= 0.5, so the
+# principal powers below multiply without wrapping an argument
+MOBIUS_RULE_DOMAINS = [
+    DomainSpec.ball(1),
+    DomainSpec.ball(3),
+    DomainSpec.polydisc(2),
+    DomainSpec.matrix_ball(1, 3),
+    DomainSpec.matrix_ball(2, 2),
+    DomainSpec.matrix_ball(2, 3),
+]
+
+
+@pytest.mark.parametrize("dom", MOBIUS_RULE_DOMAINS, ids=lambda dom: dom.label())
 def test_mobius_transformation_rule(dom, rng):
     # Delta(g_a z, g_a w) = Delta(a, a) Delta(z, w) / (Delta(z, -a) conj Delta(w, -a))
     for _ in range(20):
@@ -334,6 +335,24 @@ def test_mobius_transformation_rule(dom, rng):
             generic_poly(dom, a, a)
             * generic_poly(dom, z, w)
             / (generic_poly(dom, z, minus_a) * np.conj(generic_poly(dom, w, minus_a)))
+        )
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.5, 3.0])
+@pytest.mark.parametrize("dom", MOBIUS_RULE_DOMAINS, ids=lambda dom: dom.label())
+def test_mobius_kernel_power_rule(dom, lam, rng):
+    # K(g_a z, g_a w) = Delta(a, a)^-lam K(z, w) Delta(z, -a)^lam conj(Delta(w, -a))^lam
+    # with K = Delta^-lam, every power principal
+    for _ in range(20):
+        a, z, w = (random_point(dom, rng, max_norm=0.5) for _ in range(3))
+        g = mobius(dom, a)
+        minus_a = -flatten_point(dom, a)
+        lhs = kernel_eval(dom, lam, g(z), g(w))
+        rhs = (
+            kernel_eval(dom, lam, a, a)
+            * kernel_eval(dom, lam, z, w)
+            / (kernel_eval(dom, lam, z, minus_a) * np.conj(kernel_eval(dom, lam, w, minus_a)))
         )
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 

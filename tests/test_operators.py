@@ -1,6 +1,8 @@
 """Truncated multipliers, submodules and quotient compressions, rational
 compressions, cross-commutators, Schatten norms, and the profile harness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from symdom.errors import (
 )
 from symdom.kernels import multi_indices, truncated_basis
 from symdom.operators import (
+    INVARIANCE_TOL,
     SPAN_RANK_TOL,
+    _check_invariance,
     _check_shift_commuting,
     _coordinate_blocks,
     _filtration_model,
@@ -133,6 +137,26 @@ def test_invariance_guard_fires_on_a_truncated_span(dom, lam, gens, monkeypatch)
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", 0.6)
     with pytest.raises(NumericallySingular, match="not invariant"):
         quotient_model(basis, gens)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 7.5])
+def test_invariance_guard_takes_the_scale_only_when_it_decides(scale, monkeypatch):
+    calls = []
+
+    def fake_scale(basis):
+        calls.append(basis)
+        return scale
+
+    monkeypatch.setattr(operators, "_multiplier_scale", fake_scale)
+    bound = INVARIANCE_TOL * max(1.0, scale)
+    for defect in (0.0, 0.5 * INVARIANCE_TOL, INVARIANCE_TOL, 3 * INVARIANCE_TOL, 8 * INVARIANCE_TOL):
+        calls.clear()
+        if defect > bound:
+            with pytest.raises(NumericallySingular, match=f"not invariant, defect {defect:.2e}"):
+                _check_invariance(defect, "basis")
+        else:
+            _check_invariance(defect, "basis")
+        assert calls == ([] if defect <= INVARIANCE_TOL else ["basis"])
 
 
 # ---------------------------------------------------------------------
@@ -560,6 +584,58 @@ def test_permissive_rejects_exterior_spectrum():
 # ---------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------
+
+BLOCKWISE_CASES = [
+    (BALL2, 2.0, 7),
+    (POLY2, 2.0, 6),
+    (DomainSpec.matrix_ball(1, 3), 2.5, 5),
+    (DomainSpec.matrix_ball(2, 2), 2.5, 5),
+    (DomainSpec.matrix_ball(2, 3), 3.5, 4),
+]
+SCHATTEN_PS = [1.0, 1.5, 2.0, 3.0, np.inf]
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", BLOCKWISE_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
+    n = dom.dim
+    basis = truncated_basis(dom, lam, d_trunc)
+    z = [Polynomial.coordinate(i, n) for i in range(n)]
+    permissive = [zi * 0.7 + Polynomial.constant(n, 0.1 - 0.05j * i) for i, zi in enumerate(z)]
+
+    def no_dense(*args):
+        raise AssertionError("dense route on the blockwise path")
+
+    for gens in ([z[0] * z[1]], [z[0] * z[0], z[1] * z[1]]):
+        model = quotient_model(basis, gens)
+        q = model.quotient_onb
+        for symbols in (z, permissive):
+            dense = [q.conj().T @ mult_op(basis, f) @ q for f in symbols]
+            for f, want in zip(symbols, dense):
+                assert np.abs(compress(model, f) - want).max() < 1e-12
+            for name in ("cross_commutator", "windowed_submatrix", "compress_symbol"):
+                monkeypatch.setattr(operators, name, no_dense)
+            rows = essential_normality_profile(dom, lam, gens, symbols, SCHATTEN_PS, [d_trunc])
+            monkeypatch.undo()
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            assert len(rows) == len(pairs) * len(SCHATTEN_PS)
+            for row, ((i, j), p) in zip(rows, itertools.product(pairs, SCHATTEN_PS)):
+                comm = cross_commutator(dense[i], dense[j])
+                windowed = windowed_submatrix(comm, model.degree_labels, d_trunc - 2)
+                for got, want in (
+                    (row.schatten_full, schatten_norm(comm, p)),
+                    (row.schatten_windowed, schatten_norm(windowed, p)),
+                ):
+                    # on the polydisc [S_1, S_2*] vanishes in exact arithmetic:
+                    # cells at rounding level carry no digits to compare
+                    assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
+
+
+def test_profile_rejects_symbols_in_other_variables():
+    z1 = Polynomial.coordinate(0, 3)
+    for symbols in ([z1], [z1 * z1]):  # the blockwise route, then the dense one
+        with pytest.raises(ValidationError, match="symbol in 3 variables"):
+            essential_normality_profile(BALL2, 2.0, [Z1], symbols, [2.0], [4])
+
 
 def test_profile_constant_symbol_vanishes():
     rows = essential_normality_profile(
