@@ -35,13 +35,13 @@ The invariance guard compares the defect with ``INVARIANCE_TOL`` times
 max(1, largest ||T_i||_2); that scale cannot lower the threshold below
 ``INVARIANCE_TOL``, so its norms are taken only when the defect exceeds it.
 
-On a model, the compression of an affine coordinate symbol c z_i + d is
-c S_i + d I, read from the model's own S_i.  When the generators are
-homogeneous and every symbol of a profile is such a symbol, [S_a, S_b*] =
-c_a conj(c_b) [S_i, S_j*] is block-diagonal by degree (S_i maps degree d to
-d + 1), so the full and windowed Schatten cells come from its degree
-blocks, cut from the model's S_i at the label boundaries; Moebius symbols
-and filtration-path models take the dense commutator.
+When the generators are homogeneous and every symbol of a profile is an
+affine coordinate symbol c z_i + d, [S_a, S_b*] = c_a conj(c_b) [S_i, S_j*]
+is block-diagonal by degree (S_i maps degree d to d + 1), so the full and
+windowed Schatten cells come from its degree blocks, cut from the model's
+S_i at the label boundaries; each block's singular values are taken once
+and serve every p and the window.  Moebius symbols and filtration-path
+models take the dense commutator.
 """
 
 from __future__ import annotations
@@ -127,11 +127,9 @@ def _check_shift_commuting(tuple_blocks) -> float:
     return koszul._guard_commuting(worst)
 
 
-def _check_symbol(basis: TruncatedBasis, f: Polynomial) -> None:
-    if f.nvars != basis.dom.dim:
-        raise ValidationError(
-            f"symbol in {f.nvars} variables on {basis.dom.label()}"
-        )
+def _check_symbol(dom: DomainSpec, f: Polynomial) -> None:
+    if f.nvars != dom.dim:
+        raise ValidationError(f"symbol in {f.nvars} variables on {dom.label()}")
 
 
 def _identity_blocks(basis: TruncatedBasis) -> list[tuple[int, np.ndarray]]:
@@ -156,7 +154,7 @@ def _sandwich(basis: TruncatedBasis, f: Polynomial, left, right, shape) -> np.nd
     """L^H P_D M_f P_D R, a ``shape`` matrix, for L and R in the block form
     of ``QuotientModel.blocks``; no dim x dim product is formed, and each
     degree-shift block lands in one contiguous slice."""
-    _check_symbol(basis, f)
+    _check_symbol(basis.dom, f)
     out = np.zeros(shape, dtype=complex)
     for k, part in f.homogeneous_parts().items():
         for d in range(basis.max_degree - k + 1):
@@ -429,13 +427,7 @@ def _affine_coordinate(symbol) -> tuple[int, complex, complex] | None:
 
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
-    """S_f = P M_f P restricted to the quotient; c S_i + d I, from the
-    model's own S_i, when f = c z_i + d."""
-    _check_symbol(model.basis, f)
-    affine = _affine_coordinate(f)
-    if affine is not None:
-        i, c, d = affine
-        return c * model.tuple_mats[i] + d * np.eye(model.dim_quotient)
+    """S_f = P M_f P restricted to the quotient."""
     return _sandwich(model.basis, f, model.blocks, model.blocks, (model.dim_quotient,) * 2)
 
 
@@ -486,21 +478,37 @@ def cross_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def schatten_norm(x: np.ndarray, p: float) -> float:
     """Schatten p-norm via singular values (p = 2: the Frobenius norm); p may
     be inf, must be >= 1."""
-    return _block_schatten_norm([x], p)
+    return _spectra_norm(_block_spectra([x], [p]), p)
 
 
-def _block_schatten_norm(blocks, p: float) -> float:
-    """Schatten p-norm of the block-diagonal operator with these diagonal
-    blocks: its singular values are the union of the blocks' ones, and its
-    Frobenius norm (p = 2) the root of their summed squares."""
-    if p < 1:
-        raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    blocks = [b for b in (np.asarray(x, dtype=complex) for x in blocks) if b.size]
-    if not blocks:
-        return 0.0
+def _block_spectra(blocks, p_values) -> list[tuple[float, np.ndarray]]:
+    """(squared Frobenius norm, singular values) of each block, in order.
+
+    The singular values are taken once per block, and only when some p != 2
+    needs them; any prefix of the list describes the block-diagonal operator
+    with those leading blocks (see ``_spectra_norm``)."""
+    for p in p_values:
+        if p < 1:
+            raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
+    need_sv = any(p != 2 for p in p_values)
+    out = []
+    for b in blocks:
+        b = np.asarray(b, dtype=complex)
+        sv = np.linalg.svd(b, compute_uv=False) if need_sv and b.size else np.zeros(0)
+        out.append((np.linalg.norm(b) ** 2, sv))
+    return out
+
+
+def _spectra_norm(spectra, p: float) -> float:
+    """Schatten p-norm of the block-diagonal operator whose diagonal blocks
+    have these ``_block_spectra``: its singular values are the union of the
+    blocks' ones, and its Frobenius norm (p = 2) the root of their summed
+    squares."""
     if p == 2:  # the Frobenius norm needs no singular values
-        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks)))
-    sv = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+        return float(np.sqrt(sum(frob2 for frob2, _ in spectra)))
+    sv = np.concatenate([np.zeros(0)] + [sv for _, sv in spectra])
+    if not sv.size:
+        return 0.0
     if np.isinf(p):
         return float(sv.max())
     return float(np.sum(sv**p) ** (1.0 / p))
@@ -604,24 +612,26 @@ def essential_normality_profile(
     w = window if window is not None else max(s.degree() for s in symbols) + 1
     affine = [_affine_coordinate(s) for s in symbols]
     blockwise = _is_graded(generators) and None not in affine
+    if blockwise:  # the dense route checks each symbol as it compresses it
+        for s in symbols:
+            _check_symbol(dom, s)
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
         model = quotient_model(basis, generators)
-        if blockwise:
-            for s in symbols:
-                _check_symbol(basis, s)
-        else:
+        if not blockwise:
             compressed = [compress_symbol(model, s) for s in symbols]
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
             if blockwise:
                 (a, ca, _), (b, cb, _) = affine[i], affine[j]
-                full = _commutator_blocks(model, a, b)
+                full = _block_spectra(_commutator_blocks(model, a, b), p_values)
                 windowed, factor = full[: max(D - w + 1, 0)], abs(ca * cb)
             else:
                 comm = cross_commutator(compressed[i], compressed[j])
-                full = [comm]
-                windowed = [windowed_submatrix(comm, model.degree_labels, D - w)]
+                full = _block_spectra([comm], p_values)
+                windowed = _block_spectra(
+                    [windowed_submatrix(comm, model.degree_labels, D - w)], p_values
+                )
                 factor = 1.0
             for p in p_values:
                 rows.append(
@@ -633,8 +643,8 @@ def essential_normality_profile(
                         symbols[i].label(),
                         symbols[j].label(),
                         float(p),
-                        factor * _block_schatten_norm(full, p),
-                        factor * _block_schatten_norm(windowed, p),
+                        factor * _spectra_norm(full, p),
+                        factor * _spectra_norm(windowed, p),
                         model.dim_quotient,
                     )
                 )

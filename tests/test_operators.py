@@ -630,6 +630,32 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
                     assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
 
 
+@pytest.mark.parametrize(
+    "p_values, per_matrix", [([2.0], 0), ([2.0, 3.0, np.inf], 1), ([1.0, np.inf, 1.0], 1)]
+)
+def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, monkeypatch):
+    d_trunc, gens = 6, [Z1 * Z2]
+    basis = truncated_basis(BALL2, 2.0, d_trunc)
+    model = quotient_model(basis, gens)  # nonempty in every degree
+    monkeypatch.setattr(operators, "cached_truncated_basis", lambda *args: basis)
+    monkeypatch.setattr(operators, "quotient_model", lambda *args: model)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    # blockwise: one SVD per degree block, shared by the window
+    essential_normality_profile(BALL2, 2.0, gens, [Z1, Z2], p_values, [d_trunc])
+    assert len(calls) == 3 * (d_trunc + 1) * per_matrix
+    calls.clear()
+    # dense: one SVD of the full commutator and one of its window
+    essential_normality_profile(BALL2, 2.0, gens, [Z1 * Z1, Z2 * Z2], p_values, [d_trunc])
+    assert len(calls) == 3 * 2 * per_matrix
+
+
 def test_profile_rejects_symbols_in_other_variables():
     z1 = Polynomial.coordinate(0, 3)
     for symbols in ([z1], [z1 * z1]):  # the blockwise route, then the dense one
