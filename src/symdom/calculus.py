@@ -17,13 +17,12 @@ transformations of tuples through their rational component symbols.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-import scipy.linalg
 
 from . import koszul
 from .domains import (
@@ -52,10 +51,13 @@ SERIES_MAX_DEGREE = 400
 DENOM_SPECTRUM_MARGIN = 1e-6
 SPHERE_BASE_NODES = 1000
 _CHUNK = 8192
-# scipy's Joe-Kuo direction-number table; np.load reads it without importing
-# scipy.stats, which would cost more than drawing the points
+# scipy's Joe-Kuo direction-number table, found without importing scipy;
+# np.load reads it without importing scipy.stats, which would cost more than
+# drawing the points
 _SOBOL_TABLE = os.path.join(
-    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+    importlib.util.find_spec("scipy").submodule_search_locations[0],
+    "stats",
+    "_sobol_direction_numbers.npz",
 )
 _SOBOL_BITS = 30
 
@@ -204,7 +206,9 @@ def matrix_power_principal(a: np.ndarray, mu: float) -> np.ndarray:
     eigs = np.linalg.eigvals(a)
     if np.any((eigs.real <= 0) & (np.abs(eigs.imag) <= 1e-14 * np.abs(eigs))):
         raise BranchCutError("matrix has an eigenvalue on the negative real axis")
-    return scipy.linalg.fractional_matrix_power(a, mu)
+    from scipy.linalg import fractional_matrix_power  # absent from numpy
+
+    return fractional_matrix_power(a, mu)
 
 
 def _tuple_and_radius(mats, dom: DomainSpec):

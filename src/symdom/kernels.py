@@ -13,25 +13,28 @@ block-diagonal by torus weight and is stored as a sparse CSR array; the
 recurrence runs on its nonzeros only.  For continuous Wallach weights C_d
 is positive definite, and the orthonormal graded basis used by the operator
 layer is its reverse Cholesky factor U (upper triangular, U U^T = C_d),
-taken once per connected component of the sparsity pattern.  The Gram
-matrix of monomials, C_d^{-1}, is kept as a diagnostic.
+taken once per torus-weight class.  The classes are read off the
+multi-indices, and every solve with U (coordinates, monomial norms, the
+multiplier blocks of the operator layer) runs class by class in numpy.
+scipy is imported only where an algorithm numpy lacks is needed: the sparse
+series blocks and the Gram blocks' Cholesky solves.  The Gram matrix of
+monomials, C_d^{-1}, is kept as a diagnostic.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import tempfile
 import zipfile
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .domains import DomainSpec, flatten_point, generic_poly, generic_poly_terms
 from .errors import (
@@ -42,6 +45,9 @@ from .errors import (
 )
 from .polynomials import MultiIndex, Polynomial
 from .wallach import classify_weight, rising_factorial
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "SYMDOM_CACHE_DIR"
@@ -84,6 +90,91 @@ def _shift_positions(n: int, d: int, gamma: MultiIndex) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_classes(dom: DomainSpec, d: int) -> tuple[np.ndarray, ...]:
+    """Positions of the degree-d monomials grouped by torus weight, stacked
+    by class size: one (k, s) array per size s, each row a class in
+    ascending order.
+
+    The torus z -> u z v scales z^alpha by a character, its weight: alpha
+    itself on the polydisc, and on the ball (1 x n) and the matrix ball the
+    row and column sums of alpha read as a rows x cols array.  Delta is
+    torus-invariant, so C_d and its factor U couple no two classes.
+    """
+    alpha = _alpha_array(dom.dim, d)
+    if dom.kind == "polydisc":
+        weight = alpha
+    else:
+        grid = alpha.reshape(-1, dom.rows, dom.cols)
+        weight = np.hstack([grid.sum(axis=2), grid.sum(axis=1)])
+    _, label = np.unique(weight, axis=0, return_inverse=True)
+    label = label.reshape(-1)  # 2-D on some numpy 2.0 releases
+    order = np.argsort(label, kind="stable")
+    by_size: dict[int, list[np.ndarray]] = {}
+    for cls in np.split(order, np.cumsum(np.bincount(label))[:-1]):
+        by_size.setdefault(cls.size, []).append(cls)
+    return tuple(_read_only(np.stack(group)) for group in by_size.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_plan(
+    dom: DomainSpec, gamma: MultiIndex, d: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """How z^gamma carries the weight classes of degree d into degree
+    d + |gamma|.
+
+    The weight of z^(alpha + gamma) is that of z^alpha plus that of z^gamma,
+    so each class of degree d lands inside exactly one class of degree
+    d + |gamma|.  The (destination, source) pairs are grouped by their sizes
+    (s, t); a group is (dst, src, hit) of shapes (k, s), (k, t), (k, t),
+    where hit[i, a] is the row of dst[i] that z^gamma sends src[i, a] to.
+    """
+    upper = _weight_classes(dom, d + sum(gamma))
+    # (stack, row, column) of each degree-(d + |gamma|) monomial in ``upper``
+    where = np.empty((sum(stack.size for stack in upper), 3), dtype=np.intp)
+    for k, stack in enumerate(upper):
+        rows, cols = np.indices(stack.shape)
+        where[stack] = np.stack([np.full(stack.shape, k), rows, cols], axis=-1)
+    rmap = _shift_positions(dom.dim, d, gamma)
+    plan = []
+    for src in _weight_classes(dom, d):
+        stack, row, _ = where[rmap[src[:, 0]]].T
+        for k in np.unique(stack):
+            mine = stack == k
+            plan.append(tuple(
+                _read_only(arr)
+                for arr in (upper[k][row[mine]], src[mine], where[rmap[src[mine]], 2])
+            ))
+    return tuple(plan)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: the cached index arrays are shared."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _stacked(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mat[rows[i]][:, cols[i]] for every i, stacked: rows (k, s) and cols
+    (k, t) give a (k, s, t) array."""
+    return mat[rows[:, :, None], cols[:, None, :]]
+
+
+def _solve_by_class(change: np.ndarray, stacks, rhs: np.ndarray) -> np.ndarray:
+    """U^{-1} rhs for the degree-d change block U and a vector rhs, one
+    stacked solve per class size (``stacks`` from ``_weight_classes``).
+
+    Each class block of U is upper triangular, so the LU factorization in
+    ``np.linalg.solve`` swaps no rows and its multipliers are exact zeros:
+    the solve is back substitution.
+    """
+    out = np.empty(rhs.shape, dtype=np.result_type(change, rhs))
+    for idx in stacks:
+        # b as (k, s, 1): numpy 2 takes only a 1-D b as a vector
+        out[idx] = np.linalg.solve(_stacked(change, idx, idx), rhs[idx][..., None])[..., 0]
+    return out
+
+
 # ---------------------------------------------------------------------
 # series blocks
 # ---------------------------------------------------------------------
@@ -114,6 +205,8 @@ def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiInde
 
 @functools.lru_cache(maxsize=8)
 def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
+    import scipy.sparse  # only the series blocks are sparse
+
     n = dom.dim
     delta = _delta_blocks(dom)
     mu = -lam
@@ -204,6 +297,8 @@ def gram_blocks(dom: DomainSpec, lam: float, max_degree: int) -> tuple[GramBlock
     A dense diagnostic (``symdom kernel``, the norm oracles); the basis is
     built from C_d directly.
     """
+    import scipy.linalg  # numpy has no Cholesky solve
+
     _require_module_weight(dom, lam)
     out = []
     for block in kernel_series(dom, lam, max_degree):
@@ -321,8 +416,8 @@ class TruncatedBasis:
             pos = _position(self.dom.dim, d)
             for alpha, coeff in part.terms.items():
                 c[pos[alpha]] = coeff
-            out[self.block_slice(d)] = scipy.linalg.solve_triangular(
-                self.change[d], c, lower=False
+            out[self.block_slice(d)] = _solve_by_class(
+                self.change[d], _weight_classes(self.dom, d), c
             )
         return out
 
@@ -358,24 +453,22 @@ class TruncatedBasis:
         # column of U^{-1}: solve U x = e_pos, norm^2 = |x|^2 since basis is ON
         c = np.zeros(self.degree_sizes[d])
         c[pos] = 1.0
-        x = scipy.linalg.solve_triangular(self.change[d], c, lower=False)
+        x = _solve_by_class(self.change[d], _weight_classes(self.dom, d), c)
         return float(x @ x)
 
 
-def _reverse_cholesky(block: SeriesBlock) -> np.ndarray:
+def _reverse_cholesky(block: SeriesBlock, classes) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U U^T = C_d.
 
-    One factorization per connected component of the sparsity pattern of
-    C_d (its torus-weight blocks): flip(cholesky(flip(C))) on the
-    component's indices, taken in increasing order, so the scattered U
-    stays upper triangular.
+    One factorization per torus-weight class of degree d (the rows of
+    ``classes``, from ``_weight_classes``; C_d couples no two of them):
+    flip(cholesky(flip(C))) on the class's indices, which ascend, so the
+    scattered U stays upper triangular.
     """
     size = block.coeffs.shape[0]
-    _, labels = connected_components(block.coeffs, directed=False)
-    order = np.argsort(labels, kind="stable")
     dense = block.coeffs.toarray()
     change = np.zeros((size, size))
-    for idx in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+    for idx in itertools.chain.from_iterable(classes):
         sub = np.ix_(idx, idx)
         try:
             lower = np.linalg.cholesky(dense[sub][::-1, ::-1])
@@ -391,7 +484,10 @@ def _reverse_cholesky(block: SeriesBlock) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _truncated_basis_cached(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
     _require_module_weight(dom, lam)
-    change = [_reverse_cholesky(block) for block in kernel_series(dom, lam, max_degree)]
+    change = [
+        _reverse_cholesky(block, _weight_classes(dom, block.degree))
+        for block in kernel_series(dom, lam, max_degree)
+    ]
     return TruncatedBasis(dom, lam, max_degree, tuple(change))
 
 

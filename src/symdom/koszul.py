@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConsensusFailure, NotCommuting, ValidationError
 from .polynomials import Polynomial
@@ -266,6 +265,8 @@ def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.nda
     """Diagonal of a simultaneous triangularization from one random
     combination; retries internally if the Schur basis fails to triangularize
     every component."""
+    import scipy.linalg  # numpy has no Schur decomposition
+
     scale = _scale(mats)
     for _ in range(8):
         coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))

@@ -50,7 +50,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import koszul
 from .calculus import BOUNDARY_TOL
@@ -63,7 +62,8 @@ from .errors import (
 )
 from .kernels import (
     TruncatedBasis,
-    _shift_positions,
+    _shift_plan,
+    _stacked,
     cached_truncated_basis,
 )
 from .polynomials import MultiIndex, Polynomial, RationalSymbol
@@ -79,15 +79,22 @@ CONDITION_CUTOFF = 1e12
 
 def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray:
     """Block of multiplication by z^gamma from degree d to degree
-    d + |gamma|, in the orthonormal basis."""
+    d + |gamma|, in the orthonormal basis: U_{d+g}^{-1} scatter(U_d), solved
+    per pair of torus-weight classes (``kernels._shift_plan``)."""
     g = sum(gamma)
     if g == 0:
-        # z^0 = 1: exactly the identity, without a triangular solve's rounding
+        # z^0 = 1: exactly the identity, without a solve's rounding
         return np.eye(basis.degree_sizes[d])
-    rmap = _shift_positions(basis.dom.dim, d, gamma)
-    scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
-    scattered[rmap, :] = basis.change[d]
-    return scipy.linalg.solve_triangular(basis.change[d + g], scattered, lower=False)
+    lower, upper = basis.change[d], basis.change[d + g]
+    out = np.zeros((upper.shape[0], lower.shape[0]))
+    for dst, src, hit in _shift_plan(basis.dom, gamma, d):
+        # the source class's columns of U_d, moved to their rows in dst
+        scattered = np.zeros(dst.shape + src.shape[1:])
+        scattered[np.arange(len(dst))[:, None], hit] = _stacked(lower, src, src)
+        out[dst[:, :, None], src[:, None, :]] = np.linalg.solve(
+            _stacked(upper, dst, dst), scattered
+        )
+    return out
 
 
 def _mult_block(basis: TruncatedBasis, f: Polynomial, d: int) -> np.ndarray:
@@ -264,7 +271,9 @@ def _filtration_complement(
     for k in range(basis.max_degree + 1):
         rows = basis.offset(k) + basis.degree_sizes[k]
         sub = cols[:rows, :]
-        null = scipy.linalg.null_space(sub.conj().T, rcond=SPAN_RANK_TOL)
+        _, sv, vh = np.linalg.svd(sub.conj().T, full_matrices=True)
+        rank = int(np.sum(sv > SPAN_RANK_TOL * np.amax(sv, initial=0.0)))
+        null = vh[rank:].conj().T
         expected_new = null.shape[1] - len(chosen)
         if expected_new <= 0:
             continue

@@ -571,17 +571,37 @@ def test_invariance_accepts_infinite_p(tmp_path):
 
 
 def loaded_after(code):
-    """Which of scipy.stats and scipy.special ``code`` leaves loaded in a fresh interpreter."""
-    code += "; import sys; print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))"
+    """The modules ``code`` leaves loaded in a fresh interpreter."""
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    return done.stdout.strip()
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
-def test_import_does_not_load_scipy_stats():
-    assert loaded_after("import symdom.cli") == "[]"
+def test_import_loads_no_scipy():
+    assert sorted(m for m in loaded_after("import symdom.cli") if m.split(".")[0] == "scipy") == []
+
+
+def test_warm_cache_coordinate_invariance_loads_no_scipy_linalg_or_sparse(tmp_path):
+    # the first process builds the bases through the sparse series and fills
+    # the cache; the second reads them and solves with numpy alone
+    out = str(tmp_path / "inv.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json",
+        invariance_cfg(
+            out, domain={"kind": "matrixball", "n": 2, "r": 2}, D_list=[4, 5],
+            generators=[{"nvars": 4, "terms": {"1,0,0,0": 1.0}}],
+            families=["coordinates"], **{"lambda": 2.5},
+        ),
+    )
+    args = ["invariance", "--config", cfg, "--cache-dir", str(tmp_path / "cache")]
+    code = f"from symdom.cli import main; assert main({args!r}) == 0"
+    assert "scipy.sparse" in loaded_after(code)
+    cold = read_csv(out)
+    assert not {"scipy.linalg", "scipy.sparse"} & loaded_after(code)
+    assert read_csv(out) == cold
 
 
 def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
@@ -591,7 +611,7 @@ def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
         tmp_path, "cfg.json", {"domain": BALL2, "level": 1, "num_tuples": 1, "out": out}
     )
     code = f"from symdom.cli import main; assert main(['calculus', '--config', {cfg!r}]) == 0"
-    assert loaded_after(code) == "['scipy.special']"
+    assert {"scipy.stats", "scipy.special"} & loaded_after(code) == {"scipy.special"}
     assert {r[6] for r in read_csv(out)[1:] if r[1] == "integral_vs_series"} == {"4000"}
 
 

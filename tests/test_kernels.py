@@ -322,6 +322,69 @@ def test_basis_coordinate_roundtrip(rng):
     assert max(abs(back.terms[a] - c) for a, c in terms.items()) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "dom, D",
+    [
+        (BALL1, 10),
+        (BALL2, 8),
+        (DomainSpec.ball(3), 8),
+        (POLY2, 8),
+        (DomainSpec.polydisc(3), 6),
+        (DomainSpec.matrix_ball(1, 3), 8),
+        (MB22, 8),
+        (DomainSpec.matrix_ball(2, 3), 6),
+        (DomainSpec.matrix_ball(3, 3), 4),
+    ],
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
+)
+def test_weight_classes_are_the_components_of_the_series_blocks(dom, D):
+    # read off the multi-indices, the torus-weight classes are exactly the
+    # connected components of C_d's sparsity pattern
+    for block in kernel_series(dom, 2.5, D):
+        count, labels = connected_components(block.coeffs, directed=False)
+        components = sorted(tuple(np.flatnonzero(labels == k)) for k in range(count))
+        classes = [cls for stack in kernels._weight_classes(dom, block.degree) for cls in stack]
+        assert all(np.array_equal(cls, np.sort(cls)) for cls in classes)
+        assert sorted(tuple(cls) for cls in classes) == components
+
+
+BASIS_CASES = [
+    (BALL2, 2.0, 8),
+    (POLY2, 2.0, 8),
+    (DomainSpec.matrix_ball(1, 3), 2.5, 8),
+    (MB22, 2.5, 8),
+    (DomainSpec.matrix_ball(2, 3), 3.5, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "dom, lam, D", BASIS_CASES,
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
+)
+def test_class_solves_are_the_dense_triangular_solve(dom, lam, D, rng):
+    from symdom.polynomials import Polynomial
+
+    basis = truncated_basis(dom, lam, D)
+    terms = {
+        alpha: complex(rng.standard_normal(), rng.standard_normal())
+        for d in range(D + 1)
+        for alpha in multi_indices(dom.dim, d)
+    }
+    want = np.concatenate([
+        scipy.linalg.solve_triangular(
+            basis.change[d], np.array([terms[a] for a in multi_indices(dom.dim, d)])
+        )
+        for d in range(D + 1)
+    ])
+    got = basis.to_coords(Polynomial(dom.dim, terms))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for d in range(D + 1):
+        eye = np.eye(basis.degree_sizes[d])
+        norms = np.sum(scipy.linalg.solve_triangular(basis.change[d], eye) ** 2, axis=0)
+        got = [basis.monomial_norm(alpha) for alpha in multi_indices(dom.dim, d)]
+        assert np.abs(got - norms).max() <= 1e-12 * norms.max()
+
+
 # ---------------------------------------------------------------------
 # disk cache
 # ---------------------------------------------------------------------

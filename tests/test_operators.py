@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from symdom import koszul, operators
 from symdom.domains import DomainSpec
@@ -15,7 +16,7 @@ from symdom.errors import (
     NumericallySingular,
     ValidationError,
 )
-from symdom.kernels import multi_indices, truncated_basis
+from symdom.kernels import _shift_positions, multi_indices, truncated_basis
 from symdom.operators import (
     INVARIANCE_TOL,
     SPAN_RANK_TOL,
@@ -24,6 +25,7 @@ from symdom.operators import (
     _coordinate_blocks,
     _filtration_model,
     _mult_block,
+    _shift_block,
     _shift_norm,
     compress,
     compress_rational,
@@ -80,6 +82,33 @@ def test_ball2_coordinate_multiplier_contraction():
         basis = truncated_basis(BALL2, 1.0, d_trunc)
         for op in coordinate_mult_ops(basis):
             assert np.linalg.norm(op, 2) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "dom, lam, d_trunc",
+    [
+        (BALL2, 2.0, 8),
+        (POLY2, 2.0, 8),
+        (DomainSpec.matrix_ball(1, 3), 2.5, 8),
+        (DomainSpec.matrix_ball(2, 2), 2.5, 8),
+        (DomainSpec.matrix_ball(2, 3), 3.5, 5),
+    ],
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
+)
+def test_shift_blocks_are_the_dense_triangular_solve(dom, lam, d_trunc):
+    # per torus-weight class against U_{d+g}^{-1} scatter(U_d) on the full block
+    basis = truncated_basis(dom, lam, d_trunc)
+    n = dom.dim
+    gammas = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    gammas.append(tuple(int(j in (0, n - 1)) for j in range(n)))  # z_1 z_n
+    for gamma in gammas:
+        g = sum(gamma)
+        for d in range(d_trunc - g + 1):
+            scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
+            scattered[_shift_positions(n, d, gamma)] = basis.change[d]
+            want = scipy.linalg.solve_triangular(basis.change[d + g], scattered)
+            got = _shift_block(basis, gamma, d)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_mult_top_degree_truncation():
