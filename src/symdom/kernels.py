@@ -9,30 +9,28 @@ with m_d the graded-lex monomial vector of degree d.  Blocks are produced
 by the power recurrence mu P' Q = Q' P (Euler derivative on the z-grading),
 which needs only the finitely many blocks of Delta itself.  Delta is
 invariant under the torus z -> u z v (u, v diagonal unitaries), so C_d is
-block-diagonal by torus weight and is stored as a sparse CSR array; the
-recurrence runs on its nonzeros only.  For continuous Wallach weights C_d
-is positive definite, and the orthonormal graded basis used by the operator
+block-diagonal by torus weight.  The classes are read off the
+multi-indices, and C_d is stored as class stacks: one (k, s, s) array per
+class size s, a slice per class; the recurrence, the partial sums and every
+factorization run on those stacks.  For continuous Wallach weights C_d is
+positive definite, and the orthonormal graded basis used by the operator
 layer is its reverse Cholesky factor U (upper triangular, U U^T = C_d),
-taken once per torus-weight class.  The classes are read off the
-multi-indices, and every solve with U (coordinates, monomial norms, the
-multiplier blocks of the operator layer) runs class by class in numpy.
-scipy is imported only where an algorithm numpy lacks is needed: the sparse
-series blocks and the Gram blocks' Cholesky solves.  The Gram matrix of
-monomials, C_d^{-1}, is kept as a diagnostic.
+taken per class.  Every solve with U (coordinates, monomial norms, the
+multiplier blocks of the operator layer) also runs class by class, and the
+whole layer needs numpy alone.  The Gram matrix of monomials, C_d^{-1}, is
+kept as a diagnostic.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
 import tempfile
 import zipfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,9 +43,6 @@ from .errors import (
 )
 from .polynomials import MultiIndex, Polynomial
 from .wallach import classify_weight, rising_factorial
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "SYMDOM_CACHE_DIR"
@@ -80,14 +75,38 @@ def _position(n: int, d: int) -> dict[MultiIndex, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _binomial_table(n: int, d: int) -> np.ndarray:
+    """table[j, k] = C(j + k, k) for j < d and k < n: the number of
+    monomials of degree j in k + 1 variables."""
+    table = np.ones((max(d, 1), n), dtype=np.int64)
+    for j in range(1, d):
+        table[j, 1:] = np.cumsum(table[j - 1, 1:]) + 1
+    return _read_only(table)
+
+
+def _grlex_rank(alpha: np.ndarray, d: int) -> np.ndarray:
+    """Positions in ``multi_indices(n, d)`` of the rows of ``alpha``, an
+    (m, n) array of exponents of total degree d.
+
+    The monomials before alpha agree with it on some first i entries and
+    exceed it at entry i; with the first i + 1 entries of alpha summing to
+    t, there are C(d - 1 - t + k, k) of them, k = n - 1 - i.  Every term is
+    at most the number of degree-d monomials, so no int64 overflows where
+    ``multi_indices(n, d)`` fits in memory.
+    """
+    n = alpha.shape[1]
+    spare = d - 1 - np.cumsum(alpha[:, :-1], axis=1)
+    table = _binomial_table(n, d)
+    terms = table[np.maximum(spare, 0), np.arange(n - 1, 0, -1)]
+    return np.where(spare >= 0, terms, 0).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=None)
 def _shift_positions(n: int, d: int, gamma: MultiIndex) -> np.ndarray:
     """Positions of alpha + gamma inside degree d + |gamma|, for alpha of
     degree d."""
-    target = _position(n, d + sum(gamma))
-    return np.array(
-        [target[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in multi_indices(n, d)],
-        dtype=np.intp,
-    )
+    shifted = _alpha_array(n, d) + np.asarray(gamma, dtype=np.int64)
+    return _read_only(_grlex_rank(shifted, d + sum(gamma)).astype(np.intp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,10 +129,26 @@ def _weight_classes(dom: DomainSpec, d: int) -> tuple[np.ndarray, ...]:
     _, label = np.unique(weight, axis=0, return_inverse=True)
     label = label.reshape(-1)  # 2-D on some numpy 2.0 releases
     order = np.argsort(label, kind="stable")
-    by_size: dict[int, list[np.ndarray]] = {}
-    for cls in np.split(order, np.cumsum(np.bincount(label))[:-1]):
-        by_size.setdefault(cls.size, []).append(cls)
-    return tuple(_read_only(np.stack(group)) for group in by_size.values())
+    counts = np.bincount(label)
+    starts = np.cumsum(counts) - counts
+    # class sizes in the order the classes first reach them
+    _, first = np.unique(counts, return_index=True)
+    return tuple(
+        _read_only(order[starts[counts == s][:, None] + np.arange(s)])
+        for s in counts[np.sort(first)]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _class_slots(dom: DomainSpec, d: int) -> np.ndarray:
+    """(stack, row, column) of each degree-d monomial in
+    ``_weight_classes(dom, d)``: monomial p is ``classes[stack][row, column]``."""
+    classes = _weight_classes(dom, d)
+    where = np.empty((sum(stack.size for stack in classes), 3), dtype=np.intp)
+    for k, stack in enumerate(classes):
+        rows, cols = np.indices(stack.shape)
+        where[stack] = np.stack([np.full(stack.shape, k), rows, cols], axis=-1)
+    return _read_only(where)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,11 +165,7 @@ def _shift_plan(
     where hit[i, a] is the row of dst[i] that z^gamma sends src[i, a] to.
     """
     upper = _weight_classes(dom, d + sum(gamma))
-    # (stack, row, column) of each degree-(d + |gamma|) monomial in ``upper``
-    where = np.empty((sum(stack.size for stack in upper), 3), dtype=np.intp)
-    for k, stack in enumerate(upper):
-        rows, cols = np.indices(stack.shape)
-        where[stack] = np.stack([np.full(stack.shape, k), rows, cols], axis=-1)
+    where = _class_slots(dom, d + sum(gamma))
     rmap = _shift_positions(dom.dim, d, gamma)
     plan = []
     for src in _weight_classes(dom, d):
@@ -182,12 +213,28 @@ def _solve_by_class(change: np.ndarray, stacks, rhs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SeriesBlock:
     """Degree-d coefficient block C_d of the kernel expansion (real, since
-    Delta has real coefficients and the weight is real), as a sparse CSR
-    array: only entries whose row and column monomials share a torus
-    weight can be nonzero."""
+    Delta has real coefficients and the weight is real), stored per torus
+    weight class: only entries whose row and column monomials share a
+    weight can be nonzero.
+
+    ``classes`` is ``_weight_classes(dom, d)``; ``stacks[i]`` is the
+    read-only (k, s, s) array whose slice a is C_d restricted to the class
+    ``classes[i][a]``.
+    """
 
     degree: int
-    coeffs: scipy.sparse.csr_array
+    classes: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """C_d as a dense array, assembled on each access (tests and
+        diagnostics)."""
+        size = sum(idx.size for idx in self.classes)
+        out = np.zeros((size, size))
+        for idx, stack in zip(self.classes, self.stacks):
+            out[idx[:, :, None], idx[:, None, :]] = stack
+        return out
 
 
 def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiIndex, float]]]:
@@ -203,39 +250,58 @@ def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiInde
     return by_degree
 
 
+def _class_entries(dom: DomainSpec, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of C_d that the class stacks hold, in the order of their
+    concatenated ravels: (row, column) positions in degree d, and the
+    offset of each stack in that order (one more than the stacks)."""
+    classes = _weight_classes(dom, d)
+    rows = [np.broadcast_to(idx[:, :, None], idx.shape + idx.shape[1:]).ravel() for idx in classes]
+    cols = [np.broadcast_to(idx[:, None, :], idx.shape + idx.shape[1:]).ravel() for idx in classes]
+    offsets = np.cumsum([0] + [r.size for r in rows])
+    return np.concatenate(rows), np.concatenate(cols), offsets
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
-    import scipy.sparse  # only the series blocks are sparse
-
     n = dom.dim
     delta = _delta_blocks(dom)
     mu = -lam
-    blocks = [scipy.sparse.coo_array(np.ones((1, 1)))]
+    # per degree: (row, column) of each stored entry, and the stack offsets;
+    # raw[d] holds the unsymmetrized entries in the same order
+    entries = [_class_entries(dom, d) for d in range(max_degree + 1)]
+    raw = [np.ones(1)]
     for d in range(1, max_degree + 1):
-        rows, cols, vals = [], [], []
+        where = _class_slots(dom, d)
+        sizes = np.array([idx.shape[1] for idx in _weight_classes(dom, d)])
+        offsets = entries[d][2]
+        dest, vals = [], []
         for j, terms in delta.items():
             if j > d:
                 continue
-            prev = blocks[d - j]
+            rows, cols, _ = entries[d - j]
             factor = ((mu + 1.0) * j - d) / d
             for alpha, beta, coeff in terms:
-                rows.append(_shift_positions(n, d - j, alpha)[prev.row])
-                cols.append(_shift_positions(n, d - j, beta)[prev.col])
-                vals.append((factor * coeff) * prev.data)
-        size = len(multi_indices(n, d))
-        acc = scipy.sparse.coo_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
-        acc.sum_duplicates()
-        blocks.append(acc)
+                # z^alpha conj(w)^beta moves entry (r, c) of C_{d-j} to
+                # (r + alpha, c + beta): entry (a, b) of one class of degree d
+                stack, cls, a = where[_shift_positions(n, d - j, alpha)[rows]].T
+                b = where[_shift_positions(n, d - j, beta)[cols], 2]
+                size = sizes[stack]
+                dest.append(offsets[stack] + (cls * size + a) * size + b)
+                vals.append((factor * coeff) * raw[d - j])
+        raw.append(np.bincount(
+            np.concatenate(dest), weights=np.concatenate(vals), minlength=offsets[-1]
+        ))
     out = []
-    for d, mat in enumerate(blocks):
-        # Hermitian (real symmetric) by circularity
-        mat = scipy.sparse.csr_array((mat + mat.T) / 2.0)
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.setflags(write=False)
-        out.append(SeriesBlock(d, mat))
+    for d, flat in enumerate(raw):
+        classes = _weight_classes(dom, d)
+        offsets = entries[d][2]
+        stacks = []
+        for idx, start, stop in zip(classes, offsets[:-1], offsets[1:]):
+            k, s = idx.shape
+            stack = flat[start:stop].reshape(k, s, s)
+            # Hermitian (real symmetric) by circularity
+            stacks.append(_read_only((stack + stack.transpose(0, 2, 1)) / 2.0))
+        out.append(SeriesBlock(d, classes, tuple(stacks)))
     return tuple(out)
 
 
@@ -249,14 +315,16 @@ def kernel_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesB
 def series_partial_sum(dom: DomainSpec, lam: float, z, w, max_degree: int) -> complex:
     """Evaluate sum_{d <= max_degree} m_d(z)^T C_d conj(m_d(w))."""
     blocks = kernel_series(dom, lam, max_degree)
-    zf = flatten_point(dom, z)
-    wf = flatten_point(dom, w)
-    total = 0.0 + 0.0j
-    for block in blocks:
-        mz = _monomial_vector(zf, block.degree)
-        mw = _monomial_vector(wf, block.degree)
-        total += mz @ (block.coeffs @ np.conj(mw))
-    return complex(total)
+    mzs = _monomial_vectors(dom, z, max_degree)
+    mws = _monomial_vectors(dom, np.conj(w), max_degree)
+    parts = []
+    for block, mz, mw in zip(blocks, mzs, mws):
+        v = np.empty(mw.shape, dtype=complex)
+        for idx, stack in zip(block.classes, block.stacks):
+            v[idx] = np.matmul(stack, mw[idx][..., None])[..., 0]
+        parts.append(mz @ v)
+    # the degree-0 term is 1: an exactly rounded sum keeps the digits of the rest
+    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,8 +334,27 @@ def _alpha_array(n: int, d: int) -> np.ndarray:
     return arr
 
 
-def _monomial_vector(zf: np.ndarray, d: int) -> np.ndarray:
-    return np.prod(zf[None, :] ** _alpha_array(zf.size, d), axis=1)
+@functools.lru_cache(maxsize=None)
+def _graded_alphas(n: int, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of every monomial of degree <= max_degree in graded-lex
+    order, and where each degree after the first starts."""
+    blocks = [_alpha_array(n, d) for d in range(max_degree + 1)]
+    starts = np.cumsum([len(b) for b in blocks[:-1]])
+    return _read_only(np.concatenate(blocks)), _read_only(starts)
+
+
+def _monomial_vectors(dom: DomainSpec, z, max_degree: int) -> list[np.ndarray]:
+    """m_0(z), ..., m_{max_degree}(z), gathered from one table of the
+    powers z_i^e."""
+    zf = flatten_point(dom, z)
+    if zf.size != dom.dim:
+        raise ValidationError(f"point with {zf.size} coordinates on {dom.label()}")
+    alphas, starts = _graded_alphas(zf.size, max_degree)
+    powers = zf[:, None] ** np.arange(max_degree + 1)
+    values = powers[0, alphas[:, 0]]
+    for i in range(1, zf.size):
+        values *= powers[i, alphas[:, i]]
+    return np.split(values, starts)
 
 
 # ---------------------------------------------------------------------
@@ -295,22 +382,25 @@ def gram_blocks(dom: DomainSpec, lam: float, max_degree: int) -> tuple[GramBlock
     """Blockwise inverse of the kernel coefficients, G_d = C_d^{-1}.
 
     A dense diagnostic (``symdom kernel``, the norm oracles); the basis is
-    built from C_d directly.
+    built from C_d directly.  Per torus-weight class, C = L L^T and
+    C^{-1} = M M^T with M = (L^T)^{-1}, an inverse of an upper-triangular
+    matrix, which LU takes without a row swap.
     """
-    import scipy.linalg  # numpy has no Cholesky solve
-
     _require_module_weight(dom, lam)
     out = []
     for block in kernel_series(dom, lam, max_degree):
-        coeffs = block.coeffs.toarray()
-        try:
-            cho = scipy.linalg.cho_factor(coeffs, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericallySingular(
-                f"degree-{block.degree} coefficient block is not positive definite"
-            ) from exc
-        gram = scipy.linalg.cho_solve(cho, np.eye(coeffs.shape[0]))
-        gram = (gram + gram.T) / 2.0
+        size = sum(idx.size for idx in block.classes)
+        gram = np.zeros((size, size))
+        for idx, stack in zip(block.classes, block.stacks):
+            try:
+                lower = np.linalg.cholesky(stack)
+            except np.linalg.LinAlgError as exc:
+                raise NumericallySingular(
+                    f"degree-{block.degree} coefficient block is not positive definite"
+                ) from exc
+            m = np.linalg.inv(lower.transpose(0, 2, 1))
+            inv = m @ m.transpose(0, 2, 1)
+            gram[idx[:, :, None], idx[:, None, :]] = (inv + inv.transpose(0, 2, 1)) / 2.0
         gram.setflags(write=False)
         out.append(GramBlock(block.degree, gram))
     return tuple(out)
@@ -320,15 +410,26 @@ def gram_block(dom: DomainSpec, lam: float, degree: int) -> GramBlock:
     return gram_blocks(dom, lam, degree)[degree]
 
 
+def _multi_index(dom: DomainSpec, alpha) -> MultiIndex:
+    """alpha as a tuple of ``dom.dim`` non-negative ints; anything else
+    (a non-integral entry, a wrong length) raises ValidationError."""
+    try:
+        entries = tuple(alpha)
+        out = tuple(int(a) for a in entries)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"bad multi-index {alpha!r} for {dom.label()}") from None
+    if len(out) != dom.dim or any(a < 0 or a != b for a, b in zip(out, entries)):
+        raise ValidationError(f"bad multi-index {alpha!r} for {dom.label()}")
+    return out
+
+
 def closed_form_norm(dom: DomainSpec, lam: float, alpha) -> float:
     """Closed-form squared norm of the monomial z^alpha.
 
     ball: alpha! / (lam)_|alpha|;  polydisc: prod_i alpha_i! / (lam)_{alpha_i}.
     No closed form is exposed for the matrix ball.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha) or len(alpha) != dom.dim:
-        raise ValidationError(f"bad multi-index {alpha} for {dom.label()}")
+    alpha = _multi_index(dom, alpha)
     _require_module_weight(dom, lam)
     if dom.kind == "ball":
         num = math.prod(math.factorial(a) for a in alpha)
@@ -435,10 +536,10 @@ class TruncatedBasis:
 
     def eval_at(self, z) -> np.ndarray:
         """Values of every basis element at the point z."""
-        zf = flatten_point(self.dom, z)
+        monomials = _monomial_vectors(self.dom, z, self.max_degree)
         out = np.empty(self.dim, dtype=complex)
-        for d in range(self.max_degree + 1):
-            out[self.block_slice(d)] = self.change[d].T @ _monomial_vector(zf, d)
+        for d, m in enumerate(monomials):
+            out[self.block_slice(d)] = self.change[d].T @ m
         return out
 
     def kernel_partial_sum(self, z, w) -> complex:
@@ -447,8 +548,10 @@ class TruncatedBasis:
 
     def monomial_norm(self, alpha) -> float:
         """Squared norm of z^alpha read off the inverse change of basis."""
-        alpha = tuple(int(a) for a in alpha)
+        alpha = _multi_index(self.dom, alpha)
         d = sum(alpha)
+        if d > self.max_degree:
+            raise ValidationError(f"degree {d} exceeds truncation {self.max_degree}")
         pos = _position(self.dom.dim, d)[alpha]
         # column of U^{-1}: solve U x = e_pos, norm^2 = |x|^2 since basis is ON
         c = np.zeros(self.degree_sizes[d])
@@ -457,26 +560,23 @@ class TruncatedBasis:
         return float(x @ x)
 
 
-def _reverse_cholesky(block: SeriesBlock, classes) -> np.ndarray:
+def _reverse_cholesky(block: SeriesBlock) -> np.ndarray:
     """Upper-triangular U with positive diagonal and U U^T = C_d.
 
-    One factorization per torus-weight class of degree d (the rows of
-    ``classes``, from ``_weight_classes``; C_d couples no two of them):
-    flip(cholesky(flip(C))) on the class's indices, which ascend, so the
-    scattered U stays upper triangular.
+    One batched factorization per stack of torus-weight classes (C_d
+    couples no two classes): flip(cholesky(flip(C))) on each class, whose
+    indices ascend, so the scattered U stays upper triangular.
     """
-    size = block.coeffs.shape[0]
-    dense = block.coeffs.toarray()
+    size = sum(idx.size for idx in block.classes)
     change = np.zeros((size, size))
-    for idx in itertools.chain.from_iterable(classes):
-        sub = np.ix_(idx, idx)
+    for idx, stack in zip(block.classes, block.stacks):
         try:
-            lower = np.linalg.cholesky(dense[sub][::-1, ::-1])
+            lower = np.linalg.cholesky(stack[:, ::-1, ::-1])
         except np.linalg.LinAlgError as exc:
             raise NumericallySingular(
                 f"degree-{block.degree} coefficient block is not positive definite"
             ) from exc
-        change[sub] = lower[::-1, ::-1]
+        change[idx[:, :, None], idx[:, None, :]] = lower[:, ::-1, ::-1]
     change.setflags(write=False)
     return change
 
@@ -484,10 +584,7 @@ def _reverse_cholesky(block: SeriesBlock, classes) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _truncated_basis_cached(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
     _require_module_weight(dom, lam)
-    change = [
-        _reverse_cholesky(block, _weight_classes(dom, block.degree))
-        for block in kernel_series(dom, lam, max_degree)
-    ]
+    change = [_reverse_cholesky(block) for block in kernel_series(dom, lam, max_degree)]
     return TruncatedBasis(dom, lam, max_degree, tuple(change))
 
 

@@ -580,13 +580,17 @@ def loaded_after(code):
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def scipy_modules(loaded):
+    return sorted(m for m in loaded if m.split(".")[0] == "scipy")
+
+
 def test_import_loads_no_scipy():
-    assert sorted(m for m in loaded_after("import symdom.cli") if m.split(".")[0] == "scipy") == []
+    assert scipy_modules(loaded_after("import symdom.cli")) == []
 
 
 def test_warm_cache_coordinate_invariance_loads_no_scipy_linalg_or_sparse(tmp_path):
-    # the first process builds the bases through the sparse series and fills
-    # the cache; the second reads them and solves with numpy alone
+    # the first process builds the bases and fills the cache, the second
+    # reads them; the kernel and operator layers need numpy alone
     out = str(tmp_path / "inv.csv")
     cfg = write_cfg(
         tmp_path, "cfg.json",
@@ -598,10 +602,23 @@ def test_warm_cache_coordinate_invariance_loads_no_scipy_linalg_or_sparse(tmp_pa
     )
     args = ["invariance", "--config", cfg, "--cache-dir", str(tmp_path / "cache")]
     code = f"from symdom.cli import main; assert main({args!r}) == 0"
-    assert "scipy.sparse" in loaded_after(code)
+    assert scipy_modules(loaded_after(code)) == []
     cold = read_csv(out)
-    assert not {"scipy.linalg", "scipy.sparse"} & loaded_after(code)
+    assert scipy_modules(loaded_after(code)) == []
     assert read_csv(out) == cold
+
+
+def test_kernel_run_loads_no_scipy(tmp_path):
+    # series blocks, partial sums and Gram blocks of the matrix ball in numpy
+    out = str(tmp_path / "kernel.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json",
+        kernel_cfg(out, domain={"kind": "matrixball", "n": 2, "r": 2}, D_list=[6],
+                   gram_degree=3, **{"lambda": 2.5}),
+    )
+    code = f"from symdom.cli import main; assert main(['kernel', '--config', {cfg!r}]) == 0"
+    assert scipy_modules(loaded_after(code)) == []
+    assert {r[2] for r in read_csv(out)[1:]} == {"partial_sum_error", "gram_min_eig"}
 
 
 def test_sphere_calculus_runs_without_scipy_stats(tmp_path):

@@ -2,20 +2,21 @@
 orthonormal bases, kernel evaluation, and the disk cache."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 from symdom import kernels
 
-from symdom.domains import DomainSpec
+from symdom.domains import DomainSpec, generic_poly_terms
 from symdom.errors import (
     BranchCutError,
     NotAModuleWeight,
+    ValidationError,
 )
 from symdom.kernels import (
     cache_key,
@@ -117,15 +118,81 @@ def test_finite_rank_series_terminates():
 def test_matrixball_series_beyond_degree_24(rng):
     blocks = kernel_series(MB22, 2.5, 30)
     assert len(blocks) == 31
-    assert all(scipy.sparse.issparse(b.coeffs) for b in blocks)
-    # torus-weight blocks: well under 1 % of the top block is stored
-    top = blocks[-1].coeffs
-    assert top.nnz < 0.01 * top.shape[0] ** 2
+    # torus-weight class stacks: well under 1 % of the top block is stored
+    size = len(multi_indices(4, 30))
+    assert sum(stack.size for stack in blocks[-1].stacks) < 0.01 * size**2
     for _ in range(5):
         z = random_point(MB22, rng, max_norm=0.6)
         w = random_point(MB22, rng, max_norm=0.6)
         err = abs(series_partial_sum(MB22, 2.5, z, w, 30) - kernel_eval(MB22, 2.5, z, w))
         assert err <= 1e-8
+
+
+CLASS_CASES = [
+    (BALL1, 10),
+    (BALL2, 8),
+    (DomainSpec.ball(3), 8),
+    (POLY2, 8),
+    (DomainSpec.polydisc(3), 6),
+    (DomainSpec.matrix_ball(1, 3), 8),
+    (MB22, 8),
+    (DomainSpec.matrix_ball(2, 3), 6),
+    (DomainSpec.matrix_ball(3, 3), 4),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_series(dom, lam, D):
+    """C_0 .. C_D by the power recurrence on dense arrays, with positions
+    looked up in dicts: the reference route for the class stacks."""
+    pos = [{a: i for i, a in enumerate(multi_indices(dom.dim, d))} for d in range(D + 1)]
+    raw = [np.ones((1, 1))]
+    for d in range(1, D + 1):
+        acc = np.zeros((len(pos[d]), len(pos[d])))
+        for (alpha, beta), coeff in generic_poly_terms(dom).items():
+            j = sum(alpha)
+            if not 0 < j <= d:
+                continue
+            rows = [pos[d][tuple(a + g for a, g in zip(m, alpha))] for m in pos[d - j]]
+            cols = [pos[d][tuple(a + g for a, g in zip(m, beta))] for m in pos[d - j]]
+            acc[np.ix_(rows, cols)] += ((1.0 - lam) * j - d) / d * float(coeff) * raw[d - j]
+        raw.append(acc)
+    return tuple((c + c.T) / 2.0 for c in raw)
+
+
+def case_id(v):
+    return v.label() if isinstance(v, DomainSpec) else str(v)
+
+
+def dict_shift_positions(n, d, gamma):
+    target = kernels._position(n, d + sum(gamma))
+    return [target[tuple(a + g for a, g in zip(alpha, gamma))] for alpha in multi_indices(n, d)]
+
+
+@pytest.mark.parametrize("dom, D", CLASS_CASES, ids=case_id)
+def test_class_stacks_are_the_dense_recurrence(dom, D):
+    for block, want in zip(kernel_series(dom, 2.5, D), dense_series(dom, 2.5, D)):
+        assert all(not stack.flags.writeable for stack in block.stacks)
+        assert np.abs(block.coeffs - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dom, D", CLASS_CASES, ids=case_id)
+def test_shift_positions_are_the_dict_lookups(dom, D):
+    # every gamma of the series recurrence and of the coordinate multipliers
+    n = dom.dim
+    gammas = {g for terms in kernels._delta_blocks(dom).values() for a, b, _ in terms for g in (a, b)}
+    gammas |= set(multi_indices(n, 1))
+    for gamma in gammas:
+        for d in range(D - sum(gamma) + 1):
+            assert kernels._shift_positions(n, d, gamma).tolist() == dict_shift_positions(n, d, gamma)
+
+
+def test_shift_positions_beyond_an_int64_power_key():
+    # ball n 40 at degree 3: a (d + 1)**n key would need 4**40 > 2**63
+    n = 40
+    for gamma in ((1,) + (0,) * 39, (0,) * 39 + (1,), (0,) * 20 + (2,) + (0,) * 19, (1,) + (0,) * 38 + (1,)):
+        for d in range(4 - sum(gamma)):
+            assert kernels._shift_positions(n, d, gamma).tolist() == dict_shift_positions(n, d, gamma)
 
 
 # ---------------------------------------------------------------------
@@ -245,12 +312,13 @@ def test_partial_sums_converge_matrixball(rng):
     ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
 )
 def test_basis_is_reverse_cholesky_per_component(dom, lam, D, monkeypatch):
-    # one factorization per connected component of each C_d, and no inverse
+    # one factorization per connected component of each C_d, and no inverse;
+    # a batched call factors every (s, s) slice of its (k, s, s) stack
     factored = []
     cholesky = np.linalg.cholesky
 
     def counting_cholesky(a):
-        factored.append(a.shape)
+        factored.extend([a.shape[-2:]] * math.prod(a.shape[:-2]))
         return cholesky(a)
 
     def forbidden(*args, **kwargs):
@@ -273,7 +341,7 @@ def test_basis_is_reverse_cholesky_per_component(dom, lam, D, monkeypatch):
         # torus weights of MB(2,2): (row sums, column sums), (d + 1)^2 of them
         assert components == [(d + 1) ** 2 for d in range(D + 1)]
     for block, change in zip(series, basis.change):
-        coeffs = block.coeffs.toarray()
+        coeffs = block.coeffs
         assert np.array_equal(change, np.triu(change))
         assert np.all(np.diag(change) > 0)
         assert np.abs(change @ change.T - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
@@ -292,6 +360,29 @@ def test_basis_monomial_norm_matches_closed_form():
     basis = truncated_basis(BALL2, 1.0, 5)
     for alpha in ((0, 0), (1, 0), (2, 1), (3, 2)):
         assert abs(basis.monomial_norm(alpha) - closed_form_norm(BALL2, 1.0, alpha)) < 1e-13
+
+
+BAD_MULTI_INDICES = [(2.5, 0), (1,), (-1, 2), (0, 1, 0), ("x", 0), (float("nan"), 0), 3]
+
+
+@pytest.mark.parametrize("alpha", BAD_MULTI_INDICES + [(4, 0)], ids=repr)
+def test_monomial_norm_checks_its_multi_index(alpha):
+    basis = truncated_basis(BALL2, 3.0, 3)
+    with pytest.raises(ValidationError):
+        basis.monomial_norm(alpha)
+
+
+@pytest.mark.parametrize("alpha", BAD_MULTI_INDICES, ids=repr)
+def test_closed_form_norm_checks_its_multi_index(alpha):
+    with pytest.raises(ValidationError):
+        closed_form_norm(BALL2, 3.0, alpha)
+
+
+def test_integral_multi_index_entries_are_accepted():
+    basis = truncated_basis(BALL2, 3.0, 3)
+    for alpha in ((2.0, 1), np.array([2, 1]), (np.int64(2), np.int64(1))):
+        assert basis.monomial_norm(alpha) == basis.monomial_norm((2, 1))
+        assert closed_form_norm(BALL2, 3.0, alpha) == closed_form_norm(BALL2, 3.0, (2, 1))
 
 
 def test_basis_reproduces_kernel_partial_sum(rng):
@@ -322,28 +413,14 @@ def test_basis_coordinate_roundtrip(rng):
     assert max(abs(back.terms[a] - c) for a, c in terms.items()) < 1e-10
 
 
-@pytest.mark.parametrize(
-    "dom, D",
-    [
-        (BALL1, 10),
-        (BALL2, 8),
-        (DomainSpec.ball(3), 8),
-        (POLY2, 8),
-        (DomainSpec.polydisc(3), 6),
-        (DomainSpec.matrix_ball(1, 3), 8),
-        (MB22, 8),
-        (DomainSpec.matrix_ball(2, 3), 6),
-        (DomainSpec.matrix_ball(3, 3), 4),
-    ],
-    ids=lambda v: v.label() if isinstance(v, DomainSpec) else str(v),
-)
+@pytest.mark.parametrize("dom, D", CLASS_CASES, ids=case_id)
 def test_weight_classes_are_the_components_of_the_series_blocks(dom, D):
     # read off the multi-indices, the torus-weight classes are exactly the
     # connected components of C_d's sparsity pattern
-    for block in kernel_series(dom, 2.5, D):
-        count, labels = connected_components(block.coeffs, directed=False)
+    for d, coeffs in enumerate(dense_series(dom, 2.5, D)):
+        count, labels = connected_components(coeffs != 0, directed=False)
         components = sorted(tuple(np.flatnonzero(labels == k)) for k in range(count))
-        classes = [cls for stack in kernels._weight_classes(dom, block.degree) for cls in stack]
+        classes = [cls for stack in kernels._weight_classes(dom, d) for cls in stack]
         assert all(np.array_equal(cls, np.sort(cls)) for cls in classes)
         assert sorted(tuple(cls) for cls in classes) == components
 
