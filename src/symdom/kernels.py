@@ -15,10 +15,11 @@ class size s, a slice per class; the recurrence, the partial sums and every
 factorization run on those stacks.  For continuous Wallach weights C_d is
 positive definite, and the orthonormal graded basis used by the operator
 layer is its reverse Cholesky factor U (upper triangular, U U^T = C_d),
-taken per class.  Every solve with U (coordinates, monomial norms, the
-multiplier blocks of the operator layer) also runs class by class, and the
-whole layer needs numpy alone.  The Gram matrix of monomials, C_d^{-1}, is
-kept as a diagnostic.
+taken once per class and stored in the same class stacks.  Every product
+and solve with U (coordinates, evaluation, monomial norms, the multiplier
+blocks of the operator layer) runs on those stacks, and the whole layer
+needs numpy alone.  The Gram matrix of monomials, C_d^{-1} = U^{-T} U^{-1},
+is kept as a dense diagnostic.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
 from .polynomials import MultiIndex, Polynomial
 from .wallach import classify_weight, rising_factorial
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "SYMDOM_CACHE_DIR"
 
 
@@ -154,27 +155,29 @@ def _class_slots(dom: DomainSpec, d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _shift_plan(
     dom: DomainSpec, gamma: MultiIndex, d: int
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+) -> tuple[tuple[tuple[int, np.ndarray], tuple[int, np.ndarray], np.ndarray], ...]:
     """How z^gamma carries the weight classes of degree d into degree
     d + |gamma|.
 
     The weight of z^(alpha + gamma) is that of z^alpha plus that of z^gamma,
     so each class of degree d lands inside exactly one class of degree
-    d + |gamma|.  The (destination, source) pairs are grouped by their sizes
-    (s, t); a group is (dst, src, hit) of shapes (k, s), (k, t), (k, t),
-    where hit[i, a] is the row of dst[i] that z^gamma sends src[i, a] to.
+    d + |gamma|.  The (destination, source) pairs are grouped by their
+    stacks in ``_weight_classes``: a group is ((k, dst), (j, src), hit),
+    where row dst[i] of stack k of degree d + |gamma| is the destination of
+    row src[i] of stack j of degree d, and hit[i, a] is the position in the
+    destination class that z^gamma sends position a of the source class to.
     """
-    upper = _weight_classes(dom, d + sum(gamma))
     where = _class_slots(dom, d + sum(gamma))
     rmap = _shift_positions(dom.dim, d, gamma)
     plan = []
-    for src in _weight_classes(dom, d):
+    for j, src in enumerate(_weight_classes(dom, d)):
         stack, row, _ = where[rmap[src[:, 0]]].T
         for k in np.unique(stack):
-            mine = stack == k
-            plan.append(tuple(
-                _read_only(arr)
-                for arr in (upper[k][row[mine]], src[mine], where[rmap[src[mine]], 2])
+            mine = np.flatnonzero(stack == k)
+            plan.append((
+                (int(k), _read_only(row[mine])),
+                (j, _read_only(mine)),
+                _read_only(where[rmap[src[mine]], 2]),
             ))
     return tuple(plan)
 
@@ -185,24 +188,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _stacked(mat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """mat[rows[i]][:, cols[i]] for every i, stacked: rows (k, s) and cols
-    (k, t) give a (k, s, t) array."""
-    return mat[rows[:, :, None], cols[:, None, :]]
-
-
-def _solve_by_class(change: np.ndarray, stacks, rhs: np.ndarray) -> np.ndarray:
-    """U^{-1} rhs for the degree-d change block U and a vector rhs, one
-    stacked solve per class size (``stacks`` from ``_weight_classes``).
-
-    Each class block of U is upper triangular, so the LU factorization in
-    ``np.linalg.solve`` swaps no rows and its multipliers are exact zeros:
-    the solve is back substitution.
-    """
-    out = np.empty(rhs.shape, dtype=np.result_type(change, rhs))
-    for idx in stacks:
-        # b as (k, s, 1): numpy 2 takes only a 1-D b as a vector
-        out[idx] = np.linalg.solve(_stacked(change, idx, idx), rhs[idx][..., None])[..., 0]
+def _dense(classes, stacks) -> np.ndarray:
+    """The dense matrix that holds the class stacks ``stacks`` on the
+    classes ``classes`` (both as in ``SeriesBlock``) and zeros elsewhere."""
+    size = sum(idx.size for idx in classes)
+    out = np.zeros((size, size))
+    for idx, stack in zip(classes, stacks):
+        out[idx[:, :, None], idx[:, None, :]] = stack
     return out
 
 
@@ -230,11 +222,7 @@ class SeriesBlock:
     def coeffs(self) -> np.ndarray:
         """C_d as a dense array, assembled on each access (tests and
         diagnostics)."""
-        size = sum(idx.size for idx in self.classes)
-        out = np.zeros((size, size))
-        for idx, stack in zip(self.classes, self.stacks):
-            out[idx[:, :, None], idx[:, None, :]] = stack
-        return out
+        return _dense(self.classes, self.stacks)
 
 
 def _delta_blocks(dom: DomainSpec) -> dict[int, list[tuple[MultiIndex, MultiIndex, float]]]:
@@ -381,28 +369,22 @@ def _require_module_weight(dom: DomainSpec, lam: float) -> None:
 def gram_blocks(dom: DomainSpec, lam: float, max_degree: int) -> tuple[GramBlock, ...]:
     """Blockwise inverse of the kernel coefficients, G_d = C_d^{-1}.
 
-    A dense diagnostic (``symdom kernel``, the norm oracles); the basis is
-    built from C_d directly.  Per torus-weight class, C = L L^T and
-    C^{-1} = M M^T with M = (L^T)^{-1}, an inverse of an upper-triangular
-    matrix, which LU takes without a row swap.
+    A dense diagnostic (``symdom kernel``, the norm oracles), taken from the
+    basis factor: C = U U^T per torus-weight class, so C^{-1} = M^T M with
+    M = U^{-1}, the inverse of an upper-triangular matrix, which LU takes
+    without a row swap.
     """
-    _require_module_weight(dom, lam)
+    basis = truncated_basis(dom, lam, max_degree)
     out = []
-    for block in kernel_series(dom, lam, max_degree):
-        size = sum(idx.size for idx in block.classes)
-        gram = np.zeros((size, size))
-        for idx, stack in zip(block.classes, block.stacks):
-            try:
-                lower = np.linalg.cholesky(stack)
-            except np.linalg.LinAlgError as exc:
-                raise NumericallySingular(
-                    f"degree-{block.degree} coefficient block is not positive definite"
-                ) from exc
-            m = np.linalg.inv(lower.transpose(0, 2, 1))
-            inv = m @ m.transpose(0, 2, 1)
-            gram[idx[:, :, None], idx[:, None, :]] = (inv + inv.transpose(0, 2, 1)) / 2.0
+    for d, factor in enumerate(basis.factors):
+        inverses = []
+        for stack in factor:
+            m = np.linalg.inv(stack)
+            inv = m.transpose(0, 2, 1) @ m
+            inverses.append((inv + inv.transpose(0, 2, 1)) / 2.0)
+        gram = _dense(_weight_classes(dom, d), inverses)
         gram.setflags(write=False)
-        out.append(GramBlock(block.degree, gram))
+        out.append(GramBlock(d, gram))
     return tuple(out)
 
 
@@ -467,22 +449,32 @@ def kernel_eval(dom: DomainSpec, lam: float, z, w) -> complex:
 class TruncatedBasis:
     """Orthonormal basis of polynomials of degree <= D for weight lam.
 
-    ``change[d]`` is the upper-triangular matrix whose column k gives the
-    monomial coefficients (graded-lex order) of the k-th degree-d basis
-    element; it is the reverse Cholesky factor of the kernel block,
-    ``change[d] @ change[d].T == C_d``.  Triangularity pins the basis down
-    uniquely given the monomial order, so serialized bases reload
-    bit-identically.
+    The degree-d basis elements are the columns of U_d, the upper-triangular
+    reverse Cholesky factor of the kernel block, U_d U_d^T = C_d: column k
+    gives the monomial coefficients (graded-lex order) of the k-th element.
+    U_d couples no two torus-weight classes and is stored like C_d in
+    ``SeriesBlock``: ``factors[d][i]`` is the read-only (k, s, s) stack of
+    U_d on the classes ``_weight_classes(dom, d)[i]``.  Triangularity pins
+    the basis down uniquely given the monomial order, so serialized bases
+    reload bit-identically.
     """
 
     dom: DomainSpec
     lam: float
     max_degree: int
-    change: tuple[np.ndarray, ...]
+    factors: tuple[tuple[np.ndarray, ...], ...]
+
+    @property
+    def change(self) -> tuple[np.ndarray, ...]:
+        """U_0 .. U_D as dense arrays, assembled on each access (tests and
+        diagnostics)."""
+        return tuple(
+            _dense(_weight_classes(self.dom, d), f) for d, f in enumerate(self.factors)
+        )
 
     @property
     def degree_sizes(self) -> list[int]:
-        return [c.shape[0] for c in self.change]
+        return [sum(u.shape[0] * u.shape[1] for u in f) for f in self.factors]
 
     @property
     def dim(self) -> int:
@@ -513,13 +505,15 @@ class TruncatedBasis:
             )
         out = np.zeros(self.dim, dtype=complex)
         for d, part in poly.homogeneous_parts().items():
-            c = np.zeros(self.degree_sizes[d], dtype=complex)
+            c, e = np.zeros(self.degree_sizes[d], dtype=complex), out[self.block_slice(d)]
             pos = _position(self.dom.dim, d)
             for alpha, coeff in part.terms.items():
                 c[pos[alpha]] = coeff
-            out[self.block_slice(d)] = _solve_by_class(
-                self.change[d], _weight_classes(self.dom, d), c
-            )
+            # U^{-1} c per class; U is upper triangular there, so the LU in
+            # solve swaps no rows and is back substitution.  b as (k, s, 1):
+            # numpy 2 takes only a 1-D b as a vector
+            for idx, u in zip(_weight_classes(self.dom, d), self.factors[d]):
+                e[idx] = np.linalg.solve(u, c[idx][..., None])[..., 0]
         return out
 
     def from_coords(self, vec: np.ndarray) -> Polynomial:
@@ -528,7 +522,9 @@ class TruncatedBasis:
             raise ValidationError(f"vector of size {vec.size}, expected {self.dim}")
         terms: dict[MultiIndex, complex] = {}
         for d in range(self.max_degree + 1):
-            c = self.change[d] @ vec[self.block_slice(d)]
+            v, c = vec[self.block_slice(d)], np.empty(self.degree_sizes[d], dtype=complex)
+            for idx, u in zip(_weight_classes(self.dom, d), self.factors[d]):
+                c[idx] = np.matmul(u, v[idx][..., None])[..., 0]
             for alpha, coeff in zip(multi_indices(self.dom.dim, d), c):
                 if coeff != 0:
                     terms[alpha] = terms.get(alpha, 0.0) + coeff
@@ -539,7 +535,9 @@ class TruncatedBasis:
         monomials = _monomial_vectors(self.dom, z, self.max_degree)
         out = np.empty(self.dim, dtype=complex)
         for d, m in enumerate(monomials):
-            out[self.block_slice(d)] = self.change[d].T @ m
+            e = out[self.block_slice(d)]
+            for idx, u in zip(_weight_classes(self.dom, d), self.factors[d]):
+                e[idx] = np.matmul(m[idx][:, None, :], u)[:, 0]
         return out
 
     def kernel_partial_sum(self, z, w) -> complex:
@@ -552,40 +550,38 @@ class TruncatedBasis:
         d = sum(alpha)
         if d > self.max_degree:
             raise ValidationError(f"degree {d} exceeds truncation {self.max_degree}")
-        pos = _position(self.dom.dim, d)[alpha]
-        # column of U^{-1}: solve U x = e_pos, norm^2 = |x|^2 since basis is ON
-        c = np.zeros(self.degree_sizes[d])
-        c[pos] = 1.0
-        x = _solve_by_class(self.change[d], _weight_classes(self.dom, d), c)
+        stack, row, col = _class_slots(self.dom, d)[_position(self.dom.dim, d)[alpha]]
+        # column of U^{-1} on z^alpha's class: solve U x = e, norm^2 = |x|^2
+        # since the basis is orthonormal
+        u = self.factors[d][stack][row]
+        x = np.linalg.solve(u, np.eye(len(u))[col])
         return float(x @ x)
 
 
-def _reverse_cholesky(block: SeriesBlock) -> np.ndarray:
-    """Upper-triangular U with positive diagonal and U U^T = C_d.
+def _reverse_cholesky(block: SeriesBlock) -> tuple[np.ndarray, ...]:
+    """The class stacks of the upper-triangular U with positive diagonal
+    and U U^T = C_d.
 
     One batched factorization per stack of torus-weight classes (C_d
-    couples no two classes): flip(cholesky(flip(C))) on each class, whose
-    indices ascend, so the scattered U stays upper triangular.
+    couples no two classes): flip(cholesky(flip(C))) on each class.
     """
-    size = sum(idx.size for idx in block.classes)
-    change = np.zeros((size, size))
-    for idx, stack in zip(block.classes, block.stacks):
+    out = []
+    for stack in block.stacks:
         try:
             lower = np.linalg.cholesky(stack[:, ::-1, ::-1])
         except np.linalg.LinAlgError as exc:
             raise NumericallySingular(
                 f"degree-{block.degree} coefficient block is not positive definite"
             ) from exc
-        change[idx[:, :, None], idx[:, None, :]] = lower[:, ::-1, ::-1]
-    change.setflags(write=False)
-    return change
+        out.append(_read_only(lower[:, ::-1, ::-1]))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=8)
 def _truncated_basis_cached(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
     _require_module_weight(dom, lam)
-    change = [_reverse_cholesky(block) for block in kernel_series(dom, lam, max_degree)]
-    return TruncatedBasis(dom, lam, max_degree, tuple(change))
+    factors = [_reverse_cholesky(block) for block in kernel_series(dom, lam, max_degree)]
+    return TruncatedBasis(dom, lam, max_degree, tuple(factors))
 
 
 def truncated_basis(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBasis:
@@ -596,13 +592,17 @@ def truncated_basis(dom: DomainSpec, lam: float, max_degree: int) -> TruncatedBa
 # on-disk cache
 # ---------------------------------------------------------------------
 
-def cache_key(dom: DomainSpec, lam: float, max_degree: int) -> str:
-    payload = json.dumps(
+def _cache_header(dom: DomainSpec, lam: float, max_degree: int) -> str:
+    """What a cache file is for: hashed into its key and stored in it."""
+    return json.dumps(
         {"domain": dom.to_json(), "lambda": float(lam), "D": int(max_degree),
          "ordering": "grlex", "format_version": CACHE_FORMAT_VERSION},
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+def cache_key(dom: DomainSpec, lam: float, max_degree: int) -> str:
+    return hashlib.sha256(_cache_header(dom, lam, max_degree).encode()).hexdigest()[:24]
 
 
 def resolve_cache_dir(cache_dir: str | None) -> str | None:
@@ -618,20 +618,15 @@ def _cache_path(cache_dir: str, dom: DomainSpec, lam: float, max_degree: int) ->
 def save_basis(basis: TruncatedBasis, cache_dir: str) -> str:
     """Write the basis to the cache atomically: a temporary file in the
     cache directory is renamed into place, so a reader sees the old file,
-    the new one or none, never a torn write."""
+    the new one or none, never a torn write.  Degree d is one member, its
+    factor stacks ravelled and concatenated."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, basis.dom, basis.lam, basis.max_degree)
-    header = json.dumps(
-        {
-            "format_version": CACHE_FORMAT_VERSION,
-            "domain": basis.dom.to_json(),
-            "lambda": basis.lam,
-            "D": basis.max_degree,
-            "ordering": "grlex",
-        },
-        sort_keys=True,
-    )
-    arrays = {f"change_{d}": c for d, c in enumerate(basis.change)}
+    header = _cache_header(basis.dom, basis.lam, basis.max_degree)
+    arrays = {
+        f"factor_{d}": np.concatenate([u.ravel() for u in f])
+        for d, f in enumerate(basis.factors)
+    }
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".basis-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -643,22 +638,29 @@ def save_basis(basis: TruncatedBasis, cache_dir: str) -> str:
     return path
 
 
-def _valid_change(mat: np.ndarray, size: int) -> bool:
-    return (
-        mat.shape == (size, size)
-        and mat.dtype.kind == "f"
-        and bool(np.all(np.isfinite(mat)))
-        and np.array_equal(mat, np.triu(mat))
-        and bool(np.all(np.diagonal(mat) > 0))
-    )
+def _factor_stacks(flat: np.ndarray, classes) -> tuple[np.ndarray, ...] | None:
+    """The class stacks ravelled into ``flat`` by ``save_basis``, or None
+    unless they fill it exactly and are real, finite and upper triangular
+    with a positive diagonal."""
+    shapes = [idx.shape + idx.shape[1:] for idx in classes]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if flat.dtype != np.float64 or flat.shape != (ends[-1],) or not np.all(np.isfinite(flat)):
+        return None
+    flat.setflags(write=False)
+    stacks = tuple(p.reshape(shape) for p, shape in zip(np.split(flat, ends[:-1]), shapes))
+    for u in stacks:
+        if not np.array_equal(u, np.triu(u)) or not np.all(np.diagonal(u, axis1=1, axis2=2) > 0):
+            return None
+    return stacks
 
 
 def load_basis(dom: DomainSpec, lam: float, max_degree: int, cache_dir: str) -> TruncatedBasis | None:
     """Cached basis, or None on a miss.
 
-    A file that cannot be read, or whose change matrices are not real finite
-    upper-triangular matrices of the right shape with a positive diagonal,
-    counts as a miss; the caller rebuilds and rewrites it.
+    A file that cannot be read, whose header is not the one its key was
+    made from, or whose factor stacks are not real finite upper-triangular
+    matrices of the right shape with a positive diagonal, counts as a miss;
+    the caller rebuilds and rewrites it.
     """
     path = _cache_path(cache_dir, dom, lam, max_degree)
     if not os.path.exists(path):
@@ -666,21 +668,16 @@ def load_basis(dom: DomainSpec, lam: float, max_degree: int, cache_dir: str) -> 
     try:
         # np.load drops a handle it opened itself when the zip header is bad
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            header = json.loads(str(data["header"]))
-            change = [np.array(data[f"change_{d}"]) for d in range(max_degree + 1)]
+            header = str(data["header"])
+            flats = [np.array(data[f"factor_{d}"]) for d in range(max_degree + 1)]
     except (OSError, ValueError, KeyError, EOFError, RuntimeError, zipfile.BadZipFile):
         return None
-    if header.get("format_version") != CACHE_FORMAT_VERSION:
+    if header != _cache_header(dom, lam, max_degree):
         return None
-    if header.get("domain") != dom.to_json() or header.get("D") != max_degree:
-        raise ValidationError(f"cache file {path} does not match its key")
-    if header.get("lambda") != float(lam):
-        raise ValidationError(f"cache file {path} does not match its key")
-    for d, mat in enumerate(change):
-        if not _valid_change(mat, len(multi_indices(dom.dim, d))):
-            return None
-        mat.setflags(write=False)
-    return TruncatedBasis(dom, float(lam), int(max_degree), tuple(change))
+    factors = [_factor_stacks(flat, _weight_classes(dom, d)) for d, flat in enumerate(flats)]
+    if None in factors:
+        return None
+    return TruncatedBasis(dom, float(lam), int(max_degree), tuple(factors))
 
 
 def cached_truncated_basis(

@@ -63,7 +63,7 @@ from .errors import (
 from .kernels import (
     TruncatedBasis,
     _shift_plan,
-    _stacked,
+    _weight_classes,
     cached_truncated_basis,
 )
 from .polynomials import MultiIndex, Polynomial, RationalSymbol
@@ -80,20 +80,21 @@ CONDITION_CUTOFF = 1e12
 def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray:
     """Block of multiplication by z^gamma from degree d to degree
     d + |gamma|, in the orthonormal basis: U_{d+g}^{-1} scatter(U_d), solved
-    per pair of torus-weight classes (``kernels._shift_plan``)."""
+    per pair of torus-weight classes on the factor stacks
+    (``kernels._shift_plan``)."""
     g = sum(gamma)
     if g == 0:
         # z^0 = 1: exactly the identity, without a solve's rounding
         return np.eye(basis.degree_sizes[d])
-    lower, upper = basis.change[d], basis.change[d + g]
-    out = np.zeros((upper.shape[0], lower.shape[0]))
-    for dst, src, hit in _shift_plan(basis.dom, gamma, d):
-        # the source class's columns of U_d, moved to their rows in dst
+    lower, upper = basis.factors[d], basis.factors[d + g]
+    sources, targets = _weight_classes(basis.dom, d), _weight_classes(basis.dom, d + g)
+    out = np.zeros((sum(c.size for c in targets), sum(c.size for c in sources)))
+    for (k, rows), (j, cols), hit in _shift_plan(basis.dom, gamma, d):
+        dst, src = targets[k][rows], sources[j][cols]
+        # the source classes' U_d blocks, moved to their rows in dst
         scattered = np.zeros(dst.shape + src.shape[1:])
-        scattered[np.arange(len(dst))[:, None], hit] = _stacked(lower, src, src)
-        out[dst[:, :, None], src[:, None, :]] = np.linalg.solve(
-            _stacked(upper, dst, dst), scattered
-        )
+        scattered[np.arange(len(dst))[:, None], hit] = lower[j][cols]
+        out[dst[:, :, None], src[:, None, :]] = np.linalg.solve(upper[k][rows], scattered)
     return out
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from symdom.cli import FIELDS, main, normalize_config, summary_path_for
 from symdom.domains import DomainSpec
-from symdom.kernels import gram_block, load_basis, save_basis
+from symdom.kernels import cache_key, gram_block, load_basis, save_basis
 
 Z1_JSON = {"nvars": 2, "terms": {"1,0": 1.0}}
 
@@ -222,15 +222,43 @@ def test_zero_pivot_cache_file_is_rebuilt(tmp_path, capsys):
     args = ["invariance", "--config", cfg, "--cache-dir", str(cache)]
     assert main(args) == 0
     basis = load_basis(DomainSpec.ball(2), 2.0, 4, str(cache))
-    bad = basis.change[2].copy()
-    bad[1, 1] = 0.0
-    change = basis.change[:2] + (bad,) + basis.change[3:]
-    save_basis(dataclasses.replace(basis, change=change), str(cache))
+    # ball2 weight classes are single monomials: one (3, 1, 1) stack at degree 2
+    (good,) = basis.factors[2]
+    bad = good.copy()
+    bad[1, 0, 0] = 0.0
+    factors = basis.factors[:2] + ((bad,),) + basis.factors[3:]
+    save_basis(dataclasses.replace(basis, factors=factors), str(cache))
     assert main(args + ["--out", out2]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert Path(out1).read_bytes() == Path(out2).read_bytes()
     rebuilt = load_basis(DomainSpec.ball(2), 2.0, 4, str(cache))
-    assert np.array_equal(rebuilt.change[2], basis.change[2])
+    assert np.array_equal(rebuilt.factors[2][0], good)
+
+
+def test_cache_file_for_another_key_is_rebuilt(tmp_path, capsys):
+    # a lambda 2 basis under the lambda 3 key's name: its header disagrees
+    # with the key, which is a miss like any other bad file, not a guard
+    cache = tmp_path / "cache"
+    spec = {
+        "domain": {"kind": "ball", "n": 2},
+        "lambda": 2.0,
+        "tuple": {"kind": "model", "D": 4},
+        "generators": [Z1_JSON],
+        "points": [[0.0, 0.5], [0.5, 0.0]],
+    }
+    cfg = write_cfg(tmp_path, "cfg.json", spec)
+    out = [str(tmp_path / f"{name}.csv") for name in ("lam2", "cached", "fresh")]
+    assert main(["spectrum", "--config", cfg, "--cache-dir", str(cache), "--out", out[0]]) == 0
+    (written,) = cache.iterdir()
+    dom = DomainSpec.ball(2)
+    assert written.name == f"basis-{cache_key(dom, 2.0, 4)}.npz"
+    os.replace(written, cache / f"basis-{cache_key(dom, 3.0, 4)}.npz")
+    args = ["spectrum", "--config", cfg, "--lambda", "3.0"]
+    assert main(args + ["--cache-dir", str(cache), "--out", out[1]]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert main(args + ["--out", out[2]]) == 0
+    assert Path(out[1]).read_bytes() == Path(out[2]).read_bytes()
+    assert load_basis(dom, 3.0, 4, str(cache)) is not None
 
 
 # ---------------------------------------------------------------------

@@ -33,7 +33,7 @@ from symdom.kernels import (
     truncated_basis,
 )
 from symdom.sampling import random_point
-from symdom.wallach import finite_rank_degree_bound, finite_rank_membership
+from symdom.wallach import finite_rank_degree_bound, finite_rank_membership, pochhammer
 
 BALL1 = DomainSpec.ball(1)
 BALL2 = DomainSpec.ball(2)
@@ -462,6 +462,68 @@ def test_class_solves_are_the_dense_triangular_solve(dom, lam, D, rng):
         assert np.abs(got - norms).max() <= 1e-12 * norms.max()
 
 
+def test_matrixball_basis_beyond_degree_24_is_stored_by_class(rng):
+    basis = truncated_basis(MB22, 2.5, 24)
+    assert all(not u.flags.writeable for f in basis.factors for u in f)
+    # torus-weight class stacks: well under 1 % of the dense entries stored
+    stored = sum(u.size for f in basis.factors for u in f)
+    assert stored < 0.01 * sum(size**2 for size in basis.degree_sizes)
+    z = random_point(MB22, rng, max_norm=0.6)
+    w = random_point(MB22, rng, max_norm=0.6)
+    direct = series_partial_sum(MB22, 2.5, z, w, 24)
+    assert abs(basis.kernel_partial_sum(z, w) - direct) <= 1e-12 * abs(direct)
+
+
+def partitions(d, parts, top=None):
+    """Partitions of d into at most ``parts`` parts, each at most ``top``."""
+    if d == 0:
+        yield ()
+    elif parts > 0:
+        for first in range(min(d, top or d), 0, -1):
+            for rest in partitions(d - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def weyl_dim(m, n):
+    """Dimension of the irreducible GL_n module of highest weight m."""
+    m = tuple(m) + (0,) * (n - len(m))
+    num = math.prod(m[i] - m[j] + j - i for i in range(n) for j in range(i + 1, n))
+    return num // math.prod(j - i for i in range(n) for j in range(i + 1, n))
+
+
+@pytest.mark.parametrize(
+    "dom, lam, D",
+    [
+        (DomainSpec.matrix_ball(1, 3), 2.5, 8),
+        (MB22, 2.5, 6),
+        (DomainSpec.matrix_ball(2, 3), 3.5, 8),
+        (DomainSpec.matrix_ball(3, 3), 3.5, 4),
+    ],
+    ids=case_id,
+)
+def test_factor_spectrum_is_faraut_koranyi(dom, lam, D):
+    # Delta(z, w)^{-lam} = sum_m (lam)_m K_m with K_m the Fischer kernel of
+    # P_m, the GL_r x GL_c module of the partition m (Faraut-Koranyi), and
+    # the Fischer Gram of monomials is diag(alpha!): so U^T diag(alpha!) U
+    # has the eigenvalue (lam)_m with multiplicity dim P_m, for |m| = d
+    basis = truncated_basis(dom, lam, D)
+    for d in range(D + 1):
+        fischer = np.array(
+            [math.prod(map(math.factorial, a)) for a in multi_indices(dom.dim, d)], dtype=float
+        )
+        got = np.sort(np.concatenate([
+            np.linalg.eigvalsh(u.transpose(0, 2, 1) @ (fischer[idx][:, :, None] * u)).ravel()
+            for idx, u in zip(kernels._weight_classes(dom, d), basis.factors[d])
+        ]))
+        want = np.sort([
+            pochhammer(lam, m, dom.char_a)
+            for m in partitions(d, dom.rank)
+            for _ in range(weyl_dim(m, dom.rows) * weyl_dim(m, dom.cols))
+        ])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 # ---------------------------------------------------------------------
 # disk cache
 # ---------------------------------------------------------------------
@@ -472,35 +534,52 @@ def test_cache_roundtrip(tmp_path):
     assert path.startswith(str(tmp_path))
     loaded = load_basis(BALL2, 3.0, 6, str(tmp_path))
     assert loaded is not None
-    for a, b in zip(basis.change, loaded.change):
-        assert np.array_equal(a, b)
+    for a, b in zip(basis.factors, loaded.factors):
+        assert len(a) == len(b)
+        assert all(np.array_equal(u, v) and not v.flags.writeable for u, v in zip(a, b))
 
 
 def test_cache_miss_returns_none(tmp_path):
     assert load_basis(BALL2, 2.0, 9, str(tmp_path)) is None
 
 
+def with_factor(basis, d, stacks):
+    """``basis`` with the class stacks of its degree-d factor replaced."""
+    factors = basis.factors[:d] + (tuple(stacks),) + basis.factors[d + 1:]
+    return dataclasses.replace(basis, factors=factors)
+
+
 def test_cache_rejects_invalid_change_matrices(tmp_path):
-    basis = truncated_basis(BALL2, 3.0, 4)
-    good = basis.change[2]
+    # MB(2,2) at degree 2: stack 1 holds classes of two monomials, so it has
+    # an entry below the diagonal to corrupt
+    basis = truncated_basis(MB22, 3.0, 4)
+    stacks = list(basis.factors[2])
+    good = stacks[1]
+    assert good.shape[1:] == (2, 2)
     lower = good.copy()
-    lower[2, 0] = 0.5
+    lower[0, 1, 0] = 0.5
     nonfinite = good.copy()
-    nonfinite[0, 1] = np.nan
+    nonfinite[0, 0, 1] = np.nan
+    infinite = good.copy()  # unlike NaN, equal to itself in the triangle test
+    infinite[0, 0, 1] = np.inf
     # the reverse Cholesky factor has a strictly positive diagonal; a zero
     # pivot would end in a singular triangular solve
     zero_pivot = good.copy()
-    zero_pivot[1, 1] = 0.0
+    zero_pivot[0, 1, 1] = 0.0
     negative_pivot = good.copy()
-    negative_pivot[1, 1] = -negative_pivot[1, 1]
-    wrong_type = good.astype(str)  # np.isfinite cannot take it
-    for bad in (lower, nonfinite, good[:-1, :-1], zero_pivot, negative_pivot, wrong_type):
-        change = basis.change[:2] + (bad,) + basis.change[3:]
-        save_basis(dataclasses.replace(basis, change=change), str(tmp_path))
-        assert load_basis(BALL2, 3.0, 4, str(tmp_path)) is None
-    rebuilt = cached_truncated_basis(BALL2, 3.0, 4, cache_dir=str(tmp_path))
-    assert np.array_equal(rebuilt.change[2], good)
-    assert load_basis(BALL2, 3.0, 4, str(tmp_path)) is not None
+    negative_pivot[0, 1, 1] = -negative_pivot[0, 1, 1]
+    bad_factors = [
+        stacks[:1] + [bad] + stacks[2:]
+        for bad in (lower, nonfinite, infinite, good[:-1], zero_pivot, negative_pivot)
+    ]
+    # a member of another dtype (np.isfinite cannot take strings)
+    bad_factors.append([u.astype(str) for u in stacks])
+    for bad in bad_factors:
+        save_basis(with_factor(basis, 2, bad), str(tmp_path))
+        assert load_basis(MB22, 3.0, 4, str(tmp_path)) is None
+    rebuilt = cached_truncated_basis(MB22, 3.0, 4, cache_dir=str(tmp_path))
+    assert np.array_equal(rebuilt.factors[2][1], good)
+    assert load_basis(MB22, 3.0, 4, str(tmp_path)) is not None
 
 
 def test_cached_builder_hits_disk(tmp_path):
