@@ -8,7 +8,11 @@ Two routes to f(T) are implemented and played against each other:
 
 The Szegoe kernel Delta(T, node)^{-n/r} depends only on the tuple and the
 node, so it is built once per tuple and node and shared by every polynomial
-and by the error estimate, whose rule is a subset of the same nodes.
+and by the error estimate, whose rule is a subset of the same nodes.  It is
+built in a simultaneous Schur basis of the tuple, where every node's
+I - sum conj(node_i) T_i is upper triangular up to the triangularization
+defect: chunks of 2048 nodes are factored by one unpivoted LU vectorized
+over the node axis, and each quadrature total is rotated back once.
 
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
@@ -50,7 +54,7 @@ SERIES_TERM_TOL = 1e-14
 SERIES_MAX_DEGREE = 400
 DENOM_SPECTRUM_MARGIN = 1e-6
 SPHERE_BASE_NODES = 1000
-_CHUNK = 8192
+_CHUNK = 2048  # nodes per kernel batch: (h, h, 2048) stacks stay in cache
 # scipy's Joe-Kuo direction-number table, found without importing scipy;
 # np.load reads it without importing scipy.stats, which would cost more than
 # drawing the points
@@ -323,25 +327,55 @@ def series_calculus(mats, f: Polynomial) -> np.ndarray:
     return out
 
 
-def _szegoe_batch(dom: DomainSpec, mats: list[np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """Delta(T, node)^{-n/r} for a batch of boundary nodes, shape (N, h, h).
+def _szegoe_batch(dom: DomainSpec, rotated: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Delta(R, node)^{-n/r} for a batch of boundary nodes, shape (h, h, N).
 
-    The Hardy exponent n/r is an integer for every quadrature-supported
-    family, so only batched inverses and products are needed.
+    ``rotated`` is the tuple R_k = Z* T_k Z in a simultaneous Schur basis Z,
+    stacked as (h, h, n).  The Hardy exponent n/r is an integer for every
+    quadrature-supported family.  Each node's I - sum conj(node_k) R_k (one
+    factor per coordinate on the polydisc) is upper triangular up to the
+    triangularization defect, with diagonal 1 - <eigenvalue, node> bounded
+    away from 0 by an interior spectrum, so an unpivoted LU, vectorized over
+    the trailing node axis, factors it stably; the strict lower part is kept,
+    so the result is exact to rounding.  The ball solves against I n/r
+    times; the polydisc once per factor.
     """
-    exponent = round(dom.hardy_weight)
-    eye = np.eye(mats[0].shape[0], dtype=complex)
+    h, _, n = rotated.shape
+    count = nodes.shape[0]
+    eye = np.eye(h, dtype=complex)[:, :, None]
+    conj_nodes = np.conj(nodes).T
+    out = np.repeat(eye, count, axis=2)
     if dom.kind == "ball":
-        inv = np.linalg.inv(eye - np.einsum("nk,kij->nij", np.conj(nodes), np.stack(mats)))
-        out = inv
-        for _ in range(exponent - 1):
-            out = out @ inv
+        base = eye - (rotated.reshape(h * h, n) @ conj_nodes).reshape(h, h, count)
+        pivots = _lu_in_place(base)
+        for _ in range(round(dom.hardy_weight)):
+            _lu_solve_in_place(base, pivots, out)
         return out
-    out = None
-    for k, t in enumerate(mats):
-        inv = np.linalg.inv(eye - np.conj(nodes[:, k])[:, None, None] * t)
-        out = inv if out is None else out @ inv
+    for k in reversed(range(n)):
+        base = eye - rotated[:, :, k, None] * conj_nodes[k]
+        _lu_solve_in_place(base, _lu_in_place(base), out)
     return out
+
+
+def _lu_in_place(a: np.ndarray) -> np.ndarray:
+    """Unpivoted LU of each a[:, :, j]: U on and above the diagonal, the
+    unit lower factor's multipliers below it.  Returns the reciprocals of
+    U's diagonal, shape (h, N)."""
+    for p in range(a.shape[0] - 1):
+        a[p + 1:, p] *= 1.0 / a[p, p]
+        a[p + 1:, p + 1:] -= a[p + 1:, p, None] * a[p, None, p + 1:]
+    return 1.0 / np.diagonal(a).T
+
+
+def _lu_solve_in_place(lu: np.ndarray, pivots: np.ndarray, b: np.ndarray) -> None:
+    """Overwrite each b[:, :, j] with A_j^{-1} b[:, :, j], given the factors
+    and pivot reciprocals of the A_j from ``_lu_in_place``."""
+    h = lu.shape[0]
+    for p in range(h - 1):
+        b[p + 1:] -= lu[p + 1:, p, None] * b[p, None]
+    for p in reversed(range(h)):
+        b[p] *= pivots[p]
+        b[:p] -= lu[:p, p, None] * b[p, None]
 
 
 @dataclass(frozen=True)
@@ -370,10 +404,10 @@ def integral_calculus(
     accumulation runs in a fixed order, so results are reproducible bit for
     bit.
     """
-    mats, _, radius = _tuple_and_radius(mats, dom)
-    _require_interior(radius)
     if quad.dom != dom:
         raise ValidationError("quadrature was built for a different domain")
+    mats, _, radius = _tuple_and_radius(mats, dom)
+    _require_interior(radius)
     polys = list(polys)
     if not polys:
         return []
@@ -399,25 +433,30 @@ def _quadrature_sum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-rule and estimate-rule sums of f(node) Delta(T, node)^{-n/r}.
 
-    Returns two (P, h, h) stacks, one matrix per polynomial.  Each chunk of
-    nodes gets one kernel batch and one (2P, chunk) coefficient block (full
-    weights, then the estimate rule's equal weights on its nodes, times the
-    values f(node)), accumulated with one matrix product.
+    Returns two (P, h, h) stacks, one matrix per polynomial.  The sums run in
+    a simultaneous Schur basis Z of the tuple, drawn as the spectrum guard
+    draws its first triangularization: each chunk of nodes gets
+    one kernel batch of the rotated tuple and one (2P, chunk) coefficient
+    block (full weights, then the estimate rule's equal weights on its nodes,
+    times the values f(node)), accumulated with one matrix product, and each
+    total S is rotated back once as Z S Z*.
     """
     h = mats[0].shape[0]
     count = len(polys)
+    basis, rotated = koszul._simultaneous_schur(mats, np.random.default_rng(0))
+    rotated = np.stack(rotated, axis=-1)
     estimate_weight = 1.0 / estimate.size
     total = np.zeros((2 * count, h * h), dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
         stop = min(start + _CHUNK, nodes.shape[0])
-        kernel = _szegoe_batch(dom, mats, nodes[start:stop]).reshape(stop - start, h * h)
+        kernel = _szegoe_batch(dom, rotated, nodes[start:stop]).reshape(h * h, stop - start)
         values = np.array([f.eval_batch(nodes[start:stop]) for f in polys])
         coeff = np.zeros((2 * count, stop - start), dtype=complex)
         coeff[:count] = weights[start:stop] * values
         local = estimate[np.searchsorted(estimate, start):np.searchsorted(estimate, stop)] - start
         coeff[count:, local] = estimate_weight * values[:, local]
-        total += coeff @ kernel
-    total = total.reshape(2 * count, h, h)
+        total += coeff @ kernel.T
+    total = basis @ total.reshape(2 * count, h, h) @ basis.conj().T
     return total[:count], total[count:]
 
 

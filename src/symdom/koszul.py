@@ -118,17 +118,6 @@ def creation_matrices(n: int, k: int) -> list[np.ndarray]:
     return mats
 
 
-def creation_operators_full(n: int) -> list[np.ndarray]:
-    """Theta_i on the whole exterior algebra (dimension 2^n), subsets ordered
-    by (size, lex): the blocks of ``creation_matrices`` at their offsets."""
-    starts = np.cumsum([0] + [len(_subsets(n, k)) for k in range(n + 1)])
-    mats = [np.zeros((2**n, 2**n)) for _ in range(n)]
-    for k in range(n):
-        for theta, block in zip(mats, creation_matrices(n, k)):
-            theta[starts[k + 1]:starts[k + 2], starts[k]:starts[k + 1]] = block
-    return mats
-
-
 # ---------------------------------------------------------------------
 # the complex
 # ---------------------------------------------------------------------
@@ -261,10 +250,15 @@ def taylor_point_test(mats, w) -> RegularityReport:
 # joint eigenvalues
 # ---------------------------------------------------------------------
 
-def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Diagonal of a simultaneous triangularization from one random
-    combination; retries internally if the Schur basis fails to triangularize
-    every component."""
+def _simultaneous_schur(
+    mats: list[np.ndarray], rng: np.random.Generator
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A unitary Z and the rotated tuple Z* T_i Z, upper triangular up to
+    1e-7 times the tuple's scale.
+
+    Z is the Schur basis of one random combination sum c_i T_i; up to eight
+    combinations are drawn from ``rng`` before :class:`ConsensusFailure`.
+    """
     import scipy.linalg  # numpy has no Schur decomposition
 
     scale = _scale(mats)
@@ -277,10 +271,16 @@ def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.nda
             np.linalg.norm(np.tril(r, -1), 2) for r in rotated
         )
         if defect <= 1e-7 * scale:
-            return np.column_stack([np.diag(r) for r in rotated])
+            return z, rotated
     raise ConsensusFailure(
         "no random combination produced a simultaneous triangularization"
     )
+
+
+def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+    """Diagonal of one simultaneous triangularization."""
+    _, rotated = _simultaneous_schur(mats, rng)
+    return np.column_stack([np.diag(r) for r in rotated])
 
 
 def _match_rows(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from symdom.calculus import (
+    _CHUNK,
+    _quadrature_sum,
     _sobol_points,
     _szegoe_batch,
     composition_residual,
@@ -24,14 +26,15 @@ from symdom.errors import (
     SpectrumTouchesBoundary,
     ValidationError,
 )
-from symdom.kernels import kernel_eval
+from symdom.kernels import kernel_eval, truncated_basis
 from symdom.koszul import hausdorff_distance, joint_eigenvalues
-from symdom.operators import permissive_transform
+from symdom.operators import permissive_transform, quotient_model
 from symdom.polynomials import Polynomial
 from symdom.sampling import random_commuting_tuple, random_point
 
 BALL1 = DomainSpec.ball(1)
 BALL2 = DomainSpec.ball(2)
+BALL3 = DomainSpec.ball(3)
 POLY2 = DomainSpec.polydisc(2)
 POLY3 = DomainSpec.polydisc(3)
 MB22 = DomainSpec.matrix_ball(2, 2)
@@ -297,9 +300,26 @@ def test_integral_underresolved_guard_checks_every_polynomial():
             integral_calculus([t], polys, quad, BALL1, tol=tol)
 
 
+def _dense_szegoe_batch(dom, mats, nodes):
+    # Delta(T, node)^{-n/r} in the original basis from one dense LAPACK
+    # inverse per node, shape (N, h, h)
+    exponent = round(dom.hardy_weight)
+    eye = np.eye(mats[0].shape[0], dtype=complex)
+    if dom.kind == "ball":
+        inv = np.linalg.inv(eye - np.einsum("nk,kij->nij", np.conj(nodes), np.stack(mats)))
+        out = inv
+        for _ in range(exponent - 1):
+            out = out @ inv
+        return out
+    out = eye
+    for k, t in enumerate(mats):
+        out = out @ np.linalg.inv(eye - np.conj(nodes[:, k])[:, None, None] * t)
+    return out
+
+
 def _one_polynomial_route(dom, mats, f, nodes, weights):
     # the route taken before the kernel was shared: one polynomial, one rule
-    kernel = _szegoe_batch(dom, mats, nodes)
+    kernel = _dense_szegoe_batch(dom, mats, nodes)
     values = sum(c * np.prod(nodes ** np.array(alpha), axis=1) for alpha, c in f.terms.items())
     return np.einsum("n,nij->ij", weights * values, kernel)
 
@@ -331,6 +351,85 @@ def test_batched_polynomials_match_one_at_a_time(dom, level, rng):
             est = np.linalg.norm(full - rough, 2) / scale
             assert np.linalg.norm(res.value - full, 2) <= 1e-12 * scale
             assert abs(res.est_error - est) <= 1e-12 * max(1.0, est)
+
+
+def _scaled_into_ball(mats, dom, radius):
+    # the tuple times the factor that puts its joint spectral radius at ``radius``
+    eigs = joint_eigenvalues(mats)
+    top = max(np.linalg.norm(mu) if dom.kind == "ball" else np.abs(mu).max() for mu in eigs)
+    return [radius / top * m for m in mats]
+
+
+def _oracle_tuples(rng):
+    j = jordan_like_disc_matrix()
+    k = 0.8 * j
+    nilpotent = list(quotient_model(truncated_basis(BALL2, 2.0, 8), [
+        Polynomial.monomial((1, 1), 1.0)
+    ]).tuple_mats)
+    return [
+        ("ball1-jordan", BALL1, 6, [j]),
+        ("ball2-jordan-square", BALL2, 1, [k, k @ k]),
+        ("ball2-repeated-diagonal", BALL2, 1,
+         diag_tuple([[0.3, 0.2j], [0.3, 0.2j], [-0.5, 0.1], [0.3, 0.2j], [0.0, -0.6]])),
+        ("ball2-random-0.7", BALL2, 1,
+         _scaled_into_ball(random_commuting_tuple(2, 5, rng), BALL2, 0.7)),
+        ("ball2-random-0.95", BALL2, 1,
+         _scaled_into_ball(random_commuting_tuple(2, 5, rng), BALL2, 0.95)),
+        ("ball2-nilpotent-quotient", BALL2, 1, [0.3 * m for m in nilpotent]),
+        ("ball3-random", BALL3, 1,
+         _scaled_into_ball(random_commuting_tuple(3, 4, rng), BALL3, 0.8)),
+        ("polydisc2-random", POLY2, 5,
+         _scaled_into_ball(random_commuting_tuple(2, 5, rng), POLY2, 0.8)),
+    ]
+
+
+def test_schur_basis_kernel_matches_dense_inverses(rng):
+    # the quadrature sums in the tuple's Schur basis against one dense
+    # inverse per node in the original basis; the sphere rules span several
+    # chunks and the quotient model is nilpotent but not zero
+    assert shilov_quadrature(BALL2, 1).node_count > _CHUNK
+    for name, dom, level, mats in _oracle_tuples(rng):
+        if name == "ball2-nilpotent-quotient":
+            assert mats[0].shape[0] == 17
+            assert np.abs(joint_eigenvalues(mats)).max() < 1e-6
+            assert np.linalg.norm(mats[0] @ mats[1], 2) > 0.0
+        quad = shilov_quadrature(dom, level)
+        polys = [Polynomial.constant(dom.dim, 1.0), Polynomial.coordinate(0, dom.dim),
+                 Polynomial.monomial((2,) + (1,) * (dom.dim - 1), 0.5)]
+        full, rough = _quadrature_sum(dom, mats, polys, quad.nodes, quad.weights, quad.estimate)
+        kernel = _dense_szegoe_batch(dom, mats, quad.nodes)
+        values = np.array([f.eval_batch(quad.nodes) for f in polys])
+        want_full = np.einsum("pn,nij->pij", quad.weights * values, kernel)
+        want_rough = np.einsum(
+            "pn,nij->pij", values[:, quad.estimate], kernel[quad.estimate]
+        ) / quad.estimate.size
+        for got, want in zip([*full, *rough], [*want_full, *want_rough]):
+            gap = np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+            assert gap <= 1e-12, (name, gap)
+
+
+@pytest.mark.parametrize(
+    "dom, level", [(BALL1, 6), (BALL2, 1), (BALL3, 1), (POLY2, 4)],
+    ids=["ball1", "ball2", "ball3", "polydisc2"],
+)
+def test_szegoe_batch_keeps_the_lower_part(dom, level, rng):
+    # a dense tuple, far from triangular: the unpivoted LU is exact all the same
+    mats = [0.4 * t / np.linalg.norm(t, 2) for t in random_commuting_tuple(dom.dim, 5, rng)]
+    nodes = shilov_quadrature(dom, level).nodes
+    got = np.moveaxis(_szegoe_batch(dom, np.stack(mats, axis=-1), nodes), 2, 0)
+    want = _dense_szegoe_batch(dom, mats, nodes)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_integral_calculus_checks_the_quadrature_domain_first():
+    # a ball1 tuple outside the disc, with a ball2 rule: the input fault wins
+    quad = shilov_quadrature(BALL2, 1)
+    with pytest.raises(ValidationError, match="different domain"):
+        integral_calculus([np.array([[1.2]])], [Polynomial.constant(1, 1.0)], quad, BALL1)
+    with pytest.raises(SpectrumTouchesBoundary):
+        integral_calculus(
+            [np.array([[1.2]])], [Polynomial.constant(1, 1.0)], shilov_quadrature(BALL1, 3), BALL1
+        )
 
 
 def test_integral_calculus_of_no_polynomials():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symdom.domains import DomainSpec
+from symdom.errors import ValidationError
 from symdom.kernels import truncated_basis
 from symdom.koszul import (
     KoszulComplex,
@@ -14,7 +15,6 @@ from symdom.koszul import (
     boundary_square_defect,
     check_commuting,
     creation_matrices,
-    creation_operators_full,
     hausdorff_distance,
     joint_eigenvalues,
     koszul_boundaries,
@@ -55,21 +55,25 @@ def kron_boundaries(mats):
 # ---------------------------------------------------------------------
 
 def test_single_creation_operator_frozen():
-    (theta,) = creation_operators_full(1)
-    assert np.array_equal(theta, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    (theta,) = creation_matrices(1, 0)
+    assert np.array_equal(theta, np.array([[1.0]]))
+    with pytest.raises(ValidationError):
+        creation_matrices(1, 1)
 
 
 def test_creation_operators_square_to_zero():
-    for theta in creation_operators_full(3):
-        assert np.abs(theta @ theta).max() == 0.0
+    for k in range(2):
+        for inner, outer in zip(creation_matrices(3, k), creation_matrices(3, k + 1)):
+            assert np.abs(outer @ inner).max() == 0.0
 
 
 def test_creation_operators_anticommute():
-    thetas = creation_operators_full(3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            anti = thetas[i] @ thetas[j] + thetas[j] @ thetas[i]
-            assert np.abs(anti).max() == 0.0
+    for k in range(2):
+        inner, outer = creation_matrices(3, k), creation_matrices(3, k + 1)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                anti = outer[i] @ inner[j] + outer[j] @ inner[i]
+                assert np.abs(anti).max() == 0.0
 
 
 def test_creation_stage_shapes():
