@@ -110,6 +110,17 @@ def _shift_positions(n: int, d: int, gamma: MultiIndex) -> np.ndarray:
     return _read_only(_grlex_rank(shifted, d + sum(gamma)).astype(np.intp))
 
 
+def _sorted_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable argsort of the 1-D ``values``, and where each run of equal
+    values starts in that order and how long it is."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    return order, starts, np.diff(np.append(starts, len(values)))
+
+
 @functools.lru_cache(maxsize=None)
 def _weight_classes(dom: DomainSpec, d: int) -> tuple[np.ndarray, ...]:
     """Positions of the degree-d monomials grouped by torus weight, stacked
@@ -120,6 +131,11 @@ def _weight_classes(dom: DomainSpec, d: int) -> tuple[np.ndarray, ...]:
     itself on the polydisc, and on the ball (1 x n) and the matrix ball the
     row and column sums of alpha read as a rows x cols array.  Delta is
     torus-invariant, so C_d and its factor U couple no two classes.
+
+    The classes are numbered in lexicographic order of their weights.  Every
+    weight entry lies in 0 .. d, so the weights read as numerals in base
+    d + 1 sort in that order; the running key is replaced by its rank among
+    the distinct keys so far whenever the next digit could overflow int64.
     """
     alpha = _alpha_array(dom.dim, d)
     if dom.kind == "polydisc":
@@ -127,13 +143,17 @@ def _weight_classes(dom: DomainSpec, d: int) -> tuple[np.ndarray, ...]:
     else:
         grid = alpha.reshape(-1, dom.rows, dom.cols)
         weight = np.hstack([grid.sum(axis=2), grid.sum(axis=1)])
-    _, label = np.unique(weight, axis=0, return_inverse=True)
-    label = label.reshape(-1)  # 2-D on some numpy 2.0 releases
-    order = np.argsort(label, kind="stable")
-    counts = np.bincount(label)
-    starts = np.cumsum(counts) - counts
+    key, bound = np.zeros(len(weight), dtype=np.int64), 1
+    for digit in weight.T:
+        if bound * (d + 1) > np.iinfo(np.int64).max:
+            order, starts, counts = _sorted_runs(key)
+            key[order] = np.repeat(np.arange(len(starts)), counts)
+            bound = len(starts)
+        key, bound = key * (d + 1) + digit, bound * (d + 1)
+    order, starts, counts = _sorted_runs(key)
     # class sizes in the order the classes first reach them
-    _, first = np.unique(counts, return_index=True)
+    by_size, size_starts, _ = _sorted_runs(counts)
+    first = by_size[size_starts]
     return tuple(
         _read_only(order[starts[counts == s][:, None] + np.arange(s)])
         for s in counts[np.sort(first)]
@@ -172,8 +192,10 @@ def _shift_plan(
     plan = []
     for j, src in enumerate(_weight_classes(dom, d)):
         stack, row, _ = where[rmap[src[:, 0]]].T
-        for k in np.unique(stack):
-            mine = np.flatnonzero(stack == k)
+        # the source rows by destination stack, each group ascending
+        order, starts, _ = _sorted_runs(stack)
+        for mine in np.split(order, starts[1:]):
+            k = stack[mine[0]]
             plan.append((
                 (int(k), _read_only(row[mine])),
                 (j, _read_only(mine)),
@@ -317,9 +339,16 @@ def series_partial_sum(dom: DomainSpec, lam: float, z, w, max_degree: int) -> co
 
 @functools.lru_cache(maxsize=None)
 def _alpha_array(n: int, d: int) -> np.ndarray:
-    arr = np.array(multi_indices(n, d), dtype=np.int64).reshape(-1, n)
-    arr.setflags(write=False)
-    return arr
+    """``multi_indices(n, d)`` as an (m, n) int64 array, built by the same
+    recursion on arrays: the first exponent runs from d down to 0, each
+    followed by every (n - 1)-variable index of the remaining degree."""
+    if n == 1:
+        return _read_only(np.full((1, 1), d, dtype=np.int64))
+    rests = [_alpha_array(n - 1, d - first) for first in range(d, -1, -1)]
+    out = np.empty((sum(len(r) for r in rests), n), dtype=np.int64)
+    out[:, 0] = np.repeat(np.arange(d, -1, -1), [len(r) for r in rests])
+    out[:, 1:] = np.concatenate(rests)
+    return _read_only(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,26 +10,33 @@ ranges of the truncated multipliers P_D M_{f_j} P_D, which keeps it exactly
 invariant under the truncated coordinate multipliers, so the compressed
 tuple commutes in exact arithmetic for every generator set.  A model holds
 only the complement: an orthonormal basis Q of M^(D) orth, stored as
-degree blocks, and the compressions S_i = Q^H T_i Q, all assembled by one
-block routine (``_sandwich``).  The submodule is never stored; its
-invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2, which equals
-||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
+degree blocks, and the compressed tuple S_i = Q^H T_i Q; compressions of
+other symbols come from one block routine (``_sandwich``).  The submodule
+is never stored; its invariance is checked from Q alone as
+||Q^H T_i - S_i Q^H||_2, which equals ||Q^H T_i M||_2 for any orthonormal
+basis M of M^(D).
 ``quotient_model`` picks one of two paths from its generators:
 
 - graded path, when every generator is homogeneous: the submodule is
   graded, its degree-d columns are the multiplier blocks from degree
-  d - deg f_j into degree d, the quotient splits as the sum over d of
-  P_d orth M_d, and each degree gets its own SVD, whose trailing left
-  singular vectors are the degree-d complement.  Every quotient basis
-  vector is supported on exactly one degree, its label.  An empty
-  generator list is the zero submodule: rank 0 in every degree, so the
-  quotient is the whole space.  The scale, invariance and commutator guards
-  are all taken as per-degree block norms.
+  d - deg f_j into degree d, and the quotient splits as the sum over d of
+  P_d orth M_d.  z^gamma carries torus-weight class mu into class
+  mu + wt(gamma), so the columns of each degree split further by groups of
+  classes, read off the generators' terms; each group gets one full SVD,
+  whose trailing left singular vectors are its part of the complement, and
+  classes that no column reaches keep their basis vectors.  Every quotient
+  basis vector is supported on exactly one degree, its label.  An empty
+  generator list is the zero submodule, so the quotient is the whole space.
+  The compressed tuple is stored as its degree-shift blocks S_i(d), degree
+  d to d + 1; ``QuotientModel.tuple_mats`` assembles the dense matrices on
+  each access.  The scale, invariance and commutator guards are all taken
+  as per-degree block norms.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
   the columns of every P_D M_{f_j} P_D and the orthocomplement of their
   span, adapted to the degree filtration; the span's rank is decided only
   there, by the complement's null spaces.  Each quotient basis vector is
-  supported on degrees <= its label.
+  supported on degrees <= its label, and the compressed tuple is stored
+  dense.
 
 The invariance guard compares the defect with ``INVARIANCE_TOL`` times
 max(1, largest ||T_i||_2); that scale cannot lower the threshold below
@@ -38,9 +45,9 @@ max(1, largest ||T_i||_2); that scale cannot lower the threshold below
 When the generators are homogeneous and every symbol of a profile is an
 affine coordinate symbol c z_i + d, [S_a, S_b*] = c_a conj(c_b) [S_i, S_j*]
 is block-diagonal by degree (S_i maps degree d to d + 1), so the full and
-windowed Schatten cells come from its degree blocks, cut from the model's
-S_i at the label boundaries; each block's singular values are taken once
-and serve every p and the window.  Moebius symbols and filtration-path
+windowed Schatten cells come from its degree blocks, built from the stored
+shift blocks; each block's singular values are taken once and serve every
+p and the window.  Moebius symbols and filtration-path
 models take the dense commutator.
 """
 
@@ -62,7 +69,10 @@ from .errors import (
 )
 from .kernels import (
     TruncatedBasis,
+    _class_slots,
+    _sorted_runs,
     _shift_plan,
+    _shift_positions,
     _weight_classes,
     cached_truncated_basis,
 )
@@ -201,21 +211,6 @@ def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
     return np.hstack(cols)
 
 
-def _graded_columns(basis: TruncatedBasis, generators) -> list[np.ndarray]:
-    """Per degree d, the blocks of P_D M_f P_D from degree d - deg f into
-    degree d, side by side, for homogeneous generators f."""
-    _check_generators(basis, generators)
-    out = []
-    for d, size in enumerate(basis.degree_sizes):
-        blocks = [
-            _mult_block(basis, f, d - f.degree()) for f in generators if f.degree() <= d
-        ]
-        out.append(np.hstack(blocks) if blocks else np.zeros((size, 0), dtype=complex))
-    if generators and not any(c.shape[1] for c in out):
-        raise ValidationError("generators produce an empty span at this degree")
-    return out
-
-
 @dataclass(frozen=True)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
@@ -225,19 +220,44 @@ class QuotientModel:
     the submodule is ``I - projector()``.  ``blocks`` stores Q by degree: a
     pair (start, block) per degree d, where block is the degree-d rows of Q
     on the columns from start on, and those rows vanish on all other
-    columns.  When every generator is homogeneous (the graded path; no
-    generators at all gives the whole space) each column is supported on
-    exactly its label's degree, so block d is the degree-d complement, and
-    the scale, invariance and commutator guards are per-degree block norms.
-    Otherwise (the filtration path) each column is supported on degrees <=
-    its label, and block d holds every column labelled d or higher.
+    columns.
+
+    When every generator is homogeneous (the graded path; no generators at
+    all gives the whole space) each column is supported on exactly its
+    label's degree, so block d is the degree-d complement, taken by one SVD
+    per group of torus-weight classes (``_graded_model``).  The compressed
+    tuple is then stored as its degree-shift blocks: ``shift_blocks[i][d]``
+    is S_i(d), the block of S_i from degree d to degree d + 1, d = 0 .. D - 1,
+    and the scale, invariance and commutator guards are per-degree block
+    norms.  Otherwise (the filtration path) each column is supported on
+    degrees <= its label, block d holds every column labelled d or higher,
+    and the compressed tuple is stored dense in ``dense_tuple``.  Exactly
+    one of ``shift_blocks`` and ``dense_tuple`` is set.
     """
 
     basis: TruncatedBasis
     generators: tuple[Polynomial, ...]
     blocks: tuple[tuple[int, np.ndarray], ...]
     degree_labels: np.ndarray
-    tuple_mats: tuple[np.ndarray, ...]
+    shift_blocks: tuple[tuple[np.ndarray, ...], ...] | None
+    dense_tuple: tuple[np.ndarray, ...] | None
+
+    @property
+    def tuple_mats(self) -> tuple[np.ndarray, ...]:
+        """The compressed tuple S_1 .. S_n as dense dim_quotient x
+        dim_quotient matrices: the stored ``dense_tuple`` on the filtration
+        path, assembled from ``shift_blocks`` on each access on the graded
+        path (Koszul tests, the boundary calculus and tests)."""
+        if self.shift_blocks is None:
+            return self.dense_tuple
+        nq = self.dim_quotient
+        out = []
+        for sblocks in self.shift_blocks:
+            mat = np.zeros((nq, nq), dtype=complex)
+            for (col, _), (row, _), s in zip(self.blocks, self.blocks[1:], sblocks):
+                mat[row:row + s.shape[0], col:col + s.shape[1]] = s
+            out.append(mat)
+        return tuple(out)
 
     @property
     def dim_quotient(self) -> int:
@@ -316,56 +336,160 @@ def _check_invariance(defect: float, basis: TruncatedBasis) -> None:
         )
 
 
+def _class_ids(dom: DomainSpec, d: int) -> np.ndarray:
+    """The torus-weight class of each degree-d position, the classes of
+    ``_weight_classes(dom, d)`` numbered stack by stack and row by row."""
+    stack, row, _ = _class_slots(dom, d).T
+    firsts = np.cumsum([0] + [len(s) for s in _weight_classes(dom, d)])
+    return firsts[stack] + row
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each of ``size`` nodes labelled by the smallest node of its connected
+    component under the edges (a[k], b[k]).
+
+    Every label is a node of the same component, at most the node itself.
+    A pass lowers both ends of each edge to the smaller of their labels and
+    then replaces each label by the label of that node, so labels only
+    fall; a pass that changes nothing leaves both ends of every edge with
+    one label, which is then the component's smallest node."""
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _group_svds(basis: TruncatedBasis, generators, d: int):
+    """The degree-d generator columns, one full SVD per group of
+    torus-weight classes.
+
+    The columns of degree d are the blocks of P_D M_f P_D from degree
+    d - deg f, for each homogeneous generator f.  z^gamma carries class mu
+    of degree d - |gamma| into class mu + wt(gamma), so the column of f on
+    one source monomial lies in the classes that f's terms carry its class
+    to; classes shared by a column form one group, and the columns are
+    block-diagonal by group.  A generator whose terms share one weight
+    (z11, det z, any monomial) gives one class per group; z11 + z22 merges
+    classes.
+
+    Returns the positions of the classes that no column reaches, and per
+    stack of groups of one shape (m rows, k columns): the groups' positions
+    (g, m), their left singular vectors (g, m, m) and singular values.
+    """
+    dom = basis.dom
+    cls = _class_ids(dom, d)
+    blocks, keys, tails, heads = [], [], [], []
+    for f in generators:
+        if f.degree() <= d:
+            src = d - f.degree()
+            # hit[t, p]: the class that term t carries source position p into
+            hit = np.array([cls[_shift_positions(dom.dim, src, gamma)] for gamma in f.terms])
+            blocks.append(_mult_block(basis, f, src))
+            keys.append(hit[0])
+            tails.append(np.broadcast_to(hit[0], hit[1:].shape).ravel())
+            heads.append(hit[1:].ravel())
+    empty = [np.zeros(0, dtype=np.intp)]
+    group = _components(
+        sum(len(s) for s in _weight_classes(dom, d)),
+        np.concatenate(empty + tails),
+        np.concatenate(empty + heads),
+    )
+    col_group = group[np.concatenate(empty + keys)]
+    row_group = group[cls]
+    reached = np.zeros(group.size, dtype=bool)
+    reached[col_group] = True
+    rows = np.flatnonzero(reached[row_group])
+    by_group, row_starts, heights = _sorted_runs(row_group[rows])
+    rows = rows[by_group]
+    cols, col_starts, widths = _sorted_runs(col_group)
+    svds = []
+    if rows.size:
+        mat = np.hstack(blocks)
+        order, starts, _ = _sorted_runs(heights * (widths.max() + 1) + widths)
+        for same in np.split(order, starts[1:]):
+            r = rows[row_starts[same][:, None] + np.arange(heights[same[0]])]
+            c = cols[col_starts[same][:, None] + np.arange(widths[same[0]])]
+            u, s, _ = np.linalg.svd(mat[r[:, :, None], c[:, None, :]], full_matrices=True)
+            svds.append((r, u, s))
+    return np.flatnonzero(~reached[row_group]), svds
+
+
+def _complement_block(size: int, free: np.ndarray, svds, cutoff: float) -> np.ndarray:
+    """The degree-d complement: the basis vectors of the classes no column
+    reaches, then each group's left singular vectors past its rank, the
+    singular values above ``cutoff``."""
+    kept = []  # (positions, vector) per kept column, one row each
+    for pos, u, s in svds:
+        g, j = np.nonzero(np.arange(u.shape[1]) >= np.sum(s > cutoff, axis=1)[:, None])
+        kept.append((pos[g], u[g, :, j]))
+    q = np.zeros((size, free.size + sum(len(v) for _, v in kept)), dtype=complex)
+    q[free, np.arange(free.size)] = 1.0
+    col = free.size
+    for pos, vectors in kept:
+        q[pos, col + np.arange(len(vectors))[:, None]] = vectors
+        col += len(vectors)
+    return q
+
+
+def _graded_complement(basis: TruncatedBasis, generators) -> list[np.ndarray]:
+    """The complement blocks Q_0 .. Q_D of homogeneous generators.  The
+    rank counts the singular values above ``SPAN_RANK_TOL`` times the
+    largest one over every group of every degree."""
+    _check_generators(basis, generators)
+    if generators and min(f.degree() for f in generators) > basis.max_degree:
+        raise ValidationError("generators produce an empty span at this degree")
+    parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
+    cutoff = SPAN_RANK_TOL * max(
+        (s.max() for _, svds in parts for _, _, s in svds if s.size), default=0.0
+    )
+    return [
+        _complement_block(size, free, svds, cutoff)
+        for size, (free, svds) in zip(basis.degree_sizes, parts)
+    ]
+
+
 def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by homogeneous generators: M^(D) and its complement split
-    as sums over d of M_d and P_d orth M_d, so every step runs per degree.
+    as sums over d of M_d and P_d orth M_d, and each degree further by
+    groups of torus-weight classes (``_group_svds``), so every step runs per
+    degree and every SVD per group.
 
-    The generator columns are block-diagonal by degree, so one SVD per
-    degree, with the rank counted against the largest singular value over
-    all degrees, applies the same rank rule as one SVD of all columns.
-    Without generators every degree keeps rank 0: the whole space.
+    The generator columns are block-diagonal by degree and group, so one
+    SVD per group, with the rank counted against the largest singular value
+    over every group of every degree, applies the same rank rule as one SVD
+    of all columns.  Without generators no class is reached: the whole
+    space.
     """
-    svds = []
-    for cols in _graded_columns(basis, generators):
-        if cols.shape[1]:
-            u, s, _ = np.linalg.svd(cols, full_matrices=True)
-        else:
-            u, s = np.eye(cols.shape[0], dtype=complex), np.zeros(0)
-        svds.append((u, s))
-    cutoff = SPAN_RANK_TOL * max((s[0] for _, s in svds if s.size), default=0.0)
-    quotient_blocks = [u[:, int(np.sum(s > cutoff)):] for u, s in svds]
+    quotient_blocks = _graded_complement(basis, generators)
     sizes = [q.shape[1] for q in quotient_blocks]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    nq = int(starts[-1])
 
     # Each coordinate multiplier shifts degree d to d + 1, so its compression,
     # the norms and the invariance defect Q^H T - S Q^H are taken blockwise;
     # a degree where M has rank 0 has a unitary Q_d and no defect.
-    compressed, tuple_blocks, defect = [], [], 0.0
+    tuple_blocks, defect = [], 0.0
     for i in range(basis.dom.dim):
-        blocks = _coordinate_blocks(basis, i)
-        mat = np.zeros((nq, nq), dtype=complex)
-        sblocks = []
-        for d, t in enumerate(blocks):
-            q = quotient_blocks[d]
+        z, sblocks = Polynomial.coordinate(i, basis.dom.dim), []
+        for d in range(basis.max_degree):
+            t, q = _mult_block(basis, z, d), quotient_blocks[d]
             left = quotient_blocks[d + 1].conj().T @ t
             sblocks.append(left @ q)
-            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = sblocks[-1]
             if left.size and q.shape[1] < q.shape[0]:
                 defect = max(
                     defect, np.linalg.norm(left - sblocks[-1] @ q.conj().T, 2)
                 )
-        compressed.append(mat)
-        tuple_blocks.append(sblocks)
+        tuple_blocks.append(tuple(sblocks))
     _check_invariance(defect, basis)
     _check_shift_commuting(tuple_blocks)
-    # copies: a view would keep each degree's full size_d x size_d u alive
-    blocks = tuple(
-        (int(start), np.array(q, dtype=complex, order="C"))
-        for start, q in zip(starts, quotient_blocks)
-    )
-    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(compressed))
+    blocks = tuple((int(start), q) for start, q in zip(starts, quotient_blocks))
+    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks), None)
 
 
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -392,7 +516,7 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
         )
         _check_invariance(defect, basis)
         koszul.check_commuting(compressed)
-    return QuotientModel(basis, tuple(generators), blocks, labels, compressed)
+    return QuotientModel(basis, tuple(generators), blocks, labels, None, compressed)
 
 
 def _is_graded(generators) -> bool:
@@ -574,19 +698,16 @@ def windowed_submatrix(
 
 def _commutator_blocks(model: QuotientModel, i: int, j: int) -> list[np.ndarray]:
     """Degree-d diagonal blocks, d = 0 .. D, of [S_i, S_j*] on a graded
-    model, where S_i maps degree d to d + 1 through its block S_i(d): block
-    d is S_i(d-1) S_j(d-1)* - S_j(d)* S_i(d), with S(-1) = S(D) = 0."""
-    top = model.basis.max_degree
-    starts = np.searchsorted(model.degree_labels, np.arange(top + 2))
-    degree = [slice(starts[d], starts[d + 1]) for d in range(top + 1)]
-    si, sj = model.tuple_mats[i], model.tuple_mats[j]
+    model, from the stored degree-shift blocks S(d) (degree d to d + 1):
+    block d is S_i(d-1) S_j(d-1)* - S_j(d)* S_i(d), with S(-1) = S(D) = 0."""
+    si, sj = model.shift_blocks[i], model.shift_blocks[j]
     out = []
-    for d, rows in enumerate(degree):
-        block = np.zeros((rows.stop - rows.start,) * 2, dtype=complex)
+    for d, (_, q) in enumerate(model.blocks):
+        block = np.zeros((q.shape[1],) * 2, dtype=complex)
         if d > 0:
-            block += si[rows, degree[d - 1]] @ sj[rows, degree[d - 1]].conj().T
-        if d < top:
-            block -= sj[degree[d + 1], rows].conj().T @ si[degree[d + 1], rows]
+            block += si[d - 1] @ sj[d - 1].conj().T
+        if d < len(si):
+            block -= sj[d].conj().T @ si[d]
         out.append(block)
     return out
 
@@ -621,14 +742,14 @@ def essential_normality_profile(
         raise ValidationError("need at least one symbol")
     w = window if window is not None else max(s.degree() for s in symbols) + 1
     affine = [_affine_coordinate(s) for s in symbols]
-    blockwise = _is_graded(generators) and None not in affine
-    if blockwise:  # the dense route checks each symbol as it compresses it
+    if None not in affine:  # the dense route checks each symbol as it compresses it
         for s in symbols:
             _check_symbol(dom, s)
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
         model = quotient_model(basis, generators)
+        blockwise = model.shift_blocks is not None and None not in affine
         if not blockwise:
             compressed = [compress_symbol(model, s) for s in symbols]
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):

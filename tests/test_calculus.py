@@ -392,7 +392,8 @@ def test_schur_basis_kernel_matches_dense_inverses(rng):
         if name == "ball2-nilpotent-quotient":
             assert mats[0].shape[0] == 17
             assert np.abs(joint_eigenvalues(mats)).max() < 1e-6
-            assert np.linalg.norm(mats[0] @ mats[1], 2) > 0.0
+            # S_1 S_2 vanishes exactly (z1 z2 lies in the submodule); the squares do not
+            assert min(np.linalg.norm(m @ m, 2) for m in mats) > 0.0
         quad = shilov_quadrature(dom, level)
         polys = [Polynomial.constant(dom.dim, 1.0), Polynomial.coordinate(0, dom.dim),
                  Polynomial.monomial((2,) + (1,) * (dom.dim - 1), 0.5)]

@@ -425,6 +425,48 @@ def test_weight_classes_are_the_components_of_the_series_blocks(dom, D):
         assert sorted(tuple(cls) for cls in classes) == components
 
 
+def unique_weight_classes(dom, d):
+    """The class table built with ``np.unique`` on the weight rows: labels in
+    lexicographic order of the weights, stacks by size in the order the
+    classes first reach each size."""
+    alpha = np.array(multi_indices(dom.dim, d), dtype=np.int64).reshape(-1, dom.dim)
+    if dom.kind == "polydisc":
+        weight = alpha
+    else:
+        grid = alpha.reshape(-1, dom.rows, dom.cols)
+        weight = np.hstack([grid.sum(axis=2), grid.sum(axis=1)])
+    _, label = np.unique(weight, axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label)
+    starts = np.cumsum(counts) - counts
+    _, first = np.unique(counts, return_index=True)
+    return [order[starts[counts == s][:, None] + np.arange(s)] for s in counts[np.sort(first)]]
+
+
+@pytest.mark.parametrize(
+    "dom, D",
+    [
+        (DomainSpec.ball(3), 12),
+        (POLY2, 12),
+        (MB22, 12),
+        (DomainSpec.matrix_ball(2, 3), 12),
+        # 4**40 exceeds int64: the weight key is re-ranked between digits
+        (DomainSpec.polydisc(40), 3),
+    ],
+    ids=case_id,
+)
+def test_index_tables_are_the_unique_and_tuple_constructions(dom, D):
+    for d in range(D + 1):
+        alphas = kernels._alpha_array(dom.dim, d)
+        want = np.array(multi_indices(dom.dim, d), dtype=np.int64).reshape(-1, dom.dim)
+        assert alphas.dtype == want.dtype and np.array_equal(alphas, want)
+        got, want = kernels._weight_classes(dom, d), unique_weight_classes(dom, d)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 BASIS_CASES = [
     (BALL2, 2.0, 8),
     (POLY2, 2.0, 8),

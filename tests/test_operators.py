@@ -2,6 +2,7 @@
 compressions, cross-commutators, Schatten norms, and the profile harness."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -355,6 +356,150 @@ def test_graded_path_skips_dense_commutator_check(monkeypatch):
         quotient_model(basis, gens)
     with pytest.raises(AssertionError):
         quotient_model(basis, [Z1 * Z1 + Z2])
+
+
+def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
+    """The per-degree route to the complement: one full SVD of each degree's
+    generator columns, the rank counted against ``tol`` times the largest
+    singular value over all degrees.  Returns the dense complement Q, its
+    degree labels and the dense compressed tuple Q^H T_i Q."""
+    svds = []
+    for d, size in enumerate(basis.degree_sizes):
+        cols = [_mult_block(basis, f, d - f.degree()) for f in gens if f.degree() <= d]
+        if cols:
+            u, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=True)
+        else:
+            u, s = np.eye(size), np.zeros(0)
+        svds.append((u, s))
+    cutoff = tol * max((s[0] for _, s in svds if s.size), default=0.0)
+    blocks = [u[:, int(np.sum(s > cutoff)):] for u, s in svds]
+    q = np.zeros((basis.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
+    col = 0
+    for d, b in enumerate(blocks):
+        q[basis.block_slice(d), col:col + b.shape[1]] = b
+        col += b.shape[1]
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    return q, labels, [q.conj().T @ t @ q for t in coordinate_mult_ops(basis)]
+
+
+def oracle_generator_sets(dom):
+    """z11, z12, det z (a 2 x 2 minor, or z1 z2 where there is none), the
+    pair (z11, z22) and the sum z11 + z22, which joins torus-weight classes;
+    on the ball and polydisc z11 and z22 read z1 and z2."""
+    z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    if dom.kind == "matrixball" and dom.rows == 2:
+        a, b, c = z[0], z[dom.cols + 1], z[0] * z[dom.cols + 1] - z[1] * z[dom.cols]
+    else:
+        a, b, c = z[0], z[-1], z[0] * z[1]
+    return {"z11": [a], "z12": [z[1]], "det": [c], "pair": [a, b], "sum": [a + b]}
+
+
+ORACLE_CASES = [
+    (BALL2, 2.0, 10),
+    (POLY2, 2.0, 10),
+    (DomainSpec.matrix_ball(1, 3), 2.5, 8),
+    (DomainSpec.matrix_ball(2, 2), 2.5, 7),
+    (DomainSpec.matrix_ball(2, 3), 3.5, 4),
+]
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", ORACLE_CASES, ids=lambda v: getattr(v, "kind", None))
+def test_class_group_complement_is_the_per_degree_route(dom, lam, d_trunc):
+    basis = truncated_basis(dom, lam, d_trunc)
+    coords = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    ps = [1.5, 2.0, np.inf]
+    for name, gens in oracle_generator_sets(dom).items():
+        model = quotient_model(basis, gens)
+        q, labels, tuple_oracle = per_degree_oracle(basis, gens)
+        assert np.array_equal(model.degree_labels, labels), name
+        qm = model.quotient_onb
+        assert np.abs(model.projector() - q @ q.conj().T).max() < 1e-12, name
+        for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
+            ambient = q @ want @ q.conj().T
+            assert np.abs(qm @ s @ qm.conj().T - ambient).max(initial=0.0) < 1e-12, name
+        rows = essential_normality_profile(dom, lam, gens, coords, ps, [d_trunc])
+        pairs = [(i, j) for i in range(dom.dim) for j in range(i, dom.dim)]
+        for row, ((i, j), p) in zip(rows, itertools.product(pairs, ps), strict=True):
+            comm = cross_commutator(tuple_oracle[i], tuple_oracle[j])
+            windowed = windowed_submatrix(comm, labels, d_trunc - 2)
+            for got, want in (
+                (row.schatten_full, schatten_norm(comm, p)),
+                (row.schatten_windowed, schatten_norm(windowed, p)),
+            ):
+                assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13, name
+
+
+@pytest.mark.parametrize("tol", [SPAN_RANK_TOL, 0.05, 0.3, 0.6])
+def test_group_ranks_count_against_the_largest_singular_value_of_all_degrees(tol, monkeypatch):
+    # a coarse tolerance puts the cutoff among the singular values: each
+    # group's rank must still follow the one cutoff over every group
+    dom = DomainSpec.matrix_ball(2, 2)
+    basis = truncated_basis(dom, 2.5, 6)
+    monkeypatch.setattr(operators, "SPAN_RANK_TOL", tol)
+    for name, gens in oracle_generator_sets(dom).items():
+        _, labels, _ = per_degree_oracle(basis, gens, tol)
+        widths = [q.shape[1] for q in operators._graded_complement(basis, gens)]
+        assert widths == np.bincount(labels, minlength=len(widths)).tolist(), name
+
+
+def test_sum_generator_joins_weight_classes():
+    # z11 + z22 carries a monomial into two torus-weight classes, so groups of
+    # several classes share one SVD; a monomial generator keeps one class each
+    dom = DomainSpec.matrix_ball(2, 2)
+    basis = truncated_basis(dom, 2.5, 4)
+    gens = oracle_generator_sets(dom)
+    for name, joined in (("z11", False), ("sum", True)):
+        for d in range(1, 5):
+            cls = operators._class_ids(dom, d)
+            _, svds = operators._group_svds(basis, gens[name], d)
+            most = max(len(set(cls[row])) for pos, _, _ in svds for row in pos)
+            assert (most > 1) == joined, (name, d)
+
+
+def test_empty_complement_degrees():
+    # ball2 modulo (z1, z2): every degree >= 1 lies in the submodule
+    basis = truncated_basis(BALL2, 2.0, 4)
+    gens = [Z1, Z2]
+    model = quotient_model(basis, gens)
+    assert [q.shape for _, q in model.blocks] == [(1, 1)] + [
+        (size, 0) for size in basis.degree_sizes[1:]
+    ]
+    for sblocks in model.shift_blocks:
+        assert [b.shape for b in sblocks] == [(0, 1)] + [(0, 0)] * 3
+    q, labels, tuple_oracle = per_degree_oracle(basis, gens)
+    assert np.array_equal(model.degree_labels, labels)
+    for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
+        assert s.shape == (1, 1) and np.array_equal(s, want)
+    rows = essential_normality_profile(BALL2, 2.0, gens, [Z1, Z2], [1.0, 2.0, np.inf], [4])
+    assert rows and all(r.schatten_full == 0.0 == r.schatten_windowed for r in rows)
+
+
+def test_graded_tuple_is_stored_as_shift_blocks():
+    # MB(2,2) modulo z11 at D 20: the four blocks S_i(d), d = 0 .. 19, hold
+    # 4 sum_d nq_{d+1} nq_d entries, 7.3 % of the dense 4 nq^2
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 20)
+    model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
+    nq = [math.comb(d + 2, 2) for d in range(21)]
+    assert model.dim_quotient == sum(nq) == 1771
+    assert model.dense_tuple is None
+    stored = sum(b.size for sblocks in model.shift_blocks for b in sblocks)
+    assert stored == 4 * sum(nq[d + 1] * nq[d] for d in range(20))
+    assert stored < 0.08 * 4 * model.dim_quotient**2
+
+
+def test_coordinate_profile_never_reads_the_dense_tuple(monkeypatch):
+    def dense(self):
+        raise AssertionError("dense tuple read on the blockwise route")
+
+    monkeypatch.setattr(operators.QuotientModel, "tuple_mats", property(dense))
+    dom = DomainSpec.matrix_ball(2, 2)
+    z = [Polynomial.coordinate(i, 4) for i in range(4)]
+    symbols = z + [z[1] * 0.5 + Polynomial.constant(4, 0.2j)]
+    for gens in ([z[0]], [z[0] + z[3]], []):
+        rows = essential_normality_profile(dom, 2.5, gens, symbols, [2.0, 3.0], [3, 5])
+        assert rows
+    with pytest.raises(AssertionError, match="dense tuple"):
+        quotient_model(truncated_basis(dom, 2.5, 3), [z[0]]).tuple_mats
 
 
 def random_shift_tuple(rng, sizes, n):
