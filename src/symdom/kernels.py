@@ -30,6 +30,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -315,11 +316,27 @@ def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple
     return tuple(out)
 
 
+# the longest degree built per (dom, lam), most recently used last; the lock
+# serves the threads of ``symdom invariance --jobs``
+_LONGEST_SERIES: dict[tuple[DomainSpec, float], int] = {}
+_LONGEST_LOCK = threading.Lock()
+
+
 def kernel_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
-    """Blocks C_0 .. C_{max_degree} of Delta^{-lam}; any real weight."""
+    """Blocks C_0 .. C_{max_degree} of Delta^{-lam}; any real weight.
+
+    C_d depends only on the blocks of lower degree, so a series is served as
+    the prefix of the longest one built for (dom, lam), bit for bit.
+    """
     if max_degree < 0:
         raise ValidationError("max_degree must be non-negative")
-    return _kernel_series_cached(dom, float(lam), int(max_degree))
+    key, max_degree = (dom, float(lam)), int(max_degree)
+    with _LONGEST_LOCK:
+        longest = max(_LONGEST_SERIES.pop(key, -1), max_degree)
+        _LONGEST_SERIES[key] = longest
+        if len(_LONGEST_SERIES) > _kernel_series_cached.cache_info().maxsize:
+            del _LONGEST_SERIES[next(iter(_LONGEST_SERIES))]
+    return _kernel_series_cached(*key, longest)[: max_degree + 1]
 
 
 def series_partial_sum(dom: DomainSpec, lam: float, z, w, max_degree: int) -> complex:

@@ -12,6 +12,18 @@ gets real boundaries and real SVDs, at about a quarter of the complex
 flops.  Scalar shifts leave commutators unchanged, so ``taylor_point_tests``
 computes the pairwise commutators once per tuple and divides them by each
 point's own scale.
+
+A sign symmetry of the tuple is an epsilon in {+-1}^n with a diagonal +-1
+matrix Gamma such that Gamma T_k Gamma = epsilon_k T_k for every k; the
+circle and torus actions of the domain's automorphism group give graded
+quotient models many of them.  The shifted tuple at epsilon * w is then
+epsilon_k Gamma (T_k - w_k) Gamma, so its complex is unitarily equivalent to
+the one at w through Lambda(diag epsilon) (x) Gamma, and the singular values,
+ranks, defects and the guard scale agree in exact arithmetic.
+``taylor_point_tests`` therefore computes one report per orbit of points
+under these symmetries, at the orbit's first-listed point, and gives it to
+every member: a member reports the representative's ``min_stage_gap``, which
+a per-point SVD would reproduce only up to rounding.
 """
 
 from __future__ import annotations
@@ -211,6 +223,49 @@ def regularity_report(cx: KoszulComplex) -> RegularityReport:
     )
 
 
+def _sign_symmetries(mats: list[np.ndarray]) -> np.ndarray:
+    """The tuple's sign symmetries epsilon (see the module docstring) as the
+    rows of a (|G|, n) array of +-1, the identity first.
+
+    Gamma = diag(gamma) fits when gamma_a gamma_b = epsilon_k at every
+    nonzero T_k[a, b].  Over GF(2), a spanning forest of the union support
+    graph writes each gamma_a as its root's times the product of epsilon
+    over a parity mask of coordinates; every entry then asks that epsilon
+    have even parity on parity(a) ^ parity(b) ^ bit(k), which is empty on
+    the forest's own edges.  A nonzero diagonal entry in every T_k forces
+    epsilon = 1, and then no graph is walked.
+    """
+    n, h = len(mats), mats[0].shape[0]
+    support = np.stack([m != 0 for m in mats])
+    if support.diagonal(axis1=1, axis2=2).any(axis=1).all():
+        return np.ones((1, n))
+    bits = 1 << np.arange(n)
+    pairs = support | support.transpose(0, 2, 1)
+    linked = pairs.any(axis=0)
+    parity = np.full(h, -1, dtype=np.int64)
+    for root in range(h):
+        if parity[root] >= 0:
+            continue
+        parity[root] = 0
+        todo = [root]
+        while todo:
+            a = todo.pop()
+            new = np.flatnonzero(linked[a] & (parity < 0))
+            # through the first T_k that links a to each new index
+            parity[new] = parity[a] ^ bits[pairs[:, a, new].argmax(axis=0)]
+            todo.extend(new.tolist())
+    k, a, b = np.nonzero(support)
+    masks = set((parity[a] ^ parity[b] ^ bits[k]).tolist())
+    # every epsilon as an n-bit integer, kept while each mask has even parity
+    group = np.arange(1 << n)
+    odd = np.zeros(group.size, dtype=bool)
+    for i in range(n):
+        odd ^= ((group >> i) & 1).astype(bool)
+    for mask in masks:
+        group = group[~odd[group & mask]]
+    return 1.0 - 2.0 * ((group[:, None] >> np.arange(n)) & 1)
+
+
 def taylor_point_tests(mats, points) -> list[RegularityReport]:
     """Regularity of the shifted tuple (T_1 - w_1, ..., T_n - w_n) at each
     point w, one report per point.
@@ -219,8 +274,14 @@ def taylor_point_tests(mats, points) -> list[RegularityReport]:
     commutators are computed once: a scalar shift does not change them, so
     each point's guard is that norm over the point's own scale
     max(max_i ||T_i - w_i||_2, 1), the value ``check_commuting`` gives on
-    the shifted tuple.  Each shifted tuple is real exactly when the tuple
-    and the point both are.
+    the shifted tuple; as the scale is at least 1, it is taken only when the
+    norm alone exceeds ``COMMUTE_TOL``.  Each shifted tuple is real exactly
+    when the tuple and the point both are.
+
+    Every point is shifted and guarded in input order, but the report is
+    computed once per orbit under the tuple's sign symmetries, at the first
+    point listed of the orbit.  An orbit is keyed by the set of its sign
+    images, -0.0 read as 0.0.
     """
     mats = _as_tuple(mats)
     n, h = len(mats), mats[0].shape[0]
@@ -229,15 +290,21 @@ def taylor_point_tests(mats, points) -> list[RegularityReport]:
         if w.size != n:
             raise ValidationError(f"point has {w.size} entries, tuple has {n}")
     comm = _commutator_norm(mats)
+    signs = _sign_symmetries(mats)
     eye = np.eye(h)
+    orbits: dict[frozenset, RegularityReport] = {}
     reports = []
     for w in points:
         with np.errstate(over="ignore"):
             shifted = [t - wi * eye for t, wi in zip(mats, w)]
         if not all(np.isfinite(t).all() for t in shifted):
             raise ValidationError("shifted tuple has entries beyond the float range")
-        _guard_commuting(comm / _scale(shifted))
-        reports.append(regularity_report(_assemble(shifted)))
+        if comm > COMMUTE_TOL:
+            _guard_commuting(comm / _scale(shifted))
+        orbit = frozenset(image.tobytes() for image in signs * w + 0.0)
+        if orbit not in orbits:
+            orbits[orbit] = regularity_report(_assemble(shifted))
+        reports.append(orbits[orbit])
     return reports
 
 

@@ -128,6 +128,26 @@ def test_matrixball_series_beyond_degree_24(rng):
         assert err <= 1e-8
 
 
+def test_shorter_series_is_a_prefix_of_the_longest_built():
+    lam = 1.75  # a weight no other test builds
+    kernels._kernel_series_cached.cache_clear()
+    fresh = kernel_series(MB22, lam, 6)
+    kernels._kernel_series_cached.cache_clear()
+    longest = kernel_series(MB22, lam, 10)
+    misses = kernels._kernel_series_cached.cache_info().misses
+    prefix = kernel_series(MB22, lam, 6)
+    assert kernels._kernel_series_cached.cache_info().misses == misses
+    assert len(prefix) == 7
+    assert all(a is b for a, b in zip(prefix, longest))
+    for got, want in zip(prefix, fresh, strict=True):
+        for a, b in zip(got.stacks, want.stacks, strict=True):
+            assert np.array_equal(a, b)
+    # a longer request builds again, and serves every shorter one after it
+    assert len(kernel_series(MB22, lam, 12)) == 13
+    assert kernels._kernel_series_cached.cache_info().misses == misses + 1
+    assert kernel_series(MB22, lam, 10)[10] is not longest[10]
+
+
 CLASS_CASES = [
     (BALL1, 10),
     (BALL2, 8),

@@ -9,9 +9,12 @@ import pytest
 from symdom.domains import DomainSpec
 from symdom.errors import ValidationError
 from symdom.kernels import truncated_basis
+from symdom import koszul
 from symdom.koszul import (
     KoszulComplex,
     NotCommuting,
+    _assemble,
+    _sign_symmetries,
     boundary_square_defect,
     check_commuting,
     creation_matrices,
@@ -243,6 +246,122 @@ def test_point_tests_guard_no_looser_than_per_point_check(rng):
         with pytest.raises(NotCommuting):
             taylor_point_tests(mats, points)
     assert raised == [True] * 5 + [False, True, True]
+
+
+# ---------------------------------------------------------------------
+# sign symmetries: one report per orbit
+# ---------------------------------------------------------------------
+
+def symmetry_gamma(mats, eps):
+    """The diagonal of a +-1 matrix Gamma with Gamma T_k Gamma = eps_k T_k,
+    propagated entry by entry from gamma = 1 at each unreached index; None
+    when an entry contradicts it."""
+    h = mats[0].shape[0]
+    entries = [(a, b, e) for m, e in zip(mats, eps) for a, b in zip(*np.nonzero(m))]
+    gamma = [0] * h
+    for root in range(h):
+        if gamma[root]:
+            continue
+        gamma[root] = 1
+        changed = True
+        while changed:
+            changed = False
+            for a, b, e in entries:
+                for x, y in ((a, b), (b, a)):
+                    if gamma[x] and not gamma[y]:
+                        gamma[y] = e * gamma[x]
+                        changed = True
+    if any(gamma[a] * gamma[b] != e for a, b, e in entries):
+        return None
+    return np.array(gamma, dtype=float)
+
+
+def brute_force_symmetries(mats):
+    """Every eps in {+-1}^n that some Gamma realizes, each Gamma checked."""
+    out = set()
+    for eps in itertools.product([1, -1], repeat=len(mats)):
+        gamma = symmetry_gamma(mats, eps)
+        if gamma is None:
+            continue
+        for m, e in zip(mats, eps):
+            assert np.array_equal(gamma[:, None] * m * gamma[None, :], e * m)
+        out.add(eps)
+    return out
+
+
+def orbit_count(points, group):
+    """Orbits of the points under w -> eps * w, by value (0.0 == -0.0)."""
+    reps = []
+    for w in points:
+        if not any(np.array_equal(np.array(eps) * w, r) for r in reps for eps in group):
+            reps.append(w)
+    return len(reps)
+
+
+Z = Polynomial.coordinate
+AXIS = [-0.5, 0.0, 0.5]
+SYMMETRY_CASES = {
+    # (domain, weight, D, generators, grid points, |G|)
+    "ball2/z1": (DomainSpec.ball(2), 2.0, 6, [Z(0, 2)],
+                 list(itertools.product([-0.5, -0.0, 0.0, 0.5], [-0.5j, 0.0, 0.5j])), 4),
+    "polydisc2/z1z2": (DomainSpec.polydisc(2), 1.0, 5, [Z(0, 2) * Z(1, 2)],
+                       list(itertools.product(AXIS, repeat=2)), 4),
+    "ball3/z1z2": (DomainSpec.ball(3), 3.0, 5, [Z(0, 3) * Z(1, 3)],
+                   list(itertools.product(AXIS, repeat=3)), 8),
+    "mb22/z11": (DomainSpec.matrix_ball(2, 2), 2.5, 6, [Z(0, 4)],
+                 [(0.0,) * 4] + list(itertools.product([-0.5, 0.5], repeat=4)), 16),
+    "mb22/z11+z22": (DomainSpec.matrix_ball(2, 2), 2.5, 5, [Z(0, 4) + Z(3, 4)],
+                     [(0.0,) * 4] + list(itertools.product([-0.5, 0.5], repeat=4)), 4),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRY_CASES)
+def test_point_tests_once_per_orbit_match_per_point_reports(case, monkeypatch):
+    dom, lam, d_trunc, gens, grid, size = SYMMETRY_CASES[case]
+    mats = list(quotient_model(truncated_basis(dom, lam, d_trunc), gens).tuple_mats)
+    group = brute_force_symmetries(mats)
+    assert len(group) == size
+    assert {tuple(eps) for eps in _sign_symmetries(mats).astype(int).tolist()} == group
+    points = [np.array(w) for w in grid]
+
+    calls = []
+
+    def counting_report(cx):
+        calls.append(cx)
+        return regularity_report(cx)
+
+    monkeypatch.setattr(koszul, "regularity_report", counting_report)
+    got = taylor_point_tests(mats, points)
+    monkeypatch.undo()
+    assert len(calls) == orbit_count(points, group) < len(points)
+
+    h = mats[0].shape[0]
+    for w, report in zip(points, got, strict=True):
+        want = regularity_report(_assemble([m - wi * np.eye(h) for m, wi in zip(mats, w)]))
+        assert (report.regular, report.ranks, report.defects) == (
+            want.regular, want.ranks, want.defects
+        )
+        assert abs(report.min_stage_gap - want.min_stage_gap) <= 1e-12 * want.min_stage_gap
+
+
+def test_sign_symmetries_hand_cases(rng):
+    def signs(mats):
+        return {tuple(e) for e in _sign_symmetries(mats).astype(int).tolist()}
+
+    h = 5
+    # a nonzero diagonal in every component pins every sign
+    assert signs([np.diag([0.0, 1.0, 2.0, 0.0, 3.0]), np.diag([1.0, 0.0, 0.0, 0.0, 0.0])]) == {(1, 1)}
+    # the zero tuple allows every sign
+    assert signs([np.zeros((h, h))] * 3) == set(itertools.product([1, -1], repeat=3))
+    # a generic dense commuting pair allows none
+    a, b = commuting_pair_from_one_matrix(h, rng)
+    assert signs([a, b]) == {(1, 1)}
+    # the shift J and J^2: J^2 closes a cycle with two J steps, so only J flips
+    shift = np.eye(h, k=-1)
+    assert signs([shift, shift @ shift]) == {(1, 1), (-1, 1)}
+    assert signs([shift, shift @ shift]) == brute_force_symmetries([shift, shift @ shift])
+    # one diagonal entry of T_2 pins eps_2 only
+    assert signs([shift, np.diag([0, 0, 1.0, 0, 0])]) == {(1, 1), (-1, 1)}
 
 
 # ---------------------------------------------------------------------
