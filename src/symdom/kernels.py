@@ -30,7 +30,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -272,8 +271,7 @@ def _class_entries(dom: DomainSpec, d: int) -> tuple[np.ndarray, np.ndarray, np.
     return np.concatenate(rows), np.concatenate(cols), offsets
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
+def _build_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
     n = dom.dim
     delta = _delta_blocks(dom)
     mu = -lam
@@ -316,27 +314,28 @@ def _kernel_series_cached(dom: DomainSpec, lam: float, max_degree: int) -> tuple
     return tuple(out)
 
 
-# the longest degree built per (dom, lam), most recently used last; the lock
-# serves the threads of ``symdom invariance --jobs``
-_LONGEST_SERIES: dict[tuple[DomainSpec, float], int] = {}
-_LONGEST_LOCK = threading.Lock()
+@functools.lru_cache(maxsize=8)
+def _kernel_series_cached(dom: DomainSpec, lam: float) -> list[tuple[SeriesBlock, ...]]:
+    """A one-slot list holding the longest series built for (dom, lam)."""
+    return [()]
 
 
 def kernel_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
     """Blocks C_0 .. C_{max_degree} of Delta^{-lam}; any real weight.
 
     C_d depends only on the blocks of lower degree, so a series is served as
-    the prefix of the longest one built for (dom, lam), bit for bit.
+    the prefix of the longest one built for (dom, lam), bit for bit; a longer
+    request builds anew and takes the slot once its build has returned.
     """
     if max_degree < 0:
         raise ValidationError("max_degree must be non-negative")
-    key, max_degree = (dom, float(lam)), int(max_degree)
-    with _LONGEST_LOCK:
-        longest = max(_LONGEST_SERIES.pop(key, -1), max_degree)
-        _LONGEST_SERIES[key] = longest
-        if len(_LONGEST_SERIES) > _kernel_series_cached.cache_info().maxsize:
-            del _LONGEST_SERIES[next(iter(_LONGEST_SERIES))]
-    return _kernel_series_cached(*key, longest)[: max_degree + 1]
+    lam, max_degree = float(lam), int(max_degree)
+    slot = _kernel_series_cached(dom, lam)
+    blocks = slot[0]
+    if len(blocks) <= max_degree:
+        blocks = _build_series(dom, lam, max_degree)
+        slot[0] = blocks
+    return blocks[: max_degree + 1]
 
 
 def series_partial_sum(dom: DomainSpec, lam: float, z, w, max_degree: int) -> complex:

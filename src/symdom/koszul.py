@@ -232,13 +232,11 @@ def _sign_symmetries(mats: list[np.ndarray]) -> np.ndarray:
     graph writes each gamma_a as its root's times the product of epsilon
     over a parity mask of coordinates; every entry then asks that epsilon
     have even parity on parity(a) ^ parity(b) ^ bit(k), which is empty on
-    the forest's own edges.  A nonzero diagonal entry in every T_k forces
-    epsilon = 1, and then no graph is walked.
+    the forest's own edges.  A diagonal entry of T_k asks it of bit(k) alone,
+    which forces epsilon_k = 1.
     """
     n, h = len(mats), mats[0].shape[0]
     support = np.stack([m != 0 for m in mats])
-    if support.diagonal(axis1=1, axis2=2).any(axis=1).all():
-        return np.ones((1, n))
     bits = 1 << np.arange(n)
     pairs = support | support.transpose(0, 2, 1)
     linked = pairs.any(axis=0)

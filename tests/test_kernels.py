@@ -128,15 +128,20 @@ def test_matrixball_series_beyond_degree_24(rng):
         assert err <= 1e-8
 
 
-def test_shorter_series_is_a_prefix_of_the_longest_built():
+def test_shorter_series_is_a_prefix_of_the_longest_built(monkeypatch):
     lam = 1.75  # a weight no other test builds
-    kernels._kernel_series_cached.cache_clear()
-    fresh = kernel_series(MB22, lam, 6)
-    kernels._kernel_series_cached.cache_clear()
+    fresh = kernels._build_series(MB22, lam, 6)
+    builds = []
+    build = kernels._build_series
+
+    def counting_build(dom, lam, max_degree):
+        builds.append(max_degree)
+        return build(dom, lam, max_degree)
+
+    monkeypatch.setattr(kernels, "_build_series", counting_build)
     longest = kernel_series(MB22, lam, 10)
-    misses = kernels._kernel_series_cached.cache_info().misses
     prefix = kernel_series(MB22, lam, 6)
-    assert kernels._kernel_series_cached.cache_info().misses == misses
+    assert builds == [10]
     assert len(prefix) == 7
     assert all(a is b for a, b in zip(prefix, longest))
     for got, want in zip(prefix, fresh, strict=True):
@@ -144,8 +149,28 @@ def test_shorter_series_is_a_prefix_of_the_longest_built():
             assert np.array_equal(a, b)
     # a longer request builds again, and serves every shorter one after it
     assert len(kernel_series(MB22, lam, 12)) == 13
-    assert kernels._kernel_series_cached.cache_info().misses == misses + 1
     assert kernel_series(MB22, lam, 10)[10] is not longest[10]
+    assert builds == [10, 12]
+
+
+def test_failed_series_build_keeps_the_longest_built(monkeypatch):
+    lam = 1.625  # a weight no other test builds
+    longest = kernel_series(MB22, lam, 8)
+    builds = []
+
+    def failing_build(dom, lam, max_degree):
+        builds.append(max_degree)
+        raise MemoryError
+
+    monkeypatch.setattr(kernels, "_build_series", failing_build)
+    with pytest.raises(MemoryError):
+        kernel_series(MB22, lam, 14)
+    # shorter requests are still served from the series built before
+    assert kernel_series(MB22, lam, 8)[8] is longest[8]
+    assert len(kernel_series(MB22, lam, 3)) == 4
+    assert builds == [14]
+    monkeypatch.undo()
+    assert len(kernel_series(MB22, lam, 14)) == 15
 
 
 CLASS_CASES = [
