@@ -443,7 +443,9 @@ def _quadrature_sum(
     """
     h = mats[0].shape[0]
     count = len(polys)
-    basis, rotated = koszul._simultaneous_schur(mats, np.random.default_rng(0))
+    basis, rotated = koszul._simultaneous_schur(
+        mats, np.random.default_rng(0), koszul._scale(mats)
+    )
     rotated = np.stack(rotated, axis=-1)
     estimate_weight = 1.0 / estimate.size
     total = np.zeros((2 * count, h * h), dtype=complex)

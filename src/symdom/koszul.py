@@ -24,6 +24,14 @@ ranks, defects and the guard scale agree in exact arithmetic.
 under these symmetries, at the orbit's first-listed point, and gives it to
 every member: a member reports the representative's ``min_stage_gap``, which
 a per-point SVD would reproduce only up to rounding.
+
+Joint eigenvalues come from a simultaneous triangularization that first
+peels the tuple's exact nonzero pattern, as the permutation step of LAPACK's
+balancing (Parlett and Reinsch) does: a basis permutation makes every T_k
+block upper triangular around an irreducible core, and only that core needs
+a Schur form.  A graded quotient model, whose components raise the degree,
+has an empty core, so its eigenvalues are read off a permuted tuple exactly
+and without scipy; a tuple with dense components is all core.
 """
 
 from __future__ import annotations
@@ -97,6 +105,11 @@ def check_commuting(mats) -> float:
     """
     mats = _as_tuple(mats)
     return _guard_commuting(_commutator_norm(mats) / _scale(mats))
+
+
+def _support(mats: list[np.ndarray]) -> np.ndarray:
+    """The (n, h, h) stack of the tuple's exact nonzeros."""
+    return np.stack([m != 0 for m in mats])
 
 
 # ---------------------------------------------------------------------
@@ -236,7 +249,7 @@ def _sign_symmetries(mats: list[np.ndarray]) -> np.ndarray:
     which forces epsilon_k = 1.
     """
     n, h = len(mats), mats[0].shape[0]
-    support = np.stack([m != 0 for m in mats])
+    support = _support(mats)
     bits = 1 << np.arange(n)
     pairs = support | support.transpose(0, 2, 1)
     linked = pairs.any(axis=0)
@@ -315,23 +328,70 @@ def taylor_point_test(mats, w) -> RegularityReport:
 # joint eigenvalues
 # ---------------------------------------------------------------------
 
+def _peel(support: np.ndarray) -> tuple[np.ndarray, slice]:
+    """A basis order that makes every T_k block upper triangular, and the
+    slice of it that holds the irreducible core.
+
+    Kahn's algorithm on the union support graph without its diagonal, one
+    level at a time: indices whose rows have no off-diagonal entry among
+    the indices left go last, indices whose columns have none go first (an
+    index with neither goes last), and what no level reaches is the core.
+    Outside the core's diagonal block every T_k is then upper triangular in
+    the new order, with its own diagonal entries on the diagonal.
+    """
+    h = support.shape[1]
+    off = support.any(axis=0)
+    np.fill_diagonal(off, False)
+    row_count, col_count = off.sum(axis=1), off.sum(axis=0)
+    alive = np.ones(h, dtype=bool)
+    first, last = [], []
+    while True:
+        rows = np.flatnonzero(alive & (row_count == 0))
+        cols = np.flatnonzero(alive & (col_count == 0) & (row_count > 0))
+        if rows.size + cols.size == 0:
+            break
+        peeled = np.concatenate([rows, cols])
+        alive[peeled] = False
+        row_count -= off[:, peeled].sum(axis=1)
+        col_count -= off[peeled].sum(axis=0)
+        last.append(rows)
+        first.append(cols)
+    core = np.flatnonzero(alive)
+    start = sum(c.size for c in first)
+    return np.concatenate(first + [core] + last[::-1]), slice(start, start + core.size)
+
+
 def _simultaneous_schur(
-    mats: list[np.ndarray], rng: np.random.Generator
+    mats: list[np.ndarray], rng: np.random.Generator, scale: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """A unitary Z and the rotated tuple Z* T_i Z, upper triangular up to
-    1e-7 times the tuple's scale.
+    1e-7 times ``scale``, the tuple's ``_scale``.
 
-    Z is the Schur basis of one random combination sum c_i T_i; up to eight
-    combinations are drawn from ``rng`` before :class:`ConsensusFailure`.
+    Z is the permutation of ``_peel`` with the Schur basis of one random
+    combination sum c_i T_i, restricted to the core, in the core's rows and
+    columns.  scipy is imported only for a nonempty core: a tuple with no
+    core gets a permutation Z and a tuple that is exactly upper triangular
+    after it, and a tuple with nothing to peel gets the Schur basis of the
+    whole combination.  Up to eight combinations are drawn from ``rng``
+    before :class:`ConsensusFailure`, whatever the core.
     """
-    import scipy.linalg  # numpy has no Schur decomposition
-
-    scale = _scale(mats)
+    n, h = len(mats), mats[0].shape[0]
+    order, core = _peel(_support(mats))
+    permuted = [m[np.ix_(order, order)] for m in mats]
     for _ in range(8):
-        coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        combo = sum(c * m for c, m in zip(coeffs, mats))
-        _, z = scipy.linalg.schur(combo, output="complex")
-        rotated = [z.conj().T @ m @ z for m in mats]
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = np.zeros((h, h), dtype=complex)
+        z[order, np.arange(h)] = 1.0
+        rotated = [p.astype(complex) for p in permuted]
+        if core.start < core.stop:
+            import scipy.linalg  # only a nonempty core needs a Schur form
+
+            combo = sum(c * p[core, core] for c, p in zip(coeffs, permuted))
+            _, vecs = scipy.linalg.schur(combo, output="complex")
+            z[np.ix_(order[core], np.arange(h)[core])] = vecs
+            for r in rotated:
+                r[core] = vecs.conj().T @ r[core]
+                r[:, core] = r[:, core] @ vecs
         defect = max(
             np.linalg.norm(np.tril(r, -1), 2) for r in rotated
         )
@@ -342,22 +402,26 @@ def _simultaneous_schur(
     )
 
 
-def _joint_eigs_once(mats: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def _joint_eigs_once(
+    mats: list[np.ndarray], rng: np.random.Generator, scale: float
+) -> np.ndarray:
     """Diagonal of one simultaneous triangularization."""
-    _, rotated = _simultaneous_schur(mats, rng)
+    _, rotated = _simultaneous_schur(mats, rng, scale)
     return np.column_stack([np.diag(r) for r in rotated])
 
 
 def _match_rows(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy nearest-neighbour matching of two equal-size point lists;
+    """Greedy nearest-neighbour matching of two equal-size point lists, in
+    the row order of ``a`` with the smallest index of ``b`` winning ties;
     returns the largest matched distance."""
-    remaining = list(range(b.shape[0]))
+    dists = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    free = np.ones(b.shape[0], dtype=bool)
     worst = 0.0
-    for row in a:
-        dists = [np.linalg.norm(row - b[j]) for j in remaining]
-        pick = int(np.argmin(dists))
-        worst = max(worst, float(dists[pick]))
-        remaining.pop(pick)
+    for row in dists:
+        remaining = np.flatnonzero(free)
+        pick = remaining[np.argmin(row[remaining])]
+        worst = max(worst, float(row[pick]))
+        free[pick] = False
     return worst
 
 
@@ -368,10 +432,11 @@ def joint_eigenvalues(mats, seed: int = 0) -> np.ndarray:
     matching within ``CONSENSUS_TOL``; otherwise :class:`ConsensusFailure`.
     """
     mats = _as_tuple(mats)
-    check_commuting(mats)
+    scale = _scale(mats)
+    _guard_commuting(_commutator_norm(mats) / scale)
     rng = np.random.default_rng(seed)
-    first = _joint_eigs_once(mats, rng)
-    second = _joint_eigs_once(mats, rng)
+    first = _joint_eigs_once(mats, rng, scale)
+    second = _joint_eigs_once(mats, rng, scale)
     gap = _match_rows(first, second)
     if gap > CONSENSUS_TOL:
         raise ConsensusFailure(

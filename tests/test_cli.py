@@ -655,6 +655,34 @@ def test_kernel_run_loads_no_scipy(tmp_path):
     assert {r[2] for r in read_csv(out)[1:]} == {"partial_sum_error", "gram_min_eig"}
 
 
+def test_graded_spectrum_run_loads_no_scipy(tmp_path):
+    # a graded model and a diagonal tuple triangularize by a basis permutation
+    mb22 = {"kind": "matrixball", "n": 2, "r": 2}
+    configs = {
+        "model": {
+            "domain": mb22, "lambda": 2.5, "tuple": {"kind": "model", "D": 3},
+            "generators": [{"nvars": 4, "terms": {"1,0,0,0": 1.0}}],
+            "grid": {"start": -0.5, "stop": 0.5, "steps": 2},
+        },
+        "diagonal": {
+            "domain": {"kind": "polydisc", "n": 2},
+            "tuple": {"kind": "diagonal", "entries": [[0.2, 0.3], [-0.4, 0.1], [0.2, 0.3]]},
+            "points": [[0.2, 0.3], [0.9, 0.9]],
+        },
+    }
+    eigenvalues = {}
+    for name, cfg in configs.items():
+        out = str(tmp_path / f"{name}.csv")
+        path = write_cfg(tmp_path, f"{name}.json", dict(cfg, out=out))
+        code = f"from symdom.cli import main; assert main(['spectrum', '--config', {path!r}]) == 0"
+        assert scipy_modules(loaded_after(code)) == []
+        eigenvalues[name] = [r[2] for r in read_csv(out)[1:] if r[1] == "joint_eigenvalue"]
+    assert set(eigenvalues["model"]) == {"0.0+0.0j 0.0+0.0j 0.0+0.0j 0.0+0.0j"}
+    assert sorted(eigenvalues["diagonal"]) == [
+        "-0.4+0.0j 0.1+0.0j", "0.2+0.0j 0.3+0.0j", "0.2+0.0j 0.3+0.0j"
+    ]
+
+
 def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
     # the sphere rule reads scipy's direction-number table and needs only scipy.special
     out = str(tmp_path / "calc.csv")

@@ -11,10 +11,17 @@ from symdom.errors import ValidationError
 from symdom.kernels import truncated_basis
 from symdom import koszul
 from symdom.koszul import (
+    CONSENSUS_TOL,
     KoszulComplex,
     NotCommuting,
+    _as_tuple,
     _assemble,
+    _match_rows,
+    _peel,
+    _scale,
     _sign_symmetries,
+    _simultaneous_schur,
+    _support,
     boundary_square_defect,
     check_commuting,
     creation_matrices,
@@ -396,6 +403,150 @@ def test_joint_eigenvalues_deterministic(rng):
     first = joint_eigenvalues(mats, seed=7)
     second = joint_eigenvalues(mats, seed=7)
     assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------
+# triangularization: the peel, then a Schur form of the core
+# ---------------------------------------------------------------------
+
+def schur_route(mats, rng, scale):
+    """The oracle: the Schur basis of one random combination of the whole
+    tuple, drawn as ``_simultaneous_schur`` draws, with no peel."""
+    import scipy.linalg
+
+    for _ in range(8):
+        coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+        _, z = scipy.linalg.schur(sum(c * m for c, m in zip(coeffs, mats)), output="complex")
+        rotated = [z.conj().T @ m @ z for m in mats]
+        if max(np.linalg.norm(np.tril(r, -1), 2) for r in rotated) <= 1e-7 * scale:
+            return z, rotated
+    raise AssertionError("the oracle found no triangularization")
+
+
+def oracle_joint_eigenvalues(mats, monkeypatch, seed=0):
+    with monkeypatch.context() as patch:
+        patch.setattr(koszul, "_simultaneous_schur", schur_route)
+        return joint_eigenvalues(mats, seed=seed)
+
+
+def model_tuple(dom, lam, d_trunc, gens):
+    return _as_tuple(quotient_model(truncated_basis(dom, lam, d_trunc), gens).tuple_mats)
+
+
+GRADED_CASES = {
+    "ball2/z1": (DomainSpec.ball(2), 2.0, [Z(0, 2)]),
+    "polydisc2/z1z2": (DomainSpec.polydisc(2), 1.0, [Z(0, 2) * Z(1, 2)]),
+    "mb22/z11": (DomainSpec.matrix_ball(2, 2), 2.5, [Z(0, 4)]),
+}
+
+
+@pytest.mark.parametrize("d_trunc", [3, 4, 5, 6])
+@pytest.mark.parametrize("case", GRADED_CASES)
+def test_graded_model_triangularizes_by_permutation(case, d_trunc, monkeypatch):
+    dom, lam, gens = GRADED_CASES[case]
+    mats = model_tuple(dom, lam, d_trunc, gens)
+    h = mats[0].shape[0]
+    order, core = _peel(_support(mats))
+    assert sorted(order.tolist()) == list(range(h))
+    assert core.start == core.stop
+    z, rotated = _simultaneous_schur(mats, np.random.default_rng(0), _scale(mats))
+    assert np.array_equal(z, np.eye(h)[:, order])
+    for m, r in zip(mats, rotated):
+        assert np.array_equal(r, m[np.ix_(order, order)])
+        assert not np.tril(r, -1).any()
+    got = joint_eigenvalues(mats)
+    want = oracle_joint_eigenvalues(mats, monkeypatch)
+    assert np.array_equal(got, want)
+    assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
+
+def test_diagonal_tuple_returns_its_entries_exactly(rng, monkeypatch):
+    entries = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    entries[3] = entries[1]  # a repeated joint eigenvalue
+    mats = [np.diag(entries[:, i]) for i in range(3)]
+    assert _peel(_support(mats))[1] == slice(0, 0)
+    got = joint_eigenvalues(mats)
+    assert {tuple(row) for row in got.tolist()} == {tuple(row) for row in entries.tolist()}
+    assert got.shape == entries.shape
+    assert hausdorff_distance(got, oracle_joint_eigenvalues(mats, monkeypatch)) <= CONSENSUS_TOL
+
+
+def test_dense_tuple_gets_the_whole_schur_basis(rng):
+    for mats in (random_commuting_tuple(3, 6, rng), real_commuting_tuple(2, 5, rng)):
+        mats = _as_tuple(mats)
+        assert _peel(_support(mats))[1] == slice(0, mats[0].shape[0])
+        scale = _scale(mats)
+        z, rotated = _simultaneous_schur(mats, np.random.default_rng(3), scale)
+        want_z, want_rotated = schur_route(mats, np.random.default_rng(3), scale)
+        assert np.array_equal(z, want_z)
+        for r, want in zip(rotated, want_rotated, strict=True):
+            assert np.array_equal(r, want)
+
+
+def test_direct_sum_peels_the_graded_summand(rng, monkeypatch):
+    graded = model_tuple(DomainSpec.ball(2), 2.0, 4, [Z(0, 2)])
+    dense = random_commuting_tuple(2, 5, rng)
+    g, h = graded[0].shape[0], graded[0].shape[0] + 5
+    perm = rng.permutation(h)
+    mats = []
+    for a, b in zip(graded, dense):
+        block = np.zeros((h, h), dtype=complex)
+        block[:g, :g], block[g:, g:] = a, b
+        mats.append(block[np.ix_(perm, perm)])
+    order, core = _peel(_support(mats))
+    assert sorted(order[core].tolist()) == sorted(np.flatnonzero(perm >= g).tolist())
+    scale = _scale(mats)
+    _, rotated = _simultaneous_schur(mats, np.random.default_rng(0), scale)
+    assert max(np.linalg.norm(np.tril(r, -1), 2) for r in rotated) <= 1e-7 * scale
+    got = joint_eigenvalues(mats)
+    assert _match_rows(got, oracle_joint_eigenvalues(mats, monkeypatch)) <= CONSENSUS_TOL
+
+
+def loop_match_rows(a, b):
+    """The greedy matching one norm at a time."""
+    remaining = list(range(b.shape[0]))
+    worst = 0.0
+    for row in a:
+        dists = [np.linalg.norm(row - b[j]) for j in remaining]
+        pick = int(np.argmin(dists))
+        worst = max(worst, float(dists[pick]))
+        remaining.pop(pick)
+    return worst
+
+
+def test_match_rows_is_the_greedy_loop(rng):
+    # row 0 ties between b[0] and b[1]; the smaller index wins, which leaves
+    # b[1] = -1 for row 2 at distance 6 (b[0] would leave distance 4)
+    a = np.array([[0.0], [2.0], [5.0]], dtype=complex)
+    b = np.array([[1.0], [-1.0], [2.0]], dtype=complex)
+    assert _match_rows(a, b) == loop_match_rows(a, b) == 6.0
+    for _ in range(20):
+        a = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        b = a[rng.permutation(7)] + 1e-3 * rng.standard_normal((7, 3))
+        # one distance matrix sums each norm in another order: a few ulps
+        for c in (b, a[::-1]):
+            want = loop_match_rows(a, c)
+            assert abs(_match_rows(a, c) - want) <= 4 * np.finfo(float).eps * max(want, 1.0)
+
+
+def test_calculus_is_unchanged_on_dense_tuples(monkeypatch):
+    # the calculus-ball2 tuples: dense, so the core is the whole tuple
+    from symdom.calculus import integral_calculus, shilov_quadrature
+    from symdom.cli import _default_polys
+
+    dom = DomainSpec.ball(2)
+    quad = shilov_quadrature(dom, 1)
+    polys = _default_polys(2)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        mats = random_commuting_tuple(2, 5, rng, spectral_radius=0.6)
+        got = integral_calculus(mats, polys, quad, dom)
+        with monkeypatch.context() as patch:
+            patch.setattr(koszul, "_simultaneous_schur", schur_route)
+            want = integral_calculus(mats, polys, quad, dom)
+        for res, ref in zip(got, want, strict=True):
+            assert np.array_equal(res.value, ref.value)
+            assert res.est_error == ref.est_error
 
 
 # ---------------------------------------------------------------------
