@@ -16,7 +16,10 @@ over the node axis, and each quadrature total is rotated back once.
 
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
-transformations of tuples through their rational component symbols.
+transformations of tuples through their rational component symbols.  Both
+read the one expansion of Delta: the series its homogeneous parts in z, the
+Moebius symbols q(w) = det(I + w z0*) = Delta(w, -z0) and, by Jacobi's
+formula, adj(I + w z0*) w = -grad_{conj u} Delta(w, u) at u = -z0.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     SpectrumTouchesBoundary,
     ValidationError,
 )
-from .polynomials import Polynomial, RationalSymbol, poly_det
+from .polynomials import Polynomial, RationalSymbol
 
 BOUNDARY_TOL = 1e-9
 SERIES_TERM_TOL = 1e-14
@@ -215,22 +218,22 @@ def matrix_power_principal(a: np.ndarray, mu: float) -> np.ndarray:
     return fractional_matrix_power(a, mu)
 
 
-def _tuple_and_radius(mats, dom: DomainSpec):
+def _interior_tuple(mats, dom: DomainSpec):
+    """The tuple as complex arrays, its joint eigenvalues and the spectrum
+    guard's first draw (Z, Z* T_i Z); raises :class:`SpectrumTouchesBoundary`
+    unless the joint spectral radius is strictly below 1."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if len(mats) != dom.dim:
         raise ValidationError(
             f"tuple has {len(mats)} components, {dom.label()} needs {dom.dim}"
         )
-    eigs = koszul.joint_eigenvalues(mats)
+    eigs, draw = koszul._joint_eigenvalues_and_draw(mats)
     radius = max((spectral_norm(dom, mu) for mu in eigs), default=0.0)
-    return mats, eigs, radius
-
-
-def _require_interior(radius: float) -> None:
     if radius >= 1.0 - BOUNDARY_TOL:
         raise SpectrumTouchesBoundary(
             f"joint spectral radius {radius:.8f} is not strictly interior"
         )
+    return mats, eigs, draw
 
 
 def delta_power_tuple(mats, w, lam: float, dom: DomainSpec) -> np.ndarray:
@@ -240,8 +243,7 @@ def delta_power_tuple(mats, w, lam: float, dom: DomainSpec) -> np.ndarray:
     matrixball: the kernel series summed over total-degree blocks with the
     power recurrence transported to matrix arguments.
     """
-    mats, _, radius = _tuple_and_radius(mats, dom)
-    _require_interior(radius)
+    mats = _interior_tuple(mats, dom)[0]
     wf = flatten_point(dom, w)
     if spectral_norm(dom, wf) > 1.0 + BOUNDARY_TOL:
         raise PointOutsideDomain("second argument must lie in the closed domain")
@@ -258,22 +260,6 @@ def delta_power_tuple(mats, w, lam: float, dom: DomainSpec) -> np.ndarray:
     return _delta_power_series(mats, wf, lam, dom)
 
 
-def _delta_homogeneous_parts(dom: DomainSpec, wf: np.ndarray) -> dict[int, Polynomial]:
-    """z-homogeneous parts of Delta(., w) with w fixed, as polynomials in z."""
-    parts: dict[int, dict] = {}
-    for (alpha, beta), coeff in generic_poly_terms(dom).items():
-        d = sum(alpha)
-        if d == 0:
-            continue
-        value = coeff
-        for wi, bi in zip(wf, beta):
-            if bi:
-                value *= np.conj(wi) ** bi
-        bucket = parts.setdefault(d, {})
-        bucket[alpha] = bucket.get(alpha, 0.0) + value
-    return {d: Polynomial(dom.dim, terms) for d, terms in sorted(parts.items())}
-
-
 def _delta_power_series(
     mats: list[np.ndarray], wf: np.ndarray, lam: float, dom: DomainSpec
 ) -> np.ndarray:
@@ -285,7 +271,8 @@ def _delta_power_series(
     """
     h = mats[0].shape[0]
     eye = np.eye(h, dtype=complex)
-    hom = {d: p.eval_tuple(mats) for d, p in _delta_homogeneous_parts(dom, wf).items()}
+    parts = _delta_expansion(dom, wf)[0].homogeneous_parts()
+    hom = {d: p.eval_tuple(mats) for d, p in parts.items() if d}
     mu = -lam
     blocks = [eye]
     total = eye.copy()
@@ -406,12 +393,11 @@ def integral_calculus(
     """
     if quad.dom != dom:
         raise ValidationError("quadrature was built for a different domain")
-    mats, _, radius = _tuple_and_radius(mats, dom)
-    _require_interior(radius)
+    draw = _interior_tuple(mats, dom)[2]
     polys = list(polys)
     if not polys:
         return []
-    full, coarse = _quadrature_sum(dom, mats, polys, quad.nodes, quad.weights, quad.estimate)
+    full, coarse = _quadrature_sum(dom, draw, polys, quad.nodes, quad.weights, quad.estimate)
     out = []
     for value, rough in zip(full, coarse):
         est = float(np.linalg.norm(value - rough, 2) / max(1.0, np.linalg.norm(value, 2)))
@@ -425,7 +411,7 @@ def integral_calculus(
 
 def _quadrature_sum(
     dom: DomainSpec,
-    mats: list[np.ndarray],
+    draw: tuple[np.ndarray, list[np.ndarray]],
     polys: list[Polynomial],
     nodes: np.ndarray,
     weights: np.ndarray,
@@ -434,19 +420,17 @@ def _quadrature_sum(
     """Full-rule and estimate-rule sums of f(node) Delta(T, node)^{-n/r}.
 
     Returns two (P, h, h) stacks, one matrix per polynomial.  The sums run in
-    a simultaneous Schur basis Z of the tuple, drawn as the spectrum guard
-    draws its first triangularization: each chunk of nodes gets
+    the simultaneous Schur basis Z of the spectrum guard's first draw, passed
+    as ``draw`` = (Z, Z* T_i Z): each chunk of nodes gets
     one kernel batch of the rotated tuple and one (2P, chunk) coefficient
     block (full weights, then the estimate rule's equal weights on its nodes,
     times the values f(node)), accumulated with one matrix product, and each
     total S is rotated back once as Z S Z*.
     """
-    h = mats[0].shape[0]
-    count = len(polys)
-    basis, rotated = koszul._simultaneous_schur(
-        mats, np.random.default_rng(0), koszul._scale(mats)
-    )
+    basis, rotated = draw
     rotated = np.stack(rotated, axis=-1)
+    h = basis.shape[0]
+    count = len(polys)
     estimate_weight = 1.0 / estimate.size
     total = np.zeros((2 * count, h * h), dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
@@ -469,24 +453,28 @@ def _quadrature_sum(
 def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
     """Components of g_{z0} as rational symbols p_i / q_i.
 
-    polydisc: factorwise (w_i + z0_i)/(1 + conj(z0_i) w_i); matrixball:
-    the adjugate of I + w z0* over det(I + w z0*), sandwiched between the
-    Bergman square roots.  The ball is the r = 1 matrix ball: the shared
-    denominator is 1 + <w, z0> and the adjugate is 1.  Only the names follow
-    the family: ``mobius1..n`` on the ball, ``mobius<k><l>`` on the matrix
-    ball.
+    polydisc: factorwise (w_i + z0_i)/(1 + conj(z0_i) w_i).  matrixball:
+    with A = I + w z0*, the shared denominator is q = det A = Delta(w, -z0)
+    and the numerators are z0 q + L adj(A) w R, with the Bergman square
+    roots L = (I - z0 z0*)^{1/2} and R = (I - z0* z0)^{1/2}.  Jacobi's
+    formula d det A = tr(adj A dA) gives adj(I + w z0*) w =
+    -grad_{conj u} Delta(w, u) at u = -z0, so q and every numerator come
+    from one expansion of Delta (``_delta_expansion``).  The ball is the
+    r = 1 matrix ball: q = 1 + <w, z0> and the adjugate is 1.  Only the
+    names follow the family: ``mobius1..n`` on the ball, ``mobius<k><l>`` on
+    the matrix ball.
     """
     z0f = flatten_point(dom, z0)
     if not in_domain(dom, z0f):
         raise PointOutsideDomain("moebius base point must be interior")
     n = dom.dim
-    coords = [Polynomial.coordinate(i, n) for i in range(n)]
 
     if dom.kind == "polydisc":
         out = []
         for i in range(n):
-            p = coords[i] + Polynomial.constant(n, z0f[i])
-            q = Polynomial.constant(n, 1.0) + np.conj(z0f[i]) * coords[i]
+            coord = Polynomial.coordinate(i, n)
+            p = coord + Polynomial.constant(n, z0f[i])
+            q = Polynomial.constant(n, 1.0) + np.conj(z0f[i]) * coord
             out.append(RationalSymbol(p, q, name=f"mobius{i + 1}"))
         return out
 
@@ -494,28 +482,7 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
     z0m = as_matrix(dom, z0f)
     left_root = hermitian_sqrt(np.eye(r, dtype=complex) - z0m @ z0m.conj().T)
     right_root = hermitian_sqrt(np.eye(c, dtype=complex) - z0m.conj().T @ z0m)
-    wpoly = [[coords[k * c + j] for j in range(c)] for k in range(r)]
-    amat = [
-        [
-            Polynomial.constant(n, 1.0 if k == l else 0.0)
-            + sum(
-                (np.conj(z0m[l, j]) * wpoly[k][j] for j in range(c)),
-                Polynomial.zero(n),
-            )
-            for l in range(r)
-        ]
-        for k in range(r)
-    ]
-    q = poly_det(amat)
-    adj = _poly_adjugate(amat)
-    # numeric-left, symbolic-middle, numeric-right product, entry by entry
-    middle = [
-        [
-            sum((adj[k][m] * wpoly[m][j] for m in range(r)), Polynomial.zero(n))
-            for j in range(c)
-        ]
-        for k in range(r)
-    ]
+    q, grad = _delta_expansion(dom, -z0f)
     out = []
     for k in range(r):
         for l in range(c):
@@ -524,30 +491,34 @@ def mobius_rational_components(dom: DomainSpec, z0) -> list[RationalSymbol]:
                 for b in range(c):
                     weight = left_root[k, a] * right_root[b, l]
                     if weight != 0:
-                        p = p + weight * middle[a][b]
+                        p = p - weight * grad[a * c + b]
             name = f"mobius{l + 1}" if dom.kind == "ball" else f"mobius{k + 1}{l + 1}"
             out.append(RationalSymbol(p, q, name=name))
     return out
 
 
-def _poly_adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    r = len(mat)
-    n = mat[0][0].nvars
-    if r == 1:
-        return [[Polynomial.constant(n, 1.0)]]
-    adj = [[Polynomial.zero(n) for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            minor = [
-                [mat[a][b] for b in range(r) if b != j]
-                for a in range(r)
-                if a != i
-            ]
-            cof = poly_det(minor)
-            if (i + j) % 2:
-                cof = -1.0 * cof
-            adj[j][i] = cof
-    return adj
+def _delta_expansion(dom: DomainSpec, u) -> tuple[Polynomial, list[Polynomial]]:
+    """Delta(., u) and its n derivatives in conj(u_1), ..., conj(u_n), as
+    polynomials in z, from one pass over ``generic_poly_terms``.
+
+    Delta has degree at most one in each conj(u_m), so the m-th derivative
+    of a term is the term with conj(u_m) struck out.  Exactly zero
+    contributions are skipped, so a monomial is listed where its first
+    nonzero contribution falls.
+    """
+    ubar = np.conj(flatten_point(dom, u))
+    parts: list[dict] = [{} for _ in range(dom.dim + 1)]  # the derivatives, then Delta
+    for (alpha, beta), coeff in generic_poly_terms(dom).items():
+        picked = [i for i, b in enumerate(beta) if b]
+        for m in picked + [dom.dim]:
+            term = coeff
+            for i in picked:
+                if i != m:
+                    term *= ubar[i]
+            if term != 0:
+                parts[m][alpha] = parts[m].get(alpha, 0.0) + term
+    *grad, value = (Polynomial(dom.dim, p) for p in parts)
+    return value, grad
 
 
 def mobius_of_tuple(mats, z0, dom: DomainSpec) -> list[np.ndarray]:
@@ -556,8 +527,7 @@ def mobius_of_tuple(mats, z0, dom: DomainSpec) -> list[np.ndarray]:
     Denominators are checked on the joint spectrum first; a modulus below
     ``DENOM_SPECTRUM_MARGIN`` raises :class:`SingularDenominator`.
     """
-    mats, eigs, radius = _tuple_and_radius(mats, dom)
-    _require_interior(radius)
+    mats, eigs, _ = _interior_tuple(mats, dom)
     components = mobius_rational_components(dom, z0)
     out = []
     for sym in components:

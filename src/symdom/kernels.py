@@ -62,17 +62,7 @@ def multi_indices(n: int, d: int) -> tuple[MultiIndex, ...]:
     """
     if n < 1 or d < 0:
         raise ValidationError("need n >= 1 and d >= 0")
-    if n == 1:
-        return ((d,),)
-    out: list[MultiIndex] = []
-    for first in range(d, -1, -1):
-        out.extend((first,) + rest for rest in multi_indices(n - 1, d - first))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _position(n: int, d: int) -> dict[MultiIndex, int]:
-    return {alpha: i for i, alpha in enumerate(multi_indices(n, d))}
+    return tuple(map(tuple, _alpha_array(n, d).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -551,9 +541,7 @@ class TruncatedBasis:
         out = np.zeros(self.dim, dtype=complex)
         for d, part in poly.homogeneous_parts().items():
             c, e = np.zeros(self.degree_sizes[d], dtype=complex), out[self.block_slice(d)]
-            pos = _position(self.dom.dim, d)
-            for alpha, coeff in part.terms.items():
-                c[pos[alpha]] = coeff
+            c[_grlex_rank(np.array(list(part.terms)), d)] = list(part.terms.values())
             # U^{-1} c per class; U is upper triangular there, so the LU in
             # solve swaps no rows and is back substitution.  b as (k, s, 1):
             # numpy 2 takes only a 1-D b as a vector
@@ -595,7 +583,7 @@ class TruncatedBasis:
         d = sum(alpha)
         if d > self.max_degree:
             raise ValidationError(f"degree {d} exceeds truncation {self.max_degree}")
-        stack, row, col = _class_slots(self.dom, d)[_position(self.dom.dim, d)[alpha]]
+        stack, row, col = _class_slots(self.dom, d)[_grlex_rank(np.array([alpha]), d)[0]]
         # column of U^{-1} on z^alpha's class: solve U x = e, norm^2 = |x|^2
         # since the basis is orthonormal
         u = self.factors[d][stack][row]

@@ -402,11 +402,8 @@ def _simultaneous_schur(
     )
 
 
-def _joint_eigs_once(
-    mats: list[np.ndarray], rng: np.random.Generator, scale: float
-) -> np.ndarray:
-    """Diagonal of one simultaneous triangularization."""
-    _, rotated = _simultaneous_schur(mats, rng, scale)
+def _diagonals(rotated: list[np.ndarray]) -> np.ndarray:
+    """Rows of joint eigenvalues on the diagonals of a triangularized tuple."""
     return np.column_stack([np.diag(r) for r in rotated])
 
 
@@ -431,12 +428,21 @@ def joint_eigenvalues(mats, seed: int = 0) -> np.ndarray:
     Two independent randomized triangularizations must agree after greedy
     matching within ``CONSENSUS_TOL``; otherwise :class:`ConsensusFailure`.
     """
+    return _joint_eigenvalues_and_draw(mats, seed)[0]
+
+
+def _joint_eigenvalues_and_draw(
+    mats, seed: int = 0
+) -> tuple[np.ndarray, tuple[np.ndarray, list[np.ndarray]]]:
+    """``joint_eigenvalues`` together with its first draw (Z, Z* T_i Z) of
+    ``_simultaneous_schur``, whose diagonals the eigenvalues are."""
     mats = _as_tuple(mats)
     scale = _scale(mats)
     _guard_commuting(_commutator_norm(mats) / scale)
     rng = np.random.default_rng(seed)
-    first = _joint_eigs_once(mats, rng, scale)
-    second = _joint_eigs_once(mats, rng, scale)
+    draw = _simultaneous_schur(mats, rng, scale)
+    first = _diagonals(draw[1])
+    second = _diagonals(_simultaneous_schur(mats, rng, scale)[1])
     gap = _match_rows(first, second)
     if gap > CONSENSUS_TOL:
         raise ConsensusFailure(
@@ -446,7 +452,7 @@ def joint_eigenvalues(mats, seed: int = 0) -> np.ndarray:
         tuple(first[:, i].imag for i in reversed(range(first.shape[1])))
         + tuple(first[:, i].real for i in reversed(range(first.shape[1])))
     )
-    return first[order]
+    return first[order], draw
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:

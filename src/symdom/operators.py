@@ -161,13 +161,6 @@ def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
     return _sandwich(basis, f, eye, eye, (basis.dim, basis.dim))
 
 
-def coordinate_mult_ops(basis: TruncatedBasis) -> list[np.ndarray]:
-    return [
-        mult_op(basis, Polynomial.coordinate(i, basis.dom.dim))
-        for i in range(basis.dom.dim)
-    ]
-
-
 def _sandwich(basis: TruncatedBasis, f: Polynomial, left, right, shape) -> np.ndarray:
     """L^H P_D M_f P_D R, a ``shape`` matrix, for L and R in the block form
     of ``QuotientModel.blocks``; no dim x dim product is formed, and each

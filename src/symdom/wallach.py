@@ -113,14 +113,6 @@ def finite_rank_membership(lam: float, a: float, r: int) -> bool:
     return 0 <= k <= FINITE_RANK_KMAX and abs(lam + k) <= INTEGER_TOL
 
 
-def finite_rank_degree_bound(lam: float, dom: DomainSpec) -> int:
-    """Largest total degree with a nonzero block when finite_rank holds:
-    Delta^{k} has z-degree r*k for lam = -k."""
-    if not finite_rank_membership(lam, dom.char_a, dom.rank):
-        raise ValidationError(f"weight {lam} is not in the finite-rank set")
-    return dom.rank * round(-lam)
-
-
 def partitions_up_to(max_weight: int, r: int) -> list[Partition]:
     """All length-r partitions of weight <= max_weight, ordered by
     (weight, reverse-lexicographic), zero-padded to length r."""

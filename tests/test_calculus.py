@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from symdom import calculus, koszul
 from symdom.calculus import (
     _CHUNK,
+    _delta_expansion,
     _quadrature_sum,
     _sobol_points,
     _szegoe_batch,
@@ -20,7 +22,7 @@ from symdom.calculus import (
     series_calculus,
     shilov_quadrature,
 )
-from symdom.domains import DomainSpec, hermitian_sqrt
+from symdom.domains import DomainSpec, as_matrix, generic_poly, hermitian_sqrt, mobius
 from symdom.errors import (
     QuadratureUnderResolved,
     SpectrumTouchesBoundary,
@@ -38,6 +40,7 @@ BALL3 = DomainSpec.ball(3)
 POLY2 = DomainSpec.polydisc(2)
 POLY3 = DomainSpec.polydisc(3)
 MB22 = DomainSpec.matrix_ball(2, 2)
+MB23 = DomainSpec.matrix_ball(2, 3)
 
 
 def jordan_like_disc_matrix():
@@ -397,7 +400,8 @@ def test_schur_basis_kernel_matches_dense_inverses(rng):
         quad = shilov_quadrature(dom, level)
         polys = [Polynomial.constant(dom.dim, 1.0), Polynomial.coordinate(0, dom.dim),
                  Polynomial.monomial((2,) + (1,) * (dom.dim - 1), 0.5)]
-        full, rough = _quadrature_sum(dom, mats, polys, quad.nodes, quad.weights, quad.estimate)
+        draw = koszul._joint_eigenvalues_and_draw(mats)[1]
+        full, rough = _quadrature_sum(dom, draw, polys, quad.nodes, quad.weights, quad.estimate)
         kernel = _dense_szegoe_batch(dom, mats, quad.nodes)
         values = np.array([f.eval_batch(quad.nodes) for f in polys])
         want_full = np.einsum("pn,nij->pij", quad.weights * values, kernel)
@@ -431,6 +435,23 @@ def test_integral_calculus_checks_the_quadrature_domain_first():
         integral_calculus(
             [np.array([[1.2]])], [Polynomial.constant(1, 1.0)], shilov_quadrature(BALL1, 3), BALL1
         )
+
+
+def test_integral_calculus_reuses_the_guards_first_draw(monkeypatch, rng):
+    # the spectrum guard triangularizes twice; the quadrature takes its
+    # Schur basis from the first of those draws and draws none of its own
+    calls = []
+    schur = koszul._simultaneous_schur
+
+    def counted(*args):
+        calls.append(args)
+        return schur(*args)
+
+    mats = _scaled_into_ball(random_commuting_tuple(2, 5, rng), BALL2, 0.8)
+    quad = shilov_quadrature(BALL2, 1)
+    monkeypatch.setattr(koszul, "_simultaneous_schur", counted)
+    integral_calculus(mats, [Polynomial.coordinate(0, 2)], quad, BALL2)
+    assert len(calls) == 2
 
 
 def test_integral_calculus_of_no_polynomials():
@@ -544,6 +565,50 @@ def test_ball_mobius_is_the_one_row_matrix_ball_formula(rng, n):
             assert comp.q.terms == q.terms
             assert comp.p.terms.keys() == p.terms.keys()
             assert all(abs(comp.p.terms[a] - c) <= 1e-15 for a, c in p.terms.items())
+
+
+@pytest.mark.parametrize("dom", [BALL2, BALL3, MB22, MB23], ids=DomainSpec.label)
+def test_mobius_symbols_are_the_quasi_inverse_route(dom, rng):
+    # p/q from the expansion of Delta against g(w) = z0 + B(z0, z0)^{1/2} w^{-z0}
+    for _ in range(10):
+        z0 = random_point(dom, rng, max_norm=0.9)
+        comps = mobius_rational_components(dom, z0)
+        g = mobius(dom, z0)
+        pts = np.array([random_point(dom, rng, max_norm=0.9) for _ in range(8)])
+        got = np.column_stack([c.p.eval_batch(pts) / c.q.eval_batch(pts) for c in comps])
+        want = np.array([g(w) for w in pts])
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dom", [BALL2, BALL3, MB22, MB23], ids=DomainSpec.label)
+def test_delta_expansion_is_jacobis_formula(dom, rng):
+    # d det A = tr(adj A dA) with A = I - w u*: the gradient of Delta(w, u)
+    # in conj(u) is -adj(A) w = -det(A) A^{-1} w
+    r = dom.rows
+    for _ in range(10):
+        u = random_point(dom, rng, max_norm=0.9)
+        delta, grad = _delta_expansion(dom, u)
+        for _ in range(8):
+            w = random_point(dom, rng, max_norm=0.9)
+            a = np.eye(r) - as_matrix(dom, w) @ as_matrix(dom, u).conj().T
+            want = -np.linalg.det(a) * np.linalg.solve(a, as_matrix(dom, w))
+            got = np.array([g.eval_point(w) for g in grad])
+            assert abs(delta.eval_point(w) - generic_poly(dom, w, u)) <= 1e-12
+            assert np.abs(got - want.reshape(-1)).max() <= 1e-12
+
+
+def test_mobius_symbols_expand_delta_once(monkeypatch, rng):
+    calls = []
+    terms = calculus.generic_poly_terms
+
+    def counted(dom):
+        calls.append(dom)
+        return terms(dom)
+
+    monkeypatch.setattr(calculus, "generic_poly_terms", counted)
+    for dom in (BALL2, MB22, MB23):
+        mobius_rational_components(dom, random_point(dom, rng, max_norm=0.9))
+    assert calls == [BALL2, MB22, MB23]
 
 
 def test_composition_residuals(rng):

@@ -483,6 +483,23 @@ def test_dense_tuple_gets_the_whole_schur_basis(rng):
             assert np.array_equal(r, want)
 
 
+def test_joint_eigenvalues_carry_their_first_draw(rng):
+    # the sorted eigenvalues are the diagonal of the returned draw, which is
+    # the draw seed 0 makes first, for dense and graded tuples alike
+    for mats in (
+        _as_tuple(random_commuting_tuple(3, 6, rng)),
+        model_tuple(DomainSpec.ball(2), 2.0, 4, [Z(0, 2)]),
+    ):
+        eigs, (z, rotated) = koszul._joint_eigenvalues_and_draw(mats)
+        assert np.array_equal(eigs, joint_eigenvalues(mats))
+        want_z, want_rotated = _simultaneous_schur(mats, np.random.default_rng(0), _scale(mats))
+        assert np.array_equal(z, want_z)
+        for r, want in zip(rotated, want_rotated, strict=True):
+            assert np.array_equal(r, want)
+        diag = np.column_stack([np.diag(r) for r in rotated])
+        assert diag.shape == eigs.shape and _match_rows(diag, eigs) == 0.0
+
+
 def test_direct_sum_peels_the_graded_summand(rng, monkeypatch):
     graded = model_tuple(DomainSpec.ball(2), 2.0, 4, [Z(0, 2)])
     dense = random_commuting_tuple(2, 5, rng)

@@ -30,7 +30,6 @@ from symdom.operators import (
     _shift_norm,
     compress,
     compress_rational,
-    coordinate_mult_ops,
     cross_commutator,
     essential_normality_profile,
     mult_op,
@@ -81,7 +80,8 @@ def test_ball2_coordinate_multiplier_contraction():
     # Drury-Arveson weight: each coordinate multiplier has norm exactly <= 1
     for d_trunc in (4, 8):
         basis = truncated_basis(BALL2, 1.0, d_trunc)
-        for op in coordinate_mult_ops(basis):
+        for i in range(2):
+            op = mult_op(basis, Polynomial.coordinate(i, 2))
             assert np.linalg.norm(op, 2) <= 1.0 + 1e-12
 
 
@@ -146,7 +146,7 @@ def test_submodule_invariance_under_truncated_multipliers():
     basis = truncated_basis(BALL2, 3.0, 8)
     for gens in ([Z1], [Z1 * Z2], [Z1 * Z1 + Z2]):
         proj = np.eye(basis.dim) - quotient_model(basis, gens).projector()
-        for op in coordinate_mult_ops(basis):
+        for op in (mult_op(basis, Z1), mult_op(basis, Z2)):
             defect = np.linalg.norm((np.eye(basis.dim) - proj) @ op @ proj, 2)
             assert defect <= 1e-12 * max(1.0, np.linalg.norm(op, 2))
 
@@ -342,8 +342,9 @@ def test_no_generators_is_the_whole_space(dom, lam, d_trunc):
     assert model.dim_quotient == basis.dim
     assert np.array_equal(model.projector(), np.eye(basis.dim))
     assert np.array_equal(model.degree_labels, basis.degree_labels())
-    for s, t in zip(model.tuple_mats, coordinate_mult_ops(basis), strict=True):
-        assert np.abs(s - t).max() < 1e-13
+    coords = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    for s, f in zip(model.tuple_mats, coords, strict=True):
+        assert np.abs(s - mult_op(basis, f)).max() < 1e-13
 
 
 def test_graded_path_skips_dense_commutator_check(monkeypatch):
@@ -379,7 +380,8 @@ def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
         q[basis.block_slice(d), col:col + b.shape[1]] = b
         col += b.shape[1]
     labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
-    return q, labels, [q.conj().T @ t @ q for t in coordinate_mult_ops(basis)]
+    coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
+    return q, labels, [q.conj().T @ mult_op(basis, f) @ q for f in coords]
 
 
 def oracle_generator_sets(dom):
@@ -544,7 +546,8 @@ def test_inhomogeneous_generator_takes_filtration_path(rng):
     want = np.eye(basis.dim) - reference_span_projector(basis, gens)
     assert np.abs(model.projector() - want).max() < 1e-12
     q = model.quotient_onb
-    for t, s in zip(coordinate_mult_ops(basis), model.tuple_mats):
+    for i, s in enumerate(model.tuple_mats):
+        t = mult_op(basis, Polynomial.coordinate(i, basis.dom.dim))
         assert np.abs(q.conj().T @ t @ q - s).max() < 1e-12
     supports = [column_degrees(basis, q[:, k]) for k in range(model.dim_quotient)]
     assert all(max(sup) == label for sup, label in zip(supports, model.degree_labels))

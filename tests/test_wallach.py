@@ -12,7 +12,6 @@ from symdom.wallach import (
     WallachClass,
     classify_weight,
     embedding_ratio_profile,
-    finite_rank_degree_bound,
     finite_rank_membership,
     gindikin_gamma,
     partitions_up_to,
@@ -143,11 +142,6 @@ def test_finite_rank_membership_values():
     # positive discrete points do not terminate the power series: the inverse
     # of the generic polynomial is not a polynomial
     assert not finite_rank_membership(1.0, 2.0, 2)
-
-
-def test_finite_rank_degree_bound():
-    assert finite_rank_degree_bound(-3.0, DomainSpec.ball(1)) == 3
-    assert finite_rank_degree_bound(-2.0, MB22) == 4
 
 
 # ---------------------------------------------------------------------
