@@ -25,6 +25,7 @@ formula, adj(I + w z0*) w = -grad_{conj u} Delta(w, u) at u = -z0.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -103,8 +104,9 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     nodes, the unscrambled Sobol' points 1..count in 2n dimensions
     (``_sobol_points``, a numpy Gray-code generator over the Joe-Kuo table
     that scipy ships, bit for bit ``scipy.stats.qmc.Sobol``) sent to the
-    sphere through the normal quantile and normalized.  The matrix ball is
-    not supported here.
+    sphere through the normal quantile (``_ndtri``, a numpy port of Cephes,
+    bit for bit ``scipy.special.ndtri`` on the clipped points) and
+    normalized.  The matrix ball is not supported here.
     """
     if level < 1:
         raise ValidationError("level must be at least 1")
@@ -130,18 +132,16 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     count = (4**level) * SPHERE_BASE_NODES
     if count > 5_000_000:
         raise ValidationError("sphere rule too large at this level")
-    from scipy.special import ndtri  # only the sphere rule needs it
-
-    u = _sobol_points(2 * dom.dim, count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    gauss = ndtri(u)
+    gauss = _sobol_points(2 * dom.dim, count)
+    np.clip(gauss, 1e-12, 1.0 - 1e-12, out=gauss)
+    _ndtri(gauss)
     norms = np.linalg.norm(gauss, axis=1)
     # the all-0.5 low-discrepancy point maps to the origin; pin it to a axis
     degenerate = norms < 1e-300
     gauss[degenerate, 0] = 1.0
     norms[degenerate] = 1.0
     gauss /= norms[:, None]
-    nodes = gauss[:, 0::2] + 1j * gauss[:, 1::2]
+    nodes = gauss.view(complex)  # columns 2k and 2k + 1 as real and imaginary part
     weights = np.full(count, 1.0 / count)
     return ShilovQuadrature(dom, level, nodes, weights, np.arange(count // 2))
 
@@ -162,7 +162,7 @@ def _sobol_points(d: int, count: int) -> np.ndarray:
                 f"table has {poly.shape[0]}"
             )
         poly = poly[:d]
-        vinit = table["vinit"][:d]
+        vinit = table["vinit"][:d].copy()  # a view would hold the whole table
     # row i's primitive polynomial x^m + a_1 x^(m-1) + ... + a_(m-1) x + 1
     # has degree m = bit_length - 1; taps[i, k] is its bit m-1-k, k < m
     degree = np.frexp(poly)[1] - 1
@@ -191,6 +191,67 @@ def _sobol_points(d: int, count: int) -> np.ndarray:
         out[filled : filled + step] = out[filled - step : filled][::-1] ^ v[:, b]
         filled += step
     return out[1:] * 2.0**-_SOBOL_BITS
+
+
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989): rational approximations in y - 1/2 on the centre and in
+# 1/sqrt(-2 ln y) on the tails, coefficients highest power first; the tables
+# for sqrt(-2 ln y) >= 8, y < exp(-32), are left out, as the sphere rule
+# clips its points to [1e-12, 1 - 1e-12]
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (  # monic: the leading 1 is implied
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (  # monic
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242e0
+
+
+def _ndtri(p: np.ndarray) -> None:
+    """Overwrite p, probabilities in [1e-12, 1 - 1e-12], with the standard
+    normal quantiles, bit for bit ``scipy.special.ndtri``.
+
+    The arithmetic is Cephes' own, in its order: Horner's rule from the
+    highest coefficient (``polevl``, and ``p1evl`` for the monic
+    denominators), and the tail's two logarithms from ``math.log``, which is
+    the C library's; ``np.log`` differs from it in the last bit on some
+    inputs.
+    """
+    def horner(x, coeffs, monic=False):
+        acc = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+        for c in coeffs[1:]:
+            acc = acc * x + c
+        return acc
+
+    def log(x):
+        return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+    upper = p > 1.0 - _EXP_MINUS_2
+    np.subtract(1.0, p, out=p, where=upper)  # the lower tail's mirror image
+    centre = p > _EXP_MINUS_2
+    y = p[centre] - 0.5
+    y2 = y * y
+    y += y * (y2 * horner(y2, _NDTRI_P0) / horner(y2, _NDTRI_Q0, monic=True))
+    p[centre] = y * _SQRT_2PI
+    tail = ~centre
+    x = np.sqrt(-2.0 * log(p[tail]))
+    z = 1.0 / x
+    x = x - log(x) / x - z * horner(z, _NDTRI_P1) / horner(z, _NDTRI_Q1, monic=True)
+    p[tail] = np.where(upper[tail], x, -x)
 
 
 # ---------------------------------------------------------------------

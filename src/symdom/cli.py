@@ -29,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -573,6 +572,8 @@ def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
 
     cells = [(fam, syms, d) for fam, syms in families for d in d_list]
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # with logging, 3.5 ms of import
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, cells))
     else:

@@ -25,7 +25,6 @@ is kept as a dense diagnostic.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -635,6 +634,8 @@ def _cache_header(dom: DomainSpec, lam: float, max_degree: int) -> str:
 
 
 def cache_key(dom: DomainSpec, lam: float, max_degree: int) -> str:
+    import hashlib  # loads OpenSSL; only a cache path needs it
+
     return hashlib.sha256(_cache_header(dom, lam, max_degree).encode()).hexdigest()[:24]
 
 

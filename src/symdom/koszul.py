@@ -30,8 +30,14 @@ peels the tuple's exact nonzero pattern, as the permutation step of LAPACK's
 balancing (Parlett and Reinsch) does: a basis permutation makes every T_k
 block upper triangular around an irreducible core, and only that core needs
 a Schur form.  A graded quotient model, whose components raise the degree,
-has an empty core, so its eigenvalues are read off a permuted tuple exactly
-and without scipy; a tuple with dense components is all core.
+has an empty core, so its eigenvalues are read off a permuted tuple exactly;
+a tuple with dense components is all core.  The core's Schur basis is the
+unitary factor of a QR factorization of the eigenvectors of one random
+combination, in numpy; only a combination whose eigenvectors are
+numerically dependent (a nilpotent part) takes scipy's Schur form.
+
+Tuples with a NaN or infinite entry are refused with
+:class:`ValidationError` before any norm or factorization.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ def _as_tuple(mats) -> list[np.ndarray]:
     for m in mats:
         if m.ndim != 2 or m.shape != (h, h):
             raise ValidationError("tuple components must be square, same size")
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ValidationError("tuple has a NaN or infinite entry")
     return mats
 
 
@@ -361,19 +369,41 @@ def _peel(support: np.ndarray) -> tuple[np.ndarray, slice]:
     return np.concatenate(first + [core] + last[::-1]), slice(start, start + core.size)
 
 
+def _schur_basis(a: np.ndarray) -> np.ndarray:
+    """A unitary Q with Q* a Q upper triangular: a complex Schur basis of a.
+
+    While a's eigenvector matrix V has full numerical rank (no singular
+    value below ``RANK_TOL`` times the largest), Q is the unitary factor of
+    V = Q R: a V = V L gives Q* a Q = R L R^-1, which is upper triangular
+    up to about eps * cond(V) * ||a|| < 2.3e-8 ||a||, inside the 1e-7
+    triangularization guard.  A numerically defective a (a nilpotent part,
+    say) has nearly dependent eigenvectors, so that bound says nothing, and
+    the draws would agree on eigenvalues that are off by eps^(1/k) for a
+    k x k Jordan block; it gets LAPACK's backward-stable Schur form from
+    scipy instead, whose draws scatter by that much and fail the consensus.
+    """
+    vecs = np.linalg.eig(a)[1]
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    if sv[-1] > RANK_TOL * sv[0]:
+        return np.linalg.qr(vecs)[0]
+    import scipy.linalg  # only a numerically defective combination needs it
+
+    return scipy.linalg.schur(a, output="complex")[1]
+
+
 def _simultaneous_schur(
     mats: list[np.ndarray], rng: np.random.Generator, scale: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """A unitary Z and the rotated tuple Z* T_i Z, upper triangular up to
     1e-7 times ``scale``, the tuple's ``_scale``.
 
-    Z is the permutation of ``_peel`` with the Schur basis of one random
-    combination sum c_i T_i, restricted to the core, in the core's rows and
-    columns.  scipy is imported only for a nonempty core: a tuple with no
-    core gets a permutation Z and a tuple that is exactly upper triangular
-    after it, and a tuple with nothing to peel gets the Schur basis of the
-    whole combination.  Up to eight combinations are drawn from ``rng``
-    before :class:`ConsensusFailure`, whatever the core.
+    Z is the permutation of ``_peel`` with the ``_schur_basis`` of one
+    random combination sum c_i T_i, restricted to the core, in the core's
+    rows and columns.  A tuple with no core gets a permutation Z and a tuple
+    that is exactly upper triangular after it, and a tuple with nothing to
+    peel gets a Schur basis of the whole combination.  Up to eight
+    combinations are drawn from ``rng`` before :class:`ConsensusFailure`,
+    whatever the core.
     """
     n, h = len(mats), mats[0].shape[0]
     order, core = _peel(_support(mats))
@@ -384,10 +414,7 @@ def _simultaneous_schur(
         z[order, np.arange(h)] = 1.0
         rotated = [p.astype(complex) for p in permuted]
         if core.start < core.stop:
-            import scipy.linalg  # only a nonempty core needs a Schur form
-
-            combo = sum(c * p[core, core] for c, p in zip(coeffs, permuted))
-            _, vecs = scipy.linalg.schur(combo, output="complex")
+            vecs = _schur_basis(sum(c * p[core, core] for c, p in zip(coeffs, permuted)))
             z[np.ix_(order[core], np.arange(h)[core])] = vecs
             for r in rotated:
                 r[core] = vecs.conj().T @ r[core]

@@ -11,6 +11,7 @@ from symdom import calculus, koszul
 from symdom.calculus import (
     _CHUNK,
     _delta_expansion,
+    _ndtri,
     _quadrature_sum,
     _sobol_points,
     _szegoe_batch,
@@ -129,6 +130,28 @@ def test_sphere_nodes_are_the_scipy_route():
     gauss[0, 0] = norms[0] = 1.0
     gauss /= norms[:, None]
     assert np.array_equal(quad.nodes, gauss[:, 0::2] + 1j * gauss[:, 1::2])
+
+
+def port_ndtri(p):
+    out = np.array(p, dtype=float)
+    _ndtri(out)
+    return out
+
+
+def test_ndtri_port_is_scipy_bit_for_bit(rng):
+    from scipy.special import ndtri  # the reference route only
+
+    grid = np.clip(np.arange(1, 2**20) / 2**20, 1e-12, 1.0 - 1e-12)
+    uniform = np.clip(rng.random(10**6), 1e-12, 1.0 - 1e-12)
+    tails = np.logspace(-12, np.log10(0.2), 100_001)
+    for p in (grid, uniform, tails, 1.0 - tails, np.array([1e-12, 0.5, 1.0 - 1e-12])):
+        assert np.array_equal(port_ndtri(p), ndtri(p))
+    # the centre and both tails, on either side of the branch point exp(-2)
+    edge = np.exp(-2.0)
+    near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+    for p in (near, 1.0 - near):
+        assert np.array_equal(port_ndtri(p), ndtri(p))
+    assert port_ndtri([0.5])[0] == 0.0 and not np.signbit(port_ndtri([0.5])[0])
 
 
 def test_sphere_estimate_rule_is_first_half():

@@ -616,6 +616,13 @@ def test_import_loads_no_scipy():
     assert scipy_modules(loaded_after("import symdom.cli")) == []
 
 
+def test_import_loads_no_thread_pool_or_hashlib():
+    # concurrent.futures (with logging) serves only --jobs; hashlib (which
+    # loads OpenSSL) only the cache key
+    loaded = loaded_after("import symdom.cli")
+    assert {"concurrent.futures", "hashlib", "_hashlib"} & loaded == set()
+
+
 def test_warm_cache_coordinate_invariance_loads_no_scipy_linalg_or_sparse(tmp_path):
     # the first process builds the bases and fills the cache, the second
     # reads them; the kernel and operator layers need numpy alone
@@ -684,14 +691,30 @@ def test_graded_spectrum_run_loads_no_scipy(tmp_path):
 
 
 def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
-    # the sphere rule reads scipy's direction-number table and needs only scipy.special
+    # the sphere rule reads scipy's direction-number table from its file and
+    # takes the normal quantile in numpy; the guard's Schur basis is numpy's
     out = str(tmp_path / "calc.csv")
     cfg = write_cfg(
         tmp_path, "cfg.json", {"domain": BALL2, "level": 1, "num_tuples": 1, "out": out}
     )
     code = f"from symdom.cli import main; assert main(['calculus', '--config', {cfg!r}]) == 0"
-    assert {"scipy.stats", "scipy.special"} & loaded_after(code) == {"scipy.special"}
+    assert scipy_modules(loaded_after(code)) == []
     assert {r[6] for r in read_csv(out)[1:] if r[1] == "integral_vs_series"} == {"4000"}
+
+
+@pytest.mark.parametrize(
+    "domain, level, nodes",
+    [({"kind": "ball", "n": 3}, 1, "4000"), ({"kind": "polydisc", "n": 2}, 3, "64")],
+    ids=["ball3", "polydisc2"],
+)
+def test_calculus_loads_no_scipy(tmp_path, domain, level, nodes):
+    out = str(tmp_path / "calc.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json", {"domain": domain, "level": level, "num_tuples": 1, "out": out}
+    )
+    code = f"from symdom.cli import main; assert main(['calculus', '--config', {cfg!r}]) == 0"
+    assert scipy_modules(loaded_after(code)) == []
+    assert {r[6] for r in read_csv(out)[1:] if r[1] == "integral_vs_series"} == {nodes}
 
 
 def test_bad_domain_kind(tmp_path):
