@@ -13,8 +13,10 @@ return results in the shape of the primary argument.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .errors import (
     SingularBergmanOperator,
     ValidationError,
 )
-from .polynomials import Polynomial, poly_det
 
 BERGMAN_RCOND_CUTOFF = 1e-12
 
@@ -263,36 +264,43 @@ def generic_poly(dom: DomainSpec, z, w) -> complex:
     return complex(np.linalg.det(eye - zm @ wm.conj().T))
 
 
-def generic_poly_terms(dom: DomainSpec) -> dict[tuple[tuple[int, ...], tuple[int, ...]], float]:
-    """Delta as a sparse bi-polynomial {(alpha, beta): coeff}.
+@functools.lru_cache(maxsize=None)
+def generic_poly_terms(dom: DomainSpec) -> MappingProxyType[tuple[tuple[int, ...], tuple[int, ...]], float]:
+    """Delta as a sparse bi-polynomial {(alpha, beta): coeff}, read-only and
+    built once per domain, on first use.
 
     ``alpha`` indexes monomials in z, ``beta`` in conj(w), both over the
     flattened coordinates; every term has equal total degree in each slot.
-    Ball and matrix ball expand det(I_r - z w*) over the 2n variables
-    (z, conj(w)).
+    The polydisc is prod(1 - z_i conj(w_i)), one term per subset.  Ball and
+    matrix ball expand det(I_r - z w*) by Cauchy-Binet,
+
+        Delta(z, w) = sum_k (-1)^k sum_{|S| = |T| = k} det z_{S,T} conj(det w_{S,T}),
+
+    over row sets S and column sets T: the monomial of a permutation sigma
+    of the minor fixes S, T and sigma, so each (S, T, sigma, tau) is one
+    term, with coefficient (-1)^k sgn(sigma) sgn(tau), and nothing cancels.
     """
     n = dom.dim
     if dom.kind == "polydisc":
-        terms = {}
-        for subset in itertools.product((0, 1), repeat=n):
-            key = tuple(subset)
-            terms[(key, key)] = float((-1) ** sum(subset))
-        return terms
+        subsets = itertools.product((0, 1), repeat=n)
+        return MappingProxyType({(s, s): float((-1) ** sum(s)) for s in subsets})
 
     r, c = dom.rows, dom.cols
-    z = [Polynomial.coordinate(i, 2 * n) for i in range(n)]
-    wbar = [Polynomial.coordinate(n + i, 2 * n) for i in range(n)]
-    mat = [
-        [
-            Polynomial.constant(2 * n, float(k == l))
-            - sum((z[k * c + j] * wbar[l * c + j] for j in range(c)), Polynomial.zero(2 * n))
-            for l in range(r)
+    terms = {}
+    for k in range(r + 1):
+        perms = [
+            (p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+            for p in itertools.permutations(range(k))
         ]
-        for k in range(r)
-    ]
-    return {
-        (alpha[:n], alpha[n:]): coeff.real for alpha, coeff in poly_det(mat).terms.items()
-    }
+        for rows in itertools.combinations(range(r), k):
+            for cols in itertools.combinations(range(c), k):
+                minor = []  # det z_{S,T}: one (monomial, sign) per permutation
+                for perm, sign in perms:
+                    picked = {i * c + cols[j] for i, j in zip(rows, perm)}
+                    minor.append((tuple(int(m in picked) for m in range(n)), sign))
+                for (alpha, s), (beta, t) in itertools.product(minor, repeat=2):
+                    terms[(alpha, beta)] = float((-1) ** k * s * t)
+    return MappingProxyType(terms)
 
 
 def spectral_norm(dom: DomainSpec, z) -> float:

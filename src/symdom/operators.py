@@ -187,20 +187,19 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generators must be nonzero")
     if any(g.nvars != basis.dom.dim for g in generators):
         raise ValidationError("generator variable count mismatch")
+    if min((sum(a) for g in generators for a in g.terms), default=0) > basis.max_degree:
+        raise ValidationError("generators produce an empty span at this degree")
 
 
 def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
     """Columns spanning the truncated submodule: for each generator f, the
     truncated multiplier P_D M_f P_D on the source degrees <= D - min deg f
     (on higher degrees it truncates to zero)."""
-    _check_generators(basis, generators)
     cols = []
     for f in generators:
         top = basis.max_degree - min(sum(a) for a in f.terms)
         if top >= 0:
             cols.append(mult_op(basis, f)[:, : basis.offset(top + 1)])
-    if not cols:
-        raise ValidationError("generators produce an empty span at this degree")
     return np.hstack(cols)
 
 
@@ -434,9 +433,6 @@ def _graded_complement(basis: TruncatedBasis, generators) -> list[np.ndarray]:
     """The complement blocks Q_0 .. Q_D of homogeneous generators.  The
     rank counts the singular values above ``SPAN_RANK_TOL`` times the
     largest one over every group of every degree."""
-    _check_generators(basis, generators)
-    if generators and min(f.degree() for f in generators) > basis.max_degree:
-        raise ValidationError("generators produce an empty span at this degree")
     parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
     cutoff = SPAN_RANK_TOL * max(
         (s.max() for _, svds in parts for _, _, s in svds if s.size), default=0.0
@@ -499,6 +495,12 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     )
     coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
     compressed = tuple(_sandwich(basis, z, blocks, blocks, (nq, nq)) for z in coords)
+    # T_i* lowers the degree and keeps the quotient, so S_i is exactly 0
+    # where the row label is at most the column label; rounding residues
+    # there would close the nilpotent S_i into cycles.  The guards check
+    # the tuple as stored.
+    for s in compressed:
+        s[labels[:, None] <= labels[None, :]] = 0.0
     if nq:
         eye = _identity_blocks(basis)
         defect = max(
@@ -530,6 +532,7 @@ def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     (defect <= 1e-10).
     """
     generators = tuple(generators)
+    _check_generators(basis, generators)
     if _is_graded(generators):
         return _graded_model(basis, generators)
     return _filtration_model(basis, generators)

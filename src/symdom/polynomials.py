@@ -9,7 +9,6 @@ one batched evaluator, :meth:`Polynomial.eval_batch`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -209,20 +208,6 @@ class Polynomial:
                 cs = f"{c.real:g}" if c.imag == 0 else f"({c.real:g}{c.imag:+g}j)"
                 bits.append(cs if mono == "1" else f"{cs}*{mono}")
         return "+".join(bits).replace("+-", "-")
-
-
-def poly_det(mat: list[list[Polynomial]]) -> Polynomial:
-    """Determinant of a square matrix of polynomials (Leibniz expansion)."""
-    r = len(mat)
-    n = mat[0][0].nvars
-    total = Polynomial.zero(n)
-    for perm in itertools.permutations(range(r)):
-        inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
-        prod = Polynomial.constant(n, (-1.0) ** inversions)
-        for i, j in enumerate(perm):
-            prod = prod * mat[i][j]
-        total = total + prod
-    return total
 
 
 @dataclass(frozen=True)

@@ -690,6 +690,28 @@ def test_graded_spectrum_run_loads_no_scipy(tmp_path):
     ]
 
 
+def test_filtration_spectrum_run_reports_exact_zeros(tmp_path):
+    # modulo the inhomogeneous z1^2 + z2 the compressed tuple is nilpotent
+    # and stored with its structural zeros, so it peels with no Schur form
+    out = str(tmp_path / "spec.csv")
+    cfg = write_cfg(
+        tmp_path,
+        "cfg.json",
+        {
+            "domain": BALL2, "lambda": 2.0, "tuple": {"kind": "model", "D": 6},
+            "generators": [{"nvars": 2, "terms": {"2,0": 1.0, "0,1": 1.0}}],
+            "grid": {"start": -0.5, "stop": 0.5, "steps": 3}, "out": out,
+        },
+    )
+    code = f"from symdom.cli import main; assert main(['spectrum', '--config', {cfg!r}]) == 0"
+    assert scipy_modules(loaded_after(code)) == []
+    body = read_csv(out)[1:]
+    assert [r[2] for r in body if r[1] == "joint_eigenvalue"] == ["0.0+0.0j 0.0+0.0j"] * 7
+    verdicts = {r[2]: r[3] for r in body if r[1] == "point_test"}
+    assert len(verdicts) == 9 and verdicts.pop("0.0+0.0j 0.0+0.0j") == "Singular"
+    assert set(verdicts.values()) == {"Regular"}
+
+
 def test_sphere_calculus_runs_without_scipy_stats(tmp_path):
     # the sphere rule reads scipy's direction-number table from its file and
     # takes the normal quantile in numpy; the guard's Schur basis is numpy's

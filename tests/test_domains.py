@@ -1,6 +1,8 @@
 """Jordan-triple geometry: invariants, triple products, Bergman operators,
 quasi-inverses, generic polynomials, and Moebius maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,7 @@ def test_generic_poly_nonvanishing_inside(any_domain, rng):
         DomainSpec.matrix_ball(2, 2),
         DomainSpec.matrix_ball(2, 3),
         DomainSpec.matrix_ball(3, 3),
+        DomainSpec.matrix_ball(3, 4),
     ],
     ids=lambda dom: dom.label(),
 )
@@ -247,6 +250,28 @@ def test_generic_poly_terms_evaluate_to_generic_poly(dom, rng):
             for (alpha, beta), coeff in terms.items()
         )
         assert abs(value - generic_poly(dom, z, w)) < 1e-13
+
+
+@pytest.mark.parametrize("r, c", [(1, 3), (2, 2), (2, 3), (3, 3), (3, 4)])
+def test_generic_poly_terms_are_the_cauchy_binet_terms(r, c):
+    # one term per (S, T, sigma, tau): |S| = |T| = k, two permutations of k
+    dom = DomainSpec.matrix_ball(r, c)
+    terms = generic_poly_terms(dom)
+    count = sum(math.comb(r, k) * math.comb(c, k) * math.factorial(k) ** 2 for k in range(r + 1))
+    assert len(terms) == count
+    assert set(terms.values()) <= {1.0, -1.0}
+
+
+def test_generic_poly_terms_are_one_read_only_table():
+    dom = DomainSpec.matrix_ball(2, 3)
+    terms = generic_poly_terms(dom)
+    assert generic_poly_terms(DomainSpec.matrix_ball(2, 3)) is terms
+    key = next(iter(terms))
+    with pytest.raises(TypeError):
+        terms[key] = 2.0
+    with pytest.raises(TypeError):
+        del terms[key]
+    assert terms[((0,) * 6, (0,) * 6)] == 1.0
 
 
 # ---------------------------------------------------------------------

@@ -479,6 +479,37 @@ def test_graded_model_triangularizes_by_permutation(case, d_trunc, monkeypatch):
     assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
 
 
+FILTRATION_DOMAINS = {
+    "ball2": (DomainSpec.ball(2), 2.0),
+    "polydisc2": (DomainSpec.polydisc(2), 2.0),
+    "mb22": (DomainSpec.matrix_ball(2, 2), 2.5),
+}
+FILTRATION_GENERATORS = {
+    "z1^2+z2": lambda n: Z(0, n) * Z(0, n) + Z(1, n),
+    "z1+z2^2": lambda n: Z(0, n) + Z(1, n) * Z(1, n),
+    "z1z2+0.5z1": lambda n: Z(0, n) * Z(1, n) + 0.5 * Z(0, n),
+}
+
+
+@pytest.mark.parametrize("d_trunc", [3, 4, 6, 8])
+@pytest.mark.parametrize("gen", FILTRATION_GENERATORS)
+@pytest.mark.parametrize("case", FILTRATION_DOMAINS)
+def test_filtration_model_has_the_exact_spectrum_zero(case, gen, d_trunc):
+    # S_i takes each label only into higher labels, so the stored tuple is
+    # strictly lower triangular in label order: the peel leaves no core and
+    # the nilpotent tuple's joint spectrum is exactly {0}
+    dom, lam = FILTRATION_DOMAINS[case]
+    model = quotient_model(truncated_basis(dom, lam, d_trunc), [FILTRATION_GENERATORS[gen](dom.dim)])
+    labels = model.degree_labels
+    mats = _as_tuple(model.tuple_mats)
+    for m in mats:
+        assert not m[labels[:, None] <= labels[None, :]].any()
+    core = _peel(_support(mats))[1]
+    assert core.start == core.stop
+    eigs = joint_eigenvalues(mats)
+    assert eigs.shape == (labels.size, dom.dim) and not eigs.any()
+
+
 def test_diagonal_tuple_returns_its_entries_exactly(rng, monkeypatch):
     entries = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     entries[3] = entries[1]  # a repeated joint eigenvalue
@@ -527,7 +558,8 @@ def mixed_jordan_block(k, rng):
 
 def eig_qr_families(rng):
     """(name, tuple, bound on the eigenvalue gap to the Schur route over the
-    scale, or None where both routes raise ConsensusFailure)."""
+    scale, 0 where both routes give exact zeros, or None where both raise
+    ConsensusFailure)."""
     for h in (2, 5, 13, 40):
         for n in (1, 2, 3):
             yield "random", random_commuting_tuple(n, h, rng), 1e-13
@@ -546,12 +578,13 @@ def eig_qr_families(rng):
         yield f"jordan {k}", [a, a @ a], None
     for cond, bound in ((1e2, 1e-13), (1e4, 1e-11), (1e12, None)):
         yield f"condition {cond:.0e}", [conditioned_matrix(6, cond, rng)], bound
-    # filtration models modulo an inhomogeneous generator: nilpotent cores,
-    # whose Schur-form eigenvalues scatter like eps^(1/k) from D 4 on
+    # filtration models modulo an inhomogeneous generator store their
+    # structural zeros, so the tuple peels to an empty core and both routes
+    # report the exact spectrum {0}
     gen = Polynomial(2, {(2, 0): 1.0, (0, 1): 1.0})  # z1^2 + z2
-    for d_trunc, bound in ((3, 1e-13), (4, None), (6, None)):
+    for d_trunc in (3, 4, 6):
         mats = model_tuple(DomainSpec.ball(2), 2.0, d_trunc, [gen])
-        yield f"ball2/(z1^2 + z2) D {d_trunc}", mats, bound
+        yield f"ball2/(z1^2 + z2) D {d_trunc}", mats, 0.0
 
 
 def scipy_schur_joint_eigenvalues(mats, monkeypatch):
@@ -580,6 +613,7 @@ def test_eig_qr_route_fails_where_the_schur_route_fails(monkeypatch):
         got = joint_eigenvalues(mats)
         want = scipy_schur_joint_eigenvalues(mats, monkeypatch)
         assert _match_rows(got, want) <= bound * scale, name
+        assert bound > 0 or not got.any(), name
 
 
 def test_joint_eigenvalues_carry_their_first_draw(rng):

@@ -559,6 +559,30 @@ def test_inhomogeneous_generator_takes_filtration_path(rng):
     assert np.abs(compress(model, f) - q.conj().T @ mult_op(basis, f) @ q).max() < 1e-12
 
 
+@pytest.mark.parametrize("graded", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_generators_are_checked_before_either_path(graded, monkeypatch):
+    basis = truncated_basis(BALL2, 2.0, 3)
+    w1, w2 = Polynomial.coordinate(0, 3), Polynomial.coordinate(1, 3)
+    quartic = Z1 * Z1 * Z1 * Z1
+    cases = {
+        "variable count mismatch": [w1 * w2] if graded else [w1 * w2 + w1],
+        # every generator's lowest degree exceeds D = 3
+        "empty span at this degree": (
+            [quartic, quartic * Z2] if graded else [quartic + quartic * Z2]
+        ),
+    }
+    with monkeypatch.context() as patch:
+        for path in ("_graded_model", "_filtration_model"):
+            patch.setattr(operators, path, lambda *args: pytest.fail("path reached"))
+        for message, gens in cases.items():
+            assert operators._is_graded(gens) == graded
+            with pytest.raises(ValidationError, match=message):
+                quotient_model(basis, gens)
+    # the lowest degree decides: one term of degree <= D gives a span
+    gens = [quartic, Z2] if graded else [quartic + Z2]
+    assert quotient_model(basis, gens).dim_quotient < basis.dim
+
+
 # ---------------------------------------------------------------------
 # compressions
 # ---------------------------------------------------------------------
