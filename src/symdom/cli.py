@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import itertools
 import json
 import math
 import os
@@ -461,9 +462,7 @@ def cmd_spectrum(cfg: dict) -> int:
     grid = cfg["grid"]
     if grid is not None:
         axis = np.linspace(grid["start"], grid["stop"], grid["steps"])
-        mesh = np.meshgrid(*([axis] * dom.dim), indexing="ij")
-        for combo in np.column_stack([m.ravel() for m in mesh]):
-            points.append(combo.astype(complex))
+        points += [np.array(c, dtype=complex) for c in itertools.product(axis, repeat=dom.dim)]
     reports = taylor_point_tests(mats, [flatten_point(dom, p) for p in points])
     for point, report in zip(points, reports):
         rows.append(

@@ -37,13 +37,16 @@ combination, in numpy; only a combination whose eigenvectors are
 numerically dependent (a nilpotent part) takes scipy's Schur form.
 
 Tuples with a NaN or infinite entry are refused with
-:class:`ValidationError` before any norm or factorization.
+:class:`ValidationError` before any norm or factorization, and a complex
+whose boundaries hold more than ``MAX_BOUNDARY_ENTRIES`` entries with
+:class:`MemoryError` before any of it is built.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +57,7 @@ from .polynomials import Polynomial
 RANK_TOL = 1e-8
 COMMUTE_TOL = 1e-10
 CONSENSUS_TOL = 1e-6
+MAX_BOUNDARY_ENTRIES = 1 << 27  # 1 GiB of float64
 
 
 def _in_field(arrays) -> list[np.ndarray]:
@@ -164,9 +168,16 @@ class KoszulComplex:
     boundaries: tuple[np.ndarray, ...]
 
     def stage_dims(self) -> list[int]:
-        from math import comb
+        return [self.h * math.comb(self.n, k) for k in range(self.n + 1)]
 
-        return [self.h * comb(self.n, k) for k in range(self.n + 1)]
+
+def _check_size(n: int, h: int) -> None:
+    """Refuse, as too large for memory, a complex whose boundaries hold more
+    than ``MAX_BOUNDARY_ENTRIES`` entries in all, h^2 C(2n, n + 1) by
+    Vandermonde, before any subset list or 2^n-sized array is built."""
+    entries = h * h * math.comb(2 * n, n + 1)
+    if entries > MAX_BOUNDARY_ENTRIES:
+        raise MemoryError(f"Koszul boundaries of {entries} entries for a {n}-tuple on C^{h}")
 
 
 def _assemble(mats: list[np.ndarray]) -> KoszulComplex:
@@ -191,6 +202,7 @@ def koszul_boundaries(mats) -> KoszulComplex:
     """Assemble D_k = sum_i T_i (x) Theta_i (subset-major Kronecker layout)
     after the commutator guard, in the field of the tuple."""
     mats = _as_tuple(mats)
+    _check_size(len(mats), mats[0].shape[0])
     check_commuting(mats)
     return _assemble(mats)
 
@@ -304,6 +316,7 @@ def taylor_point_tests(mats, points) -> list[RegularityReport]:
     """
     mats = _as_tuple(mats)
     n, h = len(mats), mats[0].shape[0]
+    _check_size(n, h)
     points = [_in_field([w])[0].reshape(-1) for w in points]
     for w in points:
         if w.size != n:

@@ -32,11 +32,12 @@ basis M of M^(D).
   each access.  The scale, invariance and commutator guards are all taken
   as per-degree block norms.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
-  the columns of every P_D M_{f_j} P_D and the orthocomplement of their
-  span, adapted to the degree filtration; the span's rank is decided only
-  there, by the complement's null spaces.  Each quotient basis vector is
-  supported on degrees <= its label, and the compressed tuple is stored
-  dense.
+  the quotient vectors on degrees <= k complete the span of the multiplier
+  columns' degree-<= k rows to P_{<=k}, so the complement is built degree
+  by degree from the multiplier blocks, one SVD per degree
+  (``_filtration_complement``).  Each quotient basis vector is supported on
+  degrees <= its label, the complement at a lower D is the label prefix of
+  the one at a higher D, and the compressed tuple is stored dense.
 
 The invariance guard compares the defect with ``INVARIANCE_TOL`` times
 max(1, largest ||T_i||_2); that scale cannot lower the threshold below
@@ -191,18 +192,6 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generators produce an empty span at this degree")
 
 
-def _generator_columns(basis: TruncatedBasis, generators) -> np.ndarray:
-    """Columns spanning the truncated submodule: for each generator f, the
-    truncated multiplier P_D M_f P_D on the source degrees <= D - min deg f
-    (on higher degrees it truncates to zero)."""
-    cols = []
-    for f in generators:
-        top = basis.max_degree - min(sum(a) for a in f.terms)
-        if top >= 0:
-            cols.append(mult_op(basis, f)[:, : basis.offset(top + 1)])
-    return np.hstack(cols)
-
-
 @dataclass(frozen=True)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
@@ -270,43 +259,45 @@ class QuotientModel:
         return q @ q.conj().T
 
 
-def _filtration_complement(
-    basis: TruncatedBasis, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the orthocomplement of span(cols), adapted to the
-    degree filtration: each vector enters at a definite degree.
-
-    Singular values of the columns below ``SPAN_RANK_TOL`` times the largest
-    one count as zero; at the top degree this decides the span's rank.
-    """
-    chosen: list[np.ndarray] = []
+def _filtration_complement(basis: TruncatedBasis, generators):
+    """The filtration-adapted complement of arbitrary generators' span as
+    ``QuotientModel.blocks`` and labels.  B is an orthonormal basis of the
+    span of the columns' degree-< k rows, Y = B^H C their coordinates, and a
+    source degree s of P_D M_f P_D enters at k = s + min deg f with Y = 0.
+    The SVD of Y over the degree-k rows, lifted through diag(B, I), gives
+    the next B (singular values above ``SPAN_RANK_TOL`` times the largest),
+    the label-k vectors (the rest) and the next Y = Sigma V^H; it is real
+    while the rows are (``koszul._in_field``)."""
+    parts = [f.homogeneous_parts() for f in generators]
+    sizes = basis.degree_sizes
+    span, coords = np.zeros((0, 0)), np.zeros((0, 0))  # B and Y
+    sources: list[tuple[dict, int]] = []  # (homogeneous parts, source degree)
+    pieces = [[np.zeros((size, 0))] for size in sizes]  # degree-d rows, by label
     labels: list[int] = []
-    for k in range(basis.max_degree + 1):
-        rows = basis.offset(k) + basis.degree_sizes[k]
-        sub = cols[:rows, :]
-        _, sv, vh = np.linalg.svd(sub.conj().T, full_matrices=True)
-        rank = int(np.sum(sv > SPAN_RANK_TOL * np.amax(sv, initial=0.0)))
-        null = vh[rank:].conj().T
-        expected_new = null.shape[1] - len(chosen)
-        if expected_new <= 0:
-            continue
-        if chosen:
-            prev = np.column_stack([v[:rows] for v in chosen])
-            null = null - prev @ (prev.conj().T @ null)
-        u, s, _ = np.linalg.svd(null, full_matrices=False)
-        fresh = u[:, :expected_new]
-        if expected_new > 0 and (s.size < expected_new or s[expected_new - 1] < 0.5):
-            raise NumericallySingular(
-                "filtration-adapted complement lost rank; span is ill conditioned"
+    for k, size in enumerate(sizes):
+        sources += [(p, k - min(p)) for p in parts if k >= min(p)]
+        rows = [
+            _mult_block(basis, p[k - s], s) if k - s in p else np.zeros((size, sizes[s]))
+            for p, s in sources
+        ]
+        if rows:
+            entered = sum(sizes[s] for _, s in sources) - coords.shape[1]
+            coords = np.hstack([coords, np.zeros((len(coords), entered))])
+            u, sv, vh = np.linalg.svd(
+                np.vstack([coords, np.hstack(koszul._in_field(rows))]), full_matrices=True
             )
-        for j in range(expected_new):
-            vec = np.zeros(basis.dim, dtype=complex)
-            vec[:rows] = fresh[:, j]
-            chosen.append(vec)
-            labels.append(k)
-    if not chosen:
-        return np.zeros((basis.dim, 0), dtype=complex), np.zeros(0, dtype=int)
-    return np.column_stack(chosen), np.asarray(labels, dtype=int)
+            kept = int(np.sum(sv > SPAN_RANK_TOL * sv.max(initial=0.0)))
+            coords = sv[:kept, None] * vh[:kept]
+        else:
+            u, kept = np.eye(size), 0
+        lifted = np.vstack([span @ u[: span.shape[1]], u[span.shape[1]:]])
+        span = lifted[:, :kept]
+        for d in range(k + 1):
+            pieces[d].append(lifted[basis.block_slice(d), kept:])
+        labels += [k] * (lifted.shape[1] - kept)
+    starts = np.searchsorted(labels, np.arange(len(sizes)))
+    blocks = tuple((int(i), np.hstack(p).astype(complex)) for i, p in zip(starts, pieces))
+    return blocks, np.asarray(labels, dtype=int)
 
 
 def _multiplier_scale(basis: TruncatedBasis) -> float:
@@ -484,15 +475,8 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by arbitrary generators through the filtration-adapted
     complement; the only path for inhomogeneous generators."""
-    q, labels = _filtration_complement(basis, _generator_columns(basis, generators))
+    blocks, labels = _filtration_complement(basis, generators)
     nq = labels.size
-    # The labels ascend and each column vanishes above its label, so the
-    # degree-d rows are zero left of the first column labelled d or higher.
-    starts = [int(np.searchsorted(labels, d)) for d in range(basis.max_degree + 1)]
-    blocks = tuple(
-        (start, np.array(q[basis.block_slice(d), start:], order="C"))
-        for d, start in enumerate(starts)
-    )
     coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
     compressed = tuple(_sandwich(basis, z, blocks, blocks, (nq, nq)) for z in coords)
     # T_i* lowers the degree and keeps the quotient, so S_i is exactly 0
@@ -501,17 +485,18 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     # the tuple as stored.
     for s in compressed:
         s[labels[:, None] <= labels[None, :]] = 0.0
+    model = QuotientModel(basis, tuple(generators), blocks, labels, None, compressed)
     if nq:
-        eye = _identity_blocks(basis)
-        defect = max(
-            np.linalg.norm(
-                _sandwich(basis, z, blocks, eye, (nq, basis.dim)) - s @ q.conj().T, 2
-            )
+        q, eye = model.quotient_onb, _identity_blocks(basis)
+        defect = max(  # a real SVD each for real generators
+            np.linalg.norm(koszul._in_field([
+                _sandwich(basis, z, blocks, eye, (nq, basis.dim)) - s @ q.conj().T
+            ])[0], 2)
             for z, s in zip(coords, compressed)
         )
         _check_invariance(defect, basis)
         koszul.check_commuting(compressed)
-    return QuotientModel(basis, tuple(generators), blocks, labels, None, compressed)
+    return model
 
 
 def _is_graded(generators) -> bool:

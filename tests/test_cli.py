@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symdom import koszul
 from symdom.cli import FIELDS, main, normalize_config, summary_path_for
 from symdom.domains import DomainSpec
 from symdom.kernels import cache_key, gram_block, load_basis, save_basis
@@ -585,6 +586,35 @@ def test_input_too_large_for_memory_is_an_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def diagonal_spectrum_cfg(n, **scan):
+    tup = {"kind": "diagonal", "entries": [[0.1] * n]}
+    return {"domain": {"kind": "ball", "n": n}, "tuple": tup, **scan}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # one grid point in 33 coordinates, past the 32 dimensions np.meshgrid supports
+        diagonal_spectrum_cfg(33, grid={"start": 0.0, "stop": 0.5, "steps": 1}),
+        # 2**63 and 2**64 sign patterns: np.arange raised TypeError and ValueError
+        diagonal_spectrum_cfg(63, points=[[0.0] * 63]),
+        diagonal_spectrum_cfg(64, points=[[0.0] * 64]),
+        # 2**22 sign patterns alone took 1.6 GB
+        diagonal_spectrum_cfg(22, points=[[0.0] * 22]),
+    ],
+    ids=["grid-ball33", "points-ball63", "points-ball64", "points-ball22"],
+)
+def test_koszul_complex_too_large_for_memory_is_an_error_exit(tmp_path, capsys, monkeypatch, cfg):
+    # refused before the sign group, any subset list or any boundary is built
+    for name in ("_sign_symmetries", "_subsets", "_assemble"):
+        monkeypatch.setattr(koszul, name, lambda *args, name=name: pytest.fail(f"{name} reached"))
+    out = str(tmp_path / "spec.csv")
+    assert main(["spectrum", "--config", write_cfg(tmp_path, "cfg.json", dict(cfg, out=out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Koszul boundaries of") and err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 def test_invariance_accepts_infinite_p(tmp_path):

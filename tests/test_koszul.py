@@ -164,6 +164,23 @@ def test_non_finite_tuple_is_a_validation_error(bad, rng):
         joint_eigenvalues([np.diag([1.0, bad])])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complex_size_guard_counts_every_boundary_entry(n, rng, monkeypatch):
+    mats = random_commuting_tuple(n, 3, rng)
+    points = [np.zeros(n)]
+    entries = sum(d.size for d in koszul_boundaries(mats).boundaries)
+    monkeypatch.setattr(koszul, "MAX_BOUNDARY_ENTRIES", entries)
+    koszul_boundaries(mats)
+    taylor_point_tests(mats, points)
+    # one entry fewer: refused before the sign group or any subset list
+    monkeypatch.setattr(koszul, "MAX_BOUNDARY_ENTRIES", entries - 1)
+    monkeypatch.setattr(koszul, "_sign_symmetries", lambda mats: pytest.fail("signs built"))
+    monkeypatch.setattr(koszul, "_subsets", lambda n, k: pytest.fail("subsets built"))
+    for run in (lambda: koszul_boundaries(mats), lambda: taylor_point_tests(mats, points)):
+        with pytest.raises(MemoryError, match=f"{entries} entries for a {n}-tuple on C"):
+            run()
+
+
 # ---------------------------------------------------------------------
 # regularity point tests
 # ---------------------------------------------------------------------

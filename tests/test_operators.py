@@ -583,6 +583,96 @@ def test_generators_are_checked_before_either_path(graded, monkeypatch):
     assert quotient_model(basis, gens).dim_quotient < basis.dim
 
 
+def prefix_svd_complement(basis, gens):
+    """The filtration-adapted complement by the dense route: the columns of
+    every P_D M_f P_D, one full SVD of each degree prefix of them for its
+    null space (the rank counted against ``SPAN_RANK_TOL`` times that
+    prefix's largest singular value), projected off the lower labels and
+    orthonormalized by a second SVD.  Returns Q and its labels."""
+    cols = np.hstack([
+        mult_op(basis, f)[:, : basis.offset(basis.max_degree - min(f.homogeneous_parts()) + 1)]
+        for f in gens
+    ])
+    chosen, labels = np.zeros((basis.dim, 0), dtype=complex), []
+    for k in range(basis.max_degree + 1):
+        rows = basis.offset(k + 1)
+        _, sv, vh = np.linalg.svd(cols[:rows].conj().T, full_matrices=True)
+        null = vh[int(np.sum(sv > SPAN_RANK_TOL * sv.max(initial=0.0))):].conj().T
+        new = null.shape[1] - chosen.shape[1]
+        if new > 0:
+            prev = chosen[:rows]
+            u = np.linalg.svd(null - prev @ (prev.conj().T @ null), full_matrices=False)[0]
+            fresh = np.zeros((basis.dim, new), dtype=complex)
+            fresh[:rows] = u[:, :new]
+            chosen, labels = np.hstack([chosen, fresh]), labels + [k] * new
+    return chosen, np.asarray(labels, dtype=int)
+
+
+FILTRATION_CASES = [
+    (BALL2, 2.0, 10),
+    (POLY2, 2.0, 10),
+    (DomainSpec.matrix_ball(2, 2), 2.5, 6),
+    (DomainSpec.matrix_ball(2, 3), 3.5, 4),
+]
+FILTRATION_IDS = ["ball2", "polydisc2", "matrixball22", "matrixball23"]
+
+
+def filtration_generator_sets(n):
+    """Inhomogeneous generators in z1 and z2 (z11 and z12 on a matrix ball):
+    one term of each degree either way round, a product plus a lower term,
+    a pair with one homogeneous generator, and a complex coefficient."""
+    z1, z2 = Polynomial.coordinate(0, n), Polynomial.coordinate(1, n)
+    return {
+        "z1^2+z2": [z1 * z1 + z2],
+        "z1+z2^2": [z1 + z2 * z2],
+        "z1z2+0.5z1": [z1 * z2 + z1 * 0.5],
+        "pair": [z1 * z2, z1 * z1 + z2],
+        "complex": [z1 + z2 * z2 * (0.3 + 0.1j)],
+    }
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
+def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkeypatch):
+    basis = truncated_basis(dom, lam, d_trunc)
+    svd = np.linalg.svd
+    for name, gens in filtration_generator_sets(dom.dim).items():
+        q, labels = prefix_svd_complement(basis, gens)
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        # no dense multiplier, and at most one SVD per degree (the guards
+        # take their norms through np.linalg.norm)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "mult_op", lambda *args: pytest.fail("dense multiplier"))
+            patch.setattr(np.linalg, "svd", counted_svd)
+            model = quotient_model(basis, gens)
+        assert model.shift_blocks is None and len(calls) <= d_trunc + 1, name
+        assert np.array_equal(model.degree_labels, labels), name
+        qm = model.quotient_onb
+        for k in range(d_trunc + 1):
+            a, b = qm[:, model.degree_labels <= k], q[:, labels <= k]
+            assert np.abs(a @ a.conj().T - b @ b.conj().T).max(initial=0.0) < 1e-12, (name, k)
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
+def test_lower_degree_complement_is_a_label_prefix(dom, lam, d_trunc):
+    # each degree's SVD sees only the sources that reach it, the same at
+    # every D, so a lower D's complement is the top one's label prefix, bit
+    # for bit, and the top one vanishes below those rows
+    for name, gens in filtration_generator_sets(dom.dim).items():
+        top = quotient_model(truncated_basis(dom, lam, d_trunc), gens)
+        for lower in range(2, d_trunc):
+            basis = truncated_basis(dom, lam, lower)
+            model = quotient_model(basis, gens)
+            keep = top.degree_labels <= lower
+            assert np.array_equal(model.degree_labels, top.degree_labels[keep]), (name, lower)
+            assert np.array_equal(model.quotient_onb, top.quotient_onb[: basis.dim, keep])
+            assert not top.quotient_onb[basis.dim:, keep].any()
+
+
 # ---------------------------------------------------------------------
 # compressions
 # ---------------------------------------------------------------------
