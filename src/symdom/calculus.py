@@ -12,7 +12,8 @@ and by the error estimate, whose rule is a subset of the same nodes.  It is
 built in a simultaneous Schur basis of the tuple, where every node's
 I - sum conj(node_i) T_i is upper triangular up to the triangularization
 defect: chunks of 2048 nodes are factored by one unpivoted LU vectorized
-over the node axis, and each quadrature total is rotated back once.
+over the node axis, in buffers allocated once per tuple and reused by every
+chunk, and each quadrature total is rotated back once.
 
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
@@ -78,6 +79,9 @@ _SOBOL_BITS = 30
 class ShilovQuadrature:
     """Nodes (rows, flattened points), probability weights and an estimate rule.
 
+    Every rule has equal weights, so ``weights`` is one value broadcast
+    read-only over the nodes.
+
     The estimate rule puts equal weights on ``nodes[estimate]``, a sorted
     subset of the rule's own nodes: every other node per axis on the circle
     and torus (the nodes of the rule one level down, in the same order; one
@@ -100,13 +104,22 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
 
     circle (disc): 2^level equispaced points, exact for trigonometric
     polynomials of degree < 2^level; torus (polydisc): the product rule;
-    sphere (ball, n >= 2): 4^level * 1000 equal-weight low-discrepancy
-    nodes, the unscrambled Sobol' points 1..count in 2n dimensions
-    (``_sobol_points``, a numpy Gray-code generator over the Joe-Kuo table
-    that scipy ships, bit for bit ``scipy.stats.qmc.Sobol``) sent to the
-    sphere through the normal quantile (``_ndtri``, a numpy port of Cephes,
-    bit for bit ``scipy.special.ndtri`` on the clipped points) and
+    sphere (ball, n >= 2): count = 4^level * 1000 equal-weight
+    low-discrepancy nodes, the unscrambled Sobol' points 1..count in 2n
+    dimensions sent to the sphere through the normal quantile and
     normalized.  The matrix ball is not supported here.
+
+    The sphere rule works on integers.  With bits = count.bit_length(), the
+    first 2^bits Sobol' points take only the values k / 2^bits in each
+    coordinate (the (0,1)-property), and point 0 alone takes 0.  So the
+    30-bit integers of ``_sobol_integers`` (bit for bit
+    ``scipy.stats.qmc.Sobol`` before its 2^-30 scaling), shifted right by
+    30 - bits, index a table of the 2^bits - 1 quantiles ndtri(k / 2^bits).
+    ``_ndtri`` (a numpy port of Cephes, bit for bit ``scipy.special.ndtri``)
+    fills its lower half, and the mirror ndtri(1 - p) = -ndtri(p), exact for
+    dyadic p, the rest.  As bits <= 23, the grid lies inside
+    [1e-12, 1 - 1e-12], the domain of ``_ndtri``: the nodes are bit for bit
+    ndtri of every point, normalized.
     """
     if level < 1:
         raise ValidationError("level must be at least 1")
@@ -125,16 +138,21 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
         else:
             grids = np.meshgrid(*([axes] * dom.dim), indexing="ij")
             nodes = np.column_stack([g.reshape(-1) for g in grids])
-        weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
+        weights = np.broadcast_to(1.0 / nodes.shape[0], nodes.shape[:1])
         grid = np.arange(nodes.shape[0]).reshape((per_axis,) * dom.dim)
         estimate = grid[(slice(None, None, 2),) * dom.dim].reshape(-1)
         return ShilovQuadrature(dom, level, nodes, weights, estimate)
     count = (4**level) * SPHERE_BASE_NODES
     if count > 5_000_000:
         raise ValidationError("sphere rule too large at this level")
-    gauss = _sobol_points(2 * dom.dim, count)
-    np.clip(gauss, 1e-12, 1.0 - 1e-12, out=gauss)
-    _ndtri(gauss)
+    bits = count.bit_length()
+    index = _sobol_integers(2 * dom.dim, count)
+    index >>= _SOBOL_BITS - bits
+    quantiles = _dyadic_quantiles(bits)
+    gauss = np.empty(index.shape)
+    for j in range(index.shape[1]):  # a column at a time: the gather's intp index copy stays small
+        gauss[:, j] = quantiles[index[:, j]]
+    del index, quantiles  # before the norm's (count, 2n) temporary
     norms = np.linalg.norm(gauss, axis=1)
     # the all-0.5 low-discrepancy point maps to the origin; pin it to a axis
     degenerate = norms < 1e-300
@@ -142,17 +160,18 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     norms[degenerate] = 1.0
     gauss /= norms[:, None]
     nodes = gauss.view(complex)  # columns 2k and 2k + 1 as real and imaginary part
-    weights = np.full(count, 1.0 / count)
+    weights = np.broadcast_to(1.0 / count, (count,))
     return ShilovQuadrature(dom, level, nodes, weights, np.arange(count // 2))
 
 
-def _sobol_points(d: int, count: int) -> np.ndarray:
-    """Points 1..count of the unscrambled d-dimensional Sobol' sequence.
+def _sobol_integers(d: int, count: int) -> np.ndarray:
+    """Points 1..count of the unscrambled d-dimensional Sobol' sequence as
+    30-bit integers, shape (count, d), dtype uint32.
 
-    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=False)`` after
-    ``fast_forward(1)``: scipy's 30-bit direction numbers built from the
-    Joe-Kuo table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008), XORed in
-    Gray-code order (Antonov & Saleev, 1979) and scaled by 2^-30.
+    Times 2^-30 they are bit for bit ``scipy.stats.qmc.Sobol(d,
+    scramble=False)`` after ``fast_forward(1)``: scipy's direction numbers
+    built from the Joe-Kuo table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008),
+    XORed in Gray-code order (Antonov & Saleev, 1979).
     """
     with np.load(_SOBOL_TABLE) as table:
         poly = table["poly"]
@@ -188,16 +207,33 @@ def _sobol_points(d: int, count: int) -> np.ndarray:
     filled = 1
     for b in range(count.bit_length()):
         step = min(filled, count + 1 - filled)
-        out[filled : filled + step] = out[filled - step : filled][::-1] ^ v[:, b]
+        np.bitwise_xor(out[filled - step : filled][::-1], v[:, b], out=out[filled : filled + step])
         filled += step
-    return out[1:] * 2.0**-_SOBOL_BITS
+    return out[1:]
+
+
+def _dyadic_quantiles(bits: int) -> np.ndarray:
+    """ndtri(k / 2^bits) at entry k for 0 < k < 2^bits; entry 0 is not set.
+
+    ``_ndtri`` fills the lower half, k <= 2^(bits - 1), and the mirror
+    ndtri(1 - p) = -ndtri(p) the upper: for dyadic p Cephes takes the same
+    steps on 1 - p as on p and only flips the sign.
+    """
+    out = np.empty(1 << bits)
+    half = 1 << (bits - 1)
+    lower = out[1 : half + 1]
+    lower[:] = np.arange(1, half + 1) * 2.0**-bits
+    _ndtri(lower)
+    np.negative(out[half - 1 : 0 : -1], out=out[half + 1 :])
+    return out
 
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
 # 1989): rational approximations in y - 1/2 on the centre and in
 # 1/sqrt(-2 ln y) on the tails, coefficients highest power first; the tables
 # for sqrt(-2 ln y) >= 8, y < exp(-32), are left out, as the sphere rule
-# clips its points to [1e-12, 1 - 1e-12]
+# takes the quantile only on the grid k / 2^bits, bits <= 23, inside
+# [1e-12, 1 - 1e-12]
 _NDTRI_P0 = (
     -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
     1.39312609387279679503e1, -1.23916583867381258016e0,
@@ -375,8 +411,10 @@ def series_calculus(mats, f: Polynomial) -> np.ndarray:
     return out
 
 
-def _szegoe_batch(dom: DomainSpec, rotated: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Delta(R, node)^{-n/r} for a batch of boundary nodes, shape (h, h, N).
+def _szegoe_batch(
+    dom: DomainSpec, rotated: np.ndarray, nodes: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Delta(R, node)^{-n/r} for a batch of N boundary nodes, shape (h, h, N).
 
     ``rotated`` is the tuple R_k = Z* T_k Z in a simultaneous Schur basis Z,
     stacked as (h, h, n).  The Hardy exponent n/r is an integer for every
@@ -386,44 +424,66 @@ def _szegoe_batch(dom: DomainSpec, rotated: np.ndarray, nodes: np.ndarray) -> np
     away from 0 by an interior spectrum, so an unpivoted LU, vectorized over
     the trailing node axis, factors it stably; the strict lower part is kept,
     so the result is exact to rounding.  The ball solves against I n/r
-    times; the polydisc once per factor.
+    times; the polydisc once per factor.  The first solve is against I, so
+    its forward pass only touches the columns of L^{-1} I that are not zero.
+
+    ``work`` holds three complex (h * h, >= N) buffers: the factored base,
+    the right-hand side and a scratch array that takes every rank-one update
+    before it is subtracted in place.  The batch overwrites their first N
+    columns and returns a view of the right-hand side's, so a caller that
+    passes the same ``work`` for every chunk of a rule allocates nothing per
+    chunk, and the short last chunk takes slices of the same buffers.
     """
     h, _, n = rotated.shape
     count = nodes.shape[0]
+    base, out, scratch = (w[:, :count].reshape(h, h, count) for w in work)
     eye = np.eye(h, dtype=complex)[:, :, None]
     conj_nodes = np.conj(nodes).T
-    out = np.repeat(eye, count, axis=2)
+    np.copyto(out, eye)
     if dom.kind == "ball":
-        base = eye - (rotated.reshape(h * h, n) @ conj_nodes).reshape(h, h, count)
-        pivots = _lu_in_place(base)
-        for _ in range(round(dom.hardy_weight)):
-            _lu_solve_in_place(base, pivots, out)
+        np.matmul(rotated.reshape(h * h, n), conj_nodes, out=work[0, :, :count])
+        np.subtract(eye, base, out=base)
+        pivots = _lu_in_place(base, scratch)
+        for power in range(round(dom.hardy_weight)):
+            _lu_solve_in_place(base, pivots, out, scratch, identity=power == 0)
         return out
     for k in reversed(range(n)):
-        base = eye - rotated[:, :, k, None] * conj_nodes[k]
-        _lu_solve_in_place(base, _lu_in_place(base), out)
+        np.multiply(rotated[:, :, k, None], conj_nodes[k], out=base)
+        np.subtract(eye, base, out=base)
+        _lu_solve_in_place(base, _lu_in_place(base, scratch), out, scratch, identity=k == n - 1)
     return out
 
 
-def _lu_in_place(a: np.ndarray) -> np.ndarray:
+def _lu_in_place(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Unpivoted LU of each a[:, :, j]: U on and above the diagonal, the
     unit lower factor's multipliers below it.  Returns the reciprocals of
-    U's diagonal, shape (h, N)."""
-    for p in range(a.shape[0] - 1):
+    U's diagonal, shape (h, N).  ``scratch`` has a's shape."""
+    h = a.shape[0]
+    for p in range(h - 1):
         a[p + 1:, p] *= 1.0 / a[p, p]
-        a[p + 1:, p + 1:] -= a[p + 1:, p, None] * a[p, None, p + 1:]
+        rest = h - p - 1
+        update = np.multiply(a[p + 1:, p, None], a[p, None, p + 1:], out=scratch[:rest, :rest])
+        a[p + 1:, p + 1:] -= update
     return 1.0 / np.diagonal(a).T
 
 
-def _lu_solve_in_place(lu: np.ndarray, pivots: np.ndarray, b: np.ndarray) -> None:
+def _lu_solve_in_place(
+    lu: np.ndarray, pivots: np.ndarray, b: np.ndarray, scratch: np.ndarray, identity: bool
+) -> None:
     """Overwrite each b[:, :, j] with A_j^{-1} b[:, :, j], given the factors
-    and pivot reciprocals of the A_j from ``_lu_in_place``."""
+    and pivot reciprocals of the A_j from ``_lu_in_place``.  ``scratch`` has
+    b's shape.  With ``identity`` (b is I) the forward pass builds the unit
+    lower triangular L^{-1} on the columns <= p alone: the columns above
+    would only take exact zeros."""
     h = lu.shape[0]
     for p in range(h - 1):
-        b[p + 1:] -= lu[p + 1:, p, None] * b[p, None]
+        cols = p + 1 if identity else h
+        update = np.multiply(lu[p + 1:, p, None], b[p, None, :cols], out=scratch[p + 1:, :cols])
+        b[p + 1:, :cols] -= update
     for p in reversed(range(h)):
         b[p] *= pivots[p]
-        b[:p] -= lu[:p, p, None] * b[p, None]
+        update = np.multiply(lu[:p, p, None], b[p, None], out=scratch[:p])
+        b[:p] -= update
 
 
 @dataclass(frozen=True)
@@ -483,7 +543,8 @@ def _quadrature_sum(
     Returns two (P, h, h) stacks, one matrix per polynomial.  The sums run in
     the simultaneous Schur basis Z of the spectrum guard's first draw, passed
     as ``draw`` = (Z, Z* T_i Z): each chunk of nodes gets
-    one kernel batch of the rotated tuple and one (2P, chunk) coefficient
+    one kernel batch of the rotated tuple, in the one work array every chunk
+    reuses, and one (2P, chunk) coefficient
     block (full weights, then the estimate rule's equal weights on its nodes,
     times the values f(node)), accumulated with one matrix product, and each
     total S is rotated back once as Z S Z*.
@@ -494,9 +555,10 @@ def _quadrature_sum(
     count = len(polys)
     estimate_weight = 1.0 / estimate.size
     total = np.zeros((2 * count, h * h), dtype=complex)
+    work = np.empty((3, h * h, min(_CHUNK, nodes.shape[0])), dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
         stop = min(start + _CHUNK, nodes.shape[0])
-        kernel = _szegoe_batch(dom, rotated, nodes[start:stop]).reshape(h * h, stop - start)
+        kernel = _szegoe_batch(dom, rotated, nodes[start:stop], work).reshape(h * h, stop - start)
         values = np.array([f.eval_batch(nodes[start:stop]) for f in polys])
         coeff = np.zeros((2 * count, stop - start), dtype=complex)
         coeff[:count] = weights[start:stop] * values

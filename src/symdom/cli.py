@@ -180,8 +180,12 @@ FIELDS = {
         **_COMMON,
         "level": Field("int", lambda dom: _DEFAULT_LEVELS.get((dom.kind, dom.dim), 4), low=1),
         "tuple_size": Field("int", lambda dom: 6 if dom.dim == 1 else 5, low=1),
+        # each component's eigenvalues reach spectral_radius, so on the ball
+        # the joint spectrum's radius can reach spectral_radius * sqrt(n)
         "spectral_radius": Field(
-            "num", 0.6, 0, 1, why="; the calculus needs the joint spectrum inside the domain"
+            "num",
+            lambda dom: min(0.6, 0.6 * math.sqrt(2 / dom.dim)) if dom.kind == "ball" else 0.6,
+            0, 1, why="; the calculus needs the joint spectrum inside the domain",
         ),
         "num_tuples": Field("int", 3, low=1),
         "polys": Field(
@@ -374,6 +378,15 @@ def normalize_config(cfg: dict, command: str) -> dict:
             raise _error("points", "no scan points (set 'points' or 'grid')")
     if command == "calculus" and dom.kind == "matrixball":
         raise _error("domain", "no Shilov quadrature for the matrix ball")
+    if command == "calculus" and dom.kind == "ball":
+        bound = 1 / math.sqrt(dom.dim)
+        if out["spectral_radius"] >= bound:
+            raise _error(
+                "spectral_radius",
+                f"must be below 1/sqrt({dom.dim}) = {bound:.6g} on the ball: each component's "
+                f"eigenvalues reach it, so the joint spectral radius can reach it times "
+                f"sqrt({dom.dim})",
+            )
     if command == "invariance":
         if spectral_norm(dom, flatten_point(dom, _point(out["z0"]))) >= 1.0:
             raise _error("z0", "Moebius parameter must be interior")

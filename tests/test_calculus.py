@@ -2,6 +2,7 @@
 calculus, Moebius transforms of tuples, and the composition law."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from symdom.calculus import (
     _delta_expansion,
     _ndtri,
     _quadrature_sum,
-    _sobol_points,
+    _SOBOL_BITS,
+    _sobol_integers,
     _szegoe_batch,
     composition_residual,
     delta_power_tuple,
@@ -38,6 +40,7 @@ from symdom.sampling import random_commuting_tuple, random_point
 BALL1 = DomainSpec.ball(1)
 BALL2 = DomainSpec.ball(2)
 BALL3 = DomainSpec.ball(3)
+BALL5 = DomainSpec.ball(5)
 POLY2 = DomainSpec.polydisc(2)
 POLY3 = DomainSpec.polydisc(3)
 MB22 = DomainSpec.matrix_ball(2, 2)
@@ -101,6 +104,11 @@ def test_torus_estimate_rule_is_lower_level(dom, level):
     assert np.array_equal(quad.nodes[quad.estimate], lower.nodes)
 
 
+def sobol_points(d, count):
+    # the generator's 30-bit integers scaled as scipy scales them
+    return _sobol_integers(d, count) * 2.0**-_SOBOL_BITS
+
+
 def scipy_sobol(d, count):
     from scipy.stats import qmc  # the reference route only; the package never imports it
 
@@ -115,9 +123,8 @@ def scipy_sobol(d, count):
 def test_sobol_stream_is_scipy_unscrambled(d):
     # 1023/1024/1025 and 4095/4096/4097 straddle 2^k; 1000 and 3000 are not powers of two
     for count in (1, 2, 3, 1000, 1023, 1024, 1025, 3000, 4095, 4096, 4097):
-        got = _sobol_points(d, count)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, scipy_sobol(d, count))
+        assert _sobol_integers(d, count).dtype == np.uint32
+        assert np.array_equal(sobol_points(d, count), scipy_sobol(d, count))
 
 
 def test_sphere_nodes_are_the_scipy_route():
@@ -130,6 +137,36 @@ def test_sphere_nodes_are_the_scipy_route():
     gauss[0, 0] = norms[0] = 1.0
     gauss /= norms[:, None]
     assert np.array_equal(quad.nodes, gauss[:, 0::2] + 1j * gauss[:, 1::2])
+
+
+def every_point_sphere_nodes(dom, level):
+    # the route before the quantile table: ``_ndtri`` on every clipped
+    # Sobol' coordinate, then the rule's pin and normalization
+    count = 4**level * calculus.SPHERE_BASE_NODES
+    gauss = sobol_points(2 * dom.dim, count)
+    np.clip(gauss, 1e-12, 1.0 - 1e-12, out=gauss)
+    _ndtri(gauss)
+    norms = np.linalg.norm(gauss, axis=1)
+    degenerate = norms < 1e-300
+    gauss[degenerate, 0] = 1.0
+    norms[degenerate] = 1.0
+    gauss /= norms[:, None]
+    return gauss.view(complex)
+
+
+@pytest.mark.parametrize(
+    "dom, level",
+    [(BALL2, level) for level in (1, 2, 3, 4)]
+    + [(BALL3, level) for level in (1, 2, 3)]
+    + [(BALL5, level) for level in (1, 2)],
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else f"level{v}",
+)
+def test_sphere_nodes_gather_the_quantile_of_every_point(dom, level):
+    # 4, 6 and 10 Sobol' dimensions; the bits of the grid table run from 12
+    # (4000 nodes) to 18 (256 000)
+    got = shilov_quadrature(dom, level).nodes
+    want = every_point_sphere_nodes(dom, level)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def port_ndtri(p):
@@ -389,9 +426,7 @@ def _scaled_into_ball(mats, dom, radius):
 def _oracle_tuples(rng):
     j = jordan_like_disc_matrix()
     k = 0.8 * j
-    nilpotent = list(quotient_model(truncated_basis(BALL2, 2.0, 8), [
-        Polynomial.monomial((1, 1), 1.0)
-    ]).tuple_mats)
+    nilpotent = _nilpotent_quotient_model()
     return [
         ("ball1-jordan", BALL1, 6, [j]),
         ("ball2-jordan-square", BALL2, 1, [k, k @ k]),
@@ -444,9 +479,81 @@ def test_szegoe_batch_keeps_the_lower_part(dom, level, rng):
     # a dense tuple, far from triangular: the unpivoted LU is exact all the same
     mats = [0.4 * t / np.linalg.norm(t, 2) for t in random_commuting_tuple(dom.dim, 5, rng)]
     nodes = shilov_quadrature(dom, level).nodes
-    got = np.moveaxis(_szegoe_batch(dom, np.stack(mats, axis=-1), nodes), 2, 0)
+    work = np.empty((3, 25, nodes.shape[0]), dtype=complex)
+    got = np.moveaxis(_szegoe_batch(dom, np.stack(mats, axis=-1), nodes, work), 2, 0)
     want = _dense_szegoe_batch(dom, mats, nodes)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _nilpotent_quotient_model():
+    # the 17 x 17 model of ball2 modulo z1 z2: nilpotent, far from triangular
+    return list(quotient_model(truncated_basis(BALL2, 2.0, 8), [
+        Polynomial.monomial((1, 1), 1.0)
+    ]).tuple_mats)
+
+
+def _szegoe_tuple_pairs(dom, rng):
+    # two tuples of each size, h = 1, 5 and 17, in the Schur basis the sums use
+    s1, s2 = _nilpotent_quotient_model()
+    nilpotent = [s1, s2, s1 @ s1][: dom.dim]
+    for mats in (
+        _scaled_into_ball(random_commuting_tuple(dom.dim, 1, rng), dom, 0.7),
+        _scaled_into_ball(random_commuting_tuple(dom.dim, 1, rng), dom, 0.7),
+        _scaled_into_ball(random_commuting_tuple(dom.dim, 5, rng), dom, 0.7),
+        _scaled_into_ball(random_commuting_tuple(dom.dim, 5, rng), dom, 0.7),
+        [0.3 * m for m in nilpotent],
+        [0.2 * m for m in nilpotent],
+    ):
+        yield koszul._joint_eigenvalues_and_draw(mats)[1][1]
+
+
+@pytest.mark.parametrize(
+    "dom, level", [(BALL2, 1), (BALL3, 1), (POLY2, 6)], ids=["ball2", "ball3", "polydisc2"]
+)
+def test_szegoe_batch_matches_dense_inverse_powers(dom, level, rng):
+    # _CHUNK + 1000 nodes: one full chunk and a short one, as _quadrature_sum
+    # runs them, through one work array per size that starts as NaN and
+    # serves two tuples in a row
+    nodes = shilov_quadrature(dom, level).nodes[: _CHUNK + 1000]
+    works = {}
+    sizes = []
+    for rotated in _szegoe_tuple_pairs(dom, rng):
+        h = rotated[0].shape[0]
+        sizes.append(h)
+        stacked = np.stack(rotated, axis=-1)
+
+        def chunked(work):
+            return np.concatenate([
+                _szegoe_batch(dom, stacked, nodes[start:start + _CHUNK], work).copy()
+                for start in range(0, nodes.shape[0], _CHUNK)
+            ], axis=2)
+
+        fresh = np.full((3, h * h, _CHUNK), np.nan, dtype=complex)
+        got = chunked(works.setdefault(h, fresh.copy()))
+        assert np.array_equal(got, chunked(fresh))  # the reused work carries no state
+        want = np.moveaxis(_dense_szegoe_batch(dom, rotated, nodes), 0, 2)
+        gap = np.abs(got - want).max() / np.abs(want).max()
+        assert gap <= 1e-13, (h, gap)
+        # one batch over all nodes, in a work array of their width
+        wide = np.empty((3, h * h, nodes.shape[0]), dtype=complex)
+        alone = _szegoe_batch(dom, stacked, nodes, wide)
+        assert np.abs(alone - want).max() <= 1e-13 * np.abs(want).max()
+    assert sizes == [1, 1, 5, 5, 17, 17]
+
+
+def test_sphere_rule_peak_memory_is_near_what_it_keeps():
+    # the level-3 ball2 rule keeps its nodes and estimate subset; on the way
+    # it holds the Sobol' integers, the quantile table and the normalization's
+    # squares, never a float copy of every point or the quantile of each
+    shilov_quadrature(BALL2, 1)  # the first call loads what np.load needs
+    tracemalloc.start()
+    try:
+        quad = shilov_quadrature(BALL2, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= quad.nodes.nbytes + quad.estimate.nbytes
+    assert peak <= 2.5 * kept, (peak, kept)
 
 
 def test_integral_calculus_checks_the_quadrature_domain_first():

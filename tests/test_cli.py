@@ -4,6 +4,7 @@ deterministic reruns, overrides, and config error reporting."""
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -292,6 +293,48 @@ def test_calculus_stdout(tmp_path, capsys):
     assert main(["calculus", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     assert captured.startswith("domain,check,item,tuple,residual")
+
+
+def test_calculus_ball_default_radius_keeps_the_joint_spectrum_inside(tmp_path, capsys):
+    # each component's eigenvalues reach spectral_radius, so on the ball the
+    # joint spectral radius can reach it times sqrt(n): at the old default
+    # 0.6, ball4's tuples reached 1.0038 at seed 15 and the run exited 3
+    out = str(tmp_path / "calc.csv")
+    cfg = {"domain": {"kind": "ball", "n": 4}, "level": 1, "out": out}
+    assert main(["calculus", "--config", write_cfg(tmp_path, "cfg.json", cfg), "--seed", "15"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "domain, radius",
+    [
+        ({"kind": "ball", "n": 1}, 0.6),
+        ({"kind": "ball", "n": 2}, 0.6),
+        ({"kind": "ball", "n": 3}, 0.6 * math.sqrt(2 / 3)),
+        ({"kind": "ball", "n": 4}, 0.6 * math.sqrt(0.5)),
+        ({"kind": "polydisc", "n": 2}, 0.6),
+        ({"kind": "polydisc", "n": 4}, 0.6),
+    ],
+)
+def test_calculus_default_spectral_radius(domain, radius):
+    cfg = normalize_config({"domain": domain}, "calculus")
+    assert cfg["spectral_radius"] == radius
+    joint = math.sqrt(domain["n"]) if domain["kind"] == "ball" else 1.0
+    assert cfg["spectral_radius"] * joint < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, radius", [(2, 0.9), (2, 0.9999999999), (2, 1 / math.sqrt(2)), (3, 0.6), (4, 0.5)]
+)
+def test_calculus_ball_radius_from_one_over_sqrt_n_is_config_error(tmp_path, capsys, n, radius):
+    cfg = {"domain": {"kind": "ball", "n": n}, "spectral_radius": radius}
+    assert main(["calculus", "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at 'spectral_radius'" in err and f"1/sqrt({n})" in err
+    assert "Traceback" not in err
+    # the polydisc bounds each coordinate on its own: any radius below 1 runs
+    cfg["domain"]["kind"] = "polydisc"
+    assert normalize_config(cfg, "calculus")["spectral_radius"] == radius
 
 
 @pytest.mark.parametrize("kind, n", [("ball", 1), ("polydisc", 2)])
