@@ -30,6 +30,7 @@ import math
 import os
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -634,9 +635,14 @@ def _cache_header(dom: DomainSpec, lam: float, max_degree: int) -> str:
 
 
 def cache_key(dom: DomainSpec, lam: float, max_degree: int) -> str:
-    import hashlib  # loads OpenSSL; only a cache path needs it
+    """16 hex digits: the CRC-32 and Adler-32 checksums of ``_cache_header``.
 
-    return hashlib.sha256(_cache_header(dom, lam, max_degree).encode()).hexdigest()[:24]
+    Both are the same in every process (the salted ``hash`` is not), and
+    zlib is loaded already (``zipfile``), where a cryptographic hash would
+    load OpenSSL.  A collision costs only a miss: ``load_basis`` rejects a
+    file whose stored header is not the one asked for."""
+    header = _cache_header(dom, lam, max_degree).encode()
+    return f"{zlib.crc32(header):08x}{zlib.adler32(header):08x}"
 
 
 def resolve_cache_dir(cache_dir: str | None) -> str | None:

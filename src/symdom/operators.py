@@ -3,12 +3,17 @@ quotient compressions.
 
 Everything acts on the degree-<= D orthonormal basis of a continuous-weight
 kernel space.  Multiplication by a homogeneous f maps degree d to degree
-d + deg f, so every operator is assembled from these degree-shift blocks of
-P_D M_f P_D (``_mult_block``); no dense dim x dim product is formed on the
-quotient path.  The submodule generated by f_1, ..., f_m is the span of the
-ranges of the truncated multipliers P_D M_{f_j} P_D, which keeps it exactly
-invariant under the truncated coordinate multipliers, so the compressed
-tuple commutes in exact arithmetic for every generator set.  A model holds
+d + deg f, and z^gamma carries each torus-weight class of degree d into one
+class of degree d + |gamma|, so P_D M_f P_D is held as class-pair blocks
+(``_shift_block``, ``_mult_block``): one small block per (destination
+class, source class), stacked by class sizes.  ``_dense_block`` assembles a
+dense degree-shift block from them where one is read (``_sandwich``, the
+filtration path, tests); the graded path never does, and no dense dim x dim
+product is formed on either path.  The submodule generated by f_1, ...,
+f_m is the span of the ranges of the truncated multipliers P_D M_{f_j} P_D,
+which keeps it exactly invariant under the truncated coordinate
+multipliers, so the compressed tuple commutes in exact arithmetic for every
+generator set.  A model holds
 only the complement: an orthonormal basis Q of M^(D) orth, stored as
 degree blocks, and the compressed tuple S_i = Q^H T_i Q; compressions of
 other symbols come from one block routine (``_sandwich``).  The submodule
@@ -22,15 +27,19 @@ basis M of M^(D).
   d - deg f_j into degree d, and the quotient splits as the sum over d of
   P_d orth M_d.  z^gamma carries torus-weight class mu into class
   mu + wt(gamma), so the columns of each degree split further by groups of
-  classes, read off the generators' terms; each group gets one full SVD,
-  whose trailing left singular vectors are its part of the complement, and
-  classes that no column reaches keep their basis vectors.  Every quotient
-  basis vector is supported on exactly one degree, its label.  An empty
-  generator list is the zero submodule, so the quotient is the whole space.
-  The compressed tuple is stored as its degree-shift blocks S_i(d), degree
-  d to d + 1; ``QuotientModel.tuple_mats`` assembles the dense matrices on
-  each access.  The scale, invariance and commutator guards are all taken
-  as per-degree block norms.
+  classes, read off the generators' terms; each group gets one full SVD of
+  its columns, filled from the class-pair blocks, whose trailing left
+  singular vectors are its part of the complement, and classes that no
+  column reaches keep their basis vectors.  Every quotient basis vector is
+  supported on exactly one degree, its label.  An empty generator list is
+  the zero submodule, so the quotient is the whole space.  The compressed
+  tuple is stored as its degree-shift blocks S_i(d), degree d to d + 1,
+  each formed per class pair from Q_d and Q_{d+1} restricted to the classes
+  (``_compress_shift``), real while the generators are;
+  ``QuotientModel.tuple_mats`` assembles the dense matrices on each access.
+  The scale and commutator guards are per-degree block norms, the scale
+  the largest class-pair block norm; the invariance defect is taken per
+  class pair, Frobenius norm first.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
   the quotient vectors on degrees <= k complete the span of the multiplier
   columns' degree-<= k rows to P_{<=k}, so the complement is built degree
@@ -42,6 +51,9 @@ basis M of M^(D).
 The invariance guard compares the defect with ``INVARIANCE_TOL`` times
 max(1, largest ||T_i||_2); that scale cannot lower the threshold below
 ``INVARIANCE_TOL``, so its norms are taken only when the defect exceeds it.
+On the graded path the same holds one step earlier: ||X||_2 <= ||X||_F, so
+a defect block's 2-norm (an SVD) is taken only when its Frobenius norm
+exceeds ``INVARIANCE_TOL``; verdicts and messages are those of the 2-norms.
 
 When the generators are homogeneous and every symbol of a profile is an
 affine coordinate symbol c z_i + d, [S_a, S_b*] = c_a conj(c_b) [S_i, S_j*]
@@ -55,6 +67,7 @@ models take the dense commutator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,38 +101,72 @@ DENOMINATOR_SEED = 20_401
 CONDITION_CUTOFF = 1e12
 
 
-def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> np.ndarray:
-    """Block of multiplication by z^gamma from degree d to degree
-    d + |gamma|, in the orthonormal basis: U_{d+g}^{-1} scatter(U_d), solved
-    per pair of torus-weight classes on the factor stacks
-    (``kernels._shift_plan``)."""
+def _shift_block(basis: TruncatedBasis, gamma: MultiIndex, d: int) -> list:
+    """Class-pair blocks of multiplication by z^gamma from degree d to degree
+    d + |gamma|, in the orthonormal basis.
+
+    Per ``kernels._shift_plan`` group ((k, rows), (j, cols), hit) one entry
+    ((k, rows), (j, cols), block): block[a] is U_{d+g}^{-1} scatter(U_d) on
+    the pair (destination class, source class) = (row rows[a] of stack k of
+    degree d + |gamma|, row cols[a] of stack j of degree d), one batched
+    solve per group.  The multiplier is zero off these pairs."""
     g = sum(gamma)
-    if g == 0:
-        # z^0 = 1: exactly the identity, without a solve's rounding
-        return np.eye(basis.degree_sizes[d])
     lower, upper = basis.factors[d], basis.factors[d + g]
-    sources, targets = _weight_classes(basis.dom, d), _weight_classes(basis.dom, d + g)
-    out = np.zeros((sum(c.size for c in targets), sum(c.size for c in sources)))
+    out = []
     for (k, rows), (j, cols), hit in _shift_plan(basis.dom, gamma, d):
-        dst, src = targets[k][rows], sources[j][cols]
-        # the source classes' U_d blocks, moved to their rows in dst
-        scattered = np.zeros(dst.shape + src.shape[1:])
-        scattered[np.arange(len(dst))[:, None], hit] = lower[j][cols]
-        out[dst[:, :, None], src[:, None, :]] = np.linalg.solve(upper[k][rows], scattered)
+        size = hit.shape[1]
+        if g == 0:
+            # z^0 = 1: exactly the identity, without a solve's rounding
+            block = np.broadcast_to(np.eye(size), (len(rows), size, size))
+        else:
+            # the source classes' U_d blocks, moved to their rows in the destination
+            scattered = np.zeros((len(rows), upper[k].shape[1], size))
+            scattered[np.arange(len(rows))[:, None], hit] = lower[j][cols]
+            block = np.linalg.solve(upper[k][rows], scattered)
+        out.append(((k, rows), (j, cols), block))
     return out
 
 
-def _mult_block(basis: TruncatedBasis, f: Polynomial, d: int) -> np.ndarray:
-    """Block of P_D M_f P_D from degree d to degree d + deg f, for a
-    homogeneous f, in the orthonormal basis."""
-    return sum(c * _shift_block(basis, gamma, d) for gamma, c in f.terms.items())
+def _mult_block(basis: TruncatedBasis, f: Polynomial, d: int) -> list:
+    """P_D M_f P_D from degree d to degree d + deg f, for a homogeneous f, as
+    class-pair blocks: the multiplier is their sum (terms of f that share a
+    torus weight give blocks on the same pairs).  Each block stays real
+    while its coefficient is."""
+    return [
+        (dst, src, (c.real if c.imag == 0 else c) * block)
+        for gamma, c in f.terms.items()
+        for dst, src, block in _shift_block(basis, gamma, d)
+    ]
 
 
-def _coordinate_blocks(basis: TruncatedBasis, i: int) -> list[np.ndarray]:
-    """Degree-shift blocks d -> d + 1 of the truncated coordinate
-    multiplier z_i, for d = 0 .. D - 1."""
-    z = Polynomial.coordinate(i, basis.dom.dim)
-    return [_mult_block(basis, z, d) for d in range(basis.max_degree)]
+def _dense_block(basis: TruncatedBasis, pairs, d: int, k: int) -> np.ndarray:
+    """The size_{d+k} x size_d matrix that the class-pair blocks ``pairs``
+    from degree d to degree d + k sum to."""
+    targets, sources = _weight_classes(basis.dom, d + k), _weight_classes(basis.dom, d)
+    dtype = np.result_type(float, *(block for _, _, block in pairs))
+    out = np.zeros((basis.degree_sizes[d + k], basis.degree_sizes[d]), dtype)
+    for (t, rows), (s, cols), block in pairs:
+        out[targets[t][rows][:, :, None], sources[s][cols][:, None, :]] += block
+    return out
+
+
+def _coordinate_blocks(basis: TruncatedBasis, i: int) -> list[list]:
+    """Class-pair blocks (``_shift_block``) of the truncated coordinate
+    multiplier z_i from degree d to d + 1, for d = 0 .. D - 1."""
+    gamma = tuple(int(j == i) for j in range(basis.dom.dim))
+    return [_shift_block(basis, gamma, d) for d in range(basis.max_degree)]
+
+
+def _pair_norm(pairs) -> float:
+    """2-norm of multiplication by a monomial from its class-pair blocks.
+
+    z^gamma sends each source class into its own destination class, so
+    T*T is block-diagonal by source class and ||T||_2 is exactly the
+    largest class-pair block norm."""
+    return max(
+        (float(np.linalg.norm(b, 2, axis=(1, 2)).max()) for _, _, b in pairs if b.size),
+        default=0.0,
+    )
 
 
 def _shift_norm(blocks) -> float:
@@ -141,7 +188,7 @@ def _check_shift_commuting(tuple_blocks) -> float:
     scale = max(max(_shift_norm(blocks) for blocks in tuple_blocks), 1.0)
     worst = 0.0
     for a, b in itertools.combinations(tuple_blocks, 2):
-        comm = [a[d + 1] @ b[d] - b[d + 1] @ a[d] for d in range(len(a) - 1)]
+        comm = (a[d + 1] @ b[d] - b[d + 1] @ a[d] for d in range(len(a) - 1))
         worst = max(worst, _shift_norm(comm) / scale)
     return koszul._guard_commuting(worst)
 
@@ -173,8 +220,9 @@ def _sandwich(basis: TruncatedBasis, f: Polynomial, left, right, shape) -> np.nd
             lstart, lblock = left[d + k]
             rstart, rblock = right[d]
             if lblock.size and rblock.size:
+                block = _dense_block(basis, _mult_block(basis, part, d), d, k)
                 out[lstart:lstart + lblock.shape[1], rstart:rstart + rblock.shape[1]] += (
-                    lblock.conj().T @ _mult_block(basis, part, d) @ rblock
+                    lblock.conj().T @ block @ rblock
                 )
     return out
 
@@ -209,11 +257,12 @@ class QuotientModel:
     per group of torus-weight classes (``_graded_model``).  The compressed
     tuple is then stored as its degree-shift blocks: ``shift_blocks[i][d]``
     is S_i(d), the block of S_i from degree d to degree d + 1, d = 0 .. D - 1,
-    and the scale, invariance and commutator guards are per-degree block
-    norms.  Otherwise (the filtration path) each column is supported on
-    degrees <= its label, block d holds every column labelled d or higher,
-    and the compressed tuple is stored dense in ``dense_tuple``.  Exactly
-    one of ``shift_blocks`` and ``dense_tuple`` is set.
+    formed per pair of torus-weight classes without a dense multiplier,
+    and the guards read per-degree and class-pair blocks.  Otherwise (the
+    filtration path) each column is supported on degrees <= its label,
+    block d holds every column labelled d or higher, and the compressed
+    tuple is stored dense in ``dense_tuple``.  Exactly one of
+    ``shift_blocks`` and ``dense_tuple`` is set.
     """
 
     basis: TruncatedBasis
@@ -277,7 +326,9 @@ def _filtration_complement(basis: TruncatedBasis, generators):
     for k, size in enumerate(sizes):
         sources += [(p, k - min(p)) for p in parts if k >= min(p)]
         rows = [
-            _mult_block(basis, p[k - s], s) if k - s in p else np.zeros((size, sizes[s]))
+            _dense_block(basis, _mult_block(basis, p[k - s], s), s, k - s)
+            if k - s in p
+            else np.zeros((size, sizes[s]))
             for p, s in sources
         ]
         if rows:
@@ -301,8 +352,10 @@ def _filtration_complement(basis: TruncatedBasis, generators):
 
 
 def _multiplier_scale(basis: TruncatedBasis) -> float:
-    """Largest ||T_i||_2 over the truncated coordinate multipliers."""
-    return max(_shift_norm(_coordinate_blocks(basis, i)) for i in range(basis.dom.dim))
+    """Largest ||T_i||_2 over the truncated coordinate multipliers: the
+    largest class-pair block norm of any degree (``_pair_norm``)."""
+    blocks = (pairs for i in range(basis.dom.dim) for pairs in _coordinate_blocks(basis, i))
+    return max(map(_pair_norm, blocks), default=0.0)
 
 
 def _check_invariance(defect: float, basis: TruncatedBasis) -> None:
@@ -359,21 +412,26 @@ def _group_svds(basis: TruncatedBasis, generators, d: int):
     to; classes shared by a column form one group, and the columns are
     block-diagonal by group.  A generator whose terms share one weight
     (z11, det z, any monomial) gives one class per group; z11 + z22 merges
-    classes.
+    classes.  The groups' matrices are filled straight from the class-pair
+    blocks (``_mult_block``), stacked by shape.
 
-    Returns the positions of the classes that no column reaches, and per
-    stack of groups of one shape (m rows, k columns): the groups' positions
-    (g, m), their left singular vectors (g, m, m) and singular values.
+    Returns the positions of the classes that no column reaches; per stack
+    of groups of one shape (m rows, k columns): the groups' positions
+    (g, m), their left singular vectors (g, m, m) and singular values; and
+    the group of each class, labelled by its smallest class (a class that
+    no column reaches is a group of its own).
     """
     dom = basis.dom
     cls = _class_ids(dom, d)
-    blocks, keys, tails, heads = [], [], [], []
+    columns, keys, tails, heads = [], [], [], []
+    first = 0  # the generator's first column
     for f in generators:
         if f.degree() <= d:
             src = d - f.degree()
             # hit[t, p]: the class that term t carries source position p into
             hit = np.array([cls[_shift_positions(dom.dim, src, gamma)] for gamma in f.terms])
-            blocks.append(_mult_block(basis, f, src))
+            columns.append((first, src, _mult_block(basis, f, src)))
+            first += basis.degree_sizes[src]
             keys.append(hit[0])
             tails.append(np.broadcast_to(hit[0], hit[1:].shape).ravel())
             heads.append(hit[1:].ravel())
@@ -393,45 +451,147 @@ def _group_svds(basis: TruncatedBasis, generators, d: int):
     cols, col_starts, widths = _sorted_runs(col_group)
     svds = []
     if rows.size:
-        mat = np.hstack(blocks)
+        # entry (position p, column c) of its group's matrix sits at
+        # flat[at_row[p] + at_col[c]]: the groups of one shape are one stack
+        at_row = np.zeros(cls.size, dtype=np.intp)
+        at_col = np.zeros(col_group.size, dtype=np.intp)
+        stacks, end = [], 0
         order, starts, _ = _sorted_runs(heights * (widths.max() + 1) + widths)
         for same in np.split(order, starts[1:]):
-            r = rows[row_starts[same][:, None] + np.arange(heights[same[0]])]
-            c = cols[col_starts[same][:, None] + np.arange(widths[same[0]])]
-            u, s, _ = np.linalg.svd(mat[r[:, :, None], c[:, None, :]], full_matrices=True)
+            m, k = heights[same[0]], widths[same[0]]
+            r = rows[row_starts[same][:, None] + np.arange(m)]
+            at_row[r] = end + k * (m * np.arange(len(same))[:, None] + np.arange(m))
+            at_col[cols[col_starts[same][:, None] + np.arange(k)]] = np.arange(k)
+            stacks.append((r, end, (len(same), m, k)))
+            end += len(same) * m * k
+        flat = np.zeros(end, np.result_type(float, *(
+            b for _, _, pairs in columns for _, _, b in pairs
+        )))
+        targets = _weight_classes(dom, d)
+        for first, src, pairs in columns:
+            sources = _weight_classes(dom, src)
+            for (t, trows), (j, srows), block in pairs:
+                at = at_col[first + sources[j][srows]]
+                flat[at_row[targets[t][trows]][:, :, None] + at[:, None, :]] += block
+        for r, start, shape in stacks:
+            mats = flat[start:start + math.prod(shape)].reshape(shape)
+            u, s, _ = np.linalg.svd(mats, full_matrices=True)
             svds.append((r, u, s))
-    return np.flatnonzero(~reached[row_group]), svds
+    return np.flatnonzero(~reached[row_group]), svds, group
 
 
-def _complement_block(size: int, free: np.ndarray, svds, cutoff: float) -> np.ndarray:
+def _complement_block(size: int, free: np.ndarray, svds, cutoff: float, row_group):
     """The degree-d complement: the basis vectors of the classes no column
     reaches, then each group's left singular vectors past its rank, the
-    singular values above ``cutoff``."""
+    singular values above ``cutoff``; real when the generator columns are.
+    Also the group (``row_group`` of its positions) that owns each column."""
     kept = []  # (positions, vector) per kept column, one row each
     for pos, u, s in svds:
         g, j = np.nonzero(np.arange(u.shape[1]) >= np.sum(s > cutoff, axis=1)[:, None])
         kept.append((pos[g], u[g, :, j]))
-    q = np.zeros((size, free.size + sum(len(v) for _, v in kept)), dtype=complex)
+    dtype = np.result_type(float, *(u for _, u, _ in svds))
+    q = np.zeros((size, free.size + sum(len(v) for _, v in kept)), dtype)
     q[free, np.arange(free.size)] = 1.0
     col = free.size
     for pos, vectors in kept:
         q[pos, col + np.arange(len(vectors))[:, None]] = vectors
         col += len(vectors)
-    return q
+    owner = np.concatenate([row_group[free]] + [row_group[pos[:, 0]] for pos, _ in kept])
+    return q, owner
 
 
-def _graded_complement(basis: TruncatedBasis, generators) -> list[np.ndarray]:
-    """The complement blocks Q_0 .. Q_D of homogeneous generators.  The
-    rank counts the singular values above ``SPAN_RANK_TOL`` times the
-    largest one over every group of every degree."""
+def _class_frames(dom: DomainSpec, d: int, q: np.ndarray, group, owner) -> list:
+    """Q_d class by class, for the class-pair products of ``_compress_shift``.
+
+    Per stack of ``_weight_classes(dom, d)``, a triple (positions (k, s),
+    columns (k, W), frame (k, s, W)): the columns of Q_d that the class's
+    group owns (``owner``), padded to the stack's widest with the index
+    q.shape[1], and Q_d's rows on the class there.  Q_d vanishes on a class
+    outside its group's columns, and a padded column of a frame is zero."""
+    nq = q.shape[1]
+    order, starts, counts = _sorted_runs(owner)
+    labels = owner[order[starts]]
+    # a class whose group owns no column reads the run past the end: none
+    order, starts, counts = np.append(order, nq), np.append(starts, 0), np.append(counts, 0)
+    frames, first = [], 0
+    for stack in _weight_classes(dom, d):
+        mine = group[first:first + len(stack)]
+        first += len(stack)
+        run = np.searchsorted(labels, mine)
+        run[np.append(labels, -1)[run] != mine] = len(labels)
+        width = counts[run]
+        slot = np.arange(width.max(initial=0))
+        valid = slot < width[:, None]
+        cols = order[np.where(valid, starts[run][:, None] + slot, len(order) - 1)]
+        frame = q[stack[:, :, None], np.minimum(cols, nq - 1)[:, None, :]]
+        frame *= valid[:, None, :]
+        frames.append((stack, cols, frame))
+    return frames
+
+
+def _graded_complement(basis: TruncatedBasis, generators) -> list:
+    """The complement blocks Q_0 .. Q_D of homogeneous generators, as
+    complex arrays, each with its class frames (``_class_frames``), real
+    when the generator columns are.  The rank counts the singular
+    values above ``SPAN_RANK_TOL`` times the largest one over every group
+    of every degree."""
     parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
     cutoff = SPAN_RANK_TOL * max(
-        (s.max() for _, svds in parts for _, _, s in svds if s.size), default=0.0
+        (s.max() for _, svds, _ in parts for _, _, s in svds if s.size), default=0.0
     )
-    return [
-        _complement_block(size, free, svds, cutoff)
-        for size, (free, svds) in zip(basis.degree_sizes, parts)
-    ]
+    out = []
+    for d, (size, (free, svds, group)) in enumerate(zip(basis.degree_sizes, parts)):
+        row_group = group[_class_ids(basis.dom, d)]
+        q, owner = _complement_block(size, free, svds, cutoff, row_group)
+        out.append((q.astype(complex), _class_frames(basis.dom, d, q, group, owner)))
+    return out
+
+
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack."""
+    return stack.conj().swapaxes(-1, -2)
+
+
+def _compress_shift(pairs, target, source, shape, guard: bool):
+    """S(d) = Q_{d+1}^H T(d) Q_d, a complex ``shape`` matrix, for T the
+    multiplier by a monomial of degree 1 given by its class-pair blocks,
+    and the invariance defect ||Q_{d+1}^H T(d) - S(d) Q_d^H||_2 when
+    ``guard`` is set (else 0.0).
+
+    ``target`` and ``source`` are the class frames of Q_{d+1} and Q_d.  T
+    carries class c into one class tau, and Q_{d+1} vanishes on tau outside
+    the columns of tau's group, so the pair adds F_tau^H B F_c to S on
+    those columns and c's columns, and the defect on c's positions is
+    X - S[tau's columns, c's columns] F_c^H with X = F_tau^H B.  The
+    products stay real while the frames are.  Padded frame columns are
+    zero and land in a border row or column of S that is dropped.  The
+    defect's Frobenius norm is taken first: it bounds the 2-norm, so a
+    defect whose Frobenius norm is at most ``INVARIANCE_TOL`` passes the
+    guard whatever its 2-norm, and is reported as 0.0 without an SVD.
+    """
+    frames = [f for _, _, f in target] + [f for _, _, f in source]
+    dtype = np.result_type(float, *frames, *(b for _, _, b in pairs))
+    out = np.zeros((shape[0] + 1, shape[1] + 1), dtype)
+    parts = []
+    for (k, rows), (j, cols), block in pairs:
+        (_, lcols, lframe), (pos, rcols, rframe) = target[k], source[j]
+        lcols, pos, rcols, rframe = lcols[rows], pos[cols], rcols[cols], rframe[cols]
+        x = _adjoint(lframe[rows]) @ block
+        np.add.at(out, (lcols[:, :, None], rcols[:, None, :]), x @ rframe)
+        parts.append((lcols, pos, rcols, x, rframe))
+    defect = 0.0
+    if guard:
+        residues = [
+            (lcols, pos, x - out[lcols[:, :, None], rcols[:, None, :]] @ _adjoint(rframe))
+            for lcols, pos, rcols, x, rframe in parts
+        ]
+        if math.sqrt(sum(np.vdot(r, r).real for _, _, r in residues)) > INVARIANCE_TOL:
+            size = sum(stack.size for stack, _, _ in source)
+            dense = np.zeros((shape[0] + 1, size), dtype)
+            for lcols, pos, r in residues:
+                dense[lcols[:, :, None], pos[:, None, :]] = r
+            defect = float(np.linalg.norm(dense[:-1], 2))
+    return out[:-1, :-1].astype(complex), defect
 
 
 def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -444,31 +604,30 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     SVD per group, with the rank counted against the largest singular value
     over every group of every degree, applies the same rank rule as one SVD
     of all columns.  Without generators no class is reached: the whole
-    space.
+    space.  Each coordinate multiplier shifts degree d to d + 1 and each
+    class into one class, so its compression and the invariance defect are
+    taken per class pair (``_compress_shift``); a degree where M has rank 0
+    has a unitary Q_d and no defect.
     """
-    quotient_blocks = _graded_complement(basis, generators)
-    sizes = [q.shape[1] for q in quotient_blocks]
+    complement = _graded_complement(basis, generators)
+    sizes = [q.shape[1] for q, _ in complement]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.repeat(np.arange(len(sizes)), sizes)
-
-    # Each coordinate multiplier shifts degree d to d + 1, so its compression,
-    # the norms and the invariance defect Q^H T - S Q^H are taken blockwise;
-    # a degree where M has rank 0 has a unitary Q_d and no defect.
     tuple_blocks, defect = [], 0.0
     for i in range(basis.dom.dim):
-        z, sblocks = Polynomial.coordinate(i, basis.dom.dim), []
-        for d in range(basis.max_degree):
-            t, q = _mult_block(basis, z, d), quotient_blocks[d]
-            left = quotient_blocks[d + 1].conj().T @ t
-            sblocks.append(left @ q)
-            if left.size and q.shape[1] < q.shape[0]:
-                defect = max(
-                    defect, np.linalg.norm(left - sblocks[-1] @ q.conj().T, 2)
-                )
+        sblocks = []
+        for d, pairs in enumerate(_coordinate_blocks(basis, i)):
+            (q, source), (_, target) = complement[d], complement[d + 1]
+            s, worst = _compress_shift(
+                pairs, target, source, (sizes[d + 1], sizes[d]),
+                sizes[d + 1] > 0 and q.shape[1] < q.shape[0],
+            )
+            sblocks.append(s)
+            defect = max(defect, worst)
         tuple_blocks.append(tuple(sblocks))
     _check_invariance(defect, basis)
     _check_shift_commuting(tuple_blocks)
-    blocks = tuple((int(start), q) for start, q in zip(starts, quotient_blocks))
+    blocks = tuple((int(start), q) for start, (q, _) in zip(starts, complement))
     return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks), None)
 
 

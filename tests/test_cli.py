@@ -690,10 +690,25 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_thread_pool_or_hashlib():
-    # concurrent.futures (with logging) serves only --jobs; hashlib (which
-    # loads OpenSSL) only the cache key
+    # concurrent.futures (with logging) serves only --jobs; hashlib loads
+    # OpenSSL, and nothing needs it
     loaded = loaded_after("import symdom.cli")
     assert {"concurrent.futures", "hashlib", "_hashlib"} & loaded == set()
+
+
+def test_cached_invariance_loads_no_openssl(tmp_path):
+    # the cache key is a zlib checksum, so neither the run that writes the
+    # cache nor the one that reads it loads hashlib
+    out = str(tmp_path / "inv.csv")
+    cfg = write_cfg(
+        tmp_path, "cfg.json",
+        invariance_cfg(out, D_list=[3, 4], families=["coordinates"]),
+    )
+    args = ["invariance", "--config", cfg, "--cache-dir", str(tmp_path / "cache")]
+    code = f"from symdom.cli import main; assert main({args!r}) == 0"
+    for _ in ("cold", "warm"):
+        assert {"hashlib", "_hashlib"} & loaded_after(code) == set()
+    assert len(list((tmp_path / "cache").glob("basis-*.npz"))) == 2
 
 
 def test_warm_cache_coordinate_invariance_loads_no_scipy_linalg_or_sparse(tmp_path):

@@ -3,6 +3,7 @@ compressions, cross-commutators, Schatten norms, and the profile harness."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from symdom.operators import (
     _check_invariance,
     _check_shift_commuting,
     _coordinate_blocks,
+    _dense_block,
     _filtration_model,
     _mult_block,
+    _pair_norm,
     _shift_block,
     _shift_norm,
     compress,
@@ -108,7 +111,7 @@ def test_shift_blocks_are_the_dense_triangular_solve(dom, lam, d_trunc):
             scattered = np.zeros((basis.degree_sizes[d + g], basis.degree_sizes[d]))
             scattered[_shift_positions(n, d, gamma)] = basis.change[d]
             want = scipy.linalg.solve_triangular(basis.change[d + g], scattered)
-            got = _shift_block(basis, gamma, d)
+            got = _dense_block(basis, _shift_block(basis, gamma, d), d, g)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -166,6 +169,70 @@ def test_invariance_guard_fires_on_a_truncated_span(dom, lam, gens, monkeypatch)
     basis = truncated_basis(dom, lam, 5)
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", 0.6)
     with pytest.raises(NumericallySingular, match="not invariant"):
+        quotient_model(basis, gens)
+
+
+def test_passing_graded_defect_takes_no_svd(monkeypatch):
+    # ||X||_2 <= ||X||_F, so a defect whose Frobenius norm is at most
+    # INVARIANCE_TOL passes without its 2-norm; the only SVDs left are the
+    # generator groups' (the commutator guard is stubbed out here)
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 12)
+    svd, norm, group_svds = np.linalg.svd, np.linalg.norm, operators._group_svds
+    svds, norms, groups = [], [], []
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            norms.append(1)
+        return norm(x, ord, *args, **kwargs)
+
+    def counted_group_svds(*args):
+        out = group_svds(*args)
+        groups.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(operators, "_group_svds", counted_group_svds)
+    monkeypatch.setattr(operators, "_check_shift_commuting", lambda tuple_blocks: 0.0)
+    model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
+    assert model.dim_quotient == math.comb(15, 3)
+    assert norms == [] and len(svds) == sum(groups) > 0
+
+
+@pytest.mark.parametrize(
+    "dom, lam, gens",
+    [
+        (BALL2, 2.0, [Z1]),
+        (POLY2, 2.5, [Z1 + Z2]),
+        (DomainSpec.matrix_ball(2, 2), 2.5, [Polynomial.coordinate(0, 4)]),
+        (DomainSpec.matrix_ball(2, 2), 2.5, [
+            Polynomial.coordinate(0, 4) + 0.5j * Polynomial.coordinate(3, 4)
+        ]),
+    ],
+    ids=["ball2-z1", "polydisc2-sum", "matrixball22-z11", "matrixball22-complex-sum"],
+)
+def test_failing_graded_defect_is_the_dense_defect(dom, lam, gens, monkeypatch):
+    # a coarse rank cutoff breaks co-invariance; the guard's message carries
+    # max_i ||Q^H T_i - S_i Q^H||_2 with S_i = Q^H T_i Q, here taken on dense
+    # matrices (T_i shifts the degree and Q is block-diagonal by degree, so
+    # the dense norm is the largest of the per-degree ones)
+    basis = truncated_basis(dom, lam, 5)
+    monkeypatch.setattr(operators, "SPAN_RANK_TOL", 0.6)
+    blocks = [q for q, _ in operators._graded_complement(basis, gens)]
+    q = np.zeros((basis.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
+    col = 0
+    for d, b in enumerate(blocks):
+        q[basis.block_slice(d), col:col + b.shape[1]] = b
+        col += b.shape[1]
+    defect = 0.0
+    for i in range(dom.dim):
+        t = q.conj().T @ mult_op(basis, Polynomial.coordinate(i, dom.dim))
+        defect = max(defect, np.linalg.norm(t - t @ q @ q.conj().T, 2))
+    with pytest.raises(NumericallySingular, match=f"not invariant, defect {defect:.2e}"):
         quotient_model(basis, gens)
 
 
@@ -288,7 +355,9 @@ def test_mult_op_is_dense_block_assembly(dom, lam, d_trunc, rng):
     want = np.zeros((basis.dim, basis.dim), dtype=complex)
     for k, part in f.homogeneous_parts().items():
         for d in range(d_trunc - k + 1):
-            want[basis.block_slice(d + k), basis.block_slice(d)] = _mult_block(basis, part, d)
+            want[basis.block_slice(d + k), basis.block_slice(d)] = _dense_block(
+                basis, _mult_block(basis, part, d), d, k
+            )
     assert np.array_equal(mult_op(basis, f), want)
 
 
@@ -305,7 +374,11 @@ def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
     basis = truncated_basis(dom, lam, d_trunc)
     for i in range(dom.dim):
         dense = np.linalg.norm(mult_op(basis, Polynomial.coordinate(i, dom.dim)), 2)
-        assert abs(_shift_norm(_coordinate_blocks(basis, i)) - dense) <= 1e-12 * dense
+        blocks = _coordinate_blocks(basis, i)
+        dense_blocks = [_dense_block(basis, pairs, d, 1) for d, pairs in enumerate(blocks)]
+        assert abs(_shift_norm(dense_blocks) - dense) <= 1e-12 * dense
+        # the largest class-pair block norm is the same norm
+        assert abs(max(map(_pair_norm, blocks)) - dense) <= 1e-12 * dense
 
 
 def reference_span_projector(basis, gens):
@@ -366,7 +439,11 @@ def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
     degree labels and the dense compressed tuple Q^H T_i Q."""
     svds = []
     for d, size in enumerate(basis.degree_sizes):
-        cols = [_mult_block(basis, f, d - f.degree()) for f in gens if f.degree() <= d]
+        cols = [
+            _dense_block(basis, _mult_block(basis, f, d - f.degree()), d - f.degree(), f.degree())
+            for f in gens
+            if f.degree() <= d
+        ]
         if cols:
             u, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=True)
         else:
@@ -440,7 +517,7 @@ def test_group_ranks_count_against_the_largest_singular_value_of_all_degrees(tol
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", tol)
     for name, gens in oracle_generator_sets(dom).items():
         _, labels, _ = per_degree_oracle(basis, gens, tol)
-        widths = [q.shape[1] for q in operators._graded_complement(basis, gens)]
+        widths = [q.shape[1] for q, _ in operators._graded_complement(basis, gens)]
         assert widths == np.bincount(labels, minlength=len(widths)).tolist(), name
 
 
@@ -453,7 +530,7 @@ def test_sum_generator_joins_weight_classes():
     for name, joined in (("z11", False), ("sum", True)):
         for d in range(1, 5):
             cls = operators._class_ids(dom, d)
-            _, svds = operators._group_svds(basis, gens[name], d)
+            _, svds, _ = operators._group_svds(basis, gens[name], d)
             most = max(len(set(cls[row])) for pos, _, _ in svds for row in pos)
             assert (most > 1) == joined, (name, d)
 
@@ -487,6 +564,29 @@ def test_graded_tuple_is_stored_as_shift_blocks():
     stored = sum(b.size for sblocks in model.shift_blocks for b in sblocks)
     assert stored == 4 * sum(nq[d + 1] * nq[d] for d in range(20))
     assert stored < 0.08 * 4 * model.dim_quotient**2
+
+
+@pytest.mark.parametrize(
+    "dom, lam, d_trunc",
+    [(DomainSpec.matrix_ball(2, 2), 2.5, 16), (DomainSpec.ball(3), 3.0, 40)],
+    ids=["matrixball22-z11", "ball3-z1"],
+)
+def test_graded_path_forms_no_dense_multiplier(dom, lam, d_trunc, monkeypatch):
+    # the multipliers stay class-pair blocks: no dense block is assembled,
+    # and the build's transient memory (tracemalloc's peak over what the
+    # model keeps) stays below a quarter of one size_D x size_(D-1) float64
+    # array, the dense T_i(D - 1) (about 4.6 times it at the dense route)
+    basis = truncated_basis(dom, lam, d_trunc)
+    monkeypatch.setattr(operators, "_dense_block", lambda *args: pytest.fail("dense block"))
+    tracemalloc.start()
+    try:
+        model = quotient_model(basis, [Polynomial.coordinate(0, dom.dim)])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = basis.degree_sizes
+    assert model.dim_quotient == math.comb(d_trunc + dom.dim - 1, dom.dim - 1)
+    assert peak - kept < 0.25 * sizes[-1] * sizes[-2] * 8
 
 
 def test_coordinate_profile_never_reads_the_dense_tuple(monkeypatch):
