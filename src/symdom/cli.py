@@ -55,7 +55,7 @@ from .kernels import (
 from .koszul import joint_eigenvalues, taylor_point_tests
 from .operators import essential_normality_profile, quotient_model
 from .polynomials import Polynomial
-from .sampling import random_commuting_tuple, random_point
+from .sampling import Stream, random_commuting_tuple, random_point
 from .wallach import classify_weight
 
 
@@ -428,7 +428,7 @@ def summary_path_for(out_path: str) -> str:
 def cmd_kernel(cfg: dict) -> int:
     dom = DomainSpec.from_json(cfg["domain"])
     lam, max_norm = cfg["lambda"], cfg["max_norm"]
-    rng = np.random.default_rng(cfg["seed"])
+    rng = Stream(cfg["seed"])
 
     pairs = [
         (random_point(dom, rng, max_norm=max_norm), random_point(dom, rng, max_norm=max_norm))
@@ -508,7 +508,7 @@ def _default_polys(n: int) -> list[Polynomial]:
 
 def cmd_calculus(cfg: dict) -> int:
     dom = DomainSpec.from_json(cfg["domain"])
-    rng = np.random.default_rng(cfg["seed"])
+    rng = Stream(cfg["seed"])
     polys = [_poly(p) for p in cfg["polys"]]
     z0_list = [_point(p) for p in cfg["z0_list"]]
     if not z0_list:

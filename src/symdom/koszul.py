@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import ConsensusFailure, NotCommuting, ValidationError
 from .polynomials import Polynomial
+from .sampling import Stream
 
 RANK_TOL = 1e-8
 COMMUTE_TOL = 1e-10
@@ -405,7 +406,7 @@ def _schur_basis(a: np.ndarray) -> np.ndarray:
 
 
 def _simultaneous_schur(
-    mats: list[np.ndarray], rng: np.random.Generator, scale: float
+    mats: list[np.ndarray], rng: Stream, scale: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """A unitary Z and the rotated tuple Z* T_i Z, upper triangular up to
     1e-7 times ``scale``, the tuple's ``_scale``.
@@ -479,7 +480,7 @@ def _joint_eigenvalues_and_draw(
     mats = _as_tuple(mats)
     scale = _scale(mats)
     _guard_commuting(_commutator_norm(mats) / scale)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     draw = _simultaneous_schur(mats, rng, scale)
     first = _diagonals(draw[1])
     second = _diagonals(_simultaneous_schur(mats, rng, scale)[1])

@@ -66,6 +66,7 @@ models take the dense commutator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,7 +92,7 @@ from .kernels import (
     cached_truncated_basis,
 )
 from .polynomials import MultiIndex, Polynomial, RationalSymbol
-from .sampling import closed_domain_samples
+from .sampling import Stream, closed_domain_samples
 
 SPAN_RANK_TOL = 1e-10
 INVARIANCE_TOL = 1e-12
@@ -705,18 +706,25 @@ def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     return _sandwich(model.basis, f, model.blocks, model.blocks, (model.dim_quotient,) * 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _denominator_samples(dom: DomainSpec) -> np.ndarray:
+    """The ``DENOMINATOR_SAMPLES`` closed-domain points drawn from the fixed
+    seed ``DENOMINATOR_SEED``, drawn once per domain and read-only."""
+    pts = closed_domain_samples(dom, DENOMINATOR_SAMPLES, Stream(DENOMINATOR_SEED))
+    pts.flags.writeable = False
+    return pts
+
+
 def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.ndarray:
     """S_{p/q} = S_p (S_q)^{-1}.
 
     The denominator must stay away from zero on the closed domain and S_q
     must be invertible with condition number below ``CONDITION_CUTOFF``.
-    The lower bound on |q| is the minimum over ``DENOMINATOR_SAMPLES``
-    closed-domain points drawn from the fixed seed ``DENOMINATOR_SEED``
-    (evaluated in one batch) and must be at least ``DENOMINATOR_MARGIN``.
+    The lower bound on |q| is the minimum over the domain's
+    ``_denominator_samples`` (evaluated in one batch) and must be at least
+    ``DENOMINATOR_MARGIN``.
     """
-    rng = np.random.default_rng(DENOMINATOR_SEED)
-    pts = closed_domain_samples(model.basis.dom, DENOMINATOR_SAMPLES, rng)
-    values = np.abs(q.eval_batch(pts))
+    values = np.abs(q.eval_batch(_denominator_samples(model.basis.dom)))
     if values.size and values.min() < DENOMINATOR_MARGIN:
         raise DenominatorVanishes(
             f"denominator modulus drops to {values.min():.2e} on the closed domain"

@@ -689,11 +689,56 @@ def test_import_loads_no_scipy():
     assert scipy_modules(loaded_after("import symdom.cli")) == []
 
 
+# numpy.random loads secrets, hmac and hashlib, and hashlib loads OpenSSL;
+# symdom draws from sampling.Stream and names cache files with zlib
+OPENSSL_PATH = {"numpy.random", "secrets", "hashlib", "_hashlib"}
+
+
+def numpy_own(modules):
+    """Those of ``modules`` that ``import numpy`` loads by itself (numpy 1.x
+    imports numpy.random eagerly)."""
+    return modules & loaded_after("import numpy")
+
+
 def test_import_loads_no_thread_pool_or_hashlib():
-    # concurrent.futures (with logging) serves only --jobs; hashlib loads
-    # OpenSSL, and nothing needs it
+    # concurrent.futures (with logging) serves only --jobs
+    forbidden = {"concurrent.futures", "numpy.random", "hashlib", "_hashlib"}
     loaded = loaded_after("import symdom.cli")
-    assert {"concurrent.futures", "hashlib", "_hashlib"} & loaded == set()
+    assert forbidden & loaded == numpy_own(forbidden)
+
+
+def test_import_decodes_no_ziggurat_table():
+    # the normal tables and the block jump table wait for the first draw
+    code = (
+        "import symdom.cli, symdom.sampling as s; "
+        "assert s._tables.cache_info().currsize == s._jumps.cache_info().currsize == 0"
+    )
+    assert "symdom.ziggurat" not in loaded_after(code)
+
+
+def test_seeded_runs_load_no_numpy_random_or_openssl(tmp_path):
+    # kernel point pairs, joint-eigenvalue combinations, calculus tuples and
+    # the Moebius denominator samples all come from sampling.Stream
+    mb22 = {"kind": "matrixball", "n": 2, "r": 2}
+    configs = {
+        "kernel": kernel_cfg(None),
+        "spectrum": {
+            "domain": mb22, "lambda": 2.5, "tuple": {"kind": "model", "D": 3},
+            "generators": [{"nvars": 4, "terms": {"1,0,0,0": 1.0}}],
+            "grid": {"start": -0.5, "stop": 0.5, "steps": 2},
+        },
+        "calculus": {"domain": BALL2, "level": 1, "num_tuples": 2},
+        "invariance": invariance_cfg(
+            None, D_list=[3, 4], families=["mobius"], z0=[0.3, 0.1]
+        ),
+    }
+    own = numpy_own(OPENSSL_PATH)
+    for command, cfg in configs.items():
+        out = str(tmp_path / f"{command}.csv")
+        path = write_cfg(tmp_path, f"{command}.json", dict(cfg, out=out))
+        code = f"from symdom.cli import main; assert main([{command!r}, '--config', {path!r}]) == 0"
+        assert OPENSSL_PATH & loaded_after(code) == own, command
+        assert len(read_csv(out)) > 1
 
 
 def test_cached_invariance_loads_no_openssl(tmp_path):

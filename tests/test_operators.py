@@ -832,6 +832,27 @@ def test_compress_rational_mobius_contraction():
         assert np.abs(eigs - (-z0)).max() < 1e-8
 
 
+def test_denominator_samples_are_drawn_once_per_domain(monkeypatch):
+    draws = []
+
+    def counting(dom, count, rng):
+        draws.append(dom)
+        return closed_domain_samples(dom, count, rng)
+
+    closed_domain_samples = operators.closed_domain_samples
+    monkeypatch.setattr(operators, "closed_domain_samples", counting)
+    operators._denominator_samples.cache_clear()
+    model = whole_space_model(truncated_basis(BALL1, 1.0, 6))
+    z = Polynomial.coordinate(0, 1)
+    q = Polynomial.constant(1, 1.0) + z * (-0.3)
+    compress_rational(model, z, q)
+    compress_rational(model, z + Polynomial.constant(1, -0.3), q)
+    assert draws == [BALL1]
+    pts = operators._denominator_samples(BALL1)
+    assert pts.shape == (operators.DENOMINATOR_SAMPLES, 1) and not pts.flags.writeable
+    operators._denominator_samples.cache_clear()
+
+
 def test_compress_rational_vanishing_denominator():
     basis = truncated_basis(BALL1, 1.0, 6)
     model = whole_space_model(basis)

@@ -1,10 +1,126 @@
-"""Shilov-boundary samples of the matrix ball."""
+"""The seeded stream against numpy's default_rng, and the Shilov-boundary
+samples of the matrix ball."""
 
 import numpy as np
 import pytest
 
+from symdom import sampling
 from symdom.domains import DomainSpec
-from symdom.sampling import shilov_samples
+from symdom.operators import DENOMINATOR_SEED
+from symdom.sampling import (
+    Stream,
+    closed_domain_samples,
+    random_commuting_tuple,
+    random_point,
+    shilov_samples,
+)
+
+# 2**32 + 1, 2**64 + 3 and 2**128 + 5 take two, three and five 32-bit words
+# of entropy; past the pool's four, words are mixed into every pool word
+SEEDS = [*range(16), DENOMINATOR_SEED, 2**32 + 1, 2**64 + 3, 2**128 + 5]
+DOMAINS = [
+    DomainSpec.ball(2), DomainSpec.polydisc(3), DomainSpec.matrix_ball(2, 2),
+    DomainSpec.matrix_ball(2, 3),
+]
+
+
+def bits(draw):
+    """The IEEE bits of a float or of a real or complex array."""
+    return np.asarray(draw).view(np.uint64)
+
+
+def assert_same(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_is_default_rng_bit_for_bit(seed):
+    stream, gen = Stream(seed), np.random.default_rng(seed)
+    state = gen.bit_generator.state["state"]
+    assert (stream._state, stream._inc) == (state["state"], state["inc"])
+    calls = [
+        ("standard_normal", (), {}),
+        ("standard_normal", (4,), {}),
+        ("uniform", (0.05, 0.999), {}),
+        ("uniform", (), {}),
+        ("standard_normal", ((3, 2, 2, 3),), {}),
+        ("uniform", (), {"size": (5, 3)}),
+        ("uniform", (0.0, 1.0), {"size": 7}),
+        ("standard_normal", (3000,), {}),  # several blocks
+        ("uniform", (0.5, 1.0), {"size": 2500}),
+    ]
+    for name, args, kwargs in calls:
+        assert_same(getattr(stream, name)(*args, **kwargs), getattr(gen, name)(*args, **kwargs))
+    # the samplers, in the order the commands call them
+    for dom in DOMAINS:
+        assert_same(random_point(dom, stream, 0.5), random_point(dom, gen, 0.5))
+        assert_same(closed_domain_samples(dom, 40, stream), closed_domain_samples(dom, 40, gen))
+    for got, want in zip(random_commuting_tuple(3, 4, stream), random_commuting_tuple(3, 4, gen)):
+        assert_same(got, want)
+    # the words and the state agree after all of it
+    assert stream._word() == int(gen.bit_generator.random_raw())
+    assert stream._state == gen.bit_generator.state["state"]["state"]
+
+
+def test_block_words_are_the_raw_words():
+    stream, gen = Stream(5), np.random.default_rng(5)
+    for count in (1, 2, 1023, 1024, 7):
+        assert np.array_equal(stream._block(count), gen.bit_generator.random_raw(count))
+    assert [stream._word() for _ in range(3)] == gen.bit_generator.random_raw(3).tolist()
+
+
+def test_long_normal_draw_takes_the_wedge_and_the_tail(monkeypatch):
+    slow_layers = []
+
+    def recording(word, take, tables):
+        idx, rabs = word & 0xFF, (word >> 9) & (2**52 - 1)
+        if rabs >= tables[0][idx]:  # failed the fast test
+            slow_layers.append(idx)
+        return normal(word, take, tables)
+
+    normal = sampling._normal
+    monkeypatch.setattr(sampling, "_normal", recording)
+    stream, gen = Stream(11), np.random.default_rng(11)
+    draw = stream.standard_normal(200_000)
+    assert_same(draw, gen.standard_normal(200_000))
+    assert 0 in slow_layers  # the tail beyond r
+    assert any(layer != 0 for layer in slow_layers)  # a wedge test
+    assert np.abs(draw).max() > sampling.ZIGGURAT_R
+    assert_same(stream.standard_normal(), gen.standard_normal())
+    assert_same(stream.uniform(size=3), gen.uniform(size=3))
+
+
+@pytest.mark.parametrize("count", [1, sampling.SMALL - 1, sampling.SMALL, sampling.SMALL + 1, 1025])
+def test_draws_at_the_python_and_block_sizes(count):
+    # below SMALL every word steps in Python ints; a slow draw at a block's
+    # end steps on past it
+    stream, gen = Stream(2), np.random.default_rng(2)
+    for _ in range(3000 // count + 1):
+        assert_same(stream.standard_normal(count), gen.standard_normal(count))
+        assert_same(stream.uniform(-1.0, 2.0, count), gen.uniform(-1.0, 2.0, count))
+    assert stream._state == gen.bit_generator.state["state"]["state"]
+
+
+def test_slow_draw_at_the_block_end_steps_past_it():
+    # the first slow word of a seed's stream, with no slow word before it,
+    # ends the first block: its wedge or tail words come after the block
+    ki = sampling._tables()[0]
+    for seed in range(100):
+        words = Stream(seed)._block(sampling.BLOCK)
+        rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
+        first_slow = np.flatnonzero(rabs >= ki[(words & np.uint64(0xFF)).astype(int)])[0]
+        if first_slow >= sampling.SMALL:
+            break
+    stream, gen = Stream(seed), np.random.default_rng(seed)
+    assert_same(stream.standard_normal(first_slow + 1), gen.standard_normal(first_slow + 1))
+    assert stream._state == gen.bit_generator.state["state"]["state"]
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        Stream(-1)
 
 
 def per_sample_loop(dom, count, rng):
