@@ -10,18 +10,11 @@ importing ``numpy.random``: that import loads ``secrets``, ``hmac`` and
 - seeding: ``SeedSequence``'s 32-bit pool mixing of the seed's words and
   ``generate_state(4, uint64)``, then PCG64's ``srandom`` (state 0,
   increment 2 initseq + 1, one step, add initstate, one step);
-- words: each draw steps the 128-bit LCG s -> a s + inc and returns the
-  XSL-RR of the new state.  A block of k <= ``BLOCK`` words comes from
-  s_j = A_j s + inc G_j mod 2^128 (A_j = a^j, G_j = sum of a^i for i < j),
-  multiplied in uint64 limbs; A_j and G_j are the same for every stream
-  and are built once, on first use;
+- words: each draw steps the 128-bit LCG s -> a s + inc in Python ints and
+  returns the XSL-RR of the new state;
 - doubles: (w >> 11) 2^-53, and ``uniform`` is low + (high - low) times one;
-- normals: the 256-layer ziggurat on the tables of ``ziggurat``, decoded on
-  the first normal draw.  The fast test rabs < ki[idx] runs over a whole
-  block; the rare wedge and idx-0 tail draws are walked in Python and take
-  the block's next words in stream order.  Draws of fewer than ``SMALL``
-  words (a point, a tuple's coefficients) step the state and walk the
-  ziggurat in Python ints, which costs less than one block's numpy calls.
+- normals: the 256-layer ziggurat, with its wedge and idx-0 tail, on the
+  tables of ``ziggurat``, decoded on the first normal draw.
 
 The samplers below take any object with those two methods, so a numpy
 ``Generator`` works in their place.
@@ -32,6 +25,7 @@ from __future__ import annotations
 import binascii
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -42,17 +36,9 @@ MASK32 = (1 << 32) - 1
 MASK64 = (1 << 64) - 1
 MASK128 = (1 << 128) - 1
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier
-BLOCK = 1024  # words per vectorized block, and jump-table length
-# Draws of fewer words step the state and walk the ziggurat in Python ints;
-# at 64 normals the two routes cost about the same (60 us).
-SMALL = 64
 ZIGGURAT_R = 3.6541528853610087963519472518  # start of the tail
 ZIGGURAT_INV_R = 0.27366123732975827203338247596
 TO_DOUBLE = 1.0 / 9007199254740992.0  # 2^-53
-
-_U = np.uint64  # shift counts and masks for uint64 arrays
-_LOW32 = _U(MASK32)
-_SIGN = _U(1 << 63)
 
 
 def _seed_state(seed: int) -> tuple[int, int]:
@@ -96,54 +82,16 @@ def _seed_state(seed: int) -> tuple[int, int]:
     return (w[0] << 64) | w[1], (w[2] << 64) | w[3]
 
 
-def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """High and low uint64 words of 128-bit numbers."""
-    return (
-        np.array([v >> 64 for v in values], dtype=np.uint64),
-        np.array([v & MASK64 for v in values], dtype=np.uint64),
-    )
-
-
-def _times(hi: np.ndarray, lo: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) * s mod 2^128 elementwise, for the 128-bit numbers with words
-    ``hi`` and ``lo`` and a Python int ``s``; the 64 x 64 -> 128-bit product
-    of the low words goes through 32-bit halves."""
-    s_lo = s & MASK64
-    b1, b0 = _U(s_lo >> 32), _U(s_lo & MASK32)
-    a1, a0 = lo >> _U(32), lo & _LOW32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    out_lo = (p00 & _LOW32) | (mid << _U(32))
-    out_hi = (
-        a1 * b1 + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-        + lo * _U(s >> 64) + hi * _U(s_lo)
-    )
-    return out_hi, out_lo
-
-
 @functools.lru_cache(maxsize=None)
-def _jumps() -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Limbs of A_j = a^j and G_j = sum_{i<j} a^i mod 2^128, j = 1..BLOCK."""
-    power, total, powers, totals = 1, 0, [], []
-    for _ in range(BLOCK):
-        total = (total + power) & MASK128
-        power = (power * PCG_MULT) & MASK128
-        powers.append(power)
-        totals.append(total)
-    return _limbs(powers), _limbs(totals)
-
-
-@functools.lru_cache(maxsize=None)
-def _tables() -> tuple[np.ndarray, np.ndarray, list[int], list[float], list[float]]:
-    """numpy's ziggurat tables: ki and wi as arrays for the block test, and
-    ki, wi, fi as lists for the draws walked in Python."""
+def _tables() -> tuple[list[int], list[float], list[float]]:
+    """numpy's ziggurat tables ki, wi and fi."""
     from .ziggurat import TABLES
 
     raw = binascii.a2b_base64(TABLES)
-    ki = np.frombuffer(raw, "<u8", 256, 0).astype(np.uint64)
-    wi = np.frombuffer(raw, "<f8", 256, 2048).astype(np.float64)
-    fi = np.frombuffer(raw, "<f8", 256, 4096).astype(np.float64)
-    return ki, wi, ki.tolist(), wi.tolist(), fi.tolist()
+    return tuple(
+        np.frombuffer(raw, fmt, 256, 2048 * i).tolist()
+        for i, fmt in enumerate(("<u8", "<f8", "<f8"))
+    )
 
 
 def _double(word: int) -> float:
@@ -178,93 +126,35 @@ class Stream:
     ``standard_normal`` and ``uniform`` (scalar bounds)."""
 
     def __init__(self, seed: int):
-        initstate, initseq = _seed_state(int(seed))
+        initstate, initseq = _seed_state(operator.index(seed))
         self._inc = ((initseq << 1) | 1) & MASK128
         self._state = ((self._inc + initstate) * PCG_MULT + self._inc) & MASK128
-        self._offsets = None  # limbs of inc G_j, on the first block
 
     def standard_normal(self, size=None):
-        return self._fill(self._normals, size)
+        tables = _tables()
+        return self._fill(lambda: _normal(self._word(), self._word, tables), size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         low, high = float(low), float(high)
         scale = high - low
+        return self._fill(lambda: low + scale * _double(self._word()), size)
 
-        def chunk(count: int) -> np.ndarray:
-            if count < SMALL:
-                return np.array([low + scale * _double(self._word()) for _ in range(count)])
-            return low + scale * ((self._block(count) >> _U(11)) * TO_DOUBLE)
-
-        return self._fill(chunk, size)
-
-    def _fill(self, chunk, size):
-        """A float for ``size=None``, else an array of shape ``size`` filled in
-        C order from ``chunk(count)``, which returns at most ``count`` draws."""
+    @staticmethod
+    def _fill(draw, size):
+        """``draw()`` for ``size=None``, else an array of shape ``size`` of
+        draws in C order."""
         if size is None:
-            return float(chunk(1)[0])
+            return draw()
         out = np.empty(size)
-        flat = out.reshape(-1)
-        done = 0
-        while done < flat.size:
-            part = chunk(min(flat.size - done, BLOCK))
-            flat[done:done + part.size] = part
-            done += part.size
+        out.reshape(-1)[:] = [draw() for _ in range(out.size)]
         return out
 
     def _word(self) -> int:
-        """The next word, one step in Python ints."""
+        """The next word."""
         self._state = s = (self._state * PCG_MULT + self._inc) & MASK128
         x = ((s >> 64) ^ s) & MASK64
         rot = s >> 122
         return ((x >> rot) | (x << ((64 - rot) & 63))) & MASK64
-
-    def _block(self, count: int) -> np.ndarray:
-        """The next ``count`` <= BLOCK words."""
-        (a_hi, a_lo), totals = _jumps()
-        if self._offsets is None:
-            self._offsets = _times(*totals, self._inc)
-        c_hi, c_lo = self._offsets[0][:count], self._offsets[1][:count]
-        hi, lo = _times(a_hi[:count], a_lo[:count], self._state)
-        lo += c_lo
-        hi += c_hi + (lo < c_lo)
-        self._state = (int(hi[-1]) << 64) | int(lo[-1])
-        x = hi ^ lo
-        rot = hi >> _U(58)
-        return (x >> rot) | (x << ((_U(64) - rot) & _U(63)))
-
-    def _normals(self, count: int) -> np.ndarray:
-        """Normals from the next ``count`` words: one per word that passes the
-        fast test, and one per slow draw, which takes its further words from
-        the block and, past its end, from the stream.  Fewer than ``SMALL``
-        words are walked one by one in Python."""
-        ki, wi, *tables = _tables()
-        if count < SMALL:
-            return np.array([_normal(self._word(), self._word, tables) for _ in range(count)])
-        words = self._block(count)
-        idx = (words & _U(0xFF)).astype(np.intp)
-        rabs = (words >> _U(9)) & _U(0x000FFFFFFFFFFFFF)
-        x = rabs * wi[idx]
-        x.view(np.uint64)[...] ^= (words << _U(55)) & _SIGN  # bit 8 is the sign
-        slow = np.flatnonzero(rabs >= ki[idx]).tolist()
-        if not slow:
-            return x
-        pos, firsts, values, taken = 0, [], [], []
-
-        def take() -> int:
-            nonlocal pos
-            if pos < count:
-                taken.append(pos)
-                pos += 1
-                return int(words[pos - 1])
-            return self._word()
-
-        for j in slow:
-            if j >= pos:  # not taken by an earlier slow draw
-                pos = j + 1
-                firsts.append(j)
-                values.append(_normal(int(words[j]), take, tables))
-        x[firsts] = values
-        return np.delete(x, taken) if taken else x
 
 
 def random_point(

@@ -48,7 +48,7 @@ def test_stream_is_default_rng_bit_for_bit(seed):
         ("standard_normal", ((3, 2, 2, 3),), {}),
         ("uniform", (), {"size": (5, 3)}),
         ("uniform", (0.0, 1.0), {"size": 7}),
-        ("standard_normal", (3000,), {}),  # several blocks
+        ("standard_normal", (3000,), {}),
         ("uniform", (0.5, 1.0), {"size": 2500}),
     ]
     for name, args, kwargs in calls:
@@ -62,13 +62,6 @@ def test_stream_is_default_rng_bit_for_bit(seed):
     # the words and the state agree after all of it
     assert stream._word() == int(gen.bit_generator.random_raw())
     assert stream._state == gen.bit_generator.state["state"]["state"]
-
-
-def test_block_words_are_the_raw_words():
-    stream, gen = Stream(5), np.random.default_rng(5)
-    for count in (1, 2, 1023, 1024, 7):
-        assert np.array_equal(stream._block(count), gen.bit_generator.random_raw(count))
-    assert [stream._word() for _ in range(3)] == gen.bit_generator.random_raw(3).tolist()
 
 
 def test_long_normal_draw_takes_the_wedge_and_the_tail(monkeypatch):
@@ -92,35 +85,17 @@ def test_long_normal_draw_takes_the_wedge_and_the_tail(monkeypatch):
     assert_same(stream.uniform(size=3), gen.uniform(size=3))
 
 
-@pytest.mark.parametrize("count", [1, sampling.SMALL - 1, sampling.SMALL, sampling.SMALL + 1, 1025])
-def test_draws_at_the_python_and_block_sizes(count):
-    # below SMALL every word steps in Python ints; a slow draw at a block's
-    # end steps on past it
-    stream, gen = Stream(2), np.random.default_rng(2)
-    for _ in range(3000 // count + 1):
-        assert_same(stream.standard_normal(count), gen.standard_normal(count))
-        assert_same(stream.uniform(-1.0, 2.0, count), gen.uniform(-1.0, 2.0, count))
-    assert stream._state == gen.bit_generator.state["state"]["state"]
-
-
-def test_slow_draw_at_the_block_end_steps_past_it():
-    # the first slow word of a seed's stream, with no slow word before it,
-    # ends the first block: its wedge or tail words come after the block
-    ki = sampling._tables()[0]
-    for seed in range(100):
-        words = Stream(seed)._block(sampling.BLOCK)
-        rabs = (words >> np.uint64(9)) & np.uint64(2**52 - 1)
-        first_slow = np.flatnonzero(rabs >= ki[(words & np.uint64(0xFF)).astype(int)])[0]
-        if first_slow >= sampling.SMALL:
-            break
-    stream, gen = Stream(seed), np.random.default_rng(seed)
-    assert_same(stream.standard_normal(first_slow + 1), gen.standard_normal(first_slow + 1))
-    assert stream._state == gen.bit_generator.state["state"]["state"]
-
-
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         Stream(-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+def test_non_integer_seed_is_rejected(seed):
+    # default_rng rejects a float or a string too; no seed is truncated,
+    # and there is no unseeded stream
+    with pytest.raises(TypeError):
+        Stream(seed)
 
 
 def per_sample_loop(dom, count, rng):
