@@ -2,66 +2,54 @@
 quotient compressions.
 
 Everything acts on the degree-<= D orthonormal basis of a continuous-weight
-kernel space.  Multiplication by a homogeneous f maps degree d to degree
-d + deg f, and z^gamma carries each torus-weight class of degree d into one
-class of degree d + |gamma|, so P_D M_f P_D is held as class-pair blocks
-(``_shift_block``, ``_mult_block``): one small block per (destination
-class, source class), stacked by class sizes.  ``_dense_block`` assembles a
-dense degree-shift block from them where one is read (``_sandwich``, the
-filtration path, tests); the graded path never does, and no dense dim x dim
-product is formed on either path.  The submodule generated by f_1, ...,
-f_m is the span of the ranges of the truncated multipliers P_D M_{f_j} P_D,
+kernel space.  z^gamma maps degree d to degree d + |gamma| and carries each
+torus-weight class into one class, so P_D M_f P_D is held as class-pair
+blocks (``_shift_block``, ``_mult_block``), one small block per
+(destination class, source class); ``_dense_block`` assembles a dense
+degree block from them where one is read (``_sandwich``, the filtration
+path, tests), and no dense dim x dim product is formed.  The submodule
+generated by f_1, ..., f_m is the span of the ranges of the P_D M_{f_j} P_D,
 which keeps it exactly invariant under the truncated coordinate
 multipliers, so the compressed tuple commutes in exact arithmetic for every
-generator set.  A model holds
-only the complement: an orthonormal basis Q of M^(D) orth, stored as
-degree blocks, and the compressed tuple S_i = Q^H T_i Q; compressions of
-other symbols come from one block routine (``_sandwich``).  The submodule
-is never stored; its invariance is checked from Q alone as
-||Q^H T_i - S_i Q^H||_2, which equals ||Q^H T_i M||_2 for any orthonormal
-basis M of M^(D).
+generator set.  A model holds only the complement: an orthonormal basis Q
+of M^(D) orth, stored as degree blocks, each vector labelled by a degree,
+and the compressed tuple S_i = Q^H T_i Q as label blocks S_i[l, k] (label
+k to label l).  T_i raises the degree and T_i* keeps the quotient, so only
+the blocks l > k are nonzero and stored.  Compressions of other symbols
+come from one block routine (``_sandwich``).  The submodule is never
+stored; its invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2,
+which equals ||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
 ``quotient_model`` picks one of two paths from its generators:
 
 - graded path, when every generator is homogeneous: the submodule is
-  graded, its degree-d columns are the multiplier blocks from degree
-  d - deg f_j into degree d, and the quotient splits as the sum over d of
-  P_d orth M_d.  z^gamma carries torus-weight class mu into class
-  mu + wt(gamma), so the columns of each degree split further by groups of
-  classes, read off the generators' terms; each group gets one full SVD of
-  its columns, filled from the class-pair blocks, whose trailing left
-  singular vectors are its part of the complement, and classes that no
-  column reaches keep their basis vectors.  Every quotient basis vector is
-  supported on exactly one degree, its label.  An empty generator list is
-  the zero submodule, so the quotient is the whole space.  The compressed
-  tuple is stored as its degree-shift blocks S_i(d), degree d to d + 1,
-  each formed per class pair from Q_d and Q_{d+1} restricted to the classes
-  (``_compress_shift``), real while the generators are;
-  ``QuotientModel.tuple_mats`` assembles the dense matrices on each access.
-  The scale and commutator guards are per-degree block norms, the scale
-  the largest class-pair block norm; the invariance defect is taken per
-  class pair, Frobenius norm first.
+  graded and the quotient splits as the sum over d of P_d orth M_d, each
+  degree further by groups of torus-weight classes (``_graded_model``).
+  Every quotient basis vector is supported on exactly one degree, its
+  label, so S_i has only the blocks (d + 1, d) = S_i(d), formed per class
+  pair (``_compress_shift``).  An empty generator list is the zero
+  submodule: the quotient is the whole space.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
-  the quotient vectors on degrees <= k complete the span of the multiplier
-  columns' degree-<= k rows to P_{<=k}, so the complement is built degree
-  by degree from the multiplier blocks, one SVD per degree
+  the complement is built degree by degree, one SVD per degree
   (``_filtration_complement``).  Each quotient basis vector is supported on
   degrees <= its label, the complement at a lower D is the label prefix of
-  the one at a higher D, and the compressed tuple is stored dense.
+  the one at a higher D, and S_i has every block l > k.
 
-The invariance guard compares the defect with ``INVARIANCE_TOL`` times
-max(1, largest ||T_i||_2); that scale cannot lower the threshold below
-``INVARIANCE_TOL``, so its norms are taken only when the defect exceeds it.
-On the graded path the same holds one step earlier: ||X||_2 <= ||X||_F, so
-a defect block's 2-norm (an SVD) is taken only when its Frobenius norm
-exceeds ``INVARIANCE_TOL``; verdicts and messages are those of the 2-norms.
+One routine takes both guards on both paths from blocks (``_check_tuple``):
+invariance, the defect above against ``INVARIANCE_TOL`` times
+max(1, largest ||T_i||_2), and commuting, max ||[S_i, S_j]||_2 against
+``koszul.COMMUTE_TOL`` times max(1, largest ||S_i||_2).  ||X||_2 <= ||X||_F
+and both scales are at least 1, so each guard takes the Frobenius norm over
+all its blocks first; only one above the tolerance assembles the defects
+and takes their 2-norms (SVDs) and the scale, so verdicts and messages are
+those of the 2-norms.
 
-When the generators are homogeneous and every symbol of a profile is an
-affine coordinate symbol c z_i + d, [S_a, S_b*] = c_a conj(c_b) [S_i, S_j*]
-is block-diagonal by degree (S_i maps degree d to d + 1), so the full and
-windowed Schatten cells come from its degree blocks, built from the stored
-shift blocks; each block's singular values are taken once and serve every
-p and the window.  Moebius symbols and filtration-path
-models take the dense commutator.
+When every symbol of a profile is c z_i + d, [S_a, S_b*] =
+c_a conj(c_b) [S_i, S_j*] is formed from the label blocks.  It is
+block-diagonal over the runs of labels that no block crosses
+(``_label_runs``): each label is one on the graded path, all labels one on
+the filtration path.  Each run's singular values are taken once and serve
+every p and the window (``_run_spectra``).  Moebius symbols take the dense
+commutator as one run.
 """
 
 from __future__ import annotations
@@ -170,56 +158,27 @@ def _pair_norm(pairs) -> float:
     )
 
 
-def _shift_norm(blocks) -> float:
-    """2-norm of a degree-shift operator from its blocks.
-
-    T maps each degree into a single other degree, so T*T is block-diagonal
-    and ||T||_2 is exactly the largest block norm.
-    """
-    return max((np.linalg.norm(b, 2) for b in blocks if b.size), default=0.0)
-
-
-def _check_shift_commuting(tuple_blocks) -> float:
-    """``koszul.check_commuting`` for a tuple of degree-shift operators
-    given by their blocks d -> d + 1.
-
-    [T_i, T_j] maps degree d to d + 2 through T_i(d+1) T_j(d) - T_j(d+1) T_i(d),
-    so every norm is a largest block norm.
-    """
-    scale = max(max(_shift_norm(blocks) for blocks in tuple_blocks), 1.0)
-    worst = 0.0
-    for a, b in itertools.combinations(tuple_blocks, 2):
-        comm = (a[d + 1] @ b[d] - b[d + 1] @ a[d] for d in range(len(a) - 1))
-        worst = max(worst, _shift_norm(comm) / scale)
-    return koszul._guard_commuting(worst)
-
-
 def _check_symbol(dom: DomainSpec, f: Polynomial) -> None:
     if f.nvars != dom.dim:
         raise ValidationError(f"symbol in {f.nvars} variables on {dom.label()}")
 
 
-def _identity_blocks(basis: TruncatedBasis) -> list[tuple[int, np.ndarray]]:
-    """The identity in the block form of ``QuotientModel.blocks``."""
-    return [(basis.offset(d), np.eye(size)) for d, size in enumerate(basis.degree_sizes)]
-
-
 def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
     """Matrix of P_D M_f P_D in the orthonormal graded basis."""
-    eye = _identity_blocks(basis)
-    return _sandwich(basis, f, eye, eye, (basis.dim, basis.dim))
+    eye = [(basis.offset(d), np.eye(size)) for d, size in enumerate(basis.degree_sizes)]
+    return _sandwich(basis, f, eye, basis.dim)
 
 
-def _sandwich(basis: TruncatedBasis, f: Polynomial, left, right, shape) -> np.ndarray:
-    """L^H P_D M_f P_D R, a ``shape`` matrix, for L and R in the block form
-    of ``QuotientModel.blocks``; no dim x dim product is formed, and each
-    degree-shift block lands in one contiguous slice."""
+def _sandwich(basis: TruncatedBasis, f: Polynomial, blocks, size: int) -> np.ndarray:
+    """Q^H P_D M_f P_D Q, a ``size`` x ``size`` matrix, for Q in the block
+    form of ``QuotientModel.blocks``; no dim x dim product is formed, and
+    each degree-shift block lands in one contiguous slice."""
     _check_symbol(basis.dom, f)
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros((size, size), dtype=complex)
     for k, part in f.homogeneous_parts().items():
         for d in range(basis.max_degree - k + 1):
-            lstart, lblock = left[d + k]
-            rstart, rblock = right[d]
+            lstart, lblock = blocks[d + k]
+            rstart, rblock = blocks[d]
             if lblock.size and rblock.size:
                 block = _dense_block(basis, _mult_block(basis, part, d), d, k)
                 out[lstart:lstart + lblock.shape[1], rstart:rstart + rblock.shape[1]] += (
@@ -241,6 +200,38 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generators produce an empty span at this degree")
 
 
+def _assemble(blocks: dict, starts, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The dense complex matrix of the label blocks ``blocks[l, k]`` on the
+    labels lo .. hi - 1 (all of them by default), label l spanning rows and
+    columns starts[l] .. starts[l + 1]."""
+    hi = len(starts) - 1 if hi is None else hi
+    base = starts[lo]
+    out = np.zeros((starts[hi] - base,) * 2, dtype=complex)
+    for (l, k), block in blocks.items():
+        if lo <= min(l, k) and max(l, k) < hi:
+            rows, cols = starts[l] - base, starts[k] - base
+            out[rows:rows + block.shape[0], cols:cols + block.shape[1]] = block
+    return out
+
+
+def _label_commutator(a: dict, b: dict):
+    """The label blocks of A B - B A from those of A and B, one ((l, k),
+    block) at a time.  (A B)[l, k] sums A[l, m] B[m, k] over the stored
+    blocks, in their dtype; a block that no product reaches is zero and is
+    not given."""
+    terms = {}  # (l, k): (np.add or np.subtract, A[l, m], B[m, k]) per product
+    for op, x, y in ((np.add, a, b), (np.subtract, b, a)):
+        for (l, m), u in x.items():
+            for (n, k), v in y.items():
+                if m == n:
+                    terms.setdefault((l, k), []).append((op, u, v))
+    for key, ((op, u, v), *rest) in terms.items():
+        block = op(0.0, u @ v)
+        for op, u, v in rest:
+            op(block, u @ v, out=block)
+        yield key, block
+
+
 @dataclass(frozen=True)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
@@ -249,46 +240,29 @@ class QuotientModel:
     sorted by ``degree_labels`` (the labels drive windowed Schatten norms);
     the submodule is ``I - projector()``.  ``blocks`` stores Q by degree: a
     pair (start, block) per degree d, where block is the degree-d rows of Q
-    on the columns from start on, and those rows vanish on all other
-    columns.
-
-    When every generator is homogeneous (the graded path; no generators at
-    all gives the whole space) each column is supported on exactly its
-    label's degree, so block d is the degree-d complement, taken by one SVD
-    per group of torus-weight classes (``_graded_model``).  The compressed
-    tuple is then stored as its degree-shift blocks: ``shift_blocks[i][d]``
-    is S_i(d), the block of S_i from degree d to degree d + 1, d = 0 .. D - 1,
-    formed per pair of torus-weight classes without a dense multiplier,
-    and the guards read per-degree and class-pair blocks.  Otherwise (the
-    filtration path) each column is supported on degrees <= its label,
-    block d holds every column labelled d or higher, and the compressed
-    tuple is stored dense in ``dense_tuple``.  Exactly one of
-    ``shift_blocks`` and ``dense_tuple`` is set.
+    on the columns from start on (those labelled d or higher), and those
+    rows vanish on all other columns.  ``tuple_blocks[i]`` stores S_i by
+    label: its entry (l, k) is the block from the label-k columns to the
+    label-l rows, stored for l > k only (every other block is zero) and real
+    while the generators are.  On the graded path (every generator
+    homogeneous, or none) each column is supported on its label's degree
+    and S_i has only the blocks (d + 1, d); on the filtration path each
+    column is supported on degrees <= its label and S_i has every l > k.
     """
 
     basis: TruncatedBasis
     generators: tuple[Polynomial, ...]
     blocks: tuple[tuple[int, np.ndarray], ...]
     degree_labels: np.ndarray
-    shift_blocks: tuple[tuple[np.ndarray, ...], ...] | None
-    dense_tuple: tuple[np.ndarray, ...] | None
+    tuple_blocks: tuple[dict[tuple[int, int], np.ndarray], ...]
 
     @property
     def tuple_mats(self) -> tuple[np.ndarray, ...]:
         """The compressed tuple S_1 .. S_n as dense dim_quotient x
-        dim_quotient matrices: the stored ``dense_tuple`` on the filtration
-        path, assembled from ``shift_blocks`` on each access on the graded
-        path (Koszul tests, the boundary calculus and tests)."""
-        if self.shift_blocks is None:
-            return self.dense_tuple
-        nq = self.dim_quotient
-        out = []
-        for sblocks in self.shift_blocks:
-            mat = np.zeros((nq, nq), dtype=complex)
-            for (col, _), (row, _), s in zip(self.blocks, self.blocks[1:], sblocks):
-                mat[row:row + s.shape[0], col:col + s.shape[1]] = s
-            out.append(mat)
-        return tuple(out)
+        dim_quotient matrices, assembled from ``tuple_blocks`` on each access
+        (Koszul tests, the boundary calculus and tests)."""
+        starts = [start for start, _ in self.blocks] + [self.dim_quotient]
+        return tuple(_assemble(s, starts) for s in self.tuple_blocks)
 
     @property
     def dim_quotient(self) -> int:
@@ -359,18 +333,34 @@ def _multiplier_scale(basis: TruncatedBasis) -> float:
     return max(map(_pair_norm, blocks), default=0.0)
 
 
-def _check_invariance(defect: float, basis: TruncatedBasis) -> None:
-    """``defect`` is max_i ||Q^H T_i - S_i Q^H||_2 (see the module notes).
+def _check_tuple(basis: TruncatedBasis, starts, tuple_blocks, residues) -> None:
+    """The invariance and commuting guards of the module notes, from the
+    label blocks of the tuple (label l from column starts[l]), Frobenius
+    norm first: above the tolerance, the invariance defects are assembled
+    and the scale taken only when a 2-norm exceeds it, and the tuple is
+    assembled for ``koszul.check_commuting``.
 
-    It fails when defect > ``INVARIANCE_TOL`` * max(1, scale); the scale is
-    at least 1 there, so it is taken only when defect > ``INVARIANCE_TOL``.
+    ``residues[i]`` lists the pieces (rows, cols, values) of
+    Q^H T_i - S_i Q^H: values[..., a, b] sits in row rows[..., a] and
+    column cols[..., b], and row -1 marks a padded frame column, whose
+    values are zero.
     """
-    if defect > INVARIANCE_TOL and defect > INVARIANCE_TOL * max(
-        1.0, _multiplier_scale(basis)
-    ):
-        raise NumericallySingular(
-            f"truncated submodule not invariant, defect {defect:.2e}"
-        )
+    squares = sum(np.vdot(v, v).real for pieces in residues for _, _, v in pieces)
+    if math.sqrt(squares) > INVARIANCE_TOL:
+        defect = 0.0
+        for pieces in residues:
+            dense = np.zeros((starts[-1] + 1, basis.dim), dtype=complex)  # row -1 takes the padding
+            for rows, cols, values in pieces:
+                dense[rows[..., :, None], cols[..., None, :]] = values
+            defect = max(defect, float(np.linalg.norm(dense[:-1], 2)))
+        if defect > INVARIANCE_TOL and defect > INVARIANCE_TOL * max(
+            1.0, _multiplier_scale(basis)
+        ):
+            raise NumericallySingular(f"truncated submodule not invariant, defect {defect:.2e}")
+    pairs = itertools.combinations(tuple_blocks, 2)
+    squares = sum(np.vdot(c, c).real for a, b in pairs for _, c in _label_commutator(a, b))
+    if math.sqrt(squares) > koszul.COMMUTE_TOL:
+        koszul.check_commuting([_assemble(s, starts) for s in tuple_blocks])
 
 
 def _class_ids(dom: DomainSpec, d: int) -> np.ndarray:
@@ -553,11 +543,11 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _compress_shift(pairs, target, source, shape, guard: bool):
-    """S(d) = Q_{d+1}^H T(d) Q_d, a complex ``shape`` matrix, for T the
+def _compress_shift(pairs, target, source, shape, at):
+    """S(d) = Q_{d+1}^H T(d) Q_d, a ``shape`` matrix, for T the
     multiplier by a monomial of degree 1 given by its class-pair blocks,
-    and the invariance defect ||Q_{d+1}^H T(d) - S(d) Q_d^H||_2 when
-    ``guard`` is set (else 0.0).
+    and the pieces of the invariance defect Q_{d+1}^H T(d) - S(d) Q_d^H
+    (``_check_tuple``), their rows and columns offset by ``at``.
 
     ``target`` and ``source`` are the class frames of Q_{d+1} and Q_d.  T
     carries class c into one class tau, and Q_{d+1} vanishes on tau outside
@@ -565,10 +555,8 @@ def _compress_shift(pairs, target, source, shape, guard: bool):
     those columns and c's columns, and the defect on c's positions is
     X - S[tau's columns, c's columns] F_c^H with X = F_tau^H B.  The
     products stay real while the frames are.  Padded frame columns are
-    zero and land in a border row or column of S that is dropped.  The
-    defect's Frobenius norm is taken first: it bounds the 2-norm, so a
-    defect whose Frobenius norm is at most ``INVARIANCE_TOL`` passes the
-    guard whatever its 2-norm, and is reported as 0.0 without an SVD.
+    zero and land in a border row or column of S that is dropped; their
+    defect rows are zero and get row -1.
     """
     frames = [f for _, _, f in target] + [f for _, _, f in source]
     dtype = np.result_type(float, *frames, *(b for _, _, b in pairs))
@@ -580,83 +568,82 @@ def _compress_shift(pairs, target, source, shape, guard: bool):
         x = _adjoint(lframe[rows]) @ block
         np.add.at(out, (lcols[:, :, None], rcols[:, None, :]), x @ rframe)
         parts.append((lcols, pos, rcols, x, rframe))
-    defect = 0.0
-    if guard:
-        residues = [
-            (lcols, pos, x - out[lcols[:, :, None], rcols[:, None, :]] @ _adjoint(rframe))
-            for lcols, pos, rcols, x, rframe in parts
-        ]
-        if math.sqrt(sum(np.vdot(r, r).real for _, _, r in residues)) > INVARIANCE_TOL:
-            size = sum(stack.size for stack, _, _ in source)
-            dense = np.zeros((shape[0] + 1, size), dtype)
-            for lcols, pos, r in residues:
-                dense[lcols[:, :, None], pos[:, None, :]] = r
-            defect = float(np.linalg.norm(dense[:-1], 2))
-    return out[:-1, :-1].astype(complex), defect
+    pieces = []
+    for lcols, pos, rcols, x, rframe in parts:
+        residue = x - out[lcols[:, :, None], rcols[:, None, :]] @ _adjoint(rframe)
+        if residue.any():  # a zero piece (all of them, for monomial generators) adds nothing
+            pieces.append((np.where(lcols < shape[0], at[0] + lcols, -1), at[1] + pos, residue))
+    return out[:-1, :-1].copy(), pieces
 
 
 def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by homogeneous generators: M^(D) and its complement split
     as sums over d of M_d and P_d orth M_d, and each degree further by
-    groups of torus-weight classes (``_group_svds``), so every step runs per
-    degree and every SVD per group.
-
-    The generator columns are block-diagonal by degree and group, so one
-    SVD per group, with the rank counted against the largest singular value
-    over every group of every degree, applies the same rank rule as one SVD
-    of all columns.  Without generators no class is reached: the whole
-    space.  Each coordinate multiplier shifts degree d to d + 1 and each
-    class into one class, so its compression and the invariance defect are
-    taken per class pair (``_compress_shift``); a degree where M has rank 0
-    has a unitary Q_d and no defect.
+    groups of torus-weight classes (``_group_svds``); one SVD per group,
+    with the rank counted against the largest singular value over every
+    group of every degree, applies the rank rule of one SVD of all columns.
+    Without generators no class is reached: the whole space.  Each
+    coordinate multiplier shifts degree d to d + 1 and each class into one
+    class, so S_i(d) and the invariance defect are taken per class pair
+    (``_compress_shift``).
     """
     complement = _graded_complement(basis, generators)
     sizes = [q.shape[1] for q, _ in complement]
     starts = np.concatenate([[0], np.cumsum(sizes)])
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    tuple_blocks, defect = [], 0.0
+    tuple_blocks, residues = [], []
     for i in range(basis.dom.dim):
-        sblocks = []
+        sblocks, pieces = {}, []
         for d, pairs in enumerate(_coordinate_blocks(basis, i)):
-            (q, source), (_, target) = complement[d], complement[d + 1]
-            s, worst = _compress_shift(
-                pairs, target, source, (sizes[d + 1], sizes[d]),
-                sizes[d + 1] > 0 and q.shape[1] < q.shape[0],
+            (_, source), (_, target) = complement[d], complement[d + 1]
+            sblocks[d + 1, d], more = _compress_shift(
+                pairs, target, source, (sizes[d + 1], sizes[d]), (starts[d + 1], basis.offset(d))
             )
-            sblocks.append(s)
-            defect = max(defect, worst)
-        tuple_blocks.append(tuple(sblocks))
-    _check_invariance(defect, basis)
-    _check_shift_commuting(tuple_blocks)
+            pieces += more
+        tuple_blocks.append(sblocks)
+        residues.append(pieces)
+    _check_tuple(basis, starts, tuple_blocks, residues)
     blocks = tuple((int(start), q) for start, (q, _) in zip(starts, complement))
-    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks), None)
+    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks))
 
 
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by arbitrary generators through the filtration-adapted
-    complement; the only path for inhomogeneous generators."""
+    complement; the only path for inhomogeneous generators.
+
+    S_i sums X_d Q_d, X_d = Q_{d+1}^H T_i(d), over d, and keeps the blocks
+    l > k only: the others are exactly 0, and rounding residues there would
+    close the nilpotent S_i into cycles.  The invariance defect of the kept
+    tuple is X_d - S_i Q_d^H on the degree-d positions (its rows labelled
+    d or lower vanish).
+    """
     blocks, labels = _filtration_complement(basis, generators)
     nq = labels.size
-    coords = [Polynomial.coordinate(i, basis.dom.dim) for i in range(basis.dom.dim)]
-    compressed = tuple(_sandwich(basis, z, blocks, blocks, (nq, nq)) for z in coords)
-    # T_i* lowers the degree and keeps the quotient, so S_i is exactly 0
-    # where the row label is at most the column label; rounding residues
-    # there would close the nilpotent S_i into cycles.  The guards check
-    # the tuple as stored.
-    for s in compressed:
-        s[labels[:, None] <= labels[None, :]] = 0.0
-    model = QuotientModel(basis, tuple(generators), blocks, labels, None, compressed)
-    if nq:
-        q, eye = model.quotient_onb, _identity_blocks(basis)
-        defect = max(  # a real SVD each for real generators
-            np.linalg.norm(koszul._in_field([
-                _sandwich(basis, z, blocks, eye, (nq, basis.dim)) - s @ q.conj().T
-            ])[0], 2)
-            for z, s in zip(coords, compressed)
-        )
-        _check_invariance(defect, basis)
-        koszul.check_commuting(compressed)
-    return model
+    starts = [start for start, _ in blocks] + [nq]
+    tuple_blocks, residues = [], []
+    for i in range(basis.dom.dim):
+        s, products = np.zeros((nq, nq), dtype=complex), []
+        for d, pairs in enumerate(_coordinate_blocks(basis, i)):
+            (lstart, q1), (rstart, q0) = blocks[d + 1], blocks[d]
+            x = q1.conj().T @ _dense_block(basis, pairs, d, 1)
+            s[lstart:, rstart:] += x @ q0
+            products.append(x)
+        keys = [(l, k) for l in range(len(blocks)) for k in range(l)]
+        sblocks = dict(zip(keys, koszul._in_field(
+            s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] for l, k in keys
+        )))
+        s = _assemble(sblocks, starts)
+        residues.append([
+            (
+                np.arange(starts[d + 1], nq),
+                basis.offset(d) + np.arange(basis.degree_sizes[d]),
+                x - s[starts[d + 1]:, start:] @ q.conj().T,
+            )
+            for d, (x, (start, q)) in enumerate(zip(products, blocks))
+        ])
+        tuple_blocks.append(sblocks)
+    _check_tuple(basis, starts, tuple_blocks, residues)
+    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks))
 
 
 def _is_graded(generators) -> bool:
@@ -703,7 +690,7 @@ def _affine_coordinate(symbol) -> tuple[int, complex, complex] | None:
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     """S_f = P M_f P restricted to the quotient."""
-    return _sandwich(model.basis, f, model.blocks, model.blocks, (model.dim_quotient,) * 2)
+    return _sandwich(model.basis, f, model.blocks, model.dim_quotient)
 
 
 @functools.lru_cache(maxsize=None)
@@ -837,27 +824,32 @@ class ProfileRow:
     dim_quotient: int
 
 
-def windowed_submatrix(
-    mat: np.ndarray, labels: np.ndarray, max_label: int
-) -> np.ndarray:
-    keep = np.flatnonzero(labels <= max_label)
-    return mat[np.ix_(keep, keep)]
+def _label_runs(blocks: dict, starts) -> list:
+    """The operator with these label blocks (label l from row and column
+    starts[l]) as (lo, hi, matrix) for each of the finest runs of labels
+    lo .. hi - 1 that no block crosses; it is block-diagonal over them."""
+    count = len(starts) - 1
+    reach = np.arange(count)  # the highest label a block joins to each label
+    for l, k in blocks:
+        reach[min(l, k)] = max(reach[min(l, k)], l, k)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(count)) + 1
+    runs = zip(itertools.chain([0], ends[:-1]), ends)
+    return [(lo, hi, _assemble(blocks, starts, lo, hi)) for lo, hi in runs]
 
 
-def _commutator_blocks(model: QuotientModel, i: int, j: int) -> list[np.ndarray]:
-    """Degree-d diagonal blocks, d = 0 .. D, of [S_i, S_j*] on a graded
-    model, from the stored degree-shift blocks S(d) (degree d to d + 1):
-    block d is S_i(d-1) S_j(d-1)* - S_j(d)* S_i(d), with S(-1) = S(D) = 0."""
-    si, sj = model.shift_blocks[i], model.shift_blocks[j]
-    out = []
-    for d, (_, q) in enumerate(model.blocks):
-        block = np.zeros((q.shape[1],) * 2, dtype=complex)
-        if d > 0:
-            block += si[d - 1] @ sj[d - 1].conj().T
-        if d < len(si):
-            block -= sj[d].conj().T @ si[d]
-        out.append(block)
-    return out
+def _run_spectra(runs, starts, top: int, p_values):
+    """``_block_spectra`` of the block-diagonal operator with these runs
+    (``_label_runs``), in full and windowed to the labels <= ``top``: each
+    run's singular values are taken once, and the window keeps the runs
+    that end by ``top`` whole and cuts the one it ends inside."""
+    full = _block_spectra([mat for _, _, mat in runs], p_values)
+    whole = sum(hi <= top + 1 for _, hi, _ in runs)
+    windowed = full[:whole]
+    if whole < len(runs) and runs[whole][0] <= top:
+        lo, _, mat = runs[whole]
+        cut = starts[top + 1] - starts[lo]
+        windowed = windowed + _block_spectra([mat[:cut, :cut]], p_values)
+    return full, windowed
 
 
 def essential_normality_profile(
@@ -880,10 +872,11 @@ def essential_normality_profile(
     symbol degree; that discards rows and columns polluted by the truncation
     edge.
 
-    When every generator is homogeneous and every symbol is c z_i + d, each
-    commutator is c_a conj(c_b) [S_i, S_j*] and is taken by degree blocks
-    (``_commutator_blocks``), the window keeping degrees <= D - w; otherwise
-    it is the dense ``cross_commutator`` of the compressed symbols.
+    When every symbol is c z_i + d, each commutator is
+    c_a conj(c_b) [S_i, S_j*], formed from the stored label blocks and
+    taken over the runs of labels it is block-diagonal on
+    (``_label_runs``); otherwise it is the dense ``cross_commutator`` of the
+    compressed symbols, one run.
     """
     generators, symbols = tuple(generators), list(symbols)
     if not symbols:
@@ -897,21 +890,21 @@ def essential_normality_profile(
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
         model = quotient_model(basis, generators)
-        blockwise = model.shift_blocks is not None and None not in affine
-        if not blockwise:
+        starts = [start for start, _ in model.blocks] + [model.dim_quotient]
+        if None in affine:
             compressed = [compress_symbol(model, s) for s in symbols]
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
-            if blockwise:
-                (a, ca, _), (b, cb, _) = affine[i], affine[j]
-                full = _block_spectra(_commutator_blocks(model, a, b), p_values)
-                windowed, factor = full[: max(D - w + 1, 0)], abs(ca * cb)
-            else:
+            if None in affine:
                 comm = cross_commutator(compressed[i], compressed[j])
-                full = _block_spectra([comm], p_values)
-                windowed = _block_spectra(
-                    [windowed_submatrix(comm, model.degree_labels, D - w)], p_values
-                )
-                factor = 1.0
+                runs, factor = [(0, len(starts) - 1, comm)], 1.0
+            else:
+                (a, ca, _), (b, cb, _) = affine[i], affine[j]
+                # complex products whether the blocks are stored real or complex
+                sb = model.tuple_blocks[b]
+                sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in sb.items()}
+                comm = dict(_label_commutator(model.tuple_blocks[a], sb))
+                runs, factor = _label_runs(comm, starts), abs(ca * cb)
+            full, windowed = _run_spectra(runs, starts, D - w, p_values)
             for p in p_values:
                 rows.append(
                     ProfileRow(

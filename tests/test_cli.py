@@ -460,6 +460,18 @@ def test_empty_d_override(tmp_path, capsys):
     assert "empty degree list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, make_cfg", [("kernel", kernel_cfg), ("invariance", invariance_cfg)])
+@pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+def test_repeated_degree_is_a_config_error(tmp_path, capsys, command, make_cfg, by_flag):
+    # a repeated degree would write its rows twice and compare it with itself
+    out = str(tmp_path / "x.csv")
+    cfg = write_cfg(tmp_path, "cfg.json", make_cfg(out, D_list=[4] if by_flag else [4, 6, 6]))
+    flag = ["--D", "4,6,6"] if by_flag else []
+    assert main([command, "--config", cfg, *flag]) == 2
+    assert "config error at 'D_list': duplicate degree 6" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_generator_degree_exceeds_truncation(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -22,15 +22,13 @@ from symdom.kernels import _shift_positions, multi_indices, truncated_basis
 from symdom.operators import (
     INVARIANCE_TOL,
     SPAN_RANK_TOL,
-    _check_invariance,
-    _check_shift_commuting,
+    _check_tuple,
     _coordinate_blocks,
     _dense_block,
     _filtration_model,
     _mult_block,
     _pair_norm,
     _shift_block,
-    _shift_norm,
     compress,
     compress_rational,
     cross_commutator,
@@ -40,7 +38,6 @@ from symdom.operators import (
     quotient_model,
     schatten_norm,
     whole_space_model,
-    windowed_submatrix,
 )
 from symdom.polynomials import Polynomial
 from symdom.sampling import random_point
@@ -51,6 +48,12 @@ POLY2 = DomainSpec.polydisc(2)
 
 Z1 = Polynomial.coordinate(0, 2)
 Z2 = Polynomial.coordinate(1, 2)
+
+
+def windowed_submatrix(mat, labels, max_label):
+    """The rows and columns of ``mat`` whose labels are at most max_label."""
+    keep = np.flatnonzero(labels <= max_label)
+    return mat[np.ix_(keep, keep)]
 
 
 def random_poly(nvars, degree, rng):
@@ -173,10 +176,10 @@ def test_invariance_guard_fires_on_a_truncated_span(dom, lam, gens, monkeypatch)
 
 
 def test_passing_graded_defect_takes_no_svd(monkeypatch):
-    # ||X||_2 <= ||X||_F, so a defect whose Frobenius norm is at most
-    # INVARIANCE_TOL passes without its 2-norm; the only SVDs left are the
-    # generator groups' (the commutator guard is stubbed out here)
-    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 12)
+    # ||X||_2 <= ||X||_F, so an invariance or commutator defect whose
+    # Frobenius norm is at most its tolerance passes without its 2-norm or
+    # the scale; the only SVDs left are the generator groups'
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 20)
     svd, norm, group_svds = np.linalg.svd, np.linalg.norm, operators._group_svds
     svds, norms, groups = [], [], []
 
@@ -197,9 +200,8 @@ def test_passing_graded_defect_takes_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     monkeypatch.setattr(operators, "_group_svds", counted_group_svds)
-    monkeypatch.setattr(operators, "_check_shift_commuting", lambda tuple_blocks: 0.0)
     model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
-    assert model.dim_quotient == math.comb(15, 3)
+    assert model.dim_quotient == math.comb(23, 3)
     assert norms == [] and len(svds) == sum(groups) > 0
 
 
@@ -246,14 +248,17 @@ def test_invariance_guard_takes_the_scale_only_when_it_decides(scale, monkeypatc
 
     monkeypatch.setattr(operators, "_multiplier_scale", fake_scale)
     bound = INVARIANCE_TOL * max(1.0, scale)
+    basis = truncated_basis(BALL1, 1.0, 1)
     for defect in (0.0, 0.5 * INVARIANCE_TOL, INVARIANCE_TOL, 3 * INVARIANCE_TOL, 8 * INVARIANCE_TOL):
+        # one defect entry: its Frobenius norm and its 2-norm are both the defect
+        piece = (np.array([1]), np.array([0]), np.array([[defect]]))
         calls.clear()
         if defect > bound:
             with pytest.raises(NumericallySingular, match=f"not invariant, defect {defect:.2e}"):
-                _check_invariance(defect, "basis")
+                _check_tuple(basis, [0, 1, 2], [{}], [[piece]])
         else:
-            _check_invariance(defect, "basis")
-        assert calls == ([] if defect <= INVARIANCE_TOL else ["basis"])
+            _check_tuple(basis, [0, 1, 2], [{}], [[piece]])
+        assert calls == ([] if defect <= INVARIANCE_TOL else [basis])
 
 
 # ---------------------------------------------------------------------
@@ -375,9 +380,7 @@ def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
     for i in range(dom.dim):
         dense = np.linalg.norm(mult_op(basis, Polynomial.coordinate(i, dom.dim)), 2)
         blocks = _coordinate_blocks(basis, i)
-        dense_blocks = [_dense_block(basis, pairs, d, 1) for d, pairs in enumerate(blocks)]
-        assert abs(_shift_norm(dense_blocks) - dense) <= 1e-12 * dense
-        # the largest class-pair block norm is the same norm
+        # the largest class-pair block norm is the dense norm
         assert abs(max(map(_pair_norm, blocks)) - dense) <= 1e-12 * dense
 
 
@@ -420,16 +423,16 @@ def test_no_generators_is_the_whole_space(dom, lam, d_trunc):
         assert np.abs(s - mult_op(basis, f)).max() < 1e-13
 
 
-def test_graded_path_skips_dense_commutator_check(monkeypatch):
+def test_no_path_takes_the_dense_commutator_check(monkeypatch):
+    # both paths check commuting from the label blocks, Frobenius norm first
     def dense_check(mats):
-        raise AssertionError("dense commutator check on the graded path")
+        raise AssertionError("dense commutator check")
 
     monkeypatch.setattr(koszul, "check_commuting", dense_check)
+    monkeypatch.setattr(koszul, "_commutator_norm", dense_check)
     basis = truncated_basis(BALL2, 2.0, 6)
-    for gens in ([Z1], [Z1 * Z2], []):
+    for gens in ([Z1], [Z1 * Z2], [], [Z1 * Z1 + Z2]):
         quotient_model(basis, gens)
-    with pytest.raises(AssertionError):
-        quotient_model(basis, [Z1 * Z1 + Z2])
 
 
 def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
@@ -543,8 +546,10 @@ def test_empty_complement_degrees():
     assert [q.shape for _, q in model.blocks] == [(1, 1)] + [
         (size, 0) for size in basis.degree_sizes[1:]
     ]
-    for sblocks in model.shift_blocks:
-        assert [b.shape for b in sblocks] == [(0, 1)] + [(0, 0)] * 3
+    for sblocks in model.tuple_blocks:
+        assert {key: b.shape for key, b in sblocks.items()} == {
+            (1, 0): (0, 1), (2, 1): (0, 0), (3, 2): (0, 0), (4, 3): (0, 0)
+        }
     q, labels, tuple_oracle = per_degree_oracle(basis, gens)
     assert np.array_equal(model.degree_labels, labels)
     for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
@@ -554,16 +559,27 @@ def test_empty_complement_degrees():
 
 
 def test_graded_tuple_is_stored_as_shift_blocks():
-    # MB(2,2) modulo z11 at D 20: the four blocks S_i(d), d = 0 .. 19, hold
-    # 4 sum_d nq_{d+1} nq_d entries, 7.3 % of the dense 4 nq^2
+    # MB(2,2) modulo z11 at D 20: the graded tuple's label blocks are the
+    # degree-shift blocks S_i(d) = S_i[d + 1, d], d = 0 .. 19, which hold
+    # 4 sum_d nq_{d+1} nq_d entries, 7.3 % of the dense 4 nq^2; the
+    # filtration path stores every block below the label diagonal
     basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 20)
     model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
     nq = [math.comb(d + 2, 2) for d in range(21)]
     assert model.dim_quotient == sum(nq) == 1771
-    assert model.dense_tuple is None
-    stored = sum(b.size for sblocks in model.shift_blocks for b in sblocks)
+    for sblocks in model.tuple_blocks:
+        assert list(sblocks) == [(d + 1, d) for d in range(20)]
+        assert all(sblocks[d + 1, d].shape == (nq[d + 1], nq[d]) for d in range(20))
+    stored = sum(b.size for sblocks in model.tuple_blocks for b in sblocks.values())
     assert stored == 4 * sum(nq[d + 1] * nq[d] for d in range(20))
     assert stored < 0.08 * 4 * model.dim_quotient**2
+    z11, z12 = Polynomial.coordinate(0, 4), Polynomial.coordinate(1, 4)
+    model = quotient_model(truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 5), [z11 + z12 * z12])
+    starts = [start for start, _ in model.blocks] + [model.dim_quotient]
+    for sblocks, mat in zip(model.tuple_blocks, model.tuple_mats, strict=True):
+        assert list(sblocks) == [(l, k) for l in range(6) for k in range(l)]
+        for (l, k), block in sblocks.items():
+            assert np.array_equal(block, mat[starts[l]:starts[l + 1], starts[k]:starts[k + 1]])
 
 
 @pytest.mark.parametrize(
@@ -597,46 +613,52 @@ def test_coordinate_profile_never_reads_the_dense_tuple(monkeypatch):
     dom = DomainSpec.matrix_ball(2, 2)
     z = [Polynomial.coordinate(i, 4) for i in range(4)]
     symbols = z + [z[1] * 0.5 + Polynomial.constant(4, 0.2j)]
-    for gens in ([z[0]], [z[0] + z[3]], []):
+    for gens in ([z[0]], [z[0] + z[3]], [], [z[0] + z[1] * z[1]]):
         rows = essential_normality_profile(dom, 2.5, gens, symbols, [2.0, 3.0], [3, 5])
         assert rows
     with pytest.raises(AssertionError, match="dense tuple"):
         quotient_model(truncated_basis(dom, 2.5, 3), [z[0]]).tuple_mats
 
 
-def random_shift_tuple(rng, sizes, n):
-    """n random degree-shift operators (blocks d -> d + 1) and their dense
-    matrices on the sum of spaces of the given sizes."""
+def random_label_tuple(rng, sizes, n, shift):
+    """n random strictly lower block-triangular operators on the sum of
+    spaces of the given sizes, as label blocks (only l = k + 1 when
+    ``shift``) and as dense matrices."""
     starts = np.concatenate([[0], np.cumsum(sizes)])
     tuple_blocks, mats = [], []
     for _ in range(n):
-        blocks = [
-            rng.standard_normal((sizes[d + 1], sizes[d]))
-            + 1j * rng.standard_normal((sizes[d + 1], sizes[d]))
-            for d in range(len(sizes) - 1)
-        ]
+        blocks = {
+            (l, k): rng.standard_normal((sizes[l], sizes[k]))
+            + 1j * rng.standard_normal((sizes[l], sizes[k]))
+            for l in range(len(sizes))
+            for k in range(l)
+            if l == k + 1 or not shift
+        }
         mat = np.zeros((starts[-1], starts[-1]), dtype=complex)
-        for d, b in enumerate(blocks):
-            mat[starts[d + 1]:starts[d + 2], starts[d]:starts[d + 1]] = b
+        for (l, k), b in blocks.items():
+            mat[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] = b
         tuple_blocks.append(blocks)
         mats.append(mat)
-    return tuple_blocks, mats
+    return starts, tuple_blocks, mats
 
 
 @pytest.mark.parametrize("sizes", [[1, 2, 3, 4], [3, 0, 2, 5, 1], [2, 3, 3, 2, 4, 1]])
 def test_blockwise_commutator_guard_is_dense_guard(sizes, monkeypatch, rng):
-    for n in (2, 3):
-        tuple_blocks, mats = random_shift_tuple(rng, sizes, n)
-        with pytest.raises(NotCommuting):
-            _check_shift_commuting(tuple_blocks)
+    # these commutators exceed the Frobenius bound, so the guard takes the
+    # 2-norms, and the value it judges is the dense guard's
+    for n, shift in itertools.product((2, 3), (True, False)):
+        starts, tuple_blocks, mats = random_label_tuple(rng, sizes, n, shift)
+        with pytest.raises(NotCommuting):  # no invariance pieces, so no basis is read
+            _check_tuple(None, starts, tuple_blocks, [[]] * n)
         with pytest.raises(NotCommuting):
             koszul.check_commuting(mats)
-        monkeypatch.setattr(koszul, "COMMUTE_TOL", np.inf)
-        blockwise = _check_shift_commuting(tuple_blocks)
-        dense = koszul.check_commuting(mats)
+        judged = []
+        monkeypatch.setattr(koszul, "_guard_commuting", judged.append)
+        _check_tuple(None, starts, tuple_blocks, [[]] * n)
         monkeypatch.undo()
-        assert blockwise > 0
-        assert abs(blockwise - dense) <= 1e-12 * dense
+        dense = koszul._commutator_norm(mats) / koszul._scale(mats)
+        assert len(judged) == 1 and judged[0] > 0
+        assert abs(judged[0] - dense) <= 1e-12 * dense
 
 
 def test_inhomogeneous_generator_takes_filtration_path(rng):
@@ -734,7 +756,7 @@ def filtration_generator_sets(n):
 @pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
 def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkeypatch):
     basis = truncated_basis(dom, lam, d_trunc)
-    svd = np.linalg.svd
+    svd, norm = np.linalg.svd, np.linalg.norm
     for name, gens in filtration_generator_sets(dom.dim).items():
         q, labels = prefix_svd_complement(basis, gens)
         calls = []
@@ -743,13 +765,20 @@ def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkey
             calls.append(1)
             return svd(*args, **kwargs)
 
-        # no dense multiplier, and at most one SVD per degree (the guards
-        # take their norms through np.linalg.norm)
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord in (2, -2):
+                calls.append(2)
+            return norm(x, ord, *args, **kwargs)
+
+        # no dense multiplier, at most one SVD per degree, and no 2-norm in
+        # the guards: their Frobenius norms settle them
         with monkeypatch.context() as patch:
             patch.setattr(operators, "mult_op", lambda *args: pytest.fail("dense multiplier"))
             patch.setattr(np.linalg, "svd", counted_svd)
+            patch.setattr(np.linalg, "norm", counted_norm)
             model = quotient_model(basis, gens)
-        assert model.shift_blocks is None and len(calls) <= d_trunc + 1, name
+        assert 2 not in calls and len(calls) <= d_trunc + 1, name
+        assert len(model.tuple_blocks[0]) == d_trunc * (d_trunc + 1) // 2, name
         assert np.array_equal(model.degree_labels, labels), name
         qm = model.quotient_onb
         for k in range(d_trunc + 1):
@@ -1024,7 +1053,7 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
             dense = [q.conj().T @ mult_op(basis, f) @ q for f in symbols]
             for f, want in zip(symbols, dense):
                 assert np.abs(compress(model, f) - want).max() < 1e-12
-            for name in ("cross_commutator", "windowed_submatrix", "compress_symbol"):
+            for name in ("cross_commutator", "compress_symbol"):
                 monkeypatch.setattr(operators, name, no_dense)
             rows = essential_normality_profile(dom, lam, gens, symbols, SCHATTEN_PS, [d_trunc])
             monkeypatch.undo()
@@ -1068,6 +1097,35 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
     assert len(calls) == 3 * 2 * per_matrix
 
 
+def test_label_runs_and_their_window(rng):
+    # labels 0 .. 4 with blocks (0, 0), (2, 1), (1, 2) and (4, 3): the
+    # runs are {0}, {1, 2} and {3, 4}; a window ending at label 1 keeps the
+    # first run whole and cuts the second, as the dense window does
+    sizes = [2, 1, 3, 2, 2]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    shapes = {(l, k): (sizes[l], sizes[k]) for l, k in ((0, 0), (2, 1), (1, 2), (4, 3))}
+    blocks = {
+        key: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for key, shape in shapes.items()
+    }
+    dense = operators._assemble(blocks, starts)
+    runs = operators._label_runs(blocks, starts)
+    assert [(lo, hi) for lo, hi, _ in runs] == [(0, 1), (1, 3), (3, 5)]
+    for lo, hi, mat in runs:
+        assert np.array_equal(mat, dense[starts[lo]:starts[hi], starts[lo]:starts[hi]])
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    for top in (-1, 0, 1, 2, 3, 4):
+        full, windowed = operators._run_spectra(runs, starts, top, SCHATTEN_PS)
+        assert top < 0 or windowed[0] is full[0]  # a whole run shares its spectra
+        window = windowed_submatrix(dense, labels, top)
+        for p in SCHATTEN_PS:
+            for got, want in (
+                (operators._spectra_norm(full, p), schatten_norm(dense, p)),
+                (operators._spectra_norm(windowed, p), schatten_norm(window, p)),
+            ):
+                assert abs(got - want) <= 1e-12 * want, (top, p)
+
+
 def test_profile_rejects_symbols_in_other_variables():
     z1 = Polynomial.coordinate(0, 3)
     for symbols in ([z1], [z1 * z1]):  # the blockwise route, then the dense one
@@ -1101,10 +1159,3 @@ def test_profile_regression_anchor():
     assert abs(cells[("z2", "z2")].schatten_windowed - 0.35071399842643397) < 1e-9
     assert cells[("z1", "z1")].schatten_full < 1e-12
 
-
-def test_windowed_submatrix_selects_low_degrees():
-    mat = np.arange(16, dtype=float).reshape(4, 4)
-    labels = np.array([0, 1, 1, 2])
-    sub = windowed_submatrix(mat, labels, 1)
-    assert sub.shape == (3, 3)
-    assert np.array_equal(sub, mat[:3, :3])
