@@ -6,8 +6,8 @@ kernel space.  z^gamma maps degree d to degree d + |gamma| and carries each
 torus-weight class into one class, so P_D M_f P_D is held as class-pair
 blocks (``_shift_block``, ``_mult_block``), one small block per
 (destination class, source class); ``_dense_block`` assembles a dense
-degree block from them where one is read (``_sandwich``, the filtration
-path, tests), and no dense dim x dim product is formed.  The submodule
+degree block from them where one is read (the filtration path,
+``mult_op``), and no dense dim x dim product is formed.  The submodule
 generated by f_1, ..., f_m is the span of the ranges of the P_D M_{f_j} P_D,
 which keeps it exactly invariant under the truncated coordinate
 multipliers, so the compressed tuple commutes in exact arithmetic for every
@@ -15,8 +15,7 @@ generator set.  A model holds only the complement: an orthonormal basis Q
 of M^(D) orth, stored as degree blocks, each vector labelled by a degree,
 and the compressed tuple S_i = Q^H T_i Q as label blocks S_i[l, k] (label
 k to label l).  T_i raises the degree and T_i* keeps the quotient, so only
-the blocks l > k are nonzero and stored.  Compressions of other symbols
-come from one block routine (``_sandwich``).  The submodule is never
+the blocks l > k are nonzero and stored.  The submodule is never
 stored; its invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2,
 which equals ||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
 ``quotient_model`` picks one of two paths from its generators:
@@ -43,13 +42,20 @@ all its blocks first; only one above the tolerance assembles the defects
 and takes their 2-norms (SVDs) and the scale, so verdicts and messages are
 those of the 2-norms.
 
-When every symbol of a profile is c z_i + d, [S_a, S_b*] =
-c_a conj(c_b) [S_i, S_j*] is formed from the label blocks.  It is
-block-diagonal over the runs of labels that no block crosses
-(``_label_runs``): each label is one on the graded path, all labels one on
-the filtration path.  Each run's singular values are taken once and serve
-every p and the window (``_run_spectra``).  Moebius symbols take the dense
-commutator as one run.
+Every symbol is compressed from the tuple's label blocks.  Multipliers
+raise the degree, and degrees are orthogonal, so P_D M_f P_D M_g P_D =
+P_D M_fg P_D; M^(D) is invariant under the truncated multipliers, so the
+quotient's projector drops out between them, and f -> S_f is an algebra
+homomorphism: S_f = f(S_1, ..., S_n), formed from products of label
+blocks (``_polynomial_blocks``, ``_label_products``).  S_f - f(0) I is
+strictly lower in the labels, so S_{p/q} = S_p S_q^{-1} solves
+X S_q = S_p by block forward substitution, with no inverse
+(``_rational_blocks``).  A profile's commutator
+[S_a, S_b*] is formed from these blocks.  It is block-diagonal over the
+runs of labels that no block crosses (``_label_runs``): for coordinate
+symbols each label is one on the graded path, all labels one on the
+filtration path.  Each run's singular values are taken once and serve
+every p and the window (``_run_spectra``).
 """
 
 from __future__ import annotations
@@ -164,27 +170,15 @@ def _check_symbol(dom: DomainSpec, f: Polynomial) -> None:
 
 
 def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
-    """Matrix of P_D M_f P_D in the orthonormal graded basis."""
-    eye = [(basis.offset(d), np.eye(size)) for d, size in enumerate(basis.degree_sizes)]
-    return _sandwich(basis, f, eye, basis.dim)
-
-
-def _sandwich(basis: TruncatedBasis, f: Polynomial, blocks, size: int) -> np.ndarray:
-    """Q^H P_D M_f P_D Q, a ``size`` x ``size`` matrix, for Q in the block
-    form of ``QuotientModel.blocks``; no dim x dim product is formed, and
-    each degree-shift block lands in one contiguous slice."""
+    """Matrix of P_D M_f P_D in the orthonormal graded basis, assembled
+    from its degree blocks (``_dense_block``), labelled by degree."""
     _check_symbol(basis.dom, f)
-    out = np.zeros((size, size), dtype=complex)
-    for k, part in f.homogeneous_parts().items():
-        for d in range(basis.max_degree - k + 1):
-            lstart, lblock = blocks[d + k]
-            rstart, rblock = blocks[d]
-            if lblock.size and rblock.size:
-                block = _dense_block(basis, _mult_block(basis, part, d), d, k)
-                out[lstart:lstart + lblock.shape[1], rstart:rstart + rblock.shape[1]] += (
-                    lblock.conj().T @ block @ rblock
-                )
-    return out
+    blocks = {
+        (d + k, d): _dense_block(basis, _mult_block(basis, part, d), d, k)
+        for k, part in f.homogeneous_parts().items()
+        for d in range(basis.max_degree - k + 1)
+    }
+    return _assemble(blocks, [basis.offset(d) for d in range(basis.max_degree + 2)])
 
 
 # ---------------------------------------------------------------------
@@ -214,22 +208,28 @@ def _assemble(blocks: dict, starts, lo: int = 0, hi: int | None = None) -> np.nd
     return out
 
 
-def _label_commutator(a: dict, b: dict):
-    """The label blocks of A B - B A from those of A and B, one ((l, k),
-    block) at a time.  (A B)[l, k] sums A[l, m] B[m, k] over the stored
-    blocks, in their dtype; a block that no product reaches is zero and is
-    not given."""
-    terms = {}  # (l, k): (np.add or np.subtract, A[l, m], B[m, k]) per product
-    for op, x, y in ((np.add, a, b), (np.subtract, b, a)):
+def _label_products(terms):
+    """The label blocks of the sum of the products +-A B, one term (np.add
+    or np.subtract, A, B) each, from the label blocks of every A and B, one
+    ((l, k), block) at a time.  (A B)[l, k] sums A[l, m] B[m, k] over the
+    stored blocks, in the terms' order; a block that no product reaches is
+    zero and is not given."""
+    products = {}  # (l, k): (op, A[l, m], B[m, k]) per product
+    for op, x, y in terms:
         for (l, m), u in x.items():
             for (n, k), v in y.items():
                 if m == n:
-                    terms.setdefault((l, k), []).append((op, u, v))
-    for key, ((op, u, v), *rest) in terms.items():
+                    products.setdefault((l, k), []).append((op, u, v))
+    for key, ((op, u, v), *rest) in products.items():
         block = op(0.0, u @ v)
         for op, u, v in rest:
-            op(block, u @ v, out=block)
+            block = op(block, u @ v)
         yield key, block
+
+
+def _label_commutator(a: dict, b: dict):
+    """The label blocks of A B - B A (``_label_products``)."""
+    return _label_products([(np.add, a, b), (np.subtract, b, a)])
 
 
 @dataclass(frozen=True)
@@ -261,8 +261,12 @@ class QuotientModel:
         """The compressed tuple S_1 .. S_n as dense dim_quotient x
         dim_quotient matrices, assembled from ``tuple_blocks`` on each access
         (Koszul tests, the boundary calculus and tests)."""
-        starts = [start for start, _ in self.blocks] + [self.dim_quotient]
-        return tuple(_assemble(s, starts) for s in self.tuple_blocks)
+        return tuple(_assemble(s, self.label_starts) for s in self.tuple_blocks)
+
+    @property
+    def label_starts(self) -> np.ndarray:
+        """The first column of each label 0 .. D, then dim_quotient."""
+        return np.searchsorted(self.degree_labels, np.arange(self.basis.max_degree + 2))
 
     @property
     def dim_quotient(self) -> int:
@@ -322,7 +326,7 @@ def _filtration_complement(basis: TruncatedBasis, generators):
             pieces[d].append(lifted[basis.block_slice(d), kept:])
         labels += [k] * (lifted.shape[1] - kept)
     starts = np.searchsorted(labels, np.arange(len(sizes)))
-    blocks = tuple((int(i), np.hstack(p).astype(complex)) for i, p in zip(starts, pieces))
+    blocks = tuple((int(i), np.hstack(p)) for i, p in zip(starts, pieces))
     return blocks, np.asarray(labels, dtype=int)
 
 
@@ -521,9 +525,9 @@ def _class_frames(dom: DomainSpec, d: int, q: np.ndarray, group, owner) -> list:
 
 
 def _graded_complement(basis: TruncatedBasis, generators) -> list:
-    """The complement blocks Q_0 .. Q_D of homogeneous generators, as
-    complex arrays, each with its class frames (``_class_frames``), real
-    when the generator columns are.  The rank counts the singular
+    """The complement blocks Q_0 .. Q_D of homogeneous generators, each
+    with its class frames (``_class_frames``), real when the generator
+    columns are.  The rank counts the singular
     values above ``SPAN_RANK_TOL`` times the largest one over every group
     of every degree."""
     parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
@@ -534,7 +538,7 @@ def _graded_complement(basis: TruncatedBasis, generators) -> list:
     for d, (size, (free, svds, group)) in enumerate(zip(basis.degree_sizes, parts)):
         row_group = group[_class_ids(basis.dom, d)]
         q, owner = _complement_block(size, free, svds, cutoff, row_group)
-        out.append((q.astype(complex), _class_frames(basis.dom, d, q, group, owner)))
+        out.append((q, _class_frames(basis.dom, d, q, group, owner)))
     return out
 
 
@@ -611,28 +615,29 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
     """Quotient by arbitrary generators through the filtration-adapted
     complement; the only path for inhomogeneous generators.
 
-    S_i sums X_d Q_d, X_d = Q_{d+1}^H T_i(d), over d, and keeps the blocks
-    l > k only: the others are exactly 0, and rounding residues there would
-    close the nilpotent S_i into cycles.  The invariance defect of the kept
-    tuple is X_d - S_i Q_d^H on the degree-d positions (its rows labelled
-    d or lower vanish).
+    S_i sums X_d Q_d, X_d = Q_{d+1}^H T_i(d), over d, in the field of Q (real
+    while the generators are, ``_filtration_complement``), and keeps the
+    blocks l > k only: the others are exactly 0, and rounding residues there
+    would close the nilpotent S_i into cycles.  The invariance defect of the
+    kept tuple is X_d - S_i Q_d^H on the degree-d positions (its rows
+    labelled d or lower vanish).
     """
     blocks, labels = _filtration_complement(basis, generators)
     nq = labels.size
     starts = [start for start, _ in blocks] + [nq]
     tuple_blocks, residues = [], []
     for i in range(basis.dom.dim):
-        s, products = np.zeros((nq, nq), dtype=complex), []
+        s, products = np.zeros((nq, nq), np.result_type(*(q for _, q in blocks))), []
         for d, pairs in enumerate(_coordinate_blocks(basis, i)):
             (lstart, q1), (rstart, q0) = blocks[d + 1], blocks[d]
             x = q1.conj().T @ _dense_block(basis, pairs, d, 1)
             s[lstart:, rstart:] += x @ q0
             products.append(x)
-        keys = [(l, k) for l in range(len(blocks)) for k in range(l)]
-        sblocks = dict(zip(keys, koszul._in_field(
-            s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] for l, k in keys
-        )))
-        s = _assemble(sblocks, starts)
+        s *= labels[:, None] > labels[None, :]  # only the blocks l > k are kept
+        sblocks = {
+            (l, k): s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]].copy()
+            for l in range(len(blocks)) for k in range(l)
+        }
         residues.append([
             (
                 np.arange(starts[d + 1], nq),
@@ -675,22 +680,31 @@ def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
     return quotient_model(basis, ())
 
 
-def _affine_coordinate(symbol) -> tuple[int, complex, complex] | None:
-    """(i, c, d) when ``symbol`` is the polynomial c z_i + d with c != 0,
-    else None."""
-    if not isinstance(symbol, Polynomial):
-        return None
-    zero = (0,) * symbol.nvars
-    linear = [(alpha, c) for alpha, c in symbol.terms.items() if alpha != zero]
-    if len(linear) != 1 or sum(linear[0][0]) != 1:
-        return None
-    (alpha, c), = linear
-    return alpha.index(1), c, symbol.terms.get(zero, 0.0)
+def _polynomial_blocks(model: QuotientModel, f: Polynomial):
+    """(f(0), the label blocks of S_f - f(0) I): S_f = f(S_1, ..., S_n)
+    (module notes), each S^alpha the product of the coordinate blocks S_i,
+    alpha_i times each, from the left, and each term c S^alpha real while
+    c is."""
+    _check_symbol(model.basis.dom, f)
+    out = {}
+    for alpha, c in f.terms.items():
+        if any(alpha):  # the constant term is f(0) I
+            factors = [model.tuple_blocks[i] for i, a in enumerate(alpha) for _ in range(a)]
+            power = functools.reduce(lambda x, y: dict(_label_products([(np.add, x, y)])), factors)
+            for key, block in power.items():
+                term = (c.real if c.imag == 0 else c) * block
+                out[key] = out[key] + term if key in out else term
+    return f.terms.get((0,) * f.nvars, 0.0), out
+
+
+def _assemble_symbol(model: QuotientModel, f0: complex, blocks: dict) -> np.ndarray:
+    """The dense matrix f0 I + N, N given by its label blocks."""
+    return _assemble(blocks, model.label_starts) + f0 * np.eye(model.dim_quotient)
 
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
-    """S_f = P M_f P restricted to the quotient."""
-    return _sandwich(model.basis, f, model.blocks, model.dim_quotient)
+    """S_f = P M_f P restricted to the quotient: f(S_1, ..., S_n)."""
+    return _assemble_symbol(model, *_polynomial_blocks(model, f))
 
 
 @functools.lru_cache(maxsize=None)
@@ -702,6 +716,45 @@ def _denominator_samples(dom: DomainSpec) -> np.ndarray:
     return pts
 
 
+def _denominator_blocks(model: QuotientModel, q: Polynomial):
+    """``_polynomial_blocks`` of a denominator, after the guards of
+    ``compress_rational``."""
+    values = np.abs(q.eval_batch(_denominator_samples(model.basis.dom)))
+    if values.size and values.min() < DENOMINATOR_MARGIN:
+        raise DenominatorVanishes(
+            f"denominator modulus drops to {values.min():.2e} on the closed domain"
+        )
+    q0, low = _polynomial_blocks(model, q)
+    if not model.dim_quotient:
+        return 1.0, {}  # the empty S_q: nothing to invert
+    sv = np.linalg.svd(_assemble_symbol(model, q0, low), compute_uv=False)
+    if sv[-1] == 0 or sv[0] / sv[-1] > CONDITION_CUTOFF:
+        raise NumericallySingular(
+            "compressed denominator condition number exceeds cutoff"
+        )
+    return q0, low
+
+
+def _rational_blocks(model: QuotientModel, p: Polynomial, q: Polynomial, q0, low: dict):
+    """(x0, the label blocks of Z = X - x0 I) for X = S_p S_q^{-1}, given
+    S_q = q0 I + M (``_denominator_blocks``).
+
+    M is strictly lower in the labels, so X is lower with diagonal
+    x0 = p(0) / q0, and X S_q = S_p says Z (q0 I + M) = S_p - x0 S_q =
+    S_{p - x0 q}, strictly lower too.  Block forward substitution, each label
+    row from the diagonal out, overwrites the right side with Z:
+    Z[l, k] = (S_{p - x0 q}[l, k] - sum over k < m < l of Z[l, m] M[m, k]) / q0."""
+    x0 = p.terms.get((0,) * p.nvars, 0.0) / q0
+    _, out = _polynomial_blocks(model, p - q * x0)
+    for l in range(model.basis.max_degree + 1):
+        for k in reversed(range(l)):
+            terms = [out[l, k]] if (l, k) in out else []
+            terms += [-out[l, m] @ b for (m, j), b in low.items() if j == k and (l, m) in out]
+            if terms:
+                out[l, k] = sum(terms) / q0
+    return x0, out
+
+
 def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.ndarray:
     """S_{p/q} = S_p (S_q)^{-1}.
 
@@ -709,28 +762,22 @@ def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.
     must be invertible with condition number below ``CONDITION_CUTOFF``.
     The lower bound on |q| is the minimum over the domain's
     ``_denominator_samples`` (evaluated in one batch) and must be at least
-    ``DENOMINATOR_MARGIN``.
+    ``DENOMINATOR_MARGIN``.  No inverse is formed: X S_q = S_p is solved by
+    block forward substitution (``_rational_blocks``).
     """
-    values = np.abs(q.eval_batch(_denominator_samples(model.basis.dom)))
-    if values.size and values.min() < DENOMINATOR_MARGIN:
-        raise DenominatorVanishes(
-            f"denominator modulus drops to {values.min():.2e} on the closed domain"
-        )
-    sq = compress(model, q)
-    if sq.shape[0] == 0:
-        return sq
-    sv = np.linalg.svd(sq, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > CONDITION_CUTOFF:
-        raise NumericallySingular(
-            "compressed denominator condition number exceeds cutoff"
-        )
-    return compress(model, p) @ np.linalg.inv(sq)
+    return _assemble_symbol(model, *_rational_blocks(model, p, q, *_denominator_blocks(model, q)))
 
 
-def compress_symbol(model: QuotientModel, symbol) -> np.ndarray:
-    if isinstance(symbol, RationalSymbol):
-        return compress_rational(model, symbol.p, symbol.q)
-    return compress(model, symbol)
+def _symbol_blocks(model: QuotientModel, symbol, denominators: dict):
+    """``_polynomial_blocks`` or ``_rational_blocks`` of a symbol; each
+    distinct denominator is compressed and guarded once per
+    ``denominators``."""
+    if not isinstance(symbol, RationalSymbol):
+        return _polynomial_blocks(model, symbol)
+    key = frozenset(symbol.q.terms.items())
+    if key not in denominators:
+        denominators[key] = _denominator_blocks(model, symbol.q)
+    return _rational_blocks(model, symbol.p, symbol.q, *denominators[key])
 
 
 # ---------------------------------------------------------------------
@@ -757,7 +804,7 @@ def _block_spectra(blocks, p_values) -> list[tuple[float, np.ndarray]]:
     needs them; any prefix of the list describes the block-diagonal operator
     with those leading blocks (see ``_spectra_norm``)."""
     for p in p_values:
-        if p < 1:
+        if not p >= 1:  # NaN too
             raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
     need_sv = any(p != 2 for p in p_values)
     out = []
@@ -872,39 +919,26 @@ def essential_normality_profile(
     symbol degree; that discards rows and columns polluted by the truncation
     edge.
 
-    When every symbol is c z_i + d, each commutator is
-    c_a conj(c_b) [S_i, S_j*], formed from the stored label blocks and
-    taken over the runs of labels it is block-diagonal on
-    (``_label_runs``); otherwise it is the dense ``cross_commutator`` of the
-    compressed symbols, one run.
+    Each symbol is compressed once per D as label blocks (``_symbol_blocks``),
+    and [S_a, S_b*] is formed from them and taken over the runs of labels it
+    is block-diagonal on (``_label_runs``).
     """
     generators, symbols = tuple(generators), list(symbols)
     if not symbols:
         raise ValidationError("need at least one symbol")
     w = window if window is not None else max(s.degree() for s in symbols) + 1
-    affine = [_affine_coordinate(s) for s in symbols]
-    if None not in affine:  # the dense route checks each symbol as it compresses it
-        for s in symbols:
-            _check_symbol(dom, s)
     rows: list[ProfileRow] = []
     for D in degree_list:
         basis = cached_truncated_basis(dom, lam, D, cache_dir)
         model = quotient_model(basis, generators)
-        starts = [start for start, _ in model.blocks] + [model.dim_quotient]
-        if None in affine:
-            compressed = [compress_symbol(model, s) for s in symbols]
+        starts = model.label_starts
+        denominators = {}
+        compressed = [_symbol_blocks(model, s, denominators)[1] for s in symbols]
         for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
-            if None in affine:
-                comm = cross_commutator(compressed[i], compressed[j])
-                runs, factor = [(0, len(starts) - 1, comm)], 1.0
-            else:
-                (a, ca, _), (b, cb, _) = affine[i], affine[j]
-                # complex products whether the blocks are stored real or complex
-                sb = model.tuple_blocks[b]
-                sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in sb.items()}
-                comm = dict(_label_commutator(model.tuple_blocks[a], sb))
-                runs, factor = _label_runs(comm, starts), abs(ca * cb)
-            full, windowed = _run_spectra(runs, starts, D - w, p_values)
+            # complex products whether the blocks are stored real or complex
+            sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in compressed[j].items()}
+            comm = dict(_label_commutator(compressed[i], sb))
+            full, windowed = _run_spectra(_label_runs(comm, starts), starts, D - w, p_values)
             for p in p_values:
                 rows.append(
                     ProfileRow(
@@ -915,8 +949,8 @@ def essential_normality_profile(
                         symbols[i].label(),
                         symbols[j].label(),
                         float(p),
-                        factor * _spectra_norm(full, p),
-                        factor * _spectra_norm(windowed, p),
+                        _spectra_norm(full, p),
+                        _spectra_norm(windowed, p),
                         model.dim_quotient,
                     )
                 )

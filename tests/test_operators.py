@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from symdom import koszul, operators
+from symdom.calculus import mobius_rational_components
 from symdom.domains import DomainSpec
 from symdom.errors import (
     DenominatorVanishes,
@@ -819,20 +820,28 @@ def test_compress_generator_is_zero():
     assert np.abs(compress(model, Z1)).max() < 1e-12
 
 
-def test_product_identity_on_degree_window(rng):
-    # S_fg agrees with S_f S_g on basis vectors of low enough degree
-    basis = truncated_basis(BALL2, 3.0, 10)
-    for gens in ([Z1], [Z1 * Z2], [Z1 * Z1 + Z2]):
-        model = quotient_model(basis, gens)
-        labels = model.degree_labels
-        for _ in range(5):
-            f = random_poly(2, 2, rng)
-            g = random_poly(2, 3, rng)
-            lhs = compress(model, f * g)
-            rhs = compress(model, f) @ compress(model, g)
-            window = labels <= 10 - f.degree() - g.degree()
-            diff = (lhs - rhs)[:, window]
-            assert np.abs(diff).max() <= 1e-12
+def test_product_identity_on_every_column(rng):
+    # multipliers raise the degree, so P_D M_f P_D M_g P_D = P_D M_fg P_D,
+    # and M^(D) is invariant, so S_fg = S_f S_g on the whole quotient, for
+    # the label-block compressions and for the dense sandwiches alike
+    mb22 = DomainSpec.matrix_ball(2, 2)
+    z11, z12 = Polynomial.coordinate(0, 4), Polynomial.coordinate(1, 4)
+    cases = [
+        (truncated_basis(BALL2, 3.0, 10), [[Z1], [Z1 * Z2], [Z1 * Z1 + Z2]]),
+        (truncated_basis(mb22, 2.5, 6), [[z11], [z11 + z12 * z12]]),
+    ]
+    for basis, generator_sets in cases:
+        n = basis.dom.dim
+        for gens in generator_sets:
+            model = quotient_model(basis, gens)
+            q = model.quotient_onb
+            for _ in range(3):
+                f = random_poly(n, 2, rng)
+                g = random_poly(n, 3, rng)
+                lhs = compress(model, f * g)
+                dense = [q.conj().T @ mult_op(basis, h) @ q for h in (f, g, f * g)]
+                for rhs in (compress(model, f) @ compress(model, g), dense[0] @ dense[1], dense[2]):
+                    assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_compress_rational_trivial_cases(rng):
@@ -880,6 +889,53 @@ def test_denominator_samples_are_drawn_once_per_domain(monkeypatch):
     pts = operators._denominator_samples(BALL1)
     assert pts.shape == (operators.DENOMINATOR_SAMPLES, 1) and not pts.flags.writeable
     operators._denominator_samples.cache_clear()
+
+
+@pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
+def test_compress_rational_is_the_inverse_route(dom, lam, d_trunc):
+    # the oracle S_p inv(S_q) from dense sandwiches, on filtration models by
+    # inhomogeneous generators and on a graded model
+    basis = truncated_basis(dom, lam, d_trunc)
+    z0 = [0.2, -0.1j, 0.1, 0.0, 0.15, 0.05][: dom.dim]
+    sets = filtration_generator_sets(dom.dim)
+    for gens in (sets["z1^2+z2"], sets["complex"], [Polynomial.coordinate(0, dom.dim)]):
+        model = quotient_model(basis, gens)
+        q = model.quotient_onb
+        for s in mobius_rational_components(dom, z0):
+            sp, sq = (q.conj().T @ mult_op(basis, h) @ q for h in (s.p, s.q))
+            want = sp @ np.linalg.inv(sq)
+            assert np.abs(compress_rational(model, s.p, s.q) - want).max() <= 1e-12
+
+
+def test_mobius_profile_guards_each_denominator_once_per_model(monkeypatch):
+    # MB(2,2)/z11 on the graded path: the four Moebius components share one
+    # denominator, whose |q| sample check and condition SVD run once per D,
+    # and no dense multiplier or dense degree block is formed
+    dom = DomainSpec.matrix_ball(2, 2)
+    symbols = mobius_rational_components(dom, [0.2, 0.1, 0.0, 0.3])
+    assert len({id(s.q) for s in symbols}) == 1
+    evaluations, conditions = [], []
+    eval_batch, svd = Polynomial.eval_batch, np.linalg.svd
+
+    def counted_eval(self, points):
+        evaluations.append(len(points))
+        return eval_batch(self, points)
+
+    def counted_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:  # no Schatten SVD at p = 2
+            conditions.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    for name in ("mult_op", "_dense_block"):
+        monkeypatch.setattr(operators, name, lambda *args: pytest.fail("dense route"))
+    monkeypatch.setattr(Polynomial, "eval_batch", counted_eval)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    rows = essential_normality_profile(dom, 2.5, [Polynomial.coordinate(0, 4)], symbols, [2.0], [4, 6])
+    monkeypatch.undo()
+    assert len(rows) == 2 * 10
+    nq = [35, 84]  # sum over d <= D of (d + 1)(d + 2) / 2
+    assert evaluations == [operators.DENOMINATOR_SAMPLES] * 2
+    assert conditions == [(n, n) for n in nq]
 
 
 def test_compress_rational_vanishing_denominator():
@@ -953,8 +1009,11 @@ def test_schatten_two_is_the_svd_route(rng):
 
 
 def test_schatten_norm_rejects_p_below_one():
-    with pytest.raises(ValidationError):
-        schatten_norm(np.eye(3), 0.5)
+    for p in (0.5, np.nan):
+        with pytest.raises(ValidationError, match="p >= 1"):
+            schatten_norm(np.eye(3), p)
+        with pytest.raises(ValidationError, match="p >= 1"):
+            essential_normality_profile(BALL2, 2.0, [Z1], [Z1, Z2], [2.0, p], [4])
 
 
 def test_schatten_adjoint_symmetry(rng):
@@ -1053,7 +1112,7 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
             dense = [q.conj().T @ mult_op(basis, f) @ q for f in symbols]
             for f, want in zip(symbols, dense):
                 assert np.abs(compress(model, f) - want).max() < 1e-12
-            for name in ("cross_commutator", "compress_symbol"):
+            for name in ("mult_op", "_dense_block"):
                 monkeypatch.setattr(operators, name, no_dense)
             rows = essential_normality_profile(dom, lam, gens, symbols, SCHATTEN_PS, [d_trunc])
             monkeypatch.undo()
@@ -1088,13 +1147,17 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    # blockwise: one SVD per degree block, shared by the window
-    essential_normality_profile(BALL2, 2.0, gens, [Z1, Z2], p_values, [d_trunc])
-    assert len(calls) == 3 * (d_trunc + 1) * per_matrix
-    calls.clear()
-    # dense: one SVD of the full commutator and one of its window
-    essential_normality_profile(BALL2, 2.0, gens, [Z1 * Z1, Z2 * Z2], p_values, [d_trunc])
-    assert len(calls) == 3 * 2 * per_matrix
+    # one SVD per label block, shared by the window, for the coordinates
+    # and for their squares, whose commutators are block-diagonal by label too
+    for symbols in ([Z1, Z2], [Z1 * Z1, Z2 * Z2]):
+        essential_normality_profile(BALL2, 2.0, gens, symbols, p_values, [d_trunc])
+        assert len(calls) == 3 * (d_trunc + 1) * per_matrix
+        calls.clear()
+    # Moebius symbols fill every lower label block: one run, its SVD and its
+    # window's, and one condition SVD of the denominator the two share
+    mobius = mobius_rational_components(BALL2, [0.3, 0.1])
+    essential_normality_profile(BALL2, 2.0, gens, mobius, p_values, [d_trunc])
+    assert len(calls) == 3 * 2 * per_matrix + 1
 
 
 def test_label_runs_and_their_window(rng):
@@ -1128,7 +1191,7 @@ def test_label_runs_and_their_window(rng):
 
 def test_profile_rejects_symbols_in_other_variables():
     z1 = Polynomial.coordinate(0, 3)
-    for symbols in ([z1], [z1 * z1]):  # the blockwise route, then the dense one
+    for symbols in ([z1], [z1 * z1]):
         with pytest.raises(ValidationError, match="symbol in 3 variables"):
             essential_normality_profile(BALL2, 2.0, [Z1], symbols, [2.0], [4])
 

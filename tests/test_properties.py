@@ -1,7 +1,9 @@
 """Property tests with Hypothesis: quotient models by random homogeneous
 generator sets agree across the graded and filtration paths, in their
 submodules (invariant under the dense truncated multipliers) and in the
-Schatten cells of the coordinate symbols."""
+Schatten cells of the coordinate and Moebius symbols; on either path the
+label-block compressions of polynomial and rational symbols are the dense
+sandwich Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse."""
 
 from unittest import mock
 
@@ -10,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdom import operators
+from symdom.calculus import mobius_rational_components
 from symdom.domains import DomainSpec
 from symdom.kernels import multi_indices, truncated_basis
-from symdom.operators import _filtration_model, _graded_model, essential_normality_profile, mult_op
+from symdom.operators import (
+    _filtration_model,
+    _graded_model,
+    compress,
+    compress_rational,
+    essential_normality_profile,
+    mult_op,
+)
 from symdom.polynomials import Polynomial
 
 # (domain, weight, largest truncation degree) with continuous-class weights
@@ -23,6 +33,9 @@ DOMAINS = [
     (DomainSpec.matrix_ball(2, 3), 3.5, 3),
 ]
 COEFFS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5])
+# Moebius base points: every entry at most 0.3, so each base point is
+# interior on all four domains (Frobenius norm at most 0.3 sqrt(6) < 1)
+BASE_ENTRIES = st.sampled_from([0.0, 0.2, -0.1, 0.15j, 0.3, -0.2 + 0.1j])
 P_VALUES = [1.0, 2.0, 3.0, np.inf]
 
 
@@ -40,6 +53,28 @@ def quotient_cases(draw):
     gens = draw(st.lists(homogeneous_generator(dom.dim), min_size=1, max_size=2))
     d_trunc = draw(st.integers(max(g.degree() for g in gens), top))
     return dom, lam, d_trunc, gens
+
+
+@st.composite
+def symbol(draw, n):
+    """A polynomial of degree at most 3 in n variables, with one to four
+    terms and complex coefficients, a constant term allowed."""
+    alphas = [a for d in range(4) for a in multi_indices(n, d)]
+    picked = draw(st.lists(st.sampled_from(alphas), min_size=1, max_size=4, unique=True))
+    return Polynomial(n, {a: draw(COEFFS) + 1j * draw(COEFFS) for a in picked})
+
+
+def both_paths(case):
+    """The graded and the filtration model of one case."""
+    dom, lam, d_trunc, gens = case
+    basis = truncated_basis(dom, lam, d_trunc)
+    return basis, (_graded_model(basis, gens), _filtration_model(basis, gens))
+
+
+def sandwich(basis, model, f):
+    """The dense oracle Q^H P_D M_f P_D Q."""
+    q = model.quotient_onb
+    return q.conj().T @ mult_op(basis, f) @ q
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -67,6 +102,57 @@ def test_graded_and_filtration_paths_give_the_same_coordinate_cells(case):
     dom, lam, d_trunc, gens = case
     z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
     args = (dom, lam, gens, z, P_VALUES, [d_trunc])
+    graded = essential_normality_profile(*args)
+    with mock.patch.object(operators, "quotient_model", _filtration_model):
+        filtered = essential_normality_profile(*args)
+    assert len(graded) == len(filtered) > 0
+    for a, b in zip(graded, filtered):
+        assert a.dim_quotient == b.dim_quotient
+        for got, want in (
+            (a.schatten_full, b.schatten_full),
+            (a.schatten_windowed, b.schatten_windowed),
+        ):
+            assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.data())
+def test_compress_is_the_dense_sandwich(data):
+    case = data.draw(quotient_cases())
+    f = data.draw(symbol(case[0].dim))
+    basis, models = both_paths(case)
+    for model in models:
+        want = sandwich(basis, model, f)
+        assert np.abs(compress(model, f) - want).max(initial=0.0) <= 1e-12 * max(
+            1.0, np.abs(want).max(initial=0.0)
+        )
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.data())
+def test_compress_rational_is_the_dense_inverse_route(data):
+    # the oracle is the route the label blocks replace: S_p inv(S_q) with
+    # both compressions dense sandwiches
+    case = data.draw(quotient_cases())
+    dom = case[0]
+    z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
+    basis, models = both_paths(case)
+    for model in models:
+        for s in mobius_rational_components(dom, z0):
+            sq = sandwich(basis, model, s.q)
+            want = sandwich(basis, model, s.p) @ np.linalg.inv(sq)
+            got = compress_rational(model, s.p, s.q)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
+                1.0, np.abs(want).max(initial=0.0)
+            )
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(st.data())
+def test_graded_and_filtration_paths_give_the_same_mobius_cells(data):
+    dom, lam, d_trunc, gens = data.draw(quotient_cases())
+    z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
+    args = (dom, lam, gens, mobius_rational_components(dom, z0), P_VALUES, [d_trunc])
     graded = essential_normality_profile(*args)
     with mock.patch.object(operators, "quotient_model", _filtration_model):
         filtered = essential_normality_profile(*args)
