@@ -38,7 +38,6 @@ from .operators import (
     permissive_transform,
     quotient_model,
     schatten_norm,
-    whole_space_model,
 )
 from .polynomials import Polynomial, RationalSymbol
 from .wallach import (

@@ -128,9 +128,9 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
             "no Shilov quadrature for the matrix ball; use the series calculus"
         )
     if dom.kind == "polydisc" or (dom.kind == "ball" and dom.dim == 1):
-        per_axis = 2**level
-        if per_axis ** dom.dim > 2**24:
+        if level * dom.dim > 24:  # (2^level)^n nodes past 2^24, decided before 2^level is formed
             raise ValidationError("torus rule too large at this level")
+        per_axis = 2**level
         angles = 2.0 * np.pi * np.arange(per_axis) / per_axis
         axes = np.exp(1j * angles)
         if dom.dim == 1:
@@ -142,9 +142,9 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
         grid = np.arange(nodes.shape[0]).reshape((per_axis,) * dom.dim)
         estimate = grid[(slice(None, None, 2),) * dom.dim].reshape(-1)
         return ShilovQuadrature(dom, level, nodes, weights, estimate)
-    count = (4**level) * SPHERE_BASE_NODES
-    if count > 5_000_000:
+    if level >= 7:  # 4^level * 1000 nodes past 5_000_000, decided before 4^level is formed
         raise ValidationError("sphere rule too large at this level")
+    count = (4**level) * SPHERE_BASE_NODES
     bits = count.bit_length()
     index = _sobol_integers(2 * dom.dim, count)
     index >>= _SOBOL_BITS - bits

@@ -53,7 +53,7 @@ from .kernels import (
     series_partial_sum,
 )
 from .koszul import joint_eigenvalues, taylor_point_tests
-from .operators import essential_normality_profile, quotient_model
+from .operators import QuotientModel, essential_normality_profile, quotient_model
 from .polynomials import Polynomial
 from .sampling import Stream, random_commuting_tuple, random_point
 from .wallach import classify_weight
@@ -463,6 +463,13 @@ def cmd_kernel(cfg: dict) -> int:
 # spectrum command
 # ---------------------------------------------------------------------
 
+def _model(cfg: dict, dom: DomainSpec, d_trunc: int) -> QuotientModel:
+    """The quotient model of the config at truncation degree ``d_trunc``,
+    its basis read through the disk cache when one is set."""
+    basis = cached_truncated_basis(dom, cfg["lambda"], d_trunc, cache_dir=cfg["cache_dir"])
+    return quotient_model(basis, [_poly(g) for g in cfg["generators"]])
+
+
 def cmd_spectrum(cfg: dict) -> int:
     dom = DomainSpec.from_json(cfg["domain"])
     spec = cfg["tuple"]
@@ -470,8 +477,7 @@ def cmd_spectrum(cfg: dict) -> int:
         entries = [flatten_point(dom, _point(e)) for e in spec["entries"]]
         mats = [np.diag([p[i] for p in entries]) for i in range(dom.dim)]
     else:
-        basis = cached_truncated_basis(dom, cfg["lambda"], spec["D"], cache_dir=cfg["cache_dir"])
-        mats = list(quotient_model(basis, [_poly(g) for g in cfg["generators"]]).tuple_mats)
+        mats = list(_model(cfg, dom, spec["D"]).tuple_mats)
     rows: list[list] = []
     label = dom.label()
     points = [_point(p) for p in cfg["points"]]
@@ -575,24 +581,24 @@ def _invariance_families(cfg: dict, dom: DomainSpec) -> list[tuple[str, list]]:
 def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
     dom = DomainSpec.from_json(cfg["domain"])
     d_list = sorted(cfg["D_list"])
-    gens = [_poly(g) for g in cfg["generators"]]
     families = _invariance_families(cfg, dom)
 
-    def run_cell(item):
-        fam_name, symbols, d_trunc = item
-        return essential_normality_profile(
-            dom, cfg["lambda"], gens, symbols, cfg["p_values"], [d_trunc],
-            family=fam_name, window=cfg["window"], cache_dir=cfg["cache_dir"],
-        )
+    def run_degree(d_trunc):
+        model = _model(cfg, dom, d_trunc)  # read by every family, dropped on return
+        return [
+            essential_normality_profile(model, syms, cfg["p_values"], family=fam, window=cfg["window"])
+            for fam, syms in families
+        ]
 
-    cells = [(fam, syms, d) for fam, syms in families for d in d_list]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # with logging, 3.5 ms of import
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_cell, cells))
+            per_degree = list(pool.map(run_degree, d_list))
     else:
-        results = [run_cell(c) for c in cells]
+        per_degree = [run_degree(d) for d in d_list]
+    # family-major: each family's rows at every D, then the next family's
+    results = [r for by_family in zip(*per_degree) for profile in by_family for r in profile]
 
     header = [
         "domain", "lambda", "D", "symbol_i", "symbol_j",
@@ -600,18 +606,17 @@ def cmd_invariance(cfg: dict, jobs: int = 1) -> int:
     ]
     rows: list[list] = []
     by_cell: dict[tuple, dict[int, tuple[float, float]]] = {}
-    for profile in results:
-        for r in profile:
-            rows.append(
-                [
-                    r.domain, format_real(r.lam), r.max_degree, r.symbol_i, r.symbol_j,
-                    format_real(r.p), format_real(r.schatten_full),
-                    format_real(r.schatten_windowed), r.dim_quotient,
-                ]
-            )
-            by_cell.setdefault((r.family, r.symbol_i, r.symbol_j, r.p), {})[
-                r.max_degree
-            ] = (r.schatten_full, r.schatten_windowed)
+    for r in results:
+        rows.append(
+            [
+                r.domain, format_real(r.lam), r.max_degree, r.symbol_i, r.symbol_j,
+                format_real(r.p), format_real(r.schatten_full),
+                format_real(r.schatten_windowed), r.dim_quotient,
+            ]
+        )
+        by_cell.setdefault((r.family, r.symbol_i, r.symbol_j, r.p), {})[
+            r.max_degree
+        ] = (r.schatten_full, r.schatten_windowed)
     summary_header = [
         "family", "symbol_i", "symbol_j", "p",
         "D_prev", "D_last", "windowed_prev", "windowed_last", "rel_change",
@@ -670,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "invariance":
             cmd.add_argument(
                 "--jobs", type=int, default=1,
-                help="parallel (family, D) cells; output order is unchanged",
+                help="parallel D cells, every family reads that D's model; output order is unchanged",
             )
     return parser
 

@@ -72,5 +72,9 @@ class QuadratureUnderResolved(SymdomError):
     """Self-reported quadrature error estimate exceeds the requested tolerance."""
 
 
+class NonFiniteValue(SymdomError):
+    """A computed value overflowed to inf or NaN: an input past the float range."""
+
+
 class ConfigError(ValidationError):
     """Experiment configuration failed validation; message carries the field path."""

@@ -38,6 +38,7 @@ import numpy as np
 from .domains import DomainSpec, flatten_point, generic_poly, generic_poly_terms
 from .errors import (
     BranchCutError,
+    NonFiniteValue,
     NotAModuleWeight,
     NumericallySingular,
     ValidationError,
@@ -269,27 +270,30 @@ def _build_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesB
     # raw[d] holds the unsymmetrized entries in the same order
     entries = [_class_entries(dom, d) for d in range(max_degree + 1)]
     raw = [np.ones(1)]
-    for d in range(1, max_degree + 1):
-        where = _class_slots(dom, d)
-        sizes = np.array([idx.shape[1] for idx in _weight_classes(dom, d)])
-        offsets = entries[d][2]
-        dest, vals = [], []
-        for j, terms in delta.items():
-            if j > d:
-                continue
-            rows, cols, _ = entries[d - j]
-            factor = ((mu + 1.0) * j - d) / d
-            for alpha, beta, coeff in terms:
-                # z^alpha conj(w)^beta moves entry (r, c) of C_{d-j} to
-                # (r + alpha, c + beta): entry (a, b) of one class of degree d
-                stack, cls, a = where[_shift_positions(n, d - j, alpha)[rows]].T
-                b = where[_shift_positions(n, d - j, beta)[cols], 2]
-                size = sizes[stack]
-                dest.append(offsets[stack] + (cls * size + a) * size + b)
-                vals.append((factor * coeff) * raw[d - j])
-        raw.append(np.bincount(
-            np.concatenate(dest), weights=np.concatenate(vals), minlength=offsets[-1]
-        ))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        for d in range(1, max_degree + 1):
+            where = _class_slots(dom, d)
+            sizes = np.array([idx.shape[1] for idx in _weight_classes(dom, d)])
+            offsets = entries[d][2]
+            dest, vals = [], []
+            for j, terms in delta.items():
+                if j > d:
+                    continue
+                rows, cols, _ = entries[d - j]
+                factor = ((mu + 1.0) * j - d) / d
+                for alpha, beta, coeff in terms:
+                    # z^alpha conj(w)^beta moves entry (r, c) of C_{d-j} to
+                    # (r + alpha, c + beta): entry (a, b) of one class of degree d
+                    stack, cls, a = where[_shift_positions(n, d - j, alpha)[rows]].T
+                    b = where[_shift_positions(n, d - j, beta)[cols], 2]
+                    size = sizes[stack]
+                    dest.append(offsets[stack] + (cls * size + a) * size + b)
+                    vals.append((factor * coeff) * raw[d - j])
+            raw.append(np.bincount(
+                np.concatenate(dest), weights=np.concatenate(vals), minlength=offsets[-1]
+            ))
+            if not np.isfinite(raw[d]).all():
+                raise NonFiniteValue(f"kernel series block C_{d} overflows at lambda {lam!r}")
     out = []
     for d, flat in enumerate(raw):
         classes = _weight_classes(dom, d)
@@ -462,18 +466,22 @@ def kernel_eval(dom: DomainSpec, lam: float, z, w) -> complex:
     """Delta(z, w)^{-lam} through the principal branch.
 
     Raises :class:`BranchCutError` when Delta vanishes, or (for non-integer
-    weights) when Delta lands on the closed negative real axis.
+    weights) when Delta lands on the closed negative real axis, and
+    :class:`NonFiniteValue` when the power overflows.
     """
     val = generic_poly(dom, z, w)
     if val == 0:
         raise BranchCutError("Delta(z, w) = 0, no principal power")
-    if abs(lam - round(lam)) <= 1e-12:
-        return complex(val ** (-round(lam)))
-    if val.real <= 0 and abs(val.imag) <= 1e-15 * abs(val):
+    integral = abs(lam - round(lam)) <= 1e-12
+    if not integral and val.real <= 0 and abs(val.imag) <= 1e-15 * abs(val):
         raise BranchCutError(
             f"Delta(z, w) = {val:.6g} lies on the negative real axis"
         )
-    return complex(np.exp(-lam * np.log(val)))
+    try:  # an inf result raises: OverflowError from Python's power, FloatingPointError from numpy's
+        with np.errstate(over="raise", invalid="raise"):
+            return complex(val ** (-round(lam)) if integral else np.exp(-lam * np.log(val)))
+    except (OverflowError, FloatingPointError):
+        raise NonFiniteValue(f"Delta(z, w)^(-lambda) overflows at lambda {lam!r}") from None
 
 
 # ---------------------------------------------------------------------

@@ -72,6 +72,7 @@ from .calculus import BOUNDARY_TOL
 from .domains import DomainSpec, spectral_norm
 from .errors import (
     DenominatorVanishes,
+    NonFiniteValue,
     NotPermissive,
     NumericallySingular,
     ValidationError,
@@ -83,7 +84,6 @@ from .kernels import (
     _shift_plan,
     _shift_positions,
     _weight_classes,
-    cached_truncated_basis,
 )
 from .polynomials import MultiIndex, Polynomial, RationalSymbol
 from .sampling import Stream, closed_domain_samples
@@ -251,7 +251,6 @@ class QuotientModel:
     """
 
     basis: TruncatedBasis
-    generators: tuple[Polynomial, ...]
     blocks: tuple[tuple[int, np.ndarray], ...]
     degree_labels: np.ndarray
     tuple_blocks: tuple[dict[tuple[int, int], np.ndarray], ...]
@@ -608,7 +607,7 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
         residues.append(pieces)
     _check_tuple(basis, starts, tuple_blocks, residues)
     blocks = tuple((int(start), q) for start, (q, _) in zip(starts, complement))
-    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks))
+    return QuotientModel(basis, blocks, labels, tuple(tuple_blocks))
 
 
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -648,7 +647,7 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
         ])
         tuple_blocks.append(sblocks)
     _check_tuple(basis, starts, tuple_blocks, residues)
-    return QuotientModel(basis, tuple(generators), blocks, labels, tuple(tuple_blocks))
+    return QuotientModel(basis, blocks, labels, tuple(tuple_blocks))
 
 
 def _is_graded(generators) -> bool:
@@ -673,11 +672,6 @@ def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     if _is_graded(generators):
         return _graded_model(basis, generators)
     return _filtration_model(basis, generators)
-
-
-def whole_space_model(basis: TruncatedBasis) -> QuotientModel:
-    """Trivial quotient by the zero submodule: the full truncated module."""
-    return quotient_model(basis, ())
 
 
 def _polynomial_blocks(model: QuotientModel, f: Polynomial):
@@ -823,11 +817,11 @@ def _spectra_norm(spectra, p: float) -> float:
     if p == 2:  # the Frobenius norm needs no singular values
         return float(np.sqrt(sum(frob2 for frob2, _ in spectra)))
     sv = np.concatenate([np.zeros(0)] + [sv for _, sv in spectra])
-    if not sv.size:
-        return 0.0
-    if np.isinf(p):
-        return float(sv.max())
-    return float(np.sum(sv**p) ** (1.0 / p))
+    top = sv.max(initial=0.0)
+    if top == 0 or np.isinf(p):
+        return float(top)
+    # scaled by the largest, so that no power underflows to 0 at large p
+    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
 
 
 def permissive_transform(mats, c: float, shift, dom: DomainSpec) -> list[np.ndarray]:
@@ -900,58 +894,50 @@ def _run_spectra(runs, starts, top: int, p_values):
 
 
 def essential_normality_profile(
-    dom: DomainSpec,
-    lam: float,
-    generators,
+    model: QuotientModel,
     symbols,
     p_values,
-    degree_list,
     *,
     family: str = "symbols",
     window: int | None = None,
-    cache_dir: str | None = None,
 ) -> list[ProfileRow]:
-    """Schatten norms of cross-commutators [S_i, S_j*] over a ladder of
-    truncation degrees.
+    """Schatten norms of the cross-commutators [S_i, S_j*] on one quotient
+    model; the domain, the weight and the truncation degree D are those of
+    ``model.basis``.
 
-    For each D the windowed value restricts the commutator to quotient basis
-    vectors of degree <= D - w, with w defaulting to one more than the top
-    symbol degree; that discards rows and columns polluted by the truncation
-    edge.
+    The windowed value restricts the commutator to quotient basis vectors
+    of degree <= D - w, with w defaulting to one more than the top symbol
+    degree; that discards rows and columns polluted by the truncation edge.
 
-    Each symbol is compressed once per D as label blocks (``_symbol_blocks``),
-    and [S_a, S_b*] is formed from them and taken over the runs of labels it
-    is block-diagonal on (``_label_runs``).
+    Each symbol is compressed once as label blocks (``_symbol_blocks``), and
+    [S_a, S_b*] is formed from them and taken over the runs of labels it is
+    block-diagonal on (``_label_runs``).  A commutator whose entries or
+    squared Frobenius norm (the p = 2 cell squared) overflow to inf or NaN
+    raises :class:`NonFiniteValue`.
     """
-    generators, symbols = tuple(generators), list(symbols)
+    symbols, basis = list(symbols), model.basis
     if not symbols:
         raise ValidationError("need at least one symbol")
+    D = basis.max_degree
     w = window if window is not None else max(s.degree() for s in symbols) + 1
+    starts, denominators = model.label_starts, {}
+    compressed = [_symbol_blocks(model, s, denominators)[1] for s in symbols]
     rows: list[ProfileRow] = []
-    for D in degree_list:
-        basis = cached_truncated_basis(dom, lam, D, cache_dir)
-        model = quotient_model(basis, generators)
-        starts = model.label_starts
-        denominators = {}
-        compressed = [_symbol_blocks(model, s, denominators)[1] for s in symbols]
-        for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
-            # complex products whether the blocks are stored real or complex
-            sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in compressed[j].items()}
+    for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
+        # complex products whether the blocks are stored real or complex
+        sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in compressed[j].items()}
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises just below
             comm = dict(_label_commutator(compressed[i], sb))
-            full, windowed = _run_spectra(_label_runs(comm, starts), starts, D - w, p_values)
-            for p in p_values:
-                rows.append(
-                    ProfileRow(
-                        dom.label(),
-                        lam,
-                        D,
-                        family,
-                        symbols[i].label(),
-                        symbols[j].label(),
-                        float(p),
-                        _spectra_norm(full, p),
-                        _spectra_norm(windowed, p),
-                        model.dim_quotient,
-                    )
-                )
+            squares = sum(np.vdot(c, c).real for c in comm.values())  # also inf at an inf entry
+        names = (symbols[i].label(), symbols[j].label())
+        if not np.isfinite(squares):
+            raise NonFiniteValue(f"commutator [{names[0]}, {names[1]}*] overflows at D {D}")
+        full, windowed = _run_spectra(_label_runs(comm, starts), starts, D - w, p_values)
+        rows += [
+            ProfileRow(
+                basis.dom.label(), basis.lam, D, family, *names, float(p),
+                _spectra_norm(full, p), _spectra_norm(windowed, p), model.dim_quotient,
+            )
+            for p in p_values
+        ]
     return rows

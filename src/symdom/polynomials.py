@@ -18,8 +18,6 @@ from .errors import ValidationError
 
 MultiIndex = tuple[int, ...]
 
-_COEFF_CUTOFF = 0.0  # exact zeros are dropped, nothing else
-
 
 def _clean(terms: Mapping[MultiIndex, complex]) -> dict[MultiIndex, complex]:
     out: dict[MultiIndex, complex] = {}

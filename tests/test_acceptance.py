@@ -5,6 +5,7 @@ Each test prints exactly one summary line, `criterion N: PASS ...` or
 runtime budget assert the measured wall time as part of the check.
 """
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -280,10 +281,13 @@ def test_criterion_09_windowed_schatten_stabilization():
         mob = mobius_rational_components(BALL2, np.array([0.4, 0.0]))
         worst_rel = 0.0
         for gens in ([Z1], [Z1 * Z2]):
+            models = [quotient_model(truncated_basis(BALL2, 3.0, d), gens) for d in degrees]
             for family, symbols in (("coordinates", coords), ("mobius", mob)):
-                rows = essential_normality_profile(
-                    BALL2, 3.0, gens, symbols, [3.0], degrees, family=family
-                )
+                rows = [
+                    r
+                    for model in models
+                    for r in essential_normality_profile(model, symbols, [3.0], family=family)
+                ]
                 per_cell: dict[tuple, dict[int, float]] = {}
                 for r in rows:
                     assert np.isfinite(r.schatten_windowed)
@@ -297,13 +301,10 @@ def test_criterion_09_windowed_schatten_stabilization():
                     assert rel <= 0.05
                     worst_rel = max(worst_rel, rel)
         mob0 = mobius_rational_components(BALL2, np.zeros(2))
-        for gens in ([Z1], [Z1 * Z2]):
-            a = essential_normality_profile(
-                BALL2, 3.0, gens, coords, [3.0], [8, 12], family="coordinates"
-            )
-            b = essential_normality_profile(
-                BALL2, 3.0, gens, mob0, [3.0], [8, 12], family="mobius"
-            )
+        for gens, d in itertools.product(([Z1], [Z1 * Z2]), (8, 12)):
+            model = quotient_model(truncated_basis(BALL2, 3.0, d), gens)
+            a = essential_normality_profile(model, coords, [3.0], family="coordinates")
+            b = essential_normality_profile(model, mob0, [3.0], family="mobius")
             for ra, rb in zip(a, b):
                 assert abs(ra.schatten_full - rb.schatten_full) <= 1e-12
                 assert abs(ra.schatten_windowed - rb.schatten_windowed) <= 1e-12

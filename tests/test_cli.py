@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from symdom import koszul
+from symdom import cli, koszul
 from symdom.cli import FIELDS, main, normalize_config, summary_path_for
 from symdom.domains import DomainSpec
 from symdom.kernels import cache_key, gram_block, load_basis, save_basis
@@ -422,6 +423,34 @@ def test_invariance_permissive_quadratic_scaling(tmp_path):
         assert abs(float(b[7]) - 0.25 * float(a[7])) < 1e-12
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_invariance_builds_one_model_per_degree(tmp_path, monkeypatch, jobs):
+    # two families at D [4, 6]: each D's basis and model are built once and
+    # read by both families
+    built = {"basis": [], "model": []}
+    basis_of, model_of = cli.cached_truncated_basis, cli.quotient_model
+
+    def counted_basis(dom, lam, d_trunc, **kwargs):
+        built["basis"].append(d_trunc)
+        return basis_of(dom, lam, d_trunc, **kwargs)
+
+    def counted_model(basis, generators):
+        built["model"].append(basis.max_degree)
+        return model_of(basis, generators)
+
+    monkeypatch.setattr(cli, "cached_truncated_basis", counted_basis)
+    monkeypatch.setattr(cli, "quotient_model", counted_model)
+    out = str(tmp_path / "inv.csv")
+    cfg = write_cfg(tmp_path, "cfg.json", invariance_cfg(out, z0=[0.3, 0.1]))
+    assert main(["invariance", "--config", cfg, "--jobs", jobs]) == 0
+    assert sorted(built["basis"]) == sorted(built["model"]) == [4, 6]
+    body = read_csv(out)[1:]
+    # family-major rows: the coordinates at D 4 and 6, then the Moebius symbols
+    assert [(r[2], r[3][0]) for r in body] == [
+        (str(d), name) for name in "zm" for d in (4, 6) for _ in range(3)
+    ]
+
+
 # ---------------------------------------------------------------------
 # config validation and exit codes
 # ---------------------------------------------------------------------
@@ -524,6 +553,17 @@ def test_non_finite_config_numbers_rejected(tmp_path, capsys, command, cfg, bad)
     path.write_text(json.dumps(cfg).replace('"BAD"', bad))
     assert main([command, "--config", str(path)]) == 2
     assert "config error at" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", [{"kind": "ball", "n": 2}, {"kind": "polydisc", "n": 2}])
+def test_calculus_huge_level_is_a_prompt_config_error(tmp_path, capsys, domain):
+    # the node cap is decided on the level itself, before 2**level is formed
+    cfg = write_cfg(tmp_path, "cfg.json", {"domain": domain, "level": 10**9})
+    start = time.perf_counter()
+    assert main(["calculus", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error at 'level'" in err and "rule too large at this level" in err
 
 
 def test_calculus_level_zero_is_config_error(tmp_path, capsys):
@@ -641,6 +681,37 @@ def test_input_too_large_for_memory_is_an_error_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+MB22_Z11 = {
+    "domain": {"kind": "matrixball", "n": 2, "r": 2},
+    "generators": [{"nvars": 4, "terms": {"1,0,0,0": 1.0}}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("kernel", kernel_cfg(None, **{"lambda": 100000})),
+        ("kernel", kernel_cfg(None, **{"lambda": 100000.5})),
+        ("invariance", invariance_cfg(None, **{"lambda": 1e300})),
+        ("spectrum", {**MB22_Z11, "lambda": 1e300, "tuple": {"kind": "model", "D": 6}, "points": [[0, 0, 0, 0]]}),
+        ("invariance", invariance_cfg(None, permissive={"c": 1e200})),
+        ("invariance", invariance_cfg(None, permissive={"c": 1e120})),
+    ],
+    ids=[
+        "kernel-integral-weight", "kernel-weight", "series", "spectrum-series", "commutator",
+        "commutator-norm",
+    ],
+)
+def test_finite_inputs_past_the_float_range_are_guard_exits(tmp_path, capsys, command, cfg):
+    # a value that overflows to inf or NaN exits 3 with one line, and
+    # writes no CSV of inf or nan cells
+    out = str(tmp_path / "out.csv")
+    assert main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg), "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteValue: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 def diagonal_spectrum_cfg(n, **scan):

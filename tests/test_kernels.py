@@ -15,6 +15,7 @@ from symdom import kernels
 from symdom.domains import DomainSpec, generic_poly_terms
 from symdom.errors import (
     BranchCutError,
+    NonFiniteValue,
     NotAModuleWeight,
     ValidationError,
 )
@@ -332,6 +333,23 @@ def test_kernel_eval_branch_guard():
     # Delta = (1-3)(1-0) = -2: fractional power has no principal value
     with pytest.raises(BranchCutError):
         kernel_eval(MB22, 2.5, np.array([3.0, 0, 0, 0.0]), np.array([1.0, 0, 0, 1.0]))
+
+
+@pytest.mark.parametrize("lam", [100000.0, 100000.5])
+def test_kernel_eval_overflow_is_a_guard(lam):
+    # |Delta| = 0.82 at this pair: Delta^(-lam) is past the float range on
+    # both the integral and the principal-branch route
+    z, w = np.array([0.3, 0.0]), np.array([0.6, 0.0])
+    assert abs(kernel_eval(BALL2, 1000.5, z, w)) < math.inf
+    with pytest.raises(NonFiniteValue, match="overflows at lambda"):
+        kernel_eval(BALL2, lam, z, w)
+
+
+def test_series_overflow_is_a_guard():
+    # (lam)_2 / 2 = 5e599 for lam = 1e300: C_2 is the first block past the float range
+    assert np.isfinite(kernel_series(BALL2, 1e300, 1)[1].coeffs).all()
+    with pytest.raises(NonFiniteValue, match="C_2 overflows"):
+        kernel_series(BALL2, 1e300, 4)
 
 
 def test_partial_sums_converge_to_kernel(rng):

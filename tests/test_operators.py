@@ -38,7 +38,6 @@ from symdom.operators import (
     permissive_transform,
     quotient_model,
     schatten_norm,
-    whole_space_model,
 )
 from symdom.polynomials import Polynomial
 from symdom.sampling import random_point
@@ -49,6 +48,17 @@ POLY2 = DomainSpec.polydisc(2)
 
 Z1 = Polynomial.coordinate(0, 2)
 Z2 = Polynomial.coordinate(1, 2)
+
+
+def ladder(dom, lam, gens, symbols, p_values, degrees, **kwargs):
+    """The profile rows over a ladder of truncation degrees, one model per D."""
+    return [
+        row
+        for d_trunc in degrees
+        for row in essential_normality_profile(
+            quotient_model(truncated_basis(dom, lam, d_trunc), gens), symbols, p_values, **kwargs
+        )
+    ]
 
 
 def windowed_submatrix(mat, labels, max_label):
@@ -327,7 +337,7 @@ def column_degrees(basis, vec):
 
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
-def test_graded_path_matches_filtration_path(dom, lam, d_trunc, monkeypatch, rng):
+def test_graded_path_matches_filtration_path(dom, lam, d_trunc, rng):
     basis = truncated_basis(dom, lam, d_trunc)
     n = dom.dim
     symbols = [Polynomial.coordinate(0, n), Polynomial.coordinate(1, n)]
@@ -343,11 +353,8 @@ def test_graded_path_matches_filtration_path(dom, lam, d_trunc, monkeypatch, rng
         q = graded.quotient_onb
         dense = q.conj().T @ mult_op(basis, f) @ q
         assert np.abs(compress(graded, f) - dense).max(initial=0.0) < 1e-12
-        args = (dom, lam, gens, symbols, [2.0, 3.0], [d_trunc])
-        rows = essential_normality_profile(*args)
-        monkeypatch.setattr(operators, "quotient_model", _filtration_model)
-        reference = essential_normality_profile(*args)
-        monkeypatch.undo()
+        rows = essential_normality_profile(graded, symbols, [2.0, 3.0])
+        reference = essential_normality_profile(filtered, symbols, [2.0, 3.0])
         for a, b in zip(rows, reference, strict=True):
             assert a.dim_quotient == b.dim_quotient
             assert abs(a.schatten_full - b.schatten_full) < 1e-10
@@ -500,7 +507,7 @@ def test_class_group_complement_is_the_per_degree_route(dom, lam, d_trunc):
         for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
             ambient = q @ want @ q.conj().T
             assert np.abs(qm @ s @ qm.conj().T - ambient).max(initial=0.0) < 1e-12, name
-        rows = essential_normality_profile(dom, lam, gens, coords, ps, [d_trunc])
+        rows = essential_normality_profile(model, coords, ps)
         pairs = [(i, j) for i in range(dom.dim) for j in range(i, dom.dim)]
         for row, ((i, j), p) in zip(rows, itertools.product(pairs, ps), strict=True):
             comm = cross_commutator(tuple_oracle[i], tuple_oracle[j])
@@ -555,7 +562,7 @@ def test_empty_complement_degrees():
     assert np.array_equal(model.degree_labels, labels)
     for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
         assert s.shape == (1, 1) and np.array_equal(s, want)
-    rows = essential_normality_profile(BALL2, 2.0, gens, [Z1, Z2], [1.0, 2.0, np.inf], [4])
+    rows = essential_normality_profile(model, [Z1, Z2], [1.0, 2.0, np.inf])
     assert rows and all(r.schatten_full == 0.0 == r.schatten_windowed for r in rows)
 
 
@@ -615,7 +622,7 @@ def test_coordinate_profile_never_reads_the_dense_tuple(monkeypatch):
     z = [Polynomial.coordinate(i, 4) for i in range(4)]
     symbols = z + [z[1] * 0.5 + Polynomial.constant(4, 0.2j)]
     for gens in ([z[0]], [z[0] + z[3]], [], [z[0] + z[1] * z[1]]):
-        rows = essential_normality_profile(dom, 2.5, gens, symbols, [2.0, 3.0], [3, 5])
+        rows = ladder(dom, 2.5, gens, symbols, [2.0, 3.0], [3, 5])
         assert rows
     with pytest.raises(AssertionError, match="dense tuple"):
         quotient_model(truncated_basis(dom, 2.5, 3), [z[0]]).tuple_mats
@@ -846,7 +853,7 @@ def test_product_identity_on_every_column(rng):
 
 def test_compress_rational_trivial_cases(rng):
     basis = truncated_basis(BALL1, 1.0, 8)
-    model = whole_space_model(basis)
+    model = quotient_model(basis, ())
     q = Polynomial.constant(1, 1.0) + Polynomial.coordinate(0, 1) * (-0.5)
     same = compress_rational(model, q, q)
     assert np.abs(same - np.eye(model.dim_quotient)).max() < 1e-10
@@ -859,7 +866,7 @@ def test_compress_rational_mobius_contraction():
     # disc automorphism symbols compress to contractions with spectrum {-z0};
     # the internal denominator solve stays well conditioned up to |z0| = 0.7
     basis = truncated_basis(BALL1, 1.0, 10)
-    model = whole_space_model(basis)
+    model = quotient_model(basis, ())
     z = Polynomial.coordinate(0, 1)
     for z0 in (0.3, 0.5, 0.7):
         p = z + Polynomial.constant(1, -z0)
@@ -880,7 +887,7 @@ def test_denominator_samples_are_drawn_once_per_domain(monkeypatch):
     closed_domain_samples = operators.closed_domain_samples
     monkeypatch.setattr(operators, "closed_domain_samples", counting)
     operators._denominator_samples.cache_clear()
-    model = whole_space_model(truncated_basis(BALL1, 1.0, 6))
+    model = quotient_model(truncated_basis(BALL1, 1.0, 6), ())
     z = Polynomial.coordinate(0, 1)
     q = Polynomial.constant(1, 1.0) + z * (-0.3)
     compress_rational(model, z, q)
@@ -930,7 +937,7 @@ def test_mobius_profile_guards_each_denominator_once_per_model(monkeypatch):
         monkeypatch.setattr(operators, name, lambda *args: pytest.fail("dense route"))
     monkeypatch.setattr(Polynomial, "eval_batch", counted_eval)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    rows = essential_normality_profile(dom, 2.5, [Polynomial.coordinate(0, 4)], symbols, [2.0], [4, 6])
+    rows = ladder(dom, 2.5, [Polynomial.coordinate(0, 4)], symbols, [2.0], [4, 6])
     monkeypatch.undo()
     assert len(rows) == 2 * 10
     nq = [35, 84]  # sum over d <= D of (d + 1)(d + 2) / 2
@@ -940,7 +947,7 @@ def test_mobius_profile_guards_each_denominator_once_per_model(monkeypatch):
 
 def test_compress_rational_vanishing_denominator():
     basis = truncated_basis(BALL1, 1.0, 6)
-    model = whole_space_model(basis)
+    model = quotient_model(basis, ())
     q = Polynomial.constant(1, 1.0) + Polynomial.coordinate(0, 1) * (-1.0)
     with pytest.raises(DenominatorVanishes):
         compress_rational(model, Polynomial.constant(1, 1.0), q)
@@ -1013,7 +1020,16 @@ def test_schatten_norm_rejects_p_below_one():
         with pytest.raises(ValidationError, match="p >= 1"):
             schatten_norm(np.eye(3), p)
         with pytest.raises(ValidationError, match="p >= 1"):
-            essential_normality_profile(BALL2, 2.0, [Z1], [Z1, Z2], [2.0, p], [4])
+            ladder(BALL2, 2.0, [Z1], [Z1, Z2], [2.0, p], [4])
+
+
+def test_schatten_norm_at_large_p_is_the_top_singular_value():
+    # sum(sv**p) underflows past p of a few hundred; scaled by the largest
+    # singular value it tends to it, as the p-norms do
+    x = np.diag([0.3, 0.2])
+    for p in (600.0, 1000.0, 1e300):
+        assert schatten_norm(x, p) == 0.3 == schatten_norm(x, np.inf)
+    assert schatten_norm(np.zeros((2, 2)), 1000.0) == 0.0
 
 
 def test_schatten_adjoint_symmetry(rng):
@@ -1114,7 +1130,7 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
                 assert np.abs(compress(model, f) - want).max() < 1e-12
             for name in ("mult_op", "_dense_block"):
                 monkeypatch.setattr(operators, name, no_dense)
-            rows = essential_normality_profile(dom, lam, gens, symbols, SCHATTEN_PS, [d_trunc])
+            rows = essential_normality_profile(quotient_model(basis, gens), symbols, SCHATTEN_PS)
             monkeypatch.undo()
             pairs = [(i, j) for i in range(n) for j in range(i, n)]
             assert len(rows) == len(pairs) * len(SCHATTEN_PS)
@@ -1137,8 +1153,6 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
     d_trunc, gens = 6, [Z1 * Z2]
     basis = truncated_basis(BALL2, 2.0, d_trunc)
     model = quotient_model(basis, gens)  # nonempty in every degree
-    monkeypatch.setattr(operators, "cached_truncated_basis", lambda *args: basis)
-    monkeypatch.setattr(operators, "quotient_model", lambda *args: model)
     calls = []
     svd = np.linalg.svd
 
@@ -1150,13 +1164,13 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
     # one SVD per label block, shared by the window, for the coordinates
     # and for their squares, whose commutators are block-diagonal by label too
     for symbols in ([Z1, Z2], [Z1 * Z1, Z2 * Z2]):
-        essential_normality_profile(BALL2, 2.0, gens, symbols, p_values, [d_trunc])
+        essential_normality_profile(model, symbols, p_values)
         assert len(calls) == 3 * (d_trunc + 1) * per_matrix
         calls.clear()
     # Moebius symbols fill every lower label block: one run, its SVD and its
     # window's, and one condition SVD of the denominator the two share
     mobius = mobius_rational_components(BALL2, [0.3, 0.1])
-    essential_normality_profile(BALL2, 2.0, gens, mobius, p_values, [d_trunc])
+    essential_normality_profile(model, mobius, p_values)
     assert len(calls) == 3 * 2 * per_matrix + 1
 
 
@@ -1193,13 +1207,11 @@ def test_profile_rejects_symbols_in_other_variables():
     z1 = Polynomial.coordinate(0, 3)
     for symbols in ([z1], [z1 * z1]):
         with pytest.raises(ValidationError, match="symbol in 3 variables"):
-            essential_normality_profile(BALL2, 2.0, [Z1], symbols, [2.0], [4])
+            ladder(BALL2, 2.0, [Z1], symbols, [2.0], [4])
 
 
 def test_profile_constant_symbol_vanishes():
-    rows = essential_normality_profile(
-        BALL2, 2.0, [Z1], [Polynomial.constant(2, 1.0)], [2.0], [4, 6]
-    )
+    rows = ladder(BALL2, 2.0, [Z1], [Polynomial.constant(2, 1.0)], [2.0], [4, 6])
     assert rows
     for row in rows:
         assert row.schatten_full == 0.0
@@ -1207,16 +1219,14 @@ def test_profile_constant_symbol_vanishes():
 
 
 def test_profile_disc_full_module_frozen():
-    rows = essential_normality_profile(
-        BALL1, 1.0, [], [Polynomial.coordinate(0, 1)], [1.0], [6, 10]
-    )
+    rows = ladder(BALL1, 1.0, [], [Polynomial.coordinate(0, 1)], [1.0], [6, 10])
     for row in rows:
         assert abs(row.schatten_full - 2.0) < 1e-12
         assert abs(row.schatten_windowed - 1.0) < 1e-12
 
 
 def test_profile_regression_anchor():
-    rows = essential_normality_profile(BALL2, 3.0, [Z1], [Z1, Z2], [3.0], [8])
+    rows = ladder(BALL2, 3.0, [Z1], [Z1, Z2], [3.0], [8])
     cells = {(r.symbol_i, r.symbol_j): r for r in rows}
     assert cells[("z2", "z2")].dim_quotient == 9
     assert abs(cells[("z2", "z2")].schatten_windowed - 0.35071399842643397) < 1e-9

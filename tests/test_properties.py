@@ -5,13 +5,10 @@ Schatten cells of the coordinate and Moebius symbols; on either path the
 label-block compressions of polynomial and rational symbols are the dense
 sandwich Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse."""
 
-from unittest import mock
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdom import operators
 from symdom.calculus import mobius_rational_components
 from symdom.domains import DomainSpec
 from symdom.kernels import multi_indices, truncated_basis
@@ -99,12 +96,8 @@ def test_graded_and_filtration_paths_agree_on_invariant_submodules(case):
 def test_graded_and_filtration_paths_give_the_same_coordinate_cells(case):
     # both read [S_i, S_j*] from the label blocks: one label per run on the
     # graded path, one run cut by the window on the filtration path
-    dom, lam, d_trunc, gens = case
-    z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
-    args = (dom, lam, gens, z, P_VALUES, [d_trunc])
-    graded = essential_normality_profile(*args)
-    with mock.patch.object(operators, "quotient_model", _filtration_model):
-        filtered = essential_normality_profile(*args)
+    z = [Polynomial.coordinate(i, case[0].dim) for i in range(case[0].dim)]
+    graded, filtered = (essential_normality_profile(m, z, P_VALUES) for m in both_paths(case)[1])
     assert len(graded) == len(filtered) > 0
     for a, b in zip(graded, filtered):
         assert a.dim_quotient == b.dim_quotient
@@ -150,12 +143,11 @@ def test_compress_rational_is_the_dense_inverse_route(data):
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(st.data())
 def test_graded_and_filtration_paths_give_the_same_mobius_cells(data):
-    dom, lam, d_trunc, gens = data.draw(quotient_cases())
+    case = data.draw(quotient_cases())
+    dom = case[0]
     z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
-    args = (dom, lam, gens, mobius_rational_components(dom, z0), P_VALUES, [d_trunc])
-    graded = essential_normality_profile(*args)
-    with mock.patch.object(operators, "quotient_model", _filtration_model):
-        filtered = essential_normality_profile(*args)
+    symbols = mobius_rational_components(dom, z0)
+    graded, filtered = (essential_normality_profile(m, symbols, P_VALUES) for m in both_paths(case)[1])
     assert len(graded) == len(filtered) > 0
     for a, b in zip(graded, filtered):
         assert a.dim_quotient == b.dim_quotient
