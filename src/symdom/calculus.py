@@ -9,16 +9,16 @@ Two routes to f(T) are implemented and played against each other:
 The Szegoe kernel Delta(T, node)^{-n/r} depends only on the tuple and the
 node, so it is built once per tuple and node and shared by every polynomial
 and by the error estimate, whose rule is a subset of the same nodes.  It is
-built in a simultaneous Schur basis of the tuple, where every node's
-I - sum conj(node_i) T_i is upper triangular up to the triangularization
-defect: chunks of 2048 nodes are factored by one unpivoted LU vectorized
-over the node axis, in buffers allocated once per tuple and reused by every
-chunk, and each quadrature total is rotated back once.
+built from the terms of Delta in a simultaneous Schur basis of the tuple,
+where every node's Delta(T, node) is upper triangular up to the
+triangularization defect: chunks of 2048 nodes are factored by one unpivoted
+LU vectorized over the node axis and solved n/r times, in buffers allocated
+once per tuple and reused by every chunk; each total is rotated back once.
 
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
-transformations of tuples through their rational component symbols.  Both
-read the one expansion of Delta: the series its homogeneous parts in z, the
+transformations of tuples through their rational component symbols.  All
+read the one expansion of Delta: the kernels its terms at the tuple, the
 Moebius symbols q(w) = det(I + w z0*) = Delta(w, -z0) and, by Jacobi's
 formula, adj(I + w z0*) w = -grad_{conj u} Delta(w, u) at u = -z0.
 """
@@ -411,46 +411,55 @@ def series_calculus(mats, f: Polynomial) -> np.ndarray:
     return out
 
 
-def _szegoe_batch(
-    dom: DomainSpec, rotated: np.ndarray, nodes: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Delta(R, node)^{-n/r} for a batch of N boundary nodes, shape (h, h, N).
+def _delta_factors(dom: DomainSpec, mats) -> list[tuple[list, np.ndarray]]:
+    """Delta(T, w) as a product of factors I + sum_(beta != 0) conj(w)^beta
+    P_beta(T) from ``generic_poly_terms``: per factor the support of each beta
+    and the (h, h, K) stack of the P_beta(T).  Ball and matrix ball take their
+    whole table (on the ball P_(e_k) = -T_k); the polydisc, whose table has
+    2^n - 1 terms, one disc factor Delta(T_k, w_k) per coordinate."""
+    if dom.kind == "polydisc":
+        return [([[k]], _delta_factors(DomainSpec.ball(1), [m])[0][1]) for k, m in enumerate(mats)]
+    parts: dict = {}
+    for (alpha, beta), coeff in generic_poly_terms(dom).items():
+        if any(beta):
+            parts.setdefault(beta, {})[alpha] = coeff
+    blocks = [Polynomial(dom.dim, p).eval_tuple(mats) for p in parts.values()]
+    return [([[i for i, b in enumerate(beta) if b] for beta in parts], np.stack(blocks, axis=-1))]
 
-    ``rotated`` is the tuple R_k = Z* T_k Z in a simultaneous Schur basis Z,
-    stacked as (h, h, n).  The Hardy exponent n/r is an integer for every
-    quadrature-supported family.  Each node's I - sum conj(node_k) R_k (one
-    factor per coordinate on the polydisc) is upper triangular up to the
-    triangularization defect, with diagonal 1 - <eigenvalue, node> bounded
-    away from 0 by an interior spectrum, so an unpivoted LU, vectorized over
-    the trailing node axis, factors it stably; the strict lower part is kept,
-    so the result is exact to rounding.  The ball solves against I n/r
-    times; the polydisc once per factor.  The first solve is against I, so
-    its forward pass only touches the columns of L^{-1} I that are not zero.
 
-    ``work`` holds three complex (h * h, >= N) buffers: the factored base,
-    the right-hand side and a scratch array that takes every rank-one update
-    before it is subtracted in place.  The batch overwrites their first N
-    columns and returns a view of the right-hand side's, so a caller that
-    passes the same ``work`` for every chunk of a rule allocates nothing per
-    chunk, and the short last chunk takes slices of the same buffers.
+def _szegoe_batch(factors: list, power: int, nodes: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Delta(R, node)^{-power} for a batch of N boundary nodes, shape (h, h, N).
+
+    ``factors`` is ``_delta_factors`` of R_k = Z* T_k Z in a simultaneous
+    Schur basis Z and ``power`` the Hardy exponent n/r.  The first factor is
+    one (h^2, K) by (K, N) product per batch; each further one multiplies it
+    from the right.  Delta(R, node) is upper triangular up to the
+    triangularization defect, with diagonal Delta(eigenvalue, node) away from
+    0, so one unpivoted LU over the node axis factors it stably and exactly
+    to rounding (the strict lower part is kept).  It is solved ``power``
+    times, first against I, whose forward pass skips L^{-1}'s zero columns.
+
+    ``work`` holds three complex (h * h, >= N) buffers, overwritten in their
+    first N columns and reused by every chunk: the factored base, the
+    right-hand side (the result is a view of it) and a scratch array.
     """
-    h, _, n = rotated.shape
-    count = nodes.shape[0]
+    (picks, blocks), *rest = factors
+    h, count = blocks.shape[0], nodes.shape[0]
     base, out, scratch = (w[:, :count].reshape(h, h, count) for w in work)
     eye = np.eye(h, dtype=complex)[:, :, None]
-    conj_nodes = np.conj(nodes).T
+    conj = np.conj(nodes).T
+    monomials = np.array([conj[pick].prod(axis=0) for pick in picks])
+    np.matmul(blocks.reshape(h * h, len(picks)), monomials, out=work[0, :, :count])
+    np.add(eye, base, out=base)
+    for picks, blocks in rest:  # base <- base @ factor; row i of base @ P_beta is P_beta^T base[i]
+        for pick, block in zip(picks, np.moveaxis(blocks, 2, 0)):
+            np.matmul(block.T, base, out=scratch)
+            scratch *= conj[pick].prod(axis=0)
+            base += scratch
+    pivots = _lu_in_place(base, scratch)
     np.copyto(out, eye)
-    if dom.kind == "ball":
-        np.matmul(rotated.reshape(h * h, n), conj_nodes, out=work[0, :, :count])
-        np.subtract(eye, base, out=base)
-        pivots = _lu_in_place(base, scratch)
-        for power in range(round(dom.hardy_weight)):
-            _lu_solve_in_place(base, pivots, out, scratch, identity=power == 0)
-        return out
-    for k in reversed(range(n)):
-        np.multiply(rotated[:, :, k, None], conj_nodes[k], out=base)
-        np.subtract(eye, base, out=base)
-        _lu_solve_in_place(base, _lu_in_place(base, scratch), out, scratch, identity=k == n - 1)
+    for k in range(power):
+        _lu_solve_in_place(base, pivots, out, scratch, identity=k == 0)
     return out
 
 
@@ -542,15 +551,15 @@ def _quadrature_sum(
 
     Returns two (P, h, h) stacks, one matrix per polynomial.  The sums run in
     the simultaneous Schur basis Z of the spectrum guard's first draw, passed
-    as ``draw`` = (Z, Z* T_i Z): each chunk of nodes gets
-    one kernel batch of the rotated tuple, in the one work array every chunk
-    reuses, and one (2P, chunk) coefficient
-    block (full weights, then the estimate rule's equal weights on its nodes,
-    times the values f(node)), accumulated with one matrix product, and each
-    total S is rotated back once as Z S Z*.
+    as ``draw`` = (Z, Z* T_i Z).  The rotated tuple's Delta factors are
+    built once; each chunk of nodes gets one kernel batch from them, in the
+    one work array every chunk reuses, and one (2P, chunk) coefficient block
+    (full weights, then the estimate rule's equal weights on its nodes, times
+    the values f(node)), accumulated with one matrix product, and each total
+    S is rotated back once as Z S Z*.
     """
     basis, rotated = draw
-    rotated = np.stack(rotated, axis=-1)
+    factors, power = _delta_factors(dom, rotated), round(dom.hardy_weight)
     h = basis.shape[0]
     count = len(polys)
     estimate_weight = 1.0 / estimate.size
@@ -558,7 +567,7 @@ def _quadrature_sum(
     work = np.empty((3, h * h, min(_CHUNK, nodes.shape[0])), dtype=complex)
     for start in range(0, nodes.shape[0], _CHUNK):
         stop = min(start + _CHUNK, nodes.shape[0])
-        kernel = _szegoe_batch(dom, rotated, nodes[start:stop], work).reshape(h * h, stop - start)
+        kernel = _szegoe_batch(factors, power, nodes[start:stop], work).reshape(h * h, stop - start)
         values = np.array([f.eval_batch(nodes[start:stop]) for f in polys])
         coeff = np.zeros((2 * count, stop - start), dtype=complex)
         coeff[:count] = weights[start:stop] * values

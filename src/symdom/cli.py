@@ -359,9 +359,9 @@ def normalize_config(cfg: dict, command: str) -> dict:
             raise _error("lambda", "required field is missing")
         if not classify_weight(lam, dom).is_module_weight:
             raise _error("lambda", f"{lam} is not a continuous-class weight for {dom.label()}")
-    repeated = [d for i, d in enumerate(d_list or []) if d in d_list[:i]]
-    if repeated:  # each degree would write its rows twice
-        raise _error("D_list", f"duplicate degree {repeated[0]}")
+    for key, what in (("D_list", "degree"), ("families", "family"), ("p_values", "p")):
+        if repeated := [v for i, v in enumerate(out.get(key) or []) if v in out[key][:i]]:
+            raise _error(key, f"duplicate {what} {repeated[0]}")  # it would write rows twice
     top = max((_poly(g).degree() for g in out.get("generators", [])), default=0)
     if d_list is not None and top > min(d_list):
         raise _error("generators", f"max generator degree {top} exceeds min(D_list) = {min(d_list)}")

@@ -12,6 +12,7 @@ from symdom import calculus, koszul
 from symdom.calculus import (
     _CHUNK,
     _delta_expansion,
+    _delta_factors,
     _ndtri,
     _quadrature_sum,
     _SOBOL_BITS,
@@ -480,7 +481,8 @@ def test_szegoe_batch_keeps_the_lower_part(dom, level, rng):
     mats = [0.4 * t / np.linalg.norm(t, 2) for t in random_commuting_tuple(dom.dim, 5, rng)]
     nodes = shilov_quadrature(dom, level).nodes
     work = np.empty((3, 25, nodes.shape[0]), dtype=complex)
-    got = np.moveaxis(_szegoe_batch(dom, np.stack(mats, axis=-1), nodes, work), 2, 0)
+    factors = _delta_factors(dom, mats)
+    got = np.moveaxis(_szegoe_batch(factors, round(dom.hardy_weight), nodes, work), 2, 0)
     want = _dense_szegoe_batch(dom, mats, nodes)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -493,9 +495,10 @@ def _nilpotent_quotient_model():
 
 
 def _szegoe_tuple_pairs(dom, rng):
-    # two tuples of each size, h = 1, 5 and 17, in the Schur basis the sums use
+    # two tuples of each size, h = 1, 5 and 17, in the Schur basis the sums
+    # use, each with its Delta factors
     s1, s2 = _nilpotent_quotient_model()
-    nilpotent = [s1, s2, s1 @ s1][: dom.dim]
+    nilpotent = [s1, s2, s1 @ s1, s2 @ s2][: dom.dim]
     for mats in (
         _scaled_into_ball(random_commuting_tuple(dom.dim, 1, rng), dom, 0.7),
         _scaled_into_ball(random_commuting_tuple(dom.dim, 1, rng), dom, 0.7),
@@ -504,27 +507,32 @@ def _szegoe_tuple_pairs(dom, rng):
         [0.3 * m for m in nilpotent],
         [0.2 * m for m in nilpotent],
     ):
-        yield koszul._joint_eigenvalues_and_draw(mats)[1][1]
+        rotated = koszul._joint_eigenvalues_and_draw(mats)[1][1]
+        yield rotated, _delta_factors(dom, rotated)
 
 
 @pytest.mark.parametrize(
-    "dom, level", [(BALL2, 1), (BALL3, 1), (POLY2, 6)], ids=["ball2", "ball3", "polydisc2"]
+    "dom, level",
+    [(BALL2, 1), (BALL3, 1), (DomainSpec.ball(4), 1), (POLY2, 6), (POLY3, 4)],
+    ids=["ball2", "ball3", "ball4", "polydisc2", "polydisc3"],
 )
 def test_szegoe_batch_matches_dense_inverse_powers(dom, level, rng):
     # _CHUNK + 1000 nodes: one full chunk and a short one, as _quadrature_sum
     # runs them, through one work array per size that starts as NaN and
-    # serves two tuples in a row
+    # serves two tuples in a row; ball4 solves four times per node, and
+    # polydisc3 multiplies three disc factors before its one LU
     nodes = shilov_quadrature(dom, level).nodes[: _CHUNK + 1000]
+    assert nodes.shape[0] == _CHUNK + 1000
+    power = round(dom.hardy_weight)
     works = {}
     sizes = []
-    for rotated in _szegoe_tuple_pairs(dom, rng):
+    for rotated, factors in _szegoe_tuple_pairs(dom, rng):
         h = rotated[0].shape[0]
         sizes.append(h)
-        stacked = np.stack(rotated, axis=-1)
 
         def chunked(work):
             return np.concatenate([
-                _szegoe_batch(dom, stacked, nodes[start:start + _CHUNK], work).copy()
+                _szegoe_batch(factors, power, nodes[start:start + _CHUNK], work).copy()
                 for start in range(0, nodes.shape[0], _CHUNK)
             ], axis=2)
 
@@ -536,9 +544,45 @@ def test_szegoe_batch_matches_dense_inverse_powers(dom, level, rng):
         assert gap <= 1e-13, (h, gap)
         # one batch over all nodes, in a work array of their width
         wide = np.empty((3, h * h, nodes.shape[0]), dtype=complex)
-        alone = _szegoe_batch(dom, stacked, nodes, wide)
+        alone = _szegoe_batch(factors, power, nodes, wide)
         assert np.abs(alone - want).max() <= 1e-13 * np.abs(want).max()
     assert sizes == [1, 1, 5, 5, 17, 17]
+
+
+@pytest.mark.parametrize("dom", [BALL3, POLY3, MB22, MB23], ids=lambda d: d.label())
+def test_delta_factors_are_triangular_with_delta_of_the_eigenvalues(dom, rng):
+    # T_k = p_k(U) for one upper-triangular seed U commute, stay upper
+    # triangular and have the joint eigenvalues lambda_i = (p_k(U_ii))_k, so
+    # the product of the Delta factors, Delta(T, w), is upper triangular
+    # with diagonal Delta(lambda_i, w)
+    h = 6
+    seed = np.triu(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))) / 3
+    powers = [np.eye(h), seed, seed @ seed]
+    coeffs = (rng.standard_normal((dom.dim, 3)) + 1j * rng.standard_normal((dom.dim, 3))) / 3
+    mats = [sum(c * p for c, p in zip(row, powers)) for row in coeffs]
+    factors = _delta_factors(dom, mats)
+    for _ in range(3):
+        w = rng.standard_normal(dom.dim) + 1j * rng.standard_normal(dom.dim)
+        delta = np.eye(h)
+        for picks, blocks in factors:
+            assert blocks.shape == (h, h, len(picks))
+            monomials = [np.prod(np.conj(w)[pick]) for pick in picks]
+            delta = delta @ (np.eye(h) + blocks @ np.array(monomials))
+        assert np.abs(np.tril(delta, -1)).max() <= 1e-13
+        for i in range(h):
+            want = generic_poly(dom, [m[i, i] for m in mats], w)
+            assert abs(delta[i, i] - want) <= 1e-13 * max(1.0, abs(want)), (i, want)
+
+
+def test_polydisc_delta_factors_grow_linearly_in_n(rng):
+    # the polydisc's own table has 2^n - 1 terms; its kernels take one
+    # single-term disc factor per coordinate instead, -T_k times conj(w_k)
+    dom = DomainSpec.polydisc(20)
+    mats = random_commuting_tuple(dom.dim, 2, rng)
+    factors = _delta_factors(dom, mats)
+    assert [picks for picks, _ in factors] == [[[k]] for k in range(dom.dim)]
+    for (_, blocks), t in zip(factors, mats):
+        assert np.array_equal(blocks[:, :, 0], -t)
 
 
 def test_sphere_rule_peak_memory_is_near_what_it_keeps():

@@ -501,6 +501,23 @@ def test_repeated_degree_is_a_config_error(tmp_path, capsys, command, make_cfg, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, entries, message", [
+    ("families", ["coordinates", "coordinates"], "duplicate family coordinates"),
+    ("families", ["mobius", "coordinates", "mobius"], "duplicate family mobius"),
+    ("p_values", [2, 2.0], "duplicate p 2.0"),
+    ("p_values", [3.0, "Infinity", 1.5, "Infinity"], "duplicate p inf"),
+])
+def test_repeated_family_or_p_is_a_config_error(tmp_path, capsys, key, entries, message):
+    # a repeated family or p would compute every cell again and write its rows twice
+    out = str(tmp_path / "x.csv")
+    text = json.dumps(invariance_cfg(out, **{key: entries})).replace('"Infinity"', "Infinity")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["invariance", "--config", str(cfg)]) == 2
+    assert f"config error at '{key}': {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_generator_degree_exceeds_truncation(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
