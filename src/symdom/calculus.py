@@ -28,6 +28,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,14 +62,15 @@ DENOM_SPECTRUM_MARGIN = 1e-6
 SPHERE_BASE_NODES = 1000
 _CHUNK = 2048  # nodes per kernel batch: (h, h, 2048) stacks stay in cache
 # scipy's Joe-Kuo direction-number table, found without importing scipy;
-# np.load reads it without importing scipy.stats, which would cost more than
-# drawing the points
+# its arrays are streamed out of the zip without importing scipy.stats,
+# which would cost more than drawing the points
 _SOBOL_TABLE = os.path.join(
     importlib.util.find_spec("scipy").submodule_search_locations[0],
     "stats",
     "_sobol_direction_numbers.npz",
 )
 _SOBOL_BITS = 30
+_MAX_TORUS_ENTRIES = 1 << 26  # torus nodes times coordinates: 1 GiB of complex128
 
 
 # ---------------------------------------------------------------------
@@ -128,19 +130,23 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
             "no Shilov quadrature for the matrix ball; use the series calculus"
         )
     if dom.kind == "polydisc" or (dom.kind == "ball" and dom.dim == 1):
-        if level * dom.dim > 24:  # (2^level)^n nodes past 2^24, decided before 2^level is formed
+        n = dom.dim
+        # (2^level)^n nodes past 2^24, or their n coordinates past
+        # _MAX_TORUS_ENTRIES, decided before 2^level is formed
+        if level * n > 24 or n << (level * n) > _MAX_TORUS_ENTRIES:
             raise ValidationError("torus rule too large at this level")
         per_axis = 2**level
         angles = 2.0 * np.pi * np.arange(per_axis) / per_axis
         axes = np.exp(1j * angles)
-        if dom.dim == 1:
-            nodes = axes[:, None]
-        else:
-            grids = np.meshgrid(*([axes] * dom.dim), indexing="ij")
-            nodes = np.column_stack([g.reshape(-1) for g in grids])
+        # the product grid in "ij" order: node (i_1, ..., i_n) has coordinate
+        # k on axis value i_k, written into one array
+        nodes = np.empty((per_axis,) * n + (n,), dtype=complex)
+        for k in range(n):
+            nodes[..., k] = axes.reshape((per_axis,) + (1,) * (n - 1 - k))
+        nodes = nodes.reshape(-1, n)
         weights = np.broadcast_to(1.0 / nodes.shape[0], nodes.shape[:1])
-        grid = np.arange(nodes.shape[0]).reshape((per_axis,) * dom.dim)
-        estimate = grid[(slice(None, None, 2),) * dom.dim].reshape(-1)
+        grid = np.arange(nodes.shape[0]).reshape((per_axis,) * n)
+        estimate = grid[(slice(None, None, 2),) * n].reshape(-1)
         return ShilovQuadrature(dom, level, nodes, weights, estimate)
     if level >= 7:  # 4^level * 1000 nodes past 5_000_000, decided before 4^level is formed
         raise ValidationError("sphere rule too large at this level")
@@ -173,15 +179,16 @@ def _sobol_integers(d: int, count: int) -> np.ndarray:
     built from the Joe-Kuo table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008),
     XORed in Gray-code order (Antonov & Saleev, 1979).
     """
-    with np.load(_SOBOL_TABLE) as table:
-        poly = table["poly"]
-        if d > poly.shape[0]:
+    with zipfile.ZipFile(_SOBOL_TABLE) as table:
+        with table.open("poly.npy") as f:
+            rows, poly = _leading_rows(f, d)
+        if d > rows:
             raise ValidationError(
                 f"the sphere rule needs {d} Sobol dimensions; the direction-number "
-                f"table has {poly.shape[0]}"
+                f"table has {rows}"
             )
-        poly = poly[:d]
-        vinit = table["vinit"][:d].copy()  # a view would hold the whole table
+        with table.open("vinit.npy") as f:
+            vinit = _leading_rows(f, d)[1]
     # row i's primitive polynomial x^m + a_1 x^(m-1) + ... + a_(m-1) x + 1
     # has degree m = bit_length - 1; taps[i, k] is its bit m-1-k, k < m
     degree = np.frexp(poly)[1] - 1
@@ -210,6 +217,31 @@ def _sobol_integers(d: int, count: int) -> np.ndarray:
         np.bitwise_xor(out[filled - step : filled][::-1], v[:, b], out=out[filled : filled + step])
         filled += step
     return out[1:]
+
+
+def _leading_rows(f, d: int) -> tuple[int, np.ndarray]:
+    """The row count of the 1-D or 2-D ``.npy`` array streamed from the
+    open file f, and its first min(d, rows) rows.
+
+    The data is read in the order the header states and only those rows
+    are kept: a Fortran-ordered array one column at a time, so the whole
+    array is never held.
+    """
+    version = np.lib.format.read_magic(f)
+    read_header = {
+        (1, 0): np.lib.format.read_array_header_1_0,
+        (2, 0): np.lib.format.read_array_header_2_0,
+    }[version]
+    shape, fortran_order, dtype = read_header(f)
+    rows, tail = shape[0], shape[1:]
+    keep = min(d, rows)
+    if not fortran_order:
+        out = np.frombuffer(f.read(keep * math.prod(tail) * dtype.itemsize), dtype)
+        return rows, out.reshape((keep,) + tail)
+    out = np.empty((math.prod(tail), keep), dtype)
+    for column in out:
+        column[:] = np.frombuffer(f.read(rows * dtype.itemsize), dtype, count=keep)
+    return rows, out.T.reshape((keep,) + tail)
 
 
 def _dyadic_quantiles(bits: int) -> np.ndarray:

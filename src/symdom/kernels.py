@@ -265,17 +265,25 @@ def _class_entries(dom: DomainSpec, d: int) -> tuple[np.ndarray, np.ndarray, np.
 def _build_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesBlock, ...]:
     n = dom.dim
     delta = _delta_blocks(dom)
+    reach = max(delta, default=0)
     mu = -lam
-    # per degree: (row, column) of each stored entry, and the stack offsets;
-    # raw[d] holds the unsymmetrized entries in the same order
-    entries = [_class_entries(dom, d) for d in range(max_degree + 1)]
-    raw = [np.ones(1)]
+    # per degree: (row, column) of each stored entry and the stack offsets,
+    # held while a later degree still reads them; offsets[d] and raw[d],
+    # the unsymmetrized entries in the same order, for every degree
+    entries = {}
+    offsets, raw = [], [np.ones(1)]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
-        for d in range(1, max_degree + 1):
+        for d in range(max_degree + 1):
+            entries[d] = _class_entries(dom, d)
+            offsets.append(entries[d][2])
+            if d == 0:
+                continue
             where = _class_slots(dom, d)
             sizes = np.array([idx.shape[1] for idx in _weight_classes(dom, d)])
-            offsets = entries[d][2]
-            dest, vals = [], []
+            starts = offsets[d]
+            # a term sends distinct entries to distinct places, so one
+            # indexed add per term counts each of them once
+            acc = np.zeros(starts[-1])
             for j, terms in delta.items():
                 if j > d:
                     continue
@@ -287,19 +295,16 @@ def _build_series(dom: DomainSpec, lam: float, max_degree: int) -> tuple[SeriesB
                     stack, cls, a = where[_shift_positions(n, d - j, alpha)[rows]].T
                     b = where[_shift_positions(n, d - j, beta)[cols], 2]
                     size = sizes[stack]
-                    dest.append(offsets[stack] + (cls * size + a) * size + b)
-                    vals.append((factor * coeff) * raw[d - j])
-            raw.append(np.bincount(
-                np.concatenate(dest), weights=np.concatenate(vals), minlength=offsets[-1]
-            ))
+                    acc[starts[stack] + (cls * size + a) * size + b] += (factor * coeff) * raw[d - j]
+            entries.pop(d - reach, None)
+            raw.append(acc)
             if not np.isfinite(raw[d]).all():
                 raise NonFiniteValue(f"kernel series block C_{d} overflows at lambda {lam!r}")
     out = []
     for d, flat in enumerate(raw):
         classes = _weight_classes(dom, d)
-        offsets = entries[d][2]
         stacks = []
-        for idx, start, stop in zip(classes, offsets[:-1], offsets[1:]):
+        for idx, start, stop in zip(classes, offsets[d][:-1], offsets[d][1:]):
             k, s = idx.shape
             stack = flat[start:stop].reshape(k, s, s)
             # Hermitian (real symmetric) by circularity

@@ -30,11 +30,20 @@ peels the tuple's exact nonzero pattern, as the permutation step of LAPACK's
 balancing (Parlett and Reinsch) does: a basis permutation makes every T_k
 block upper triangular around an irreducible core, and only that core needs
 a Schur form.  A graded quotient model, whose components raise the degree,
-has an empty core, so its eigenvalues are read off a permuted tuple exactly;
-a tuple with dense components is all core.  The core's Schur basis is the
+has an empty core, so its eigenvalues are read off a permuted tuple exactly
+and the triangularization guard, which takes a 2-norm only where the
+Frobenius norm of a strict lower part exceeds it, takes no SVD; a tuple
+with dense components is all core.  The core's Schur basis is the
 unitary factor of a QR factorization of the eigenvectors of one random
 combination, in numpy; only a combination whose eigenvectors are
 numerically dependent (a nilpotent part) takes scipy's Schur form.
+
+A point test holds one boundary at a time: ``_stages`` builds D_0 ..
+D_{n-1} in turn, and each is dropped once its singular values are taken,
+before the next is built.  The rank count then reads the n arrays of
+singular values, so its verdict, ranks and gap are those of the assembled
+complex bit for bit.  On an MB(2,2) quotient (n = 4) the boundaries hold
+56 h^2 entries in all against 24 h^2 for the largest, D_1.
 
 Tuples with a NaN or infinite entry are refused with
 :class:`ValidationError` before any norm or factorization, and a complex
@@ -181,13 +190,13 @@ def _check_size(n: int, h: int) -> None:
         raise MemoryError(f"Koszul boundaries of {entries} entries for a {n}-tuple on C^{h}")
 
 
-def _assemble(mats: list[np.ndarray]) -> KoszulComplex:
-    """D_k in the subset-major Kronecker layout of sum_i Theta_i (x) T_i,
-    built by writing +-T_i at the nonzeros of ``creation_matrices(n, k)``:
-    each nonzero of the sum comes from exactly one Theta_i."""
+def _stages(mats: list[np.ndarray]):
+    """D_0 .. D_{n-1}, one at a time, in the subset-major Kronecker layout
+    of sum_i Theta_i (x) T_i: each is built by writing +-T_i at the nonzeros
+    of ``creation_matrices(n, k)`` (each nonzero of the sum comes from
+    exactly one Theta_i) and dropped here once the next one is asked for."""
     n, h = len(mats), mats[0].shape[0]
     dtype = np.result_type(*mats)
-    boundaries = []
     for k in range(n):
         thetas = creation_matrices(n, k)
         rows, cols = thetas[0].shape
@@ -195,8 +204,13 @@ def _assemble(mats: list[np.ndarray]) -> KoszulComplex:
         for theta, t in zip(thetas, mats):
             r, c = np.nonzero(theta)
             d[r, :, c, :] = theta[r, c][:, None, None] * t
-        boundaries.append(d.reshape(rows * h, cols * h))
-    return KoszulComplex(n, h, tuple(boundaries))
+        yield d.reshape(rows * h, cols * h)
+        del d
+
+
+def _assemble(mats: list[np.ndarray]) -> KoszulComplex:
+    """The complex of ``_stages``, every boundary held."""
+    return KoszulComplex(len(mats), mats[0].shape[0], tuple(_stages(mats)))
 
 
 def koszul_boundaries(mats) -> KoszulComplex:
@@ -224,29 +238,30 @@ class RegularityReport:
     min_stage_gap: float  # smallest kept singular value across boundaries
 
 
-def _rank(sv: np.ndarray, cutoff: float) -> int:
-    return int(np.sum(sv > cutoff))
+def _singular_values(d: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(d, compute_uv=False) if min(d.shape) else np.zeros(0)
 
 
-def regularity_report(cx: KoszulComplex) -> RegularityReport:
-    """Exactness at every stage by rank counting.
+def _rank_count(h: int, svals) -> RegularityReport:
+    """Exactness at every stage of a complex on C^h from the singular values
+    of its boundaries, one array per stage in order.
 
     Singular values below ``RANK_TOL`` times the largest singular value of
     the whole complex count as zero.  Stage k is exact when
     nullity(D_k) = rank(D_{k-1}); the top stage needs D_{n-1} surjective.
     """
-    svals = [np.linalg.svd(d, compute_uv=False) if min(d.shape) else np.zeros(0)
-             for d in cx.boundaries]
+    svals = list(svals)
+    n = len(svals)
     scale = max((float(sv[0]) for sv in svals if sv.size), default=0.0)
     if not np.isfinite(scale):
         raise ValidationError("boundary norm beyond the float range")
     cutoff = RANK_TOL * max(scale, 1e-300)
-    ranks = [_rank(sv, cutoff) for sv in svals]
-    dims = cx.stage_dims()
+    ranks = [int(np.sum(sv > cutoff)) for sv in svals]
+    dims = [h * math.comb(n, k) for k in range(n + 1)]
     defects = []
-    for k in range(cx.n + 1):
+    for k in range(n + 1):
         incoming = ranks[k - 1] if k >= 1 else 0
-        kernel = dims[k] - ranks[k] if k < cx.n else dims[k]
+        kernel = dims[k] - ranks[k] if k < n else dims[k]
         defects.append(kernel - incoming)
     kept = [float(sv[r - 1]) for sv, r in zip(svals, ranks) if r > 0]
     return RegularityReport(
@@ -255,6 +270,18 @@ def regularity_report(cx: KoszulComplex) -> RegularityReport:
         defects=tuple(defects),
         min_stage_gap=min(kept, default=0.0),
     )
+
+
+def regularity_report(cx: KoszulComplex) -> RegularityReport:
+    """Exactness at every stage by rank counting (see ``_rank_count``)."""
+    return _rank_count(cx.h, map(_singular_values, cx.boundaries))
+
+
+def _point_report(shifted: list[np.ndarray]) -> RegularityReport:
+    """``regularity_report`` of the complex of ``shifted``, which holds one
+    boundary at a time: ``map`` drops each stage once its singular values
+    are taken, before ``_stages`` builds the next."""
+    return _rank_count(shifted[0].shape[0], map(_singular_values, _stages(shifted)))
 
 
 def _sign_symmetries(mats: list[np.ndarray]) -> np.ndarray:
@@ -336,7 +363,7 @@ def taylor_point_tests(mats, points) -> list[RegularityReport]:
             _guard_commuting(comm / _scale(shifted))
         orbit = frozenset(image.tobytes() for image in signs * w + 0.0)
         if orbit not in orbits:
-            orbits[orbit] = regularity_report(_assemble(shifted))
+            orbits[orbit] = _point_report(shifted)
         reports.append(orbits[orbit])
     return reports
 
@@ -433,14 +460,23 @@ def _simultaneous_schur(
             for r in rotated:
                 r[core] = vecs.conj().T @ r[core]
                 r[:, core] = r[:, core] @ vecs
-        defect = max(
-            np.linalg.norm(np.tril(r, -1), 2) for r in rotated
-        )
-        if defect <= 1e-7 * scale:
+        if _triangular(rotated, 1e-7 * scale):
             return z, rotated
     raise ConsensusFailure(
         "no random combination produced a simultaneous triangularization"
     )
+
+
+def _triangular(rotated: list[np.ndarray], bound: float) -> bool:
+    """Whether the strict lower part of every matrix has 2-norm at most
+    ``bound``.  The Frobenius norm bounds the 2-norm, so a part's SVD is
+    taken only when its Frobenius norm exceeds ``bound``: an exactly
+    triangular tuple takes none."""
+    for r in rotated:
+        lower = np.tril(r, -1)
+        if np.linalg.norm(lower) > bound and np.linalg.norm(lower, 2) > bound:
+            return False
+    return True
 
 
 def _diagonals(rotated: list[np.ndarray]) -> np.ndarray:

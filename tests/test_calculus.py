@@ -84,6 +84,27 @@ def test_torus_weights_and_nodes():
         assert np.abs(np.abs(np.asarray(z)) - 1.0).max() < 1e-14
 
 
+@pytest.mark.parametrize("n, level", [(1, 1), (1, 10), (2, 1), (2, 6), (3, 4), (5, 2)])
+def test_torus_nodes_are_the_meshgrid_product(n, level):
+    dom = DomainSpec.polydisc(n) if n > 1 else BALL1
+    quad = shilov_quadrature(dom, level)
+    axes = np.exp(1j * (2.0 * np.pi * np.arange(2**level) / 2**level))
+    grids = np.meshgrid(*([axes] * n), indexing="ij")
+    want = np.column_stack([g.reshape(-1) for g in grids])
+    assert quad.nodes.tobytes() == want.tobytes() and quad.nodes.shape == want.shape
+    lower = np.arange(want.shape[0]).reshape((2**level,) * n)[(slice(None, None, 2),) * n]
+    assert np.array_equal(quad.estimate, lower.reshape(-1))
+
+
+@pytest.mark.parametrize("n, level", [(6, 4), (8, 3), (12, 2), (22, 1), (23, 1), (24, 1), (25, 1)])
+def test_torus_rule_caps_its_entries(n, level, monkeypatch):
+    # 2^(level n) nodes of n coordinates past 2^26 entries, refused before
+    # any array is built (at n 24 it would be 6.4 GB)
+    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("nodes allocated"))
+    with pytest.raises(ValidationError, match="torus rule too large at this level"):
+        shilov_quadrature(DomainSpec.polydisc(n), level)
+
+
 def test_sphere_quadrature_measure():
     quad = shilov_quadrature(BALL2, 2)
     weights = np.array(quad.weights)
@@ -126,6 +147,30 @@ def test_sobol_stream_is_scipy_unscrambled(d):
     for count in (1, 2, 3, 1000, 1023, 1024, 1025, 3000, 4095, 4096, 4097):
         assert _sobol_integers(d, count).dtype == np.uint32
         assert np.array_equal(sobol_points(d, count), scipy_sobol(d, count))
+
+
+def test_sobol_table_rows_are_the_np_load_route(monkeypatch):
+    got = {d: _sobol_integers(d, 3000) for d in (2, 4, 6, 20)}
+
+    def load_rows(f, d):
+        table = np.load(f)
+        return table.shape[0], table[:d].copy()
+
+    monkeypatch.setattr(calculus, "_leading_rows", load_rows)
+    for d, integers in got.items():
+        assert np.array_equal(integers, _sobol_integers(d, 3000))
+
+
+def test_sobol_table_is_never_held_whole():
+    # the Fortran-ordered 21201 x 18 int64 table is 3 MB; the integers keep 1 MB
+    _sobol_integers(4, 10)
+    tracemalloc.start()
+    try:
+        integers = _sobol_integers(4, 64_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= integers.nbytes + 512 * 1024, (peak, integers.nbytes)
 
 
 def test_sphere_nodes_are_the_scipy_route():
@@ -589,7 +634,7 @@ def test_sphere_rule_peak_memory_is_near_what_it_keeps():
     # the level-3 ball2 rule keeps its nodes and estimate subset; on the way
     # it holds the Sobol' integers, the quantile table and the normalization's
     # squares, never a float copy of every point or the quantile of each
-    shilov_quadrature(BALL2, 1)  # the first call loads what np.load needs
+    shilov_quadrature(BALL2, 1)  # the first call loads what the table reader needs
     tracemalloc.start()
     try:
         quad = shilov_quadrature(BALL2, 3)

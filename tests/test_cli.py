@@ -583,6 +583,17 @@ def test_calculus_huge_level_is_a_prompt_config_error(tmp_path, capsys, domain):
     assert "config error at 'level'" in err and "rule too large at this level" in err
 
 
+@pytest.mark.parametrize("n", [22, 24])
+def test_calculus_torus_past_its_entry_cap_is_a_prompt_config_error(tmp_path, capsys, n):
+    # 2^n nodes of n coordinates at level 1: 1.5 GB at n 22, 6.4 GB at n 24
+    cfg = write_cfg(tmp_path, "cfg.json", {"domain": {"kind": "polydisc", "n": n}, "level": 1})
+    start = time.perf_counter()
+    assert main(["calculus", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error at 'level'" in err and "rule too large at this level" in err
+
+
 def test_calculus_level_zero_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {"domain": {"kind": "ball", "n": 1}, "level": 0})
     assert main(["calculus", "--config", cfg]) == 2
@@ -751,7 +762,7 @@ def diagonal_spectrum_cfg(n, **scan):
 )
 def test_koszul_complex_too_large_for_memory_is_an_error_exit(tmp_path, capsys, monkeypatch, cfg):
     # refused before the sign group, any subset list or any boundary is built
-    for name in ("_sign_symmetries", "_subsets", "_assemble"):
+    for name in ("_sign_symmetries", "_subsets", "_assemble", "_stages"):
         monkeypatch.setattr(koszul, name, lambda *args, name=name: pytest.fail(f"{name} reached"))
     out = str(tmp_path / "spec.csv")
     assert main(["spectrum", "--config", write_cfg(tmp_path, "cfg.json", dict(cfg, out=out))]) == 2

@@ -250,6 +250,52 @@ def test_shift_positions_are_the_dict_lookups(dom, D):
             assert kernels._shift_positions(n, d, gamma).tolist() == dict_shift_positions(n, d, gamma)
 
 
+def bincount_series(dom, lam, D):
+    """The class stacks of C_0 .. C_D with every term's moved entries
+    concatenated into one ``np.bincount`` per degree: the reference for the
+    term-by-term sums of the series recurrence, bit for bit."""
+    n, delta = dom.dim, kernels._delta_blocks(dom)
+    entries = [kernels._class_entries(dom, d) for d in range(D + 1)]
+    raw = [np.ones(1)]
+    for d in range(1, D + 1):
+        where = kernels._class_slots(dom, d)
+        sizes = np.array([idx.shape[1] for idx in kernels._weight_classes(dom, d)])
+        offsets = entries[d][2]
+        dest, vals = [], []
+        for j, terms in delta.items():
+            if j > d:
+                continue
+            rows, cols, _ = entries[d - j]
+            for alpha, beta, coeff in terms:
+                stack, cls, a = where[kernels._shift_positions(n, d - j, alpha)[rows]].T
+                b = where[kernels._shift_positions(n, d - j, beta)[cols], 2]
+                dest.append(offsets[stack] + (cls * sizes[stack] + a) * sizes[stack] + b)
+                vals.append(((((1.0 - lam) * j - d) / d) * coeff) * raw[d - j])
+        raw.append(np.bincount(np.concatenate(dest), weights=np.concatenate(vals), minlength=offsets[-1]))
+    out = []
+    for d, flat in enumerate(raw):
+        bounds = entries[d][2]
+        stacks = [flat[lo:hi].reshape(idx.shape + idx.shape[1:]) for idx, lo, hi in
+                  zip(kernels._weight_classes(dom, d), bounds[:-1], bounds[1:])]
+        out.append([(m + m.transpose(0, 2, 1)) / 2.0 for m in stacks])
+    return out
+
+
+@pytest.mark.parametrize("dom, lam, D", [
+    (DomainSpec.ball(3), 3.0, 12),
+    (POLY2, 2.0, 14),
+    (MB22, 2.5, 14),
+    (DomainSpec.matrix_ball(2, 3), 3.0, 8),
+    (MB22, 0.5, 10),
+], ids=case_id)
+def test_series_sums_term_by_term_as_bincount(dom, lam, D):
+    got = kernels._build_series(dom, lam, D)
+    for block, want in zip(got, bincount_series(dom, lam, D), strict=True):
+        assert len(block.stacks) == len(want)
+        for stack, ref in zip(block.stacks, want):
+            assert stack.tobytes() == ref.tobytes()
+
+
 def test_shift_positions_beyond_an_int64_power_key():
     # ball n 40 at degree 3: a (d + 1)**n key would need 4**40 > 2**63
     n = 40

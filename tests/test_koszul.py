@@ -2,6 +2,8 @@
 oracle, and spectral mapping for commuting matrix tuples."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,11 +371,12 @@ def test_point_tests_once_per_orbit_match_per_point_reports(case, monkeypatch):
 
     calls = []
 
-    def counting_report(cx):
-        calls.append(cx)
-        return regularity_report(cx)
+    def counting_report(shifted):
+        calls.append(shifted)
+        return point_report(shifted)
 
-    monkeypatch.setattr(koszul, "regularity_report", counting_report)
+    point_report = koszul._point_report
+    monkeypatch.setattr(koszul, "_point_report", counting_report)
     got = taylor_point_tests(mats, points)
     monkeypatch.undo()
     assert len(calls) == orbit_count(points, group) < len(points)
@@ -385,6 +388,53 @@ def test_point_tests_once_per_orbit_match_per_point_reports(case, monkeypatch):
             want.regular, want.ranks, want.defects
         )
         assert abs(report.min_stage_gap - want.min_stage_gap) <= 1e-12 * want.min_stage_gap
+
+
+def mb22_z11_tuple(d_trunc):
+    """The spectrum-mb22 model: MB(2,2)/z11 at weight 2.5, real."""
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, d_trunc)
+    return list(quotient_model(basis, [Z(0, 4)]).tuple_mats)
+
+
+def test_point_tests_bit_identical_to_assembled_complex():
+    # one boundary at a time, the same matrices through the same SVDs
+    mats = mb22_z11_tuple(6)
+    h = mats[0].shape[0]
+
+    def full_route(w):
+        return regularity_report(koszul_boundaries([m - wi * np.eye(h) for m, wi in zip(mats, w)]))
+
+    grid = [np.array(w) for w in itertools.product([-0.5, 0.5], repeat=4)]
+    assert len(_sign_symmetries(mats)) == 16  # the grid is one orbit, reported at grid[0]
+    assert taylor_point_tests(mats, grid) == [full_route(grid[0])] * 16
+    asymmetric = [
+        np.array([0.1, -0.3, 0.45, 0.2]),
+        np.array([0.0, 0.25, -0.5, 0.7]),
+        np.array([0.2 + 0.1j, -0.3j, 0.4, 0.05 - 0.2j]),
+        np.zeros(4),  # the truncated model's only joint eigenvalue
+    ]
+    got = taylor_point_tests(mats, asymmetric)
+    assert [r.regular for r in got] == [True, True, True, False]
+    for w, report in zip(asymmetric, got, strict=True):
+        assert report == full_route(w)
+        assert report == taylor_point_test(mats, w)
+
+
+def test_point_tests_hold_one_boundary_at_a_time():
+    # holding every stage at once took 2.75x the largest boundary
+    mats = mb22_z11_tuple(6)
+    h = mats[0].shape[0]
+    largest = max(math.comb(4, k) * math.comb(4, k + 1) for k in range(4)) * h * h * 8
+    points = [np.array([0.1, -0.3, 0.45, 0.2]), np.array([0.5, 0.5, 0.5, 0.5])]
+    taylor_point_tests(mats, points)  # the subset lists are cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        taylor_point_tests(mats, points)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * largest, (peak, largest)
 
 
 def test_sign_symmetries_hand_cases(rng):
@@ -494,6 +544,39 @@ def test_graded_model_triangularizes_by_permutation(case, d_trunc, monkeypatch):
     want = oracle_joint_eigenvalues(mats, monkeypatch)
     assert np.array_equal(got, want)
     assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
+
+def test_triangular_guard_takes_no_2_norm_on_a_peeled_model(monkeypatch):
+    # a graded model peels to an exactly triangular tuple: Frobenius norms only
+    mats = mb22_z11_tuple(6)
+    scale = _scale(mats)
+    orders = []
+    norm = np.linalg.norm
+
+    def recording_norm(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    _simultaneous_schur(mats, np.random.default_rng(0), scale)
+    monkeypatch.undo()
+    assert orders == [None] * len(mats)
+
+
+@pytest.mark.parametrize("h", [3, 8, 30])
+def test_triangular_guard_verdicts_match_the_2_norm(h, rng):
+    # a strict lower part a * (subdiagonal) has 2-norm a and Frobenius norm
+    # a sqrt(h - 1): past the bound in Frobenius norm while a is not
+    bound = 1e-7 * 3.0
+    sub = np.diag(np.ones(h - 1), -1)
+    upper = np.triu(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
+    for a in (0.0, 0.5, 0.9, 0.999, 1.001, 1.1, 10.0):
+        for tup in ([upper + a * bound * sub], [upper.real, upper + 1j * a * bound * sub]):
+            lower = [np.tril(r, -1) for r in tup]
+            want = max(np.linalg.norm(m, 2) for m in lower) <= bound
+            assert koszul._triangular(tup, bound) == want == (a <= 1.0)
+            if a * math.sqrt(h - 1) > 1.0 >= a:
+                assert max(np.linalg.norm(m) for m in lower) > bound
 
 
 FILTRATION_DOMAINS = {
