@@ -12,26 +12,30 @@ generated by f_1, ..., f_m is the span of the ranges of the P_D M_{f_j} P_D,
 which keeps it exactly invariant under the truncated coordinate
 multipliers, so the compressed tuple commutes in exact arithmetic for every
 generator set.  A model holds only the complement: an orthonormal basis Q
-of M^(D) orth, stored as degree blocks, each vector labelled by a degree,
-and the compressed tuple S_i = Q^H T_i Q as label blocks S_i[l, k] (label
-k to label l).  T_i raises the degree and T_i* keeps the quotient, so only
-the blocks l > k are nonzero and stored.  The submodule is never
-stored; its invariance is checked from Q alone as ||Q^H T_i - S_i Q^H||_2,
-which equals ||Q^H T_i M||_2 for any orthonormal basis M of M^(D).
-``quotient_model`` picks one of two paths from its generators:
+of M^(D) orth, each vector labelled by a degree, and the compressed tuple
+S_i = Q^H T_i Q, both as block entries (rows, cols, stack) of
+``blocksparse``: stack[e] sits on the rows rows[e] and the columns
+cols[e], and blocks of one shape share one stack.  T_i raises the degree
+and T_i* keeps the quotient, so S_i is strictly lower in the labels.  The
+submodule is never stored; its invariance is checked from Q alone as
+||Q^H T_i - S_i Q^H||_2, which equals ||Q^H T_i M||_2 for any orthonormal
+basis M of M^(D).  ``quotient_model`` picks one of two paths from its
+generators:
 
 - graded path, when every generator is homogeneous: the submodule is
   graded and the quotient splits as the sum over d of P_d orth M_d, each
   degree further by groups of torus-weight classes (``_graded_model``).
-  Every quotient basis vector is supported on exactly one degree, its
-  label, so S_i has only the blocks (d + 1, d) = S_i(d), formed per class
-  pair (``_compress_shift``).  An empty generator list is the zero
-  submodule: the quotient is the whole space.
+  Every quotient column lies in one degree, its label, and in one group's
+  classes.  Q is stored as its class frames, and S_i, which carries each
+  group into one group of the next degree, as group-pair blocks
+  (``_compress_coordinate``).  An empty generator list is the zero submodule:
+  the quotient is the whole space.
 - filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
   the complement is built degree by degree, one SVD per degree
   (``_filtration_complement``).  Each quotient basis vector is supported on
   degrees <= its label, the complement at a lower D is the label prefix of
-  the one at a higher D, and S_i has every block l > k.
+  the one at a higher D, and S_i has every label block l > k.  Q is stored
+  by degree and S_i by label pair.
 
 One routine takes both guards on both paths from blocks (``_check_tuple``):
 invariance, the defect above against ``INVARIANCE_TOL`` times
@@ -42,20 +46,24 @@ all its blocks first; only one above the tolerance assembles the defects
 and takes their 2-norms (SVDs) and the scale, so verdicts and messages are
 those of the 2-norms.
 
-Every symbol is compressed from the tuple's label blocks.  Multipliers
-raise the degree, and degrees are orthogonal, so P_D M_f P_D M_g P_D =
-P_D M_fg P_D; M^(D) is invariant under the truncated multipliers, so the
-quotient's projector drops out between them, and f -> S_f is an algebra
-homomorphism: S_f = f(S_1, ..., S_n), formed from products of label
-blocks (``_polynomial_blocks``, ``_label_products``).  S_f - f(0) I is
-strictly lower in the labels, so S_{p/q} = S_p S_q^{-1} solves
-X S_q = S_p by block forward substitution, with no inverse
-(``_rational_blocks``).  A profile's commutator
-[S_a, S_b*] is formed from these blocks.  It is block-diagonal over the
-runs of labels that no block crosses (``_label_runs``): for coordinate
-symbols each label is one on the graded path, all labels one on the
-filtration path.  Each run's singular values are taken once and serve
-every p and the window (``_run_spectra``).
+Multipliers raise the degree, and degrees are orthogonal, so
+P_D M_f P_D M_g P_D = P_D M_fg P_D; M^(D) is invariant under the truncated
+multipliers, so the quotient's projector drops out between them, and
+f -> S_f is an algebra homomorphism: S_f = f(S_1, ..., S_n).  A symbol of
+degree <= 1 is f(0) I plus a combination of the stored blocks, and f(0) I
+drops out of every commutator, so the commutators of such symbols (the
+coordinates) are formed block by block (``blocksparse._products``).  Every
+other symbol is formed from products of label blocks assembled from the
+stored ones (``_label_blocks``, ``_polynomial_blocks``,
+``_label_products``).
+S_f - f(0) I is strictly lower in the labels, so S_{p/q} = S_p S_q^{-1}
+solves X S_q = S_p by block forward substitution, with no inverse
+(``_rational_blocks``).  Moebius symbols mix the classes, so their label
+blocks and commutators are dense, and their profiles stay at moderate D.
+A profile takes the singular values of [S_a, S_b*] per connected block of
+its nonzero pattern (``blocksparse._connected_blocks``), one batched SVD
+per block shape, shared by every p and the window
+(``blocksparse._block_spectra``).
 """
 
 from __future__ import annotations
@@ -68,6 +76,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import koszul
+from .blocksparse import (
+    _block_spectra,
+    _by_shape,
+    _check_p,
+    _commutator,
+    _components,
+    _connected_blocks,
+    _distinct,
+    _scatter,
+    _spectra,
+    _spectra_norm,
+)
 from .calculus import BOUNDARY_TOL
 from .domains import DomainSpec, spectral_norm
 from .errors import (
@@ -194,17 +214,12 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generators produce an empty span at this degree")
 
 
-def _assemble(blocks: dict, starts, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """The dense complex matrix of the label blocks ``blocks[l, k]`` on the
-    labels lo .. hi - 1 (all of them by default), label l spanning rows and
-    columns starts[l] .. starts[l + 1]."""
-    hi = len(starts) - 1 if hi is None else hi
-    base = starts[lo]
-    out = np.zeros((starts[hi] - base,) * 2, dtype=complex)
+def _assemble(blocks: dict, starts) -> np.ndarray:
+    """The dense complex matrix of the label blocks ``blocks[l, k]``, label l
+    spanning rows and columns starts[l] .. starts[l + 1]."""
+    out = np.zeros((starts[-1],) * 2, dtype=complex)
     for (l, k), block in blocks.items():
-        if lo <= min(l, k) and max(l, k) < hi:
-            rows, cols = starts[l] - base, starts[k] - base
-            out[rows:rows + block.shape[0], cols:cols + block.shape[1]] = block
+        out[starts[l]:starts[l] + block.shape[0], starts[k]:starts[k] + block.shape[1]] = block
     return out
 
 
@@ -238,29 +253,38 @@ class QuotientModel:
 
     The model holds only the complement Q, whose orthonormal columns are
     sorted by ``degree_labels`` (the labels drive windowed Schatten norms);
-    the submodule is ``I - projector()``.  ``blocks`` stores Q by degree: a
-    pair (start, block) per degree d, where block is the degree-d rows of Q
-    on the columns from start on (those labelled d or higher), and those
-    rows vanish on all other columns.  ``tuple_blocks[i]`` stores S_i by
-    label: its entry (l, k) is the block from the label-k columns to the
-    label-l rows, stored for l > k only (every other block is zero) and real
-    while the generators are.  On the graded path (every generator
-    homogeneous, or none) each column is supported on its label's degree
-    and S_i has only the blocks (d + 1, d); on the filtration path each
-    column is supported on degrees <= its label and S_i has every l > k.
+    the submodule is ``I - projector()``.  Q and each S_i are stored as
+    block entries (rows, cols, stack), blocks of one shape in one stack
+    (module notes), real while the generators are:
+
+    - ``frames``, the blocks of Q: rows are positions of the truncated
+      space, columns quotient columns.  On the graded path each block is a
+      torus-weight class against the columns of its class group
+      (``_class_frames``); on the filtration path each is a degree d
+      against the columns labelled d or higher.
+    - ``tuple_stacks[i]``, the blocks of S_i, on quotient rows and columns.
+      On the graded path (every generator homogeneous, or none) each is a
+      group pair: S_i carries the columns of one class group of degree d
+      into those of one group of degree d + 1, and is zero elsewhere.  On
+      the filtration path each is a label pair l > k.
+
+    Blocks that are empty are not stored.  ``quotient_onb``, ``projector``
+    and ``tuple_mats`` assemble the dense matrices on each access; the
+    profile and the compressions never read them.
     """
 
     basis: TruncatedBasis
-    blocks: tuple[tuple[int, np.ndarray], ...]
+    frames: tuple
     degree_labels: np.ndarray
-    tuple_blocks: tuple[dict[tuple[int, int], np.ndarray], ...]
+    tuple_stacks: tuple
 
     @property
     def tuple_mats(self) -> tuple[np.ndarray, ...]:
         """The compressed tuple S_1 .. S_n as dense dim_quotient x
-        dim_quotient matrices, assembled from ``tuple_blocks`` on each access
-        (Koszul tests, the boundary calculus and tests)."""
-        return tuple(_assemble(s, self.label_starts) for s in self.tuple_blocks)
+        dim_quotient matrices, assembled from ``tuple_stacks`` on each
+        access (Koszul tests, the boundary calculus and tests)."""
+        shape = (self.dim_quotient,) * 2
+        return tuple(_scatter(s, shape) for s in self.tuple_stacks)
 
     @property
     def label_starts(self) -> np.ndarray:
@@ -273,12 +297,9 @@ class QuotientModel:
 
     @property
     def quotient_onb(self) -> np.ndarray:
-        """Q as a dense dim x dim_quotient matrix, assembled from ``blocks``
+        """Q as a dense dim x dim_quotient matrix, assembled from ``frames``
         on each access."""
-        q = np.zeros((self.basis.dim, self.dim_quotient), dtype=complex)
-        for d, (start, block) in enumerate(self.blocks):
-            q[self.basis.block_slice(d), start:start + block.shape[1]] = block
-        return q
+        return _scatter(self.frames, (self.basis.dim, self.dim_quotient))
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector of the truncated space onto the quotient."""
@@ -286,9 +307,33 @@ class QuotientModel:
         return q @ q.conj().T
 
 
+def _label_blocks(model: QuotientModel) -> tuple[dict, ...]:
+    """Each S_i as label blocks: entry (l, k) the block from the label-k
+    columns to the label-l rows, for every label pair that a stored block
+    lies in (each stored block lies in one), in ascending order of (l, k)."""
+    starts, labels = model.label_starts, model.degree_labels
+    dtype = np.result_type(float, *(s for stacks in model.tuple_stacks for _, _, s in stacks))
+    out = []
+    for stacks in model.tuple_stacks:
+        blocks = {}
+        for rows, cols, stack in stacks:
+            pairs = labels[rows[:, 0]] * len(starts) + labels[cols[:, 0]]
+            for pair in _distinct(pairs):
+                l, k = divmod(int(pair), len(starts))
+                block = blocks.setdefault((l, k), np.zeros(
+                    (starts[l + 1] - starts[l], starts[k + 1] - starts[k]), dtype
+                ))
+                on = pairs == pair
+                block[(rows[on] - starts[l])[:, :, None], (cols[on] - starts[k])[:, None, :]] = stack[on]
+        out.append(dict(sorted(blocks.items())))
+    return tuple(out)
+
+
 def _filtration_complement(basis: TruncatedBasis, generators):
-    """The filtration-adapted complement of arbitrary generators' span as
-    ``QuotientModel.blocks`` and labels.  B is an orthonormal basis of the
+    """The filtration-adapted complement of arbitrary generators' span as a
+    pair (start, block) per degree d, block the degree-d rows of Q on the
+    columns from start on (those labelled d or higher; Q's degree-d rows
+    vanish on the others), and the labels.  B is an orthonormal basis of the
     span of the columns' degree-< k rows, Y = B^H C their coordinates, and a
     source degree s of P_D M_f P_D enters at k = s + min deg f with Y = 0.
     The SVD of Y over the degree-k rows, lifted through diag(B, I), gives
@@ -336,11 +381,11 @@ def _multiplier_scale(basis: TruncatedBasis) -> float:
     return max(map(_pair_norm, blocks), default=0.0)
 
 
-def _check_tuple(basis: TruncatedBasis, starts, tuple_blocks, residues) -> None:
+def _check_tuple(basis: TruncatedBasis, nq: int, tuple_stacks, residues) -> None:
     """The invariance and commuting guards of the module notes, from the
-    label blocks of the tuple (label l from column starts[l]), Frobenius
-    norm first: above the tolerance, the invariance defects are assembled
-    and the scale taken only when a 2-norm exceeds it, and the tuple is
+    block entries of the tuple on ``nq`` quotient columns, Frobenius norm
+    first: above the tolerance, the invariance defects are assembled and
+    the scale taken only when a 2-norm exceeds it, and the tuple is
     assembled for ``koszul.check_commuting``.
 
     ``residues[i]`` lists the pieces (rows, cols, values) of
@@ -352,7 +397,7 @@ def _check_tuple(basis: TruncatedBasis, starts, tuple_blocks, residues) -> None:
     if math.sqrt(squares) > INVARIANCE_TOL:
         defect = 0.0
         for pieces in residues:
-            dense = np.zeros((starts[-1] + 1, basis.dim), dtype=complex)  # row -1 takes the padding
+            dense = np.zeros((nq + 1, basis.dim), dtype=complex)  # row -1 takes the padding
             for rows, cols, values in pieces:
                 dense[rows[..., :, None], cols[..., None, :]] = values
             defect = max(defect, float(np.linalg.norm(dense[:-1], 2)))
@@ -360,10 +405,13 @@ def _check_tuple(basis: TruncatedBasis, starts, tuple_blocks, residues) -> None:
             1.0, _multiplier_scale(basis)
         ):
             raise NumericallySingular(f"truncated submodule not invariant, defect {defect:.2e}")
-    pairs = itertools.combinations(tuple_blocks, 2)
-    squares = sum(np.vdot(c, c).real for a, b in pairs for _, c in _label_commutator(a, b))
+    squares = sum(
+        np.vdot(s, s).real
+        for a, b in itertools.combinations(tuple_stacks, 2)
+        for _, _, s in _connected_blocks(_commutator(a, b), nq)
+    )
     if math.sqrt(squares) > koszul.COMMUTE_TOL:
-        koszul.check_commuting([_assemble(s, starts) for s in tuple_blocks])
+        koszul.check_commuting([_scatter(s, (nq, nq)) for s in tuple_stacks])
 
 
 def _class_ids(dom: DomainSpec, d: int) -> np.ndarray:
@@ -372,27 +420,6 @@ def _class_ids(dom: DomainSpec, d: int) -> np.ndarray:
     stack, row, _ = _class_slots(dom, d).T
     firsts = np.cumsum([0] + [len(s) for s in _weight_classes(dom, d)])
     return firsts[stack] + row
-
-
-def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each of ``size`` nodes labelled by the smallest node of its connected
-    component under the edges (a[k], b[k]).
-
-    Every label is a node of the same component, at most the node itself.
-    A pass lowers both ends of each edge to the smaller of their labels and
-    then replaces each label by the label of that node, so labels only
-    fall; a pass that changes nothing leaves both ends of every edge with
-    one label, which is then the component's smallest node."""
-    label = np.arange(size)
-    while True:
-        new = label.copy()
-        low = np.minimum(label[a], label[b])
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _group_svds(basis: TruncatedBasis, generators, d: int):
@@ -474,71 +501,104 @@ def _group_svds(basis: TruncatedBasis, generators, d: int):
     return np.flatnonzero(~reached[row_group]), svds, group
 
 
-def _complement_block(size: int, free: np.ndarray, svds, cutoff: float, row_group):
+def _complement_block(free: np.ndarray, svds, cutoff: float, row_group):
     """The degree-d complement: the basis vectors of the classes no column
     reaches, then each group's left singular vectors past its rank, the
     singular values above ``cutoff``; real when the generator columns are.
-    Also the group (``row_group`` of its positions) that owns each column."""
-    kept = []  # (positions, vector) per kept column, one row each
+    Returns the group (``row_group`` of its positions) that owns each
+    column, and the columns as (positions (c, m), values (c, m)) runs: Q_d
+    is nonzero on column c only at its positions."""
+    kept = [(free[:, None], np.ones((free.size, 1)))]
     for pos, u, s in svds:
         g, j = np.nonzero(np.arange(u.shape[1]) >= np.sum(s > cutoff, axis=1)[:, None])
         kept.append((pos[g], u[g, :, j]))
-    dtype = np.result_type(float, *(u for _, u, _ in svds))
-    q = np.zeros((size, free.size + sum(len(v) for _, v in kept)), dtype)
-    q[free, np.arange(free.size)] = 1.0
-    col = free.size
-    for pos, vectors in kept:
-        q[pos, col + np.arange(len(vectors))[:, None]] = vectors
-        col += len(vectors)
-    owner = np.concatenate([row_group[free]] + [row_group[pos[:, 0]] for pos, _ in kept])
-    return q, owner
+    return np.concatenate([row_group[pos[:, 0]] for pos, _ in kept]), kept
 
 
-def _class_frames(dom: DomainSpec, d: int, q: np.ndarray, group, owner) -> list:
-    """Q_d class by class, for the class-pair products of ``_compress_shift``.
+def _cells(owner: np.ndarray):
+    """The cells of the complement's columns, a cell being the columns that
+    one class group of one degree owns (``owner``, distinct across
+    degrees), ascending.  Per column c, and a padding column nq =
+    owner.size after them: its cell's first column (-1 for the padding),
+    its cell's width and its rank in its cell, as the rows of one array;
+    and the cells' columns, those of the cell with first column f at
+    members[where[f]:][:width]."""
+    nq = owner.size
+    members, starts, counts = _sorted_runs(owner)
+    info = np.empty((3, nq + 1), dtype=np.intp)
+    info[:, nq] = (-1, 0, 0)
+    info[:, members] = np.repeat([members[starts], counts, starts], counts, axis=1)
+    info[2, members] = np.arange(nq) - info[2, members]
+    where = np.zeros(nq + 1, dtype=np.intp)
+    where[members] = np.arange(nq)
+    return info, members, where
+
+
+def _class_frames(dom: DomainSpec, d: int, heads, cells, first: int, columns) -> list:
+    """Q_d class by class, for the class-pair products of
+    ``_compress_coordinate``.
 
     Per stack of ``_weight_classes(dom, d)``, a triple (positions (k, s),
-    columns (k, W), frame (k, s, W)): the columns of Q_d that the class's
-    group owns (``owner``), padded to the stack's widest with the index
-    q.shape[1], and Q_d's rows on the class there.  Q_d vanishes on a class
-    outside its group's columns, and a padded column of a frame is zero."""
-    nq = q.shape[1]
-    order, starts, counts = _sorted_runs(owner)
-    labels = owner[order[starts]]
-    # a class whose group owns no column reads the run past the end: none
-    order, starts, counts = np.append(order, nq), np.append(starts, 0), np.append(counts, 0)
-    frames, first = [], 0
-    for stack in _weight_classes(dom, d):
-        mine = group[first:first + len(stack)]
-        first += len(stack)
-        run = np.searchsorted(labels, mine)
-        run[np.append(labels, -1)[run] != mine] = len(labels)
-        width = counts[run]
-        slot = np.arange(width.max(initial=0))
-        valid = slot < width[:, None]
-        cols = order[np.where(valid, starts[run][:, None] + slot, len(order) - 1)]
-        frame = q[stack[:, :, None], np.minimum(cols, nq - 1)[:, None, :]]
-        frame *= valid[:, None, :]
+    columns (k, W), frame (k, s, W)): the columns of Q that the class's
+    group owns, ascending and padded to the stack's widest (at least one)
+    with the padding column nq, and Q_d's rows on the class there.
+    ``heads`` gives each class's first column (nq when its group owns
+    none), and ``columns`` the column runs of ``_complement_block``,
+    numbered from ``first``.  Q_d vanishes on a class outside its group's
+    columns, and a padded column of a frame is zero."""
+    info, members, where = cells
+    nq = members.size
+    # Q_d's nonzero entries (position, column, value), and where each position sits
+    firsts = np.cumsum([first] + [len(pos) for pos, _ in columns])
+    col = np.concatenate([
+        np.repeat(np.arange(f, f + len(p)), p.shape[1]) for f, (p, _) in zip(firsts, columns)
+    ])
+    value = np.concatenate([v.ravel() for _, v in columns])
+    slot = _class_slots(dom, d)[np.concatenate([p.ravel() for p, _ in columns])]
+    frames, at = [], 0
+    for k, stack in enumerate(_weight_classes(dom, d)):
+        head = heads[at:at + len(stack)]
+        at += len(stack)
+        width = info[1, head]
+        place = np.arange(max(width.max(initial=0), 1))
+        valid = place < width[:, None]
+        cols = np.full(valid.shape, nq)
+        cols[valid] = members[(where[head][:, None] + place)[valid]]
+        frame = np.zeros(stack.shape + place.shape, value.dtype)
+        on = slot[:, 0] == k
+        frame[slot[on, 1], slot[on, 2], info[2, col[on]]] = value[on]
         frames.append((stack, cols, frame))
     return frames
 
 
-def _graded_complement(basis: TruncatedBasis, generators) -> list:
-    """The complement blocks Q_0 .. Q_D of homogeneous generators, each
-    with its class frames (``_class_frames``), real when the generator
-    columns are.  The rank counts the singular
-    values above ``SPAN_RANK_TOL`` times the largest one over every group
-    of every degree."""
+def _graded_complement(basis: TruncatedBasis, generators):
+    """The complement Q of homogeneous generators: its class frames per
+    degree (``_class_frames``), the cells of its columns (``_cells``) and
+    the first column of each degree, then dim_quotient; real when the
+    generator columns are.  The rank counts the singular values above
+    ``SPAN_RANK_TOL`` times the largest one over every group of every
+    degree."""
     parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
     cutoff = SPAN_RANK_TOL * max(
         (s.max() for _, svds, _ in parts for _, _, s in svds if s.size), default=0.0
     )
-    out = []
-    for d, (size, (free, svds, group)) in enumerate(zip(basis.degree_sizes, parts)):
-        row_group = group[_class_ids(basis.dom, d)]
-        q, owner = _complement_block(size, free, svds, cutoff, row_group)
-        out.append((q, _class_frames(basis.dom, d, q, group, owner)))
-    return out
+    blocks = [
+        _complement_block(free, svds, cutoff, group[_class_ids(basis.dom, d)])
+        for d, (free, svds, group) in enumerate(parts)
+    ]
+    starts = np.cumsum([0] + [owner.size for owner, _ in blocks])
+    # groups are labelled by a class of their degree: number the classes on
+    offsets = np.cumsum([0] + [group.size for _, _, group in parts])
+    owner = np.concatenate([owner + at for (owner, _), at in zip(blocks, offsets)])
+    cells = _cells(owner)
+    heads = np.full(offsets[-1], owner.size)
+    heads[owner] = cells[0][0, :-1]
+    frames = [
+        _class_frames(basis.dom, d, heads[at + group], cells, first, columns)
+        for d, ((_, _, group), at, first, (_, columns))
+        in enumerate(zip(parts, offsets, starts, blocks))
+    ]
+    return frames, cells, starts
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -546,37 +606,80 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _compress_shift(pairs, target, source, shape, at):
-    """S(d) = Q_{d+1}^H T(d) Q_d, a ``shape`` matrix, for T the
-    multiplier by a monomial of degree 1 given by its class-pair blocks,
-    and the pieces of the invariance defect Q_{d+1}^H T(d) - S(d) Q_d^H
-    (``_check_tuple``), their rows and columns offset by ``at``.
+def _compress_coordinate(basis: TruncatedBasis, i: int, frames, cells):
+    """S_i = Q^H T_i Q as group-pair block entries, and the pieces of the
+    invariance defect Q^H T_i - S_i Q^H (``_check_tuple``), from the class
+    frames and cells of ``_graded_complement``.
 
-    ``target`` and ``source`` are the class frames of Q_{d+1} and Q_d.  T
-    carries class c into one class tau, and Q_{d+1} vanishes on tau outside
-    the columns of tau's group, so the pair adds F_tau^H B F_c to S on
-    those columns and c's columns, and the defect on c's positions is
-    X - S[tau's columns, c's columns] F_c^H with X = F_tau^H B.  The
-    products stay real while the frames are.  Padded frame columns are
-    zero and land in a border row or column of S that is dropped; their
-    defect rows are zero and get row -1.
+    T_i carries class c of degree d into one class tau of degree d + 1, and
+    Q vanishes on tau outside the columns of tau's group, so the pair adds
+    F_tau^H B F_c to the block of (tau's group, c's group), and the defect
+    on c's positions is X - S[tau's columns, c's columns] F_c^H with
+    X = F_tau^H B.  The class pairs (``_shift_plan``) lay the blocks out in
+    one flat array, those of one shape consecutive; then each degree's
+    multiplier blocks are solved, added in and read back for the defect,
+    one degree at a time.  The products stay real while the frames are.
+    Padded frame columns are zero and land in one spare entry past the
+    blocks; their defect rows are zero and get row -1.
     """
-    frames = [f for _, _, f in target] + [f for _, _, f in source]
-    dtype = np.result_type(float, *frames, *(b for _, _, b in pairs))
-    out = np.zeros((shape[0] + 1, shape[1] + 1), dtype)
-    parts = []
-    for (k, rows), (j, cols), block in pairs:
-        (_, lcols, lframe), (pos, rcols, rframe) = target[k], source[j]
-        lcols, pos, rcols, rframe = lcols[rows], pos[cols], rcols[cols], rframe[cols]
-        x = _adjoint(lframe[rows]) @ block
-        np.add.at(out, (lcols[:, :, None], rcols[:, None, :]), x @ rframe)
-        parts.append((lcols, pos, rcols, x, rframe))
-    pieces = []
-    for lcols, pos, rcols, x, rframe in parts:
-        residue = x - out[lcols[:, :, None], rcols[:, None, :]] @ _adjoint(rframe)
-        if residue.any():  # a zero piece (all of them, for monomial generators) adds nothing
-            pieces.append((np.where(lcols < shape[0], at[0] + lcols, -1), at[1] + pos, residue))
-    return out[:-1, :-1].copy(), pieces
+    info, members, where = cells
+    nq = members.size
+    gamma = tuple(int(j == i) for j in range(basis.dom.dim))
+    plans = [_shift_plan(basis.dom, gamma, d) for d in range(basis.max_degree)]
+    # each class pair's block: (target cell, source cell) by their first columns
+    none = [np.zeros(0, np.intp)]
+    heads = [
+        info[0, np.concatenate(none + [
+            frames[d + 1][k][1][rows, 0] for d, plan in enumerate(plans) for (k, rows), _, _ in plan
+        ])],
+        info[0, np.concatenate(none + [
+            frames[d][j][1][cols, 0] for d, plan in enumerate(plans) for _, (j, cols), _ in plan
+        ])],
+    ]
+    stride = nq + 1
+    key = heads[0] * stride + heads[1]
+    keys = _distinct(key[(heads[0] >= 0) & (heads[1] >= 0)])
+    heights, widths = info[1, keys // stride], info[1, keys % stride]
+    order, starts, _ = _sorted_runs(heights * (widths.max(initial=0) + 1) + widths)
+    sizes = (heights * widths)[order]
+    base = np.empty(keys.size, dtype=np.intp)
+    base[order] = np.cumsum(sizes) - sizes
+    spare = int(sizes.sum())  # the entry past the blocks takes the padding
+    flat = np.zeros(spare + 1, np.result_type(float, *(f for fs in frames for _, _, f in fs)))
+    # a class pair without a block (a cell without columns) starts at the
+    # spare entry, and so does a padding column: every index past it is cut to it
+    pair = np.searchsorted(keys, key)
+    pair[(heads[0] < 0) | (heads[1] < 0)] = keys.size
+    first, width = np.append(base, spare)[pair], np.append(widths, 0)[pair]
+    rank = np.append(info[2, :-1], spare)
+    offsets = np.cumsum([0] + basis.degree_sizes)
+    pieces, at = [], 0
+    for d in range(basis.max_degree):
+        parts = []
+        for (k, rows), (j, cols), block in _shift_block(basis, gamma, d):
+            (_, lcols, lframe), (pos, rcols, rframe) = frames[d + 1][k], frames[d][j]
+            lcols, rcols, rframe = lcols[rows], rcols[cols], rframe[cols]
+            x = _adjoint(lframe[rows]) @ block
+            on = slice(at, at + len(rows))
+            at += len(rows)
+            lead = first[on, None] + width[on, None] * rank[lcols]
+            place = np.minimum(lead[:, :, None] + rank[rcols][:, None, :], spare)
+            np.add.at(flat, place.ravel(), (x @ rframe).ravel())  # 1-D: numpy's fast path
+            parts.append((lcols, offsets[d] + pos[cols], x, rframe, place))
+        # the blocks from degree d are complete: the defect on its positions
+        for lcols, pos, x, rframe, place in parts:
+            residue = x - flat[place] @ _adjoint(rframe)
+            if residue.any():  # a zero piece (all of them, for monomial generators) adds nothing
+                pieces.append((np.where(lcols < nq, lcols, -1), pos, residue))
+    entries = []
+    for same in np.split(order, starts[1:]) if keys.size else []:
+        m, n = heights[same[0]], widths[same[0]]
+        entries.append((
+            members[where[keys[same] // stride][:, None] + np.arange(m)],
+            members[where[keys[same] % stride][:, None] + np.arange(n)],
+            flat[base[same[0]]:base[same[0]] + len(same) * m * n].reshape(len(same), m, n),
+        ))
+    return tuple(entries), pieces
 
 
 def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -587,27 +690,25 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
     group of every degree, applies the rank rule of one SVD of all columns.
     Without generators no class is reached: the whole space.  Each
     coordinate multiplier shifts degree d to d + 1 and each class into one
-    class, so S_i(d) and the invariance defect are taken per class pair
-    (``_compress_shift``).
+    class, so S_i and the invariance defect are taken per class pair, into
+    group-pair blocks (``_compress_coordinate``); Q keeps its class frames,
+    less the classes whose group owns no column.
     """
-    complement = _graded_complement(basis, generators)
-    sizes = [q.shape[1] for q, _ in complement]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    tuple_blocks, residues = [], []
-    for i in range(basis.dom.dim):
-        sblocks, pieces = {}, []
-        for d, pairs in enumerate(_coordinate_blocks(basis, i)):
-            (_, source), (_, target) = complement[d], complement[d + 1]
-            sblocks[d + 1, d], more = _compress_shift(
-                pairs, target, source, (sizes[d + 1], sizes[d]), (starts[d + 1], basis.offset(d))
-            )
-            pieces += more
-        tuple_blocks.append(sblocks)
-        residues.append(pieces)
-    _check_tuple(basis, starts, tuple_blocks, residues)
-    blocks = tuple((int(start), q) for start, (q, _) in zip(starts, complement))
-    return QuotientModel(basis, blocks, labels, tuple(tuple_blocks))
+    frames, cells, starts = _graded_complement(basis, generators)
+    nq = int(starts[-1])
+    tuple_stacks, residues = zip(*(
+        _compress_coordinate(basis, i, frames, cells) for i in range(basis.dom.dim)
+    ))
+    _check_tuple(basis, nq, tuple_stacks, residues)
+    offsets, stored = np.cumsum([0] + basis.degree_sizes), []
+    for d, classes in enumerate(frames):
+        for pos, cols, frame in classes:
+            width = np.sum(cols < nq, axis=1)  # the padding comes last
+            for w in _distinct(width[width > 0]):
+                on = width == w
+                stored.append((offsets[d] + pos[on], cols[on, :w], frame[on, :, :w]))
+    labels = np.repeat(np.arange(len(frames)), np.diff(starts))
+    return QuotientModel(basis, _by_shape(stored), labels, tuple_stacks)
 
 
 def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
@@ -616,15 +717,16 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
 
     S_i sums X_d Q_d, X_d = Q_{d+1}^H T_i(d), over d, in the field of Q (real
     while the generators are, ``_filtration_complement``), and keeps the
-    blocks l > k only: the others are exactly 0, and rounding residues there
-    would close the nilpotent S_i into cycles.  The invariance defect of the
-    kept tuple is X_d - S_i Q_d^H on the degree-d positions (its rows
-    labelled d or lower vanish).
+    label blocks l > k only: the others are exactly 0, and rounding residues
+    there would close the nilpotent S_i into cycles.  The invariance defect
+    of the kept tuple is X_d - S_i Q_d^H on the degree-d positions (its rows
+    labelled d or lower vanish).  Q is stored by degree, S_i by label pair.
     """
     blocks, labels = _filtration_complement(basis, generators)
     nq = labels.size
     starts = [start for start, _ in blocks] + [nq]
-    tuple_blocks, residues = [], []
+    spans = [np.arange(starts[l], starts[l + 1])[None] for l in range(len(blocks))]
+    tuple_stacks, residues = [], []
     for i in range(basis.dom.dim):
         s, products = np.zeros((nq, nq), np.result_type(*(q for _, q in blocks))), []
         for d, pairs in enumerate(_coordinate_blocks(basis, i)):
@@ -633,10 +735,10 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
             s[lstart:, rstart:] += x @ q0
             products.append(x)
         s *= labels[:, None] > labels[None, :]  # only the blocks l > k are kept
-        sblocks = {
-            (l, k): s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]].copy()
+        tuple_stacks.append(_by_shape(
+            (spans[l], spans[k], s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]][None].copy())
             for l in range(len(blocks)) for k in range(l)
-        }
+        ))
         residues.append([
             (
                 np.arange(starts[d + 1], nq),
@@ -645,9 +747,12 @@ def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
             )
             for d, (x, (start, q)) in enumerate(zip(products, blocks))
         ])
-        tuple_blocks.append(sblocks)
-    _check_tuple(basis, starts, tuple_blocks, residues)
-    return QuotientModel(basis, blocks, labels, tuple(tuple_blocks))
+    _check_tuple(basis, nq, tuple_stacks, residues)
+    frames = _by_shape(
+        (basis.offset(d) + np.arange(q.shape[0])[None], start + np.arange(q.shape[1])[None], q[None])
+        for d, (start, q) in enumerate(blocks)
+    )
+    return QuotientModel(basis, frames, labels, tuple(tuple_stacks))
 
 
 def _is_graded(generators) -> bool:
@@ -674,16 +779,16 @@ def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     return _filtration_model(basis, generators)
 
 
-def _polynomial_blocks(model: QuotientModel, f: Polynomial):
+def _polynomial_blocks(model: QuotientModel, labels, f: Polynomial):
     """(f(0), the label blocks of S_f - f(0) I): S_f = f(S_1, ..., S_n)
-    (module notes), each S^alpha the product of the coordinate blocks S_i,
-    alpha_i times each, from the left, and each term c S^alpha real while
-    c is."""
+    (module notes), each S^alpha the product of the label blocks ``labels``
+    of the S_i (``_label_blocks``), alpha_i times each, from the left, and
+    each term c S^alpha real while c is."""
     _check_symbol(model.basis.dom, f)
     out = {}
     for alpha, c in f.terms.items():
         if any(alpha):  # the constant term is f(0) I
-            factors = [model.tuple_blocks[i] for i, a in enumerate(alpha) for _ in range(a)]
+            factors = [labels[i] for i, a in enumerate(alpha) for _ in range(a)]
             power = functools.reduce(lambda x, y: dict(_label_products([(np.add, x, y)])), factors)
             for key, block in power.items():
                 term = (c.real if c.imag == 0 else c) * block
@@ -698,7 +803,7 @@ def _assemble_symbol(model: QuotientModel, f0: complex, blocks: dict) -> np.ndar
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     """S_f = P M_f P restricted to the quotient: f(S_1, ..., S_n)."""
-    return _assemble_symbol(model, *_polynomial_blocks(model, f))
+    return _assemble_symbol(model, *_polynomial_blocks(model, _label_blocks(model), f))
 
 
 @functools.lru_cache(maxsize=None)
@@ -710,7 +815,7 @@ def _denominator_samples(dom: DomainSpec) -> np.ndarray:
     return pts
 
 
-def _denominator_blocks(model: QuotientModel, q: Polynomial):
+def _denominator_blocks(model: QuotientModel, labels, q: Polynomial):
     """``_polynomial_blocks`` of a denominator, after the guards of
     ``compress_rational``."""
     values = np.abs(q.eval_batch(_denominator_samples(model.basis.dom)))
@@ -718,7 +823,7 @@ def _denominator_blocks(model: QuotientModel, q: Polynomial):
         raise DenominatorVanishes(
             f"denominator modulus drops to {values.min():.2e} on the closed domain"
         )
-    q0, low = _polynomial_blocks(model, q)
+    q0, low = _polynomial_blocks(model, labels, q)
     if not model.dim_quotient:
         return 1.0, {}  # the empty S_q: nothing to invert
     sv = np.linalg.svd(_assemble_symbol(model, q0, low), compute_uv=False)
@@ -729,7 +834,7 @@ def _denominator_blocks(model: QuotientModel, q: Polynomial):
     return q0, low
 
 
-def _rational_blocks(model: QuotientModel, p: Polynomial, q: Polynomial, q0, low: dict):
+def _rational_blocks(model: QuotientModel, labels, p: Polynomial, q: Polynomial, q0, low: dict):
     """(x0, the label blocks of Z = X - x0 I) for X = S_p S_q^{-1}, given
     S_q = q0 I + M (``_denominator_blocks``).
 
@@ -739,7 +844,7 @@ def _rational_blocks(model: QuotientModel, p: Polynomial, q: Polynomial, q0, low
     row from the diagonal out, overwrites the right side with Z:
     Z[l, k] = (S_{p - x0 q}[l, k] - sum over k < m < l of Z[l, m] M[m, k]) / q0."""
     x0 = p.terms.get((0,) * p.nvars, 0.0) / q0
-    _, out = _polynomial_blocks(model, p - q * x0)
+    _, out = _polynomial_blocks(model, labels, p - q * x0)
     for l in range(model.basis.max_degree + 1):
         for k in reversed(range(l)):
             terms = [out[l, k]] if (l, k) in out else []
@@ -759,19 +864,22 @@ def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.
     ``DENOMINATOR_MARGIN``.  No inverse is formed: X S_q = S_p is solved by
     block forward substitution (``_rational_blocks``).
     """
-    return _assemble_symbol(model, *_rational_blocks(model, p, q, *_denominator_blocks(model, q)))
+    labels = _label_blocks(model)
+    return _assemble_symbol(
+        model, *_rational_blocks(model, labels, p, q, *_denominator_blocks(model, labels, q))
+    )
 
 
-def _symbol_blocks(model: QuotientModel, symbol, denominators: dict):
-    """``_polynomial_blocks`` or ``_rational_blocks`` of a symbol; each
-    distinct denominator is compressed and guarded once per
-    ``denominators``."""
+def _symbol_blocks(model: QuotientModel, labels, symbol, denominators: dict):
+    """``_polynomial_blocks`` or ``_rational_blocks`` of a symbol from the
+    label blocks ``labels`` of the tuple; each distinct denominator is
+    compressed and guarded once per ``denominators``."""
     if not isinstance(symbol, RationalSymbol):
-        return _polynomial_blocks(model, symbol)
+        return _polynomial_blocks(model, labels, symbol)
     key = frozenset(symbol.q.terms.items())
     if key not in denominators:
-        denominators[key] = _denominator_blocks(model, symbol.q)
-    return _rational_blocks(model, symbol.p, symbol.q, *denominators[key])
+        denominators[key] = _denominator_blocks(model, labels, symbol.q)
+    return _rational_blocks(model, labels, symbol.p, symbol.q, *denominators[key])
 
 
 # ---------------------------------------------------------------------
@@ -788,40 +896,9 @@ def cross_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def schatten_norm(x: np.ndarray, p: float) -> float:
     """Schatten p-norm via singular values (p = 2: the Frobenius norm); p may
     be inf, must be >= 1."""
-    return _spectra_norm(_block_spectra([x], [p]), p)
-
-
-def _block_spectra(blocks, p_values) -> list[tuple[float, np.ndarray]]:
-    """(squared Frobenius norm, singular values) of each block, in order.
-
-    The singular values are taken once per block, and only when some p != 2
-    needs them; any prefix of the list describes the block-diagonal operator
-    with those leading blocks (see ``_spectra_norm``)."""
-    for p in p_values:
-        if not p >= 1:  # NaN too
-            raise ValidationError(f"Schatten norm needs p >= 1, got {p}")
-    need_sv = any(p != 2 for p in p_values)
-    out = []
-    for b in blocks:
-        b = np.asarray(b, dtype=complex)
-        sv = np.linalg.svd(b, compute_uv=False) if need_sv and b.size else np.zeros(0)
-        out.append((np.linalg.norm(b) ** 2, sv))
-    return out
-
-
-def _spectra_norm(spectra, p: float) -> float:
-    """Schatten p-norm of the block-diagonal operator whose diagonal blocks
-    have these ``_block_spectra``: its singular values are the union of the
-    blocks' ones, and its Frobenius norm (p = 2) the root of their summed
-    squares."""
-    if p == 2:  # the Frobenius norm needs no singular values
-        return float(np.sqrt(sum(frob2 for frob2, _ in spectra)))
-    sv = np.concatenate([np.zeros(0)] + [sv for _, sv in spectra])
-    top = sv.max(initial=0.0)
-    if top == 0 or np.isinf(p):
-        return float(top)
-    # scaled by the largest, so that no power underflows to 0 at large p
-    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
+    _check_p([p])
+    frob2, sv = _spectra(np.asarray(x, dtype=complex)[None], p != 2)
+    return _spectra_norm([(frob2.sum(), sv.ravel())], p)
 
 
 def permissive_transform(mats, c: float, shift, dom: DomainSpec) -> list[np.ndarray]:
@@ -865,32 +942,20 @@ class ProfileRow:
     dim_quotient: int
 
 
-def _label_runs(blocks: dict, starts) -> list:
-    """The operator with these label blocks (label l from row and column
-    starts[l]) as (lo, hi, matrix) for each of the finest runs of labels
-    lo .. hi - 1 that no block crosses; it is block-diagonal over them."""
-    count = len(starts) - 1
-    reach = np.arange(count)  # the highest label a block joins to each label
-    for l, k in blocks:
-        reach[min(l, k)] = max(reach[min(l, k)], l, k)
-    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(count)) + 1
-    runs = zip(itertools.chain([0], ends[:-1]), ends)
-    return [(lo, hi, _assemble(blocks, starts, lo, hi)) for lo, hi in runs]
-
-
-def _run_spectra(runs, starts, top: int, p_values):
-    """``_block_spectra`` of the block-diagonal operator with these runs
-    (``_label_runs``), in full and windowed to the labels <= ``top``: each
-    run's singular values are taken once, and the window keeps the runs
-    that end by ``top`` whole and cuts the one it ends inside."""
-    full = _block_spectra([mat for _, _, mat in runs], p_values)
-    whole = sum(hi <= top + 1 for _, hi, _ in runs)
-    windowed = full[:whole]
-    if whole < len(runs) and runs[whole][0] <= top:
-        lo, _, mat = runs[whole]
-        cut = starts[top + 1] - starts[lo]
-        windowed = windowed + _block_spectra([mat[:cut, :cut]], p_values)
-    return full, windowed
+def _affine_entries(model: QuotientModel, symbol):
+    """Block entries of S_f - f(0) I, a combination of the stored S_i, for
+    a polynomial f of degree <= 1; None for any other symbol."""
+    if isinstance(symbol, RationalSymbol):
+        return None
+    _check_symbol(model.basis.dom, symbol)
+    if symbol.degree() > 1:
+        return None
+    return [
+        (rows, cols, (c.real if c.imag == 0 else c) * stack)
+        for alpha, c in symbol.terms.items()
+        if any(alpha)  # the constant term is f(0) I, which no commutator sees
+        for rows, cols, stack in model.tuple_stacks[alpha.index(1)]
+    ]
 
 
 def essential_normality_profile(
@@ -909,34 +974,49 @@ def essential_normality_profile(
     of degree <= D - w, with w defaulting to one more than the top symbol
     degree; that discards rows and columns polluted by the truncation edge.
 
-    Each symbol is compressed once as label blocks (``_symbol_blocks``), and
-    [S_a, S_b*] is formed from them and taken over the runs of labels it is
-    block-diagonal on (``_label_runs``).  A commutator whose entries or
-    squared Frobenius norm (the p = 2 cell squared) overflow to inf or NaN
-    raises :class:`NonFiniteValue`.
+    Symbols of degree <= 1 (the coordinates) are read from the stored
+    blocks, and their commutators formed block by block
+    (``blocksparse._products``).  Any other symbol makes every symbol a set
+    of label blocks (``_symbol_blocks``), from which each commutator is
+    formed.  Either way the commutator is taken over the connected blocks
+    of its pattern (``blocksparse._connected_blocks``).  A commutator whose
+    entries or squared Frobenius norm (the p = 2 cell squared) overflow to
+    inf or NaN raises :class:`NonFiniteValue`.
     """
     symbols, basis = list(symbols), model.basis
     if not symbols:
         raise ValidationError("need at least one symbol")
-    D = basis.max_degree
+    _check_p(p_values)
+    D, nq = basis.max_degree, model.dim_quotient
     w = window if window is not None else max(s.degree() for s in symbols) + 1
-    starts, denominators = model.label_starts, {}
-    compressed = [_symbol_blocks(model, s, denominators)[1] for s in symbols]
+    affine = [_affine_entries(model, s) for s in symbols]
+    if any(a is None for a in affine):
+        labels, denominators, starts = _label_blocks(model), {}, model.label_starts
+        compressed = [_symbol_blocks(model, labels, s, denominators)[1] for s in symbols]
+        spans = [np.arange(starts[l], starts[l + 1])[None] for l in range(D + 1)]
     rows: list[ProfileRow] = []
     for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
-        # complex products whether the blocks are stored real or complex
-        sb = {key[::-1]: np.asarray(v, complex).conj().T for key, v in compressed[j].items()}
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises just below
-            comm = dict(_label_commutator(compressed[i], sb))
-            squares = sum(np.vdot(c, c).real for c in comm.values())  # also inf at an inf entry
+            if affine[i] is not None and affine[j] is not None:
+                comm = _commutator(affine[i], [(c, r, _adjoint(s)) for r, c, s in affine[j]])
+            else:
+                # complex products whether the blocks are stored real or complex
+                sb = {k[::-1]: np.asarray(v, complex).conj().T for k, v in compressed[j].items()}
+                comm = [
+                    (spans[l], spans[k], block[None])
+                    for (l, k), block in _label_commutator(compressed[i], sb)
+                ]
+            blocks = _connected_blocks(comm, nq)
+            squares = sum(np.vdot(s, s).real for _, _, s in blocks)  # also inf at an inf entry
         names = (symbols[i].label(), symbols[j].label())
         if not np.isfinite(squares):
             raise NonFiniteValue(f"commutator [{names[0]}, {names[1]}*] overflows at D {D}")
-        full, windowed = _run_spectra(_label_runs(comm, starts), starts, D - w, p_values)
+        full, windowed = _block_spectra(blocks, model.degree_labels, D - w, p_values)
+        del comm, blocks  # a dense Moebius commutator is freed before the next one is formed
         rows += [
             ProfileRow(
                 basis.dom.label(), basis.lam, D, family, *names, float(p),
-                _spectra_norm(full, p), _spectra_norm(windowed, p), model.dim_quotient,
+                _spectra_norm(full, p), _spectra_norm(windowed, p), nq,
             )
             for p in p_values
         ]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from symdom import koszul, operators
+from symdom import blocksparse, koszul, operators
 from symdom.calculus import mobius_rational_components
 from symdom.domains import DomainSpec
 from symdom.errors import (
@@ -216,6 +216,19 @@ def test_passing_graded_defect_takes_no_svd(monkeypatch):
     assert norms == [] and len(svds) == sum(groups) > 0
 
 
+def graded_complement_blocks(basis, gens):
+    """The dense complement blocks Q_0 .. Q_D, assembled from the class
+    frames of ``_graded_complement`` (a padded column reads index nq)."""
+    frames, _, starts = operators._graded_complement(basis, gens)
+    out = []
+    for d, classes in enumerate(frames):
+        q = np.zeros((basis.degree_sizes[d], starts[-1] + 1), dtype=complex)
+        for pos, cols, frame in classes:
+            q[pos[:, :, None], cols[:, None, :]] = frame
+        out.append(q[:, starts[d]:starts[d + 1]])
+    return out
+
+
 @pytest.mark.parametrize(
     "dom, lam, gens",
     [
@@ -235,7 +248,7 @@ def test_failing_graded_defect_is_the_dense_defect(dom, lam, gens, monkeypatch):
     # the dense norm is the largest of the per-degree ones)
     basis = truncated_basis(dom, lam, 5)
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", 0.6)
-    blocks = [q for q, _ in operators._graded_complement(basis, gens)]
+    blocks = graded_complement_blocks(basis, gens)
     q = np.zeros((basis.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
     col = 0
     for d, b in enumerate(blocks):
@@ -266,9 +279,9 @@ def test_invariance_guard_takes_the_scale_only_when_it_decides(scale, monkeypatc
         calls.clear()
         if defect > bound:
             with pytest.raises(NumericallySingular, match=f"not invariant, defect {defect:.2e}"):
-                _check_tuple(basis, [0, 1, 2], [{}], [[piece]])
+                _check_tuple(basis, 2, [()], [[piece]])
         else:
-            _check_tuple(basis, [0, 1, 2], [{}], [[piece]])
+            _check_tuple(basis, 2, [()], [[piece]])
         assert calls == ([] if defect <= INVARIANCE_TOL else [basis])
 
 
@@ -374,12 +387,45 @@ def test_mult_op_is_dense_block_assembly(dom, lam, d_trunc, rng):
     assert np.array_equal(mult_op(basis, f), want)
 
 
-def test_graded_blocks_own_their_data_and_beat_the_dense_complement():
-    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 10)
+def stored_bytes(entries):
+    """The bytes of block entries: their stacks and their index arrays."""
+    return sum(rows.nbytes + cols.nbytes + stack.nbytes for rows, cols, stack in entries)
+
+
+def test_stored_blocks_are_a_small_share_of_their_dense_forms():
+    # MB(2,2) modulo z11 at D 16 (dim 4845, dim_quotient 969): Q is kept as
+    # class frames and each S_i as group-pair blocks, every one 1 x 1 here.
+    # With their index arrays they hold under 5 % of the bytes of the dense
+    # forms stored before, float64 Q_d per degree (4.1 MB) and S_i(d) per
+    # degree shift (2.6 MB), and the dense matrices assemble from them entry
+    # for entry, no entry twice
+    basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 16)
     model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
-    assert len(model.blocks) == basis.max_degree + 1
-    assert all(block.base is None for _, block in model.blocks)
-    assert sum(block.nbytes for _, block in model.blocks) < model.quotient_onb.nbytes
+    nq = model.dim_quotient
+    assert (basis.dim, nq) == (4845, 969)
+    widths = np.diff(model.label_starts)
+    dense_q = 8 * int(np.sum(np.array(basis.degree_sizes) * widths))
+    dense_s = 4 * 8 * int(np.sum(widths[1:] * widths[:-1]))
+    assert (dense_q, dense_s) == (4_131_816, 2_604_672)
+    assert stored_bytes(model.frames) < 0.05 * dense_q
+    assert stored_bytes(e for s in model.tuple_stacks for e in s) < 0.05 * dense_s
+    assert all(stack.shape[1:] == (1, 1) for s in model.tuple_stacks for _, _, stack in s)
+
+    def dense(entries, height):
+        out = np.zeros((height, nq), dtype=complex)
+        seen = np.zeros((height, nq), dtype=int)
+        for rows, cols, stack in entries:
+            for r, c, block in zip(rows, cols, stack):
+                out[np.ix_(r, c)] = block
+                seen[np.ix_(r, c)] += 1
+        assert seen.max() == 1
+        return out
+
+    q = dense(model.frames, basis.dim)
+    assert np.array_equal(model.quotient_onb, q)
+    assert np.array_equal(model.projector(), q @ q.conj().T)
+    for s, entries in zip(model.tuple_mats, model.tuple_stacks, strict=True):
+        assert np.array_equal(s, dense(entries, nq))
 
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
@@ -528,7 +574,7 @@ def test_group_ranks_count_against_the_largest_singular_value_of_all_degrees(tol
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", tol)
     for name, gens in oracle_generator_sets(dom).items():
         _, labels, _ = per_degree_oracle(basis, gens, tol)
-        widths = [q.shape[1] for q, _ in operators._graded_complement(basis, gens)]
+        widths = np.diff(operators._graded_complement(basis, gens)[2]).tolist()
         assert widths == np.bincount(labels, minlength=len(widths)).tolist(), name
 
 
@@ -551,13 +597,10 @@ def test_empty_complement_degrees():
     basis = truncated_basis(BALL2, 2.0, 4)
     gens = [Z1, Z2]
     model = quotient_model(basis, gens)
-    assert [q.shape for _, q in model.blocks] == [(1, 1)] + [
-        (size, 0) for size in basis.degree_sizes[1:]
-    ]
-    for sblocks in model.tuple_blocks:
-        assert {key: b.shape for key, b in sblocks.items()} == {
-            (1, 0): (0, 1), (2, 1): (0, 0), (3, 2): (0, 0), (4, 3): (0, 0)
-        }
+    # Q is the constant alone, and S_i sends it into the submodule: no block
+    ((rows, cols, stack),) = model.frames
+    assert rows.tolist() == [[0]] and cols.tolist() == [[0]] and stack.tolist() == [[[1.0]]]
+    assert model.tuple_stacks == ((), ())
     q, labels, tuple_oracle = per_degree_oracle(basis, gens)
     assert np.array_equal(model.degree_labels, labels)
     for s, want in zip(model.tuple_mats, tuple_oracle, strict=True):
@@ -567,27 +610,32 @@ def test_empty_complement_degrees():
 
 
 def test_graded_tuple_is_stored_as_shift_blocks():
-    # MB(2,2) modulo z11 at D 20: the graded tuple's label blocks are the
-    # degree-shift blocks S_i(d) = S_i[d + 1, d], d = 0 .. 19, which hold
-    # 4 sum_d nq_{d+1} nq_d entries, 7.3 % of the dense 4 nq^2; the
-    # filtration path stores every block below the label diagonal
+    # MB(2,2) modulo z11 at D 20: each torus class meets the quotient in at
+    # most one dimension, so S_i is a weighted shift on the class lattice:
+    # one 1 x 1 block per column at most, from label d to label d + 1,
+    # against the 4 sum_d nq_{d+1} nq_d entries of dense degree-shift
+    # blocks.  The filtration path stores every label block l > k
     basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 20)
     model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
     nq = [math.comb(d + 2, 2) for d in range(21)]
     assert model.dim_quotient == sum(nq) == 1771
-    for sblocks in model.tuple_blocks:
-        assert list(sblocks) == [(d + 1, d) for d in range(20)]
-        assert all(sblocks[d + 1, d].shape == (nq[d + 1], nq[d]) for d in range(20))
-    stored = sum(b.size for sblocks in model.tuple_blocks for b in sblocks.values())
-    assert stored == 4 * sum(nq[d + 1] * nq[d] for d in range(20))
-    assert stored < 0.08 * 4 * model.dim_quotient**2
+    labels = model.degree_labels
+    for stacks in model.tuple_stacks:
+        ((rows, cols, stack),) = stacks
+        assert stack.shape[1:] == (1, 1)
+        assert np.array_equal(labels[rows[:, 0]], labels[cols[:, 0]] + 1)
+        assert len(set(cols[:, 0].tolist())) == len(cols) <= sum(nq[:20])
     z11, z12 = Polynomial.coordinate(0, 4), Polynomial.coordinate(1, 4)
     model = quotient_model(truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 5), [z11 + z12 * z12])
-    starts = [start for start, _ in model.blocks] + [model.dim_quotient]
-    for sblocks, mat in zip(model.tuple_blocks, model.tuple_mats, strict=True):
-        assert list(sblocks) == [(l, k) for l in range(6) for k in range(l)]
-        for (l, k), block in sblocks.items():
-            assert np.array_equal(block, mat[starts[l]:starts[l + 1], starts[k]:starts[k + 1]])
+    starts = model.label_starts
+    spans = [np.arange(starts[l], starts[l + 1]) for l in range(6)]
+    for stacks, mat in zip(model.tuple_stacks, model.tuple_mats, strict=True):
+        blocks = [b for rows, cols, stack in stacks for b in zip(rows, cols, stack)]
+        pairs = [(model.degree_labels[r[0]], model.degree_labels[c[0]]) for r, c, _ in blocks]
+        assert sorted(pairs) == [(l, k) for l in range(6) for k in range(l)]
+        for (l, k), (r, c, block) in zip(pairs, blocks):
+            assert np.array_equal(r, spans[l]) and np.array_equal(c, spans[k])
+            assert np.array_equal(block, mat[np.ix_(r, c)])
 
 
 @pytest.mark.parametrize(
@@ -630,8 +678,9 @@ def test_coordinate_profile_never_reads_the_dense_tuple(monkeypatch):
 
 def random_label_tuple(rng, sizes, n, shift):
     """n random strictly lower block-triangular operators on the sum of
-    spaces of the given sizes, as label blocks (only l = k + 1 when
-    ``shift``) and as dense matrices."""
+    spaces of the given sizes, with their total size: as block entries, one
+    per label block (only l = k + 1 when ``shift``), and as dense
+    matrices."""
     starts = np.concatenate([[0], np.cumsum(sizes)])
     tuple_blocks, mats = [], []
     for _ in range(n):
@@ -645,9 +694,12 @@ def random_label_tuple(rng, sizes, n, shift):
         mat = np.zeros((starts[-1], starts[-1]), dtype=complex)
         for (l, k), b in blocks.items():
             mat[starts[l]:starts[l + 1], starts[k]:starts[k + 1]] = b
-        tuple_blocks.append(blocks)
+        spans = [np.arange(starts[l], starts[l + 1])[None] for l in range(len(sizes))]
+        tuple_blocks.append(blocksparse._by_shape(
+            (spans[l], spans[k], b[None]) for (l, k), b in blocks.items()
+        ))
         mats.append(mat)
-    return starts, tuple_blocks, mats
+    return starts[-1], tuple_blocks, mats
 
 
 @pytest.mark.parametrize("sizes", [[1, 2, 3, 4], [3, 0, 2, 5, 1], [2, 3, 3, 2, 4, 1]])
@@ -655,14 +707,14 @@ def test_blockwise_commutator_guard_is_dense_guard(sizes, monkeypatch, rng):
     # these commutators exceed the Frobenius bound, so the guard takes the
     # 2-norms, and the value it judges is the dense guard's
     for n, shift in itertools.product((2, 3), (True, False)):
-        starts, tuple_blocks, mats = random_label_tuple(rng, sizes, n, shift)
+        nq, tuple_blocks, mats = random_label_tuple(rng, sizes, n, shift)
         with pytest.raises(NotCommuting):  # no invariance pieces, so no basis is read
-            _check_tuple(None, starts, tuple_blocks, [[]] * n)
+            _check_tuple(None, nq, tuple_blocks, [[]] * n)
         with pytest.raises(NotCommuting):
             koszul.check_commuting(mats)
         judged = []
         monkeypatch.setattr(koszul, "_guard_commuting", judged.append)
-        _check_tuple(None, starts, tuple_blocks, [[]] * n)
+        _check_tuple(None, nq, tuple_blocks, [[]] * n)
         monkeypatch.undo()
         dense = koszul._commutator_norm(mats) / koszul._scale(mats)
         assert len(judged) == 1 and judged[0] > 0
@@ -682,9 +734,15 @@ def test_inhomogeneous_generator_takes_filtration_path(rng):
     supports = [column_degrees(basis, q[:, k]) for k in range(model.dim_quotient)]
     assert all(max(sup) == label for sup, label in zip(supports, model.degree_labels))
     assert any(len(sup) > 1 for sup in supports)
-    # blocks hold every column labelled d or higher, some of them zero on degree d
-    assert any(not block.any(axis=0).all() for _, block in model.blocks)
-    assert all(block.base is None for _, block in model.blocks)
+    # Q is stored by degree d, on every column labelled d or higher, some
+    # of them zero on degree d
+    starts = model.label_starts
+    frames = [b for rows, cols, stack in model.frames for b in zip(rows, cols, stack)]
+    assert len(frames) == basis.max_degree + 1
+    for d, (rows, cols, block) in enumerate(sorted(frames, key=lambda b: b[0][0])):
+        assert np.array_equal(rows, np.arange(basis.offset(d), basis.offset(d + 1)))
+        assert np.array_equal(cols, np.arange(starts[d], model.dim_quotient))
+    assert any(not block.any(axis=0).all() for _, _, block in frames)
     f = random_poly(2, 3, rng)
     assert np.abs(compress(model, f) - q.conj().T @ mult_op(basis, f) @ q).max() < 1e-12
 
@@ -786,7 +844,9 @@ def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkey
             patch.setattr(np.linalg, "norm", counted_norm)
             model = quotient_model(basis, gens)
         assert 2 not in calls and len(calls) <= d_trunc + 1, name
-        assert len(model.tuple_blocks[0]) == d_trunc * (d_trunc + 1) // 2, name
+        # one block per pair of nonempty labels l > k
+        blocks = sum(len(stack) for _, _, stack in model.tuple_stacks[0])
+        assert blocks == math.comb(len(set(model.degree_labels.tolist())), 2), name
         assert np.array_equal(model.degree_labels, labels), name
         qm = model.quotient_onb
         for k in range(d_trunc + 1):
@@ -1161,44 +1221,57 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    # one SVD per label block, shared by the window, for the coordinates
-    # and for their squares, whose commutators are block-diagonal by label too
-    for symbols in ([Z1, Z2], [Z1 * Z1, Z2 * Z2]):
+    # one batched SVD per shape of connected block, shared by the window.
+    # The quotient is spanned by 1, z1^j and z2^k, and S_1, S_2 shift them,
+    # so the coordinates' commutators have 1 x 1 blocks only; the squares'
+    # are read from label blocks, 1 x 1 on label 0 and 2 x 2 on the others,
+    # and the window keeps or drops each block whole
+    for symbols, shapes in (([Z1, Z2], 1), ([Z1 * Z1, Z2 * Z2], 2)):
         essential_normality_profile(model, symbols, p_values)
-        assert len(calls) == 3 * (d_trunc + 1) * per_matrix
+        assert len(calls) == 3 * shapes * per_matrix
+        assert all(len(shape) == 3 for shape in calls)
         calls.clear()
-    # Moebius symbols fill every lower label block: one run, its SVD and its
-    # window's, and one condition SVD of the denominator the two share
+    # Moebius symbols fill every lower label block: one block, its SVD and
+    # its window's cut, and one condition SVD of the denominator the two share
     mobius = mobius_rational_components(BALL2, [0.3, 0.1])
     essential_normality_profile(model, mobius, p_values)
     assert len(calls) == 3 * 2 * per_matrix + 1
 
 
-def test_label_runs_and_their_window(rng):
-    # labels 0 .. 4 with blocks (0, 0), (2, 1), (1, 2) and (4, 3): the
-    # runs are {0}, {1, 2} and {3, 4}; a window ending at label 1 keeps the
-    # first run whole and cuts the second, as the dense window does
-    sizes = [2, 1, 3, 2, 2]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    shapes = {(l, k): (sizes[l], sizes[k]) for l, k in ((0, 0), (2, 1), (1, 2), (4, 3))}
-    blocks = {
-        key: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for key, shape in shapes.items()
-    }
-    dense = operators._assemble(blocks, starts)
-    runs = operators._label_runs(blocks, starts)
-    assert [(lo, hi) for lo, hi, _ in runs] == [(0, 1), (1, 3), (3, 5)]
-    for lo, hi, mat in runs:
-        assert np.array_equal(mat, dense[starts[lo]:starts[hi], starts[lo]:starts[hi]])
-    labels = np.repeat(np.arange(len(sizes)), sizes)
+def test_connected_blocks_and_their_window(rng):
+    # entries on 8 rows and columns, labels 0 0 1 1 2 3 3 4: rows {0, 1} to
+    # columns {2, 3} and {6}, row 4 to columns {0, 1}, rows {2, 3} to
+    # column 4, rows {5, 6} to columns {5, 6}, and row 7 to column 7 twice.
+    # Column 6 joins the first and the fourth, so the connected blocks are
+    # rows {0, 1, 5, 6} x columns {2, 3, 5, 6}, {4} x {0, 1}, {2, 3} x {4}
+    # and {7} x {7}, the last the sum of its two entries.  A window ending
+    # at label 1 cuts the first to {0, 1} x {2, 3} and drops the others,
+    # as the dense window does
+    pattern = [
+        ([0, 1], [2, 3]), ([0, 1], [6]), ([4], [0, 1]), ([2, 3], [4]), ([5, 6], [5, 6]),
+        ([7], [7]), ([7], [7]),
+    ]
+    entries = [
+        (np.array([r]), np.array([c]), rng.standard_normal((1, len(r), len(c))))
+        for r, c in pattern
+    ]
+    dense = np.zeros((8, 8))
+    for rows, cols, stack in entries:
+        dense[np.ix_(rows[0], cols[0])] += stack[0]
+    blocks = blocksparse._connected_blocks(entries, 8)
+    assert sorted((r.tolist(), c.tolist()) for r, c, _ in blocks) == [
+        ([[0, 1, 5, 6]], [[2, 3, 5, 6]]), ([[2, 3]], [[4]]), ([[4]], [[0, 1]]), ([[7]], [[7]]),
+    ]
+    for rows, cols, stack in blocks:
+        assert np.array_equal(stack[0], dense[np.ix_(rows[0], cols[0])])
+    labels = np.array([0, 0, 1, 1, 2, 3, 3, 4])
     for top in (-1, 0, 1, 2, 3, 4):
-        full, windowed = operators._run_spectra(runs, starts, top, SCHATTEN_PS)
-        assert top < 0 or windowed[0] is full[0]  # a whole run shares its spectra
+        full, windowed = blocksparse._block_spectra(blocks, labels, top, SCHATTEN_PS)
         window = windowed_submatrix(dense, labels, top)
         for p in SCHATTEN_PS:
             for got, want in (
-                (operators._spectra_norm(full, p), schatten_norm(dense, p)),
-                (operators._spectra_norm(windowed, p), schatten_norm(window, p)),
+                (blocksparse._spectra_norm(full, p), schatten_norm(dense, p)),
+                (blocksparse._spectra_norm(windowed, p), schatten_norm(window, p)),
             ):
                 assert abs(got - want) <= 1e-12 * want, (top, p)
 

@@ -5,7 +5,10 @@ Schatten cells of the coordinate and Moebius symbols; on either path the
 label-block compressions of polynomial and rational symbols are the dense
 sandwich Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +20,11 @@ from symdom.operators import (
     _graded_model,
     compress,
     compress_rational,
+    cross_commutator,
     essential_normality_profile,
     mult_op,
+    quotient_model,
+    schatten_norm,
 )
 from symdom.polynomials import Polynomial
 
@@ -156,3 +162,80 @@ def test_graded_and_filtration_paths_give_the_same_mobius_cells(data):
             (a.schatten_windowed, b.schatten_windowed),
         ):
             assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
+
+
+# The dense oracle of every Schatten cell: dense sandwiches of mult_op for
+# the compressions (S_p inv(S_q) with a dense inverse for the Moebius
+# components), cross_commutator, and schatten_norm of the full matrix and of
+# its label window.  Domains with their largest truncation degree, and per
+# domain the generator sets: a coordinate, a sum of two coordinates whose
+# torus classes merge into groups (z11 + z22 on a matrix ball), det on
+# MB(2,2), and the inhomogeneous z1^2 + z2 of the filtration path.
+ORACLE_DOMAINS = [
+    (DomainSpec.ball(2), 2.0, 6, [0.3, -0.1j]),
+    (DomainSpec.polydisc(2), 2.0, 6, [0.3, -0.1j]),
+    (DomainSpec.matrix_ball(1, 3), 2.5, 6, [0.2, 0.1, -0.15j]),
+    (DomainSpec.matrix_ball(2, 2), 2.5, 6, [0.2, 0.1, 0.0, 0.3]),
+    (DomainSpec.matrix_ball(2, 3), 3.5, 4, [0.2, 0.1, 0.0, 0.0, 0.15j, -0.1]),
+]
+ORACLE_PS = [1.0, 1.5, 2.0, 3.0, np.inf]
+
+
+def oracle_generators(dom):
+    """Named generator sets for the dense-oracle cells of one domain."""
+    n = dom.dim
+    z = [Polynomial.coordinate(i, n) for i in range(n)]
+    sets = {"z1": [z[0]], "z1^2+z2": [z[0] * z[0] + z[1]]}
+    if dom.kind == "matrixball" and dom.rows > 1:
+        cols = dom.cols
+        sets["z11+z22"] = [z[0] + z[cols + 1]]
+        if cols == 2:
+            sets["det"] = [z[0] * z[3] - z[1] * z[2]]
+    return sets
+
+
+def dense_cells(basis, model, symbols, window):
+    """Per pair a <= b and p: the full and windowed Schatten p-norms of
+    [S_a, S_b*] by the dense route."""
+    q = model.quotient_onb
+
+    def dense(f):
+        if isinstance(f, Polynomial):
+            return q.conj().T @ mult_op(basis, f) @ q
+        return dense(f.p) @ np.linalg.inv(dense(f.q))
+
+    mats = [dense(f) for f in symbols]
+    keep = np.flatnonzero(model.degree_labels <= basis.max_degree - window)
+    out = []
+    for a, b in itertools.combinations_with_replacement(range(len(symbols)), 2):
+        comm = cross_commutator(mats[a], mats[b])
+        out += [
+            (schatten_norm(comm, p), schatten_norm(comm[np.ix_(keep, keep)], p)) for p in ORACLE_PS
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "dom, lam, d_trunc, z0", ORACLE_DOMAINS, ids=[d.label() for d, *_ in ORACLE_DOMAINS]
+)
+def test_cells_are_the_dense_route(dom, lam, d_trunc, z0):
+    # every coordinate and Moebius cell within 1e-13 relative, plus 1e-15
+    # absolute: the symbols are contractions, so either route rounds the
+    # commutator's entries by about 1e-16, which shows relative to a cell
+    # near zero.  The polydisc's [S_1, S_2*] vanishes in exact arithmetic,
+    # and MB(1,3)/z1's Moebius [S_11, S_11*] is 7.5e-4 with an 8e-17 gap
+    basis = truncated_basis(dom, lam, d_trunc)
+    z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    families = {"coordinates": z, "mobius": mobius_rational_components(dom, z0)}
+    for name, gens in oracle_generators(dom).items():
+        model = quotient_model(basis, gens)
+        for family, symbols in families.items():
+            rows = essential_normality_profile(model, symbols, ORACLE_PS)
+            want = dense_cells(basis, model, symbols, max(f.degree() for f in symbols) + 1)
+            assert len(rows) == len(want), (name, family)
+            for row, cells in zip(rows, want):
+                assert row.dim_quotient == model.dim_quotient
+                for got, ref in zip((row.schatten_full, row.schatten_windowed), cells):
+                    assert abs(got - ref) <= 1e-13 * ref + 1e-15, (
+                        name, family, row.symbol_i, row.symbol_j, row.p, got, ref,
+                    )
