@@ -49,17 +49,19 @@ those of the 2-norms.
 Multipliers raise the degree, and degrees are orthogonal, so
 P_D M_f P_D M_g P_D = P_D M_fg P_D; M^(D) is invariant under the truncated
 multipliers, so the quotient's projector drops out between them, and
-f -> S_f is an algebra homomorphism: S_f = f(S_1, ..., S_n).  A symbol of
-degree <= 1 is f(0) I plus a combination of the stored blocks, and f(0) I
-drops out of every commutator, so the commutators of such symbols (the
-coordinates) are formed block by block (``blocksparse._products``).  Every
-other symbol is formed from products of label blocks assembled from the
-stored ones (``_label_blocks``, ``_polynomial_blocks``,
-``_label_products``).
+f -> S_f is an algebra homomorphism: S_f = f(S_1, ..., S_n).  So S_f -
+f(0) I is a sum of products of the stored blocks, one chain of
+``blocksparse._products`` per term of f, and a commutator is formed from
+such entries the same way (``blocksparse._commutator``); f(0) I drops out
+of every commutator.  One block-product route serves every symbol.
 S_f - f(0) I is strictly lower in the labels, so S_{p/q} = S_p S_q^{-1}
-solves X S_q = S_p by block forward substitution, with no inverse
-(``_rational_blocks``).  Moebius symbols mix the classes, so their label
-blocks and commutators are dense, and their profiles stay at moderate D.
+solves X S_q = S_p by block substitution over the labels, with no inverse
+(``_rational``), into a dense matrix.  Products match blocks by their
+cells, so the two symbols of a commutator share one cell system: where
+either is rational, both are cut to the same two cells, the labels that
+start before the middle column and the rest (``_halves``).  Moebius symbols mix the
+classes, so their compressions and commutators are dense, and their
+profiles stay at moderate D.
 A profile takes the singular values of [S_a, S_b*] per connected block of
 its nonzero pattern (``blocksparse._connected_blocks``), one batched SVD
 per block shape, shared by every p and the window
@@ -84,6 +86,7 @@ from .blocksparse import (
     _components,
     _connected_blocks,
     _distinct,
+    _products,
     _scatter,
     _spectra,
     _spectra_norm,
@@ -190,15 +193,16 @@ def _check_symbol(dom: DomainSpec, f: Polynomial) -> None:
 
 
 def mult_op(basis: TruncatedBasis, f: Polynomial) -> np.ndarray:
-    """Matrix of P_D M_f P_D in the orthonormal graded basis, assembled
-    from its degree blocks (``_dense_block``), labelled by degree."""
+    """Matrix of P_D M_f P_D in the orthonormal graded basis, labelled by
+    degree, its degree blocks (``_dense_block``) written in place."""
     _check_symbol(basis.dom, f)
-    blocks = {
-        (d + k, d): _dense_block(basis, _mult_block(basis, part, d), d, k)
-        for k, part in f.homogeneous_parts().items()
-        for d in range(basis.max_degree - k + 1)
-    }
-    return _assemble(blocks, [basis.offset(d) for d in range(basis.max_degree + 2)])
+    out = np.zeros((basis.dim,) * 2, dtype=complex)
+    for k, part in f.homogeneous_parts().items():
+        for d in range(basis.max_degree - k + 1):
+            out[basis.block_slice(d + k), basis.block_slice(d)] = _dense_block(
+                basis, _mult_block(basis, part, d), d, k
+            )
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -212,39 +216,6 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generator variable count mismatch")
     if min((sum(a) for g in generators for a in g.terms), default=0) > basis.max_degree:
         raise ValidationError("generators produce an empty span at this degree")
-
-
-def _assemble(blocks: dict, starts) -> np.ndarray:
-    """The dense complex matrix of the label blocks ``blocks[l, k]``, label l
-    spanning rows and columns starts[l] .. starts[l + 1]."""
-    out = np.zeros((starts[-1],) * 2, dtype=complex)
-    for (l, k), block in blocks.items():
-        out[starts[l]:starts[l] + block.shape[0], starts[k]:starts[k] + block.shape[1]] = block
-    return out
-
-
-def _label_products(terms):
-    """The label blocks of the sum of the products +-A B, one term (np.add
-    or np.subtract, A, B) each, from the label blocks of every A and B, one
-    ((l, k), block) at a time.  (A B)[l, k] sums A[l, m] B[m, k] over the
-    stored blocks, in the terms' order; a block that no product reaches is
-    zero and is not given."""
-    products = {}  # (l, k): (op, A[l, m], B[m, k]) per product
-    for op, x, y in terms:
-        for (l, m), u in x.items():
-            for (n, k), v in y.items():
-                if m == n:
-                    products.setdefault((l, k), []).append((op, u, v))
-    for key, ((op, u, v), *rest) in products.items():
-        block = op(0.0, u @ v)
-        for op, u, v in rest:
-            block = op(block, u @ v)
-        yield key, block
-
-
-def _label_commutator(a: dict, b: dict):
-    """The label blocks of A B - B A (``_label_products``)."""
-    return _label_products([(np.add, a, b), (np.subtract, b, a)])
 
 
 @dataclass(frozen=True)
@@ -305,28 +276,6 @@ class QuotientModel:
         """Orthogonal projector of the truncated space onto the quotient."""
         q = self.quotient_onb
         return q @ q.conj().T
-
-
-def _label_blocks(model: QuotientModel) -> tuple[dict, ...]:
-    """Each S_i as label blocks: entry (l, k) the block from the label-k
-    columns to the label-l rows, for every label pair that a stored block
-    lies in (each stored block lies in one), in ascending order of (l, k)."""
-    starts, labels = model.label_starts, model.degree_labels
-    dtype = np.result_type(float, *(s for stacks in model.tuple_stacks for _, _, s in stacks))
-    out = []
-    for stacks in model.tuple_stacks:
-        blocks = {}
-        for rows, cols, stack in stacks:
-            pairs = labels[rows[:, 0]] * len(starts) + labels[cols[:, 0]]
-            for pair in _distinct(pairs):
-                l, k = divmod(int(pair), len(starts))
-                block = blocks.setdefault((l, k), np.zeros(
-                    (starts[l + 1] - starts[l], starts[k + 1] - starts[k]), dtype
-                ))
-                on = pairs == pair
-                block[(rows[on] - starts[l])[:, :, None], (cols[on] - starts[k])[:, None, :]] = stack[on]
-        out.append(dict(sorted(blocks.items())))
-    return tuple(out)
 
 
 def _filtration_complement(basis: TruncatedBasis, generators):
@@ -779,31 +728,49 @@ def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
     return _filtration_model(basis, generators)
 
 
-def _polynomial_blocks(model: QuotientModel, labels, f: Polynomial):
-    """(f(0), the label blocks of S_f - f(0) I): S_f = f(S_1, ..., S_n)
-    (module notes), each S^alpha the product of the label blocks ``labels``
-    of the S_i (``_label_blocks``), alpha_i times each, from the left, and
-    each term c S^alpha real while c is."""
+def _polynomial_entries(model: QuotientModel, f: Polynomial):
+    """(f(0), the block entries of S_f - f(0) I): S_f = f(S_1, ..., S_n)
+    (module notes), each S^alpha the chained products of the stored
+    ``tuple_stacks`` (``blocksparse._products``), S_i taken alpha_i
+    times, from the left, and each term c S^alpha real while c is.  The
+    entries lie on the model's cells; entries on one pair of cells, of one
+    term or of different terms, are not summed."""
     _check_symbol(model.basis.dom, f)
-    out = {}
+    out = []
     for alpha, c in f.terms.items():
         if any(alpha):  # the constant term is f(0) I
-            factors = [labels[i] for i, a in enumerate(alpha) for _ in range(a)]
-            power = functools.reduce(lambda x, y: dict(_label_products([(np.add, x, y)])), factors)
-            for key, block in power.items():
-                term = (c.real if c.imag == 0 else c) * block
-                out[key] = out[key] + term if key in out else term
+            factors = [model.tuple_stacks[i] for i, a in enumerate(alpha) for _ in range(a)]
+            power = functools.reduce(_products, factors)
+            out += [(rows, cols, (c.real if c.imag == 0 else c) * stack) for rows, cols, stack in power]
     return f.terms.get((0,) * f.nvars, 0.0), out
 
 
-def _assemble_symbol(model: QuotientModel, f0: complex, blocks: dict) -> np.ndarray:
-    """The dense matrix f0 I + N, N given by its label blocks."""
-    return _assemble(blocks, model.label_starts) + f0 * np.eye(model.dim_quotient)
+def _dense(model: QuotientModel, entries) -> np.ndarray:
+    """The dense matrix that block entries on the quotient sum to
+    (``blocksparse._connected_blocks``)."""
+    nq = model.dim_quotient
+    return _scatter(_connected_blocks(entries, nq), (nq, nq))
+
+
+def _halves(model: QuotientModel, matrix: np.ndarray) -> tuple:
+    """A strictly lower quotient matrix as block entries on two cells: the
+    columns of the labels that start before the middle column, and the
+    rest.  The block on the first cell's rows and the second's columns is
+    zero and left out, and with it about a quarter of the multiplications
+    of a dense product.  Real when every entry is (``koszul._in_field``)."""
+    starts = model.label_starts
+    m = starts[np.searchsorted(starts, starts[-1] / 2)]
+    low, high = np.arange(m)[None], np.arange(m, starts[-1])[None]
+    blocks = koszul._in_field([matrix[:m, :m], matrix[m:, :m], matrix[m:, m:]])
+    return _by_shape(
+        (rows, cols, b[None]) for (rows, cols), b in zip(((low, low), (high, low), (high, high)), blocks)
+    )
 
 
 def compress(model: QuotientModel, f: Polynomial) -> np.ndarray:
     """S_f = P M_f P restricted to the quotient: f(S_1, ..., S_n)."""
-    return _assemble_symbol(model, *_polynomial_blocks(model, _label_blocks(model), f))
+    f0, entries = _polynomial_entries(model, f)
+    return _dense(model, entries) + f0 * np.eye(model.dim_quotient)
 
 
 @functools.lru_cache(maxsize=None)
@@ -815,18 +782,19 @@ def _denominator_samples(dom: DomainSpec) -> np.ndarray:
     return pts
 
 
-def _denominator_blocks(model: QuotientModel, labels, q: Polynomial):
-    """``_polynomial_blocks`` of a denominator, after the guards of
+def _denominator(model: QuotientModel, q: Polynomial):
+    """(q(0), the dense S_q - q(0) I), after the guards of
     ``compress_rational``."""
     values = np.abs(q.eval_batch(_denominator_samples(model.basis.dom)))
     if values.size and values.min() < DENOMINATOR_MARGIN:
         raise DenominatorVanishes(
             f"denominator modulus drops to {values.min():.2e} on the closed domain"
         )
-    q0, low = _polynomial_blocks(model, labels, q)
+    q0, entries = _polynomial_entries(model, q)
+    low = _dense(model, entries)
     if not model.dim_quotient:
-        return 1.0, {}  # the empty S_q: nothing to invert
-    sv = np.linalg.svd(_assemble_symbol(model, q0, low), compute_uv=False)
+        return 1.0, low  # the empty S_q: nothing to invert
+    sv = np.linalg.svd(low + q0 * np.eye(model.dim_quotient), compute_uv=False)
     if sv[-1] == 0 or sv[0] / sv[-1] > CONDITION_CUTOFF:
         raise NumericallySingular(
             "compressed denominator condition number exceeds cutoff"
@@ -834,24 +802,24 @@ def _denominator_blocks(model: QuotientModel, labels, q: Polynomial):
     return q0, low
 
 
-def _rational_blocks(model: QuotientModel, labels, p: Polynomial, q: Polynomial, q0, low: dict):
-    """(x0, the label blocks of Z = X - x0 I) for X = S_p S_q^{-1}, given
-    S_q = q0 I + M (``_denominator_blocks``).
+def _rational(model: QuotientModel, p: Polynomial, q: Polynomial, q0, low: np.ndarray):
+    """(x0, the dense Z = X - x0 I) for X = S_p S_q^{-1}, given
+    S_q = q0 I + M (``_denominator``).
 
     M is strictly lower in the labels, so X is lower with diagonal
     x0 = p(0) / q0, and X S_q = S_p says Z (q0 I + M) = S_p - x0 S_q =
-    S_{p - x0 q}, strictly lower too.  Block forward substitution, each label
-    row from the diagonal out, overwrites the right side with Z:
-    Z[l, k] = (S_{p - x0 q}[l, k] - sum over k < m < l of Z[l, m] M[m, k]) / q0."""
+    S_{p - x0 q}, strictly lower too.  Block substitution over the label
+    columns, the last first, overwrites the right side with Z, whose rows
+    labelled k or lower vanish on the label-k columns:
+    Z[> k, k] = (S_{p - x0 q}[> k, k] - Z[> k, > k] M[> k, k]) / q0."""
+    starts = model.label_starts
     x0 = p.terms.get((0,) * p.nvars, 0.0) / q0
-    _, out = _polynomial_blocks(model, labels, p - q * x0)
-    for l in range(model.basis.max_degree + 1):
-        for k in reversed(range(l)):
-            terms = [out[l, k]] if (l, k) in out else []
-            terms += [-out[l, m] @ b for (m, j), b in low.items() if j == k and (l, m) in out]
-            if terms:
-                out[l, k] = sum(terms) / q0
-    return x0, out
+    z = _dense(model, _polynomial_entries(model, p - q * x0)[1])
+    for k in reversed(range(len(starts) - 1)):
+        cols, below = slice(starts[k], starts[k + 1]), slice(starts[k + 1], None)
+        rows = starts[k + 1] + np.flatnonzero(low[below, cols].any(axis=1))  # where M[> k, k] is not zero
+        z[below, cols] = (z[below, cols] - z[below, rows] @ low[rows, cols]) / q0
+    return x0, z
 
 
 def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.ndarray:
@@ -862,24 +830,22 @@ def compress_rational(model: QuotientModel, p: Polynomial, q: Polynomial) -> np.
     The lower bound on |q| is the minimum over the domain's
     ``_denominator_samples`` (evaluated in one batch) and must be at least
     ``DENOMINATOR_MARGIN``.  No inverse is formed: X S_q = S_p is solved by
-    block forward substitution (``_rational_blocks``).
+    block substitution over the labels (``_rational``).
     """
-    labels = _label_blocks(model)
-    return _assemble_symbol(
-        model, *_rational_blocks(model, labels, p, q, *_denominator_blocks(model, labels, q))
-    )
+    x0, z = _rational(model, p, q, *_denominator(model, q))
+    return z + x0 * np.eye(model.dim_quotient)
 
 
-def _symbol_blocks(model: QuotientModel, labels, symbol, denominators: dict):
-    """``_polynomial_blocks`` or ``_rational_blocks`` of a symbol from the
-    label blocks ``labels`` of the tuple; each distinct denominator is
-    compressed and guarded once per ``denominators``."""
+def _symbol_matrix(model: QuotientModel, symbol, denominators: dict) -> np.ndarray:
+    """The dense S_f - f(0) I of a polynomial or rational symbol f; each
+    distinct denominator is compressed and guarded once per
+    ``denominators``."""
     if not isinstance(symbol, RationalSymbol):
-        return _polynomial_blocks(model, labels, symbol)
+        return _dense(model, _polynomial_entries(model, symbol)[1])
     key = frozenset(symbol.q.terms.items())
     if key not in denominators:
-        denominators[key] = _denominator_blocks(model, labels, symbol.q)
-    return _rational_blocks(model, labels, symbol.p, symbol.q, *denominators[key])
+        denominators[key] = _denominator(model, symbol.q)
+    return _rational(model, symbol.p, symbol.q, *denominators[key])[1]
 
 
 # ---------------------------------------------------------------------
@@ -895,9 +861,13 @@ def cross_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def schatten_norm(x: np.ndarray, p: float) -> float:
     """Schatten p-norm via singular values (p = 2: the Frobenius norm); p may
-    be inf, must be >= 1."""
+    be inf, must be >= 1.  A NaN or infinite entry raises
+    :class:`ValidationError`."""
     _check_p([p])
-    frob2, sv = _spectra(np.asarray(x, dtype=complex)[None], p != 2)
+    x = np.asarray(x, dtype=complex)
+    if not np.isfinite(x).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
+    frob2, sv = _spectra(x[None], p != 2)
     return _spectra_norm([(frob2.sum(), sv.ravel())], p)
 
 
@@ -905,11 +875,13 @@ def permissive_transform(mats, c: float, shift, dom: DomainSpec) -> list[np.ndar
     """Affine reparametrization T -> c T + shift of a commuting tuple.
 
     Permissive means the transformed joint eigenvalues stay in the closed
-    domain; otherwise :class:`NotPermissive` is raised.
+    domain; otherwise :class:`NotPermissive` is raised.  The tuple must be
+    nonempty, of square matrices of one size with finite entries
+    (``koszul._as_tuple``); the transformed tuple is complex.
     """
     if c <= 0:
         raise ValidationError("scale c must be positive")
-    mats = [np.asarray(m, dtype=complex) for m in mats]
+    mats = [m.astype(complex) for m in koszul._as_tuple(mats)]
     shift = np.asarray(shift, dtype=complex).reshape(-1)
     if shift.size != len(mats):
         raise ValidationError("shift length must match the tuple")
@@ -942,22 +914,6 @@ class ProfileRow:
     dim_quotient: int
 
 
-def _affine_entries(model: QuotientModel, symbol):
-    """Block entries of S_f - f(0) I, a combination of the stored S_i, for
-    a polynomial f of degree <= 1; None for any other symbol."""
-    if isinstance(symbol, RationalSymbol):
-        return None
-    _check_symbol(model.basis.dom, symbol)
-    if symbol.degree() > 1:
-        return None
-    return [
-        (rows, cols, (c.real if c.imag == 0 else c) * stack)
-        for alpha, c in symbol.terms.items()
-        if any(alpha)  # the constant term is f(0) I, which no commutator sees
-        for rows, cols, stack in model.tuple_stacks[alpha.index(1)]
-    ]
-
-
 def essential_normality_profile(
     model: QuotientModel,
     symbols,
@@ -974,12 +930,13 @@ def essential_normality_profile(
     of degree <= D - w, with w defaulting to one more than the top symbol
     degree; that discards rows and columns polluted by the truncation edge.
 
-    Symbols of degree <= 1 (the coordinates) are read from the stored
-    blocks, and their commutators formed block by block
-    (``blocksparse._products``).  Any other symbol makes every symbol a set
-    of label blocks (``_symbol_blocks``), from which each commutator is
-    formed.  Either way the commutator is taken over the connected blocks
-    of its pattern (``blocksparse._connected_blocks``).  A commutator whose
+    Each polynomial symbol is the block entries of products of the stored
+    blocks (``_polynomial_entries``), on the model's cells.  When any symbol
+    is rational, every symbol is also compressed to a dense matrix and cut
+    to two cells (``_halves``), and the commutators that a rational symbol
+    enters are formed from those.  Every commutator is formed block by block
+    (``blocksparse._commutator``) and taken over the connected blocks of
+    its pattern (``blocksparse._connected_blocks``).  A commutator whose
     entries or squared Frobenius norm (the p = 2 cell squared) overflow to
     inf or NaN raises :class:`NonFiniteValue`.
     """
@@ -989,23 +946,15 @@ def essential_normality_profile(
     _check_p(p_values)
     D, nq = basis.max_degree, model.dim_quotient
     w = window if window is not None else max(s.degree() for s in symbols) + 1
-    affine = [_affine_entries(model, s) for s in symbols]
-    if any(a is None for a in affine):
-        labels, denominators, starts = _label_blocks(model), {}, model.label_starts
-        compressed = [_symbol_blocks(model, labels, s, denominators)[1] for s in symbols]
-        spans = [np.arange(starts[l], starts[l + 1])[None] for l in range(D + 1)]
+    cells = [None if isinstance(s, RationalSymbol) else _polynomial_entries(model, s)[1] for s in symbols]
+    if any(c is None for c in cells):
+        denominators: dict = {}
+        halves = [_halves(model, _symbol_matrix(model, s, denominators)) for s in symbols]
     rows: list[ProfileRow] = []
     for i, j in itertools.combinations_with_replacement(range(len(symbols)), 2):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises just below
-            if affine[i] is not None and affine[j] is not None:
-                comm = _commutator(affine[i], [(c, r, _adjoint(s)) for r, c, s in affine[j]])
-            else:
-                # complex products whether the blocks are stored real or complex
-                sb = {k[::-1]: np.asarray(v, complex).conj().T for k, v in compressed[j].items()}
-                comm = [
-                    (spans[l], spans[k], block[None])
-                    for (l, k), block in _label_commutator(compressed[i], sb)
-                ]
+            a, b = (halves[i], halves[j]) if cells[i] is None or cells[j] is None else (cells[i], cells[j])
+            comm = _commutator(a, [(c, r, _adjoint(s)) for r, c, s in b])
             blocks = _connected_blocks(comm, nq)
             squares = sum(np.vdot(s, s).real for _, _, s in blocks)  # also inf at an inf entry
         names = (symbols[i].label(), symbols[j].label())

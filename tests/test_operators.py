@@ -1075,6 +1075,16 @@ def test_schatten_two_is_the_svd_route(rng):
         assert abs(schatten_norm(x, 2.0) - by_svd(x)) <= 1e-12 * by_svd(x)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_schatten_norm_rejects_non_finite_entries(bad, p):
+    # an inf entry read nan (inf at p 2), a NaN one an SVD that did not converge
+    x = np.eye(3)
+    x[1, 2] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite entry"):
+        schatten_norm(x, p)
+
+
 def test_schatten_norm_rejects_p_below_one():
     for p in (0.5, np.nan):
         with pytest.raises(ValidationError, match="p >= 1"):
@@ -1157,6 +1167,32 @@ def test_permissive_rejects_exterior_spectrum():
         permissive_transform(mats, 1.0, np.array([0.5, 0.0]), BALL2)
 
 
+def test_permissive_transform_of_a_real_tuple_is_complex():
+    out = permissive_transform([np.zeros((2, 2)), np.zeros((2, 2))], 0.5, [0.1, 0.0], BALL2)
+    assert all(m.dtype == complex for m in out)
+    assert np.array_equal(out[0], 0.1 * np.eye(2))
+
+
+def test_permissive_rejects_an_empty_tuple():
+    with pytest.raises(ValidationError, match="empty operator tuple"):
+        permissive_transform([], 1.0, np.zeros(0), BALL2)
+
+
+def test_permissive_rejects_components_of_unequal_size():
+    with pytest.raises(ValidationError, match="square, same size"):
+        permissive_transform([np.eye(2), np.eye(3)], 1.0, np.zeros(2), BALL2)
+
+
+def test_permissive_rejects_non_square_components():
+    with pytest.raises(ValidationError, match="square, same size"):
+        permissive_transform([np.ones((2, 3)), np.ones((2, 3))], 1.0, np.zeros(2), BALL2)
+
+
+def test_permissive_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="NaN or infinite entry"):
+        permissive_transform([np.diag([np.nan, 0.0]), np.eye(2)], 1.0, np.zeros(2), BALL2)
+
+
 # ---------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------
@@ -1177,6 +1213,8 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
     basis = truncated_basis(dom, lam, d_trunc)
     z = [Polynomial.coordinate(i, n) for i in range(n)]
     permissive = [zi * 0.7 + Polynomial.constant(n, 0.1 - 0.05j * i) for i, zi in enumerate(z)]
+    # degree 2: a square, a product of two coordinates and an inhomogeneous sum
+    quadratic = [z[0] * z[0] - 0.5j * z[1], z[0] * z[n - 1] + Polynomial.constant(n, 0.2), z[1] * z[1]]
 
     def no_dense(*args):
         raise AssertionError("dense route on the blockwise path")
@@ -1184,7 +1222,7 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
     for gens in ([z[0] * z[1]], [z[0] * z[0], z[1] * z[1]]):
         model = quotient_model(basis, gens)
         q = model.quotient_onb
-        for symbols in (z, permissive):
+        for symbols in (z, permissive, quadratic):
             dense = [q.conj().T @ mult_op(basis, f) @ q for f in symbols]
             for f, want in zip(symbols, dense):
                 assert np.abs(compress(model, f) - want).max() < 1e-12
@@ -1192,11 +1230,12 @@ def test_blockwise_profile_is_the_dense_route(dom, lam, d_trunc, monkeypatch):
                 monkeypatch.setattr(operators, name, no_dense)
             rows = essential_normality_profile(quotient_model(basis, gens), symbols, SCHATTEN_PS)
             monkeypatch.undo()
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            pairs = [(i, j) for i in range(len(symbols)) for j in range(i, len(symbols))]
             assert len(rows) == len(pairs) * len(SCHATTEN_PS)
+            window = max(f.degree() for f in symbols) + 1
             for row, ((i, j), p) in zip(rows, itertools.product(pairs, SCHATTEN_PS)):
                 comm = cross_commutator(dense[i], dense[j])
-                windowed = windowed_submatrix(comm, model.degree_labels, d_trunc - 2)
+                windowed = windowed_submatrix(comm, model.degree_labels, d_trunc - window)
                 for got, want in (
                     (row.schatten_full, schatten_norm(comm, p)),
                     (row.schatten_windowed, schatten_norm(windowed, p)),
@@ -1223,12 +1262,12 @@ def test_profile_takes_singular_values_once_per_matrix(p_values, per_matrix, mon
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     # one batched SVD per shape of connected block, shared by the window.
     # The quotient is spanned by 1, z1^j and z2^k, and S_1, S_2 shift them,
-    # so the coordinates' commutators have 1 x 1 blocks only; the squares'
-    # are read from label blocks, 1 x 1 on label 0 and 2 x 2 on the others,
-    # and the window keeps or drops each block whole
-    for symbols, shapes in (([Z1, Z2], 1), ([Z1 * Z1, Z2 * Z2], 2)):
+    # so the commutators of the coordinates and of their squares, products
+    # of the stored blocks, have 1 x 1 blocks only, and the window keeps or
+    # drops each block whole
+    for symbols in ([Z1, Z2], [Z1 * Z1, Z2 * Z2]):
         essential_normality_profile(model, symbols, p_values)
-        assert len(calls) == 3 * shapes * per_matrix
+        assert len(calls) == 3 * per_matrix
         assert all(len(shape) == 3 for shape in calls)
         calls.clear()
     # Moebius symbols fill every lower label block: one block, its SVD and

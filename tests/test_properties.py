@@ -2,8 +2,11 @@
 generator sets agree across the graded and filtration paths, in their
 submodules (invariant under the dense truncated multipliers) and in the
 Schatten cells of the coordinate and Moebius symbols; on either path the
-label-block compressions of polynomial and rational symbols are the dense
-sandwich Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse."""
+compressions of polynomial symbols (products of the stored blocks) and of
+rational ones (block substitution over the labels) are the dense sandwich
+Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse.  The profile
+cells of coordinate, Moebius, degree-2 and mixed symbol lists are those of
+the dense route."""
 
 import itertools
 
@@ -100,8 +103,8 @@ def test_graded_and_filtration_paths_agree_on_invariant_submodules(case):
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(quotient_cases())
 def test_graded_and_filtration_paths_give_the_same_coordinate_cells(case):
-    # both read [S_i, S_j*] from the label blocks: one label per run on the
-    # graded path, one run cut by the window on the filtration path
+    # both form [S_i, S_j*] from the stored blocks: group pairs on the
+    # graded path, label pairs on the filtration path
     z = [Polynomial.coordinate(i, case[0].dim) for i in range(case[0].dim)]
     graded, filtered = (essential_normality_profile(m, z, P_VALUES) for m in both_paths(case)[1])
     assert len(graded) == len(filtered) > 0
@@ -130,8 +133,8 @@ def test_compress_is_the_dense_sandwich(data):
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(st.data())
 def test_compress_rational_is_the_dense_inverse_route(data):
-    # the oracle is the route the label blocks replace: S_p inv(S_q) with
-    # both compressions dense sandwiches
+    # the oracle is the dense route: S_p inv(S_q) with both compressions
+    # dense sandwiches
     case = data.draw(quotient_cases())
     dom = case[0]
     z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
@@ -219,14 +222,23 @@ def dense_cells(basis, model, symbols, window):
     "dom, lam, d_trunc, z0", ORACLE_DOMAINS, ids=[d.label() for d, *_ in ORACLE_DOMAINS]
 )
 def test_cells_are_the_dense_route(dom, lam, d_trunc, z0):
-    # every coordinate and Moebius cell within 1e-13 relative, plus 1e-15
-    # absolute: the symbols are contractions, so either route rounds the
+    # every coordinate, Moebius, degree-2 and mixed cell within 1e-13
+    # relative, plus 1e-15 absolute: the symbols are contractions (or near
+    # them, for the degree-2 ones), so either route rounds the
     # commutator's entries by about 1e-16, which shows relative to a cell
     # near zero.  The polydisc's [S_1, S_2*] vanishes in exact arithmetic,
     # and MB(1,3)/z1's Moebius [S_11, S_11*] is 7.5e-4 with an 8e-17 gap
     basis = truncated_basis(dom, lam, d_trunc)
     z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
-    families = {"coordinates": z, "mobius": mobius_rational_components(dom, z0)}
+    mobius = mobius_rational_components(dom, z0)
+    # degree 2: products of coordinates, a complex coefficient and a constant
+    quadratic = [z[0] * z[-1], z[1] * z[1] + (0.5 - 0.25j) * z[0] + Polynomial.constant(dom.dim, 0.3)]
+    families = {
+        "coordinates": z,
+        "mobius": mobius,
+        "quadratic": quadratic,
+        "mixed": [z[-1], mobius[0], quadratic[1]],
+    }
     for name, gens in oracle_generators(dom).items():
         model = quotient_model(basis, gens)
         for family, symbols in families.items():
