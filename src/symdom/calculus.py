@@ -14,6 +14,9 @@ where every node's Delta(T, node) is upper triangular up to the
 triangularization defect: chunks of 2048 nodes are factored by one unpivoted
 LU vectorized over the node axis and solved n/r times, in buffers allocated
 once per tuple and reused by every chunk; each total is rotated back once.
+The rule keeps only per-rule constants (roots of unity; Sobol' XOR tables
+and a quantile table) and makes each chunk of nodes just before its batch,
+so no per-node array is held.
 
 On top of that sit principal powers Delta(T, w)^{-lam} (closed forms for
 ball and polydisc, a degree-block series for the matrix ball) and Moebius
@@ -25,6 +28,7 @@ formula, adj(I + w z0*) w = -grad_{conj u} Delta(w, u) at u = -z0.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import math
 import os
@@ -70,7 +74,9 @@ _SOBOL_TABLE = os.path.join(
     "_sobol_direction_numbers.npz",
 )
 _SOBOL_BITS = 30
-_MAX_TORUS_ENTRIES = 1 << 26  # torus nodes times coordinates: 1 GiB of complex128
+# torus nodes times coordinates: it bounds a sum's work (the nodes are never
+# held; assembled, as ``nodes`` does for diagnostics, they would take 1 GiB)
+_MAX_TORUS_ENTRIES = 1 << 26
 
 
 # ---------------------------------------------------------------------
@@ -79,26 +85,69 @@ _MAX_TORUS_ENTRIES = 1 << 26  # torus nodes times coordinates: 1 GiB of complex1
 
 @dataclass(frozen=True)
 class ShilovQuadrature:
-    """Nodes (rows, flattened points), probability weights and an estimate rule.
+    """An equal-weight rule and its estimate rule, kept as per-rule
+    constants; ``chunks`` makes the nodes (rows, flattened points) a run at
+    a time, so no per-node array is held.
 
-    Every rule has equal weights, so ``weights`` is one value broadcast
-    read-only over the nodes.
+    On the circle and torus ``axis`` holds the 2^level roots of unity, and
+    node k takes its coordinate c from the c-th base-2^level digit of k,
+    most significant first: the product grid in "ij" order.  On the sphere
+    node k is Sobol' point k + 1 (see ``shilov_quadrature``): ``gray``
+    holds the two XOR tables of ``_gray_tables`` of the direction numbers,
+    shifted to the bits of the ``quantiles`` table.
 
-    The estimate rule puts equal weights on ``nodes[estimate]``, a sorted
-    subset of the rule's own nodes: every other node per axis on the circle
-    and torus (the nodes of the rule one level down, in the same order; one
-    node at level 1) and the first half of the node stream on the sphere.
+    The estimate rule puts equal weights on a subset of the rule's own
+    nodes: every other node per axis on the circle and torus, those whose
+    digits are all even (the nodes of the rule one level down, in the same
+    order; one node at level 1), and the first half of the node stream on
+    the sphere.  ``nodes``, ``weights`` and ``estimate`` assemble the whole
+    rule on access, for tests and diagnostics.
     """
 
     dom: DomainSpec
     level: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    estimate: np.ndarray
+    node_count: int
+    axis: np.ndarray | None = None
+    gray: tuple[np.ndarray, np.ndarray] | None = None
+    quantiles: np.ndarray | None = None
+
+    def __len__(self) -> int:  # the node count, as the array of nodes had it
+        return self.node_count
 
     @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
+    def estimate_count(self) -> int:  # half the sphere's nodes, 2^-n of the torus's
+        return self.node_count >> (1 if self.axis is None else self.dom.dim)
+
+    def chunks(self, size: int = _CHUNK):
+        """(start, nodes[start:stop], local) for consecutive runs of
+        ``size`` nodes, where local indexes the estimate rule's nodes among
+        them: a slice on the sphere, an index array on the circle and torus."""
+        n, half = self.dom.dim, self.estimate_count
+        lowest = sum(1 << (self.level * c) for c in range(n))  # each digit's lowest bit
+        for start in range(0, self.node_count, size):
+            stop = min(start + size, self.node_count)
+            if self.axis is None:  # a slice: cheaper than a fancy index
+                yield start, _sphere_nodes(self, start, stop), slice(0, max(0, half - start))
+                continue
+            k = np.arange(start, stop)
+            nodes = np.empty((stop - start, n), dtype=complex)
+            for c in range(n):
+                nodes[:, c] = self.axis[(k >> (self.level * (n - 1 - c))) & (self.axis.size - 1)]
+            yield start, nodes, np.flatnonzero(k & lowest == 0)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.concatenate([nodes for _, nodes, _ in self.chunks()])
+
+    @property
+    def estimate(self) -> np.ndarray:
+        return np.concatenate(
+            [np.arange(start, start + len(nodes))[local] for start, nodes, local in self.chunks()]
+        )
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.broadcast_to(1.0 / self.node_count, (self.node_count,))
 
 
 def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
@@ -109,19 +158,22 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
     sphere (ball, n >= 2): count = 4^level * 1000 equal-weight
     low-discrepancy nodes, the unscrambled Sobol' points 1..count in 2n
     dimensions sent to the sphere through the normal quantile and
-    normalized.  The matrix ball is not supported here.
+    normalized.  The matrix ball is not supported here.  Every guard is
+    decided here, before any node is made.
 
     The sphere rule works on integers.  With bits = count.bit_length(), the
     first 2^bits Sobol' points take only the values k / 2^bits in each
     coordinate (the (0,1)-property), and point 0 alone takes 0.  So the
-    30-bit integers of ``_sobol_integers`` (bit for bit
+    30-bit integers of ``_sobol_chunk`` (bit for bit
     ``scipy.stats.qmc.Sobol`` before its 2^-30 scaling), shifted right by
     30 - bits, index a table of the 2^bits - 1 quantiles ndtri(k / 2^bits).
     ``_ndtri`` (a numpy port of Cephes, bit for bit ``scipy.special.ndtri``)
     fills its lower half, and the mirror ndtri(1 - p) = -ndtri(p), exact for
     dyadic p, the rest.  As bits <= 23, the grid lies inside
     [1e-12, 1 - 1e-12], the domain of ``_ndtri``: the nodes are bit for bit
-    ndtri of every point, normalized.
+    ndtri of every point, normalized.  The shift is XOR-linear, so the rule
+    keeps the direction numbers shifted and its chunks index the table
+    directly.
     """
     if level < 1:
         raise ValidationError("level must be at least 1")
@@ -137,48 +189,69 @@ def shilov_quadrature(dom: DomainSpec, level: int) -> ShilovQuadrature:
             raise ValidationError("torus rule too large at this level")
         per_axis = 2**level
         angles = 2.0 * np.pi * np.arange(per_axis) / per_axis
-        axes = np.exp(1j * angles)
-        # the product grid in "ij" order: node (i_1, ..., i_n) has coordinate
-        # k on axis value i_k, written into one array
-        nodes = np.empty((per_axis,) * n + (n,), dtype=complex)
-        for k in range(n):
-            nodes[..., k] = axes.reshape((per_axis,) + (1,) * (n - 1 - k))
-        nodes = nodes.reshape(-1, n)
-        weights = np.broadcast_to(1.0 / nodes.shape[0], nodes.shape[:1])
-        grid = np.arange(nodes.shape[0]).reshape((per_axis,) * n)
-        estimate = grid[(slice(None, None, 2),) * n].reshape(-1)
-        return ShilovQuadrature(dom, level, nodes, weights, estimate)
+        return ShilovQuadrature(dom, level, per_axis**n, axis=np.exp(1j * angles))
     if level >= 7:  # 4^level * 1000 nodes past 5_000_000, decided before 4^level is formed
         raise ValidationError("sphere rule too large at this level")
     count = (4**level) * SPHERE_BASE_NODES
     bits = count.bit_length()
-    index = _sobol_integers(2 * dom.dim, count)
-    index >>= _SOBOL_BITS - bits
-    quantiles = _dyadic_quantiles(bits)
-    gauss = np.empty(index.shape)
-    for j in range(index.shape[1]):  # a column at a time: the gather's intp index copy stays small
-        gauss[:, j] = quantiles[index[:, j]]
-    del index, quantiles  # before the norm's (count, 2n) temporary
-    norms = np.linalg.norm(gauss, axis=1)
+    rows = _direction_numbers(2 * dom.dim)[:bits] >> (_SOBOL_BITS - bits)
+    gray = _gray_tables(rows.astype(np.intp))  # the table's own index type: no cast per gather
+    return ShilovQuadrature(dom, level, count, gray=gray, quantiles=_dyadic_quantiles(bits))
+
+
+def _sphere_nodes(quad: ShilovQuadrature, start: int, stop: int) -> np.ndarray:
+    """Sphere nodes start..stop - 1: the table's quantile of each Sobol'
+    coordinate, normalized, the real and imaginary parts of one complex
+    coordinate in two adjacent columns."""
+    gauss = quad.quantiles[_sobol_chunk(quad.gray, start, stop)]
+    squares = gauss * gauss
+    # np.linalg.norm(gauss, axis=1) bit for bit: numpy sums a row of fewer
+    # than 8 entries in order, so it is summed a column at a time there
+    norms = np.sqrt(functools.reduce(np.add, squares.T) if gauss.shape[1] < 8 else squares.sum(1))
     # the all-0.5 low-discrepancy point maps to the origin; pin it to a axis
     degenerate = norms < 1e-300
     gauss[degenerate, 0] = 1.0
     norms[degenerate] = 1.0
     gauss /= norms[:, None]
-    nodes = gauss.view(complex)  # columns 2k and 2k + 1 as real and imaginary part
-    weights = np.broadcast_to(1.0 / count, (count,))
-    return ShilovQuadrature(dom, level, nodes, weights, np.arange(count // 2))
+    return gauss.view(complex)
 
 
-def _sobol_integers(d: int, count: int) -> np.ndarray:
-    """Points 1..count of the unscrambled d-dimensional Sobol' sequence as
-    30-bit integers, shape (count, d), dtype uint32.
+def _sobol_chunk(gray: tuple[np.ndarray, np.ndarray], start: int, stop: int) -> np.ndarray:
+    """Points start + 1..stop of the unscrambled Sobol' sequence, shape
+    (stop - start, d), from the ``_gray_tables`` of its direction numbers.
 
-    Times 2^-30 they are bit for bit ``scipy.stats.qmc.Sobol(d,
-    scramble=False)`` after ``fast_forward(1)``: scipy's direction numbers
-    built from the Joe-Kuo table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008),
-    XORed in Gray-code order (Antonov & Saleev, 1979).
+    Point k is the XOR of the direction numbers at the set bits of its Gray
+    code k ^ (k >> 1) (Antonov & Saleev, 1979): one entry of each table, at
+    the code's low and high bits.  From the 30-bit ``_direction_numbers(d)``
+    the points times 2^-30 are bit for bit ``scipy.stats.qmc.Sobol(d,
+    scramble=False)`` after ``fast_forward(1)``.
     """
+    low, high = gray
+    code = np.arange(start + 1, stop + 1)
+    code ^= code >> 1
+    out = np.take(low, code & (low.shape[0] - 1), axis=0)
+    out ^= np.take(high, code >> (low.shape[0].bit_length() - 1), axis=0)
+    return out
+
+
+def _gray_tables(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For direction-number rows v_0, ..., v_(b-1): the XOR of the v_i at
+    the set bits i of g, for every g below 2^b, as two tables.  The first
+    holds the codes g < 2^m, m = ceil(b / 2), and the second g's bits from m
+    on, so neither has more than 2^m rows."""
+    tables = []
+    for part in np.array_split(rows, [(len(rows) + 1) // 2]):
+        table = np.zeros((1 << len(part), rows.shape[1]), dtype=rows.dtype)
+        for b, row in enumerate(part):  # doubling: the codes with bit b are those without, XOR v_b
+            np.bitwise_xor(table[: 1 << b], row, out=table[1 << b : 2 << b])
+        tables.append(table)
+    return tuple(tables)
+
+
+def _direction_numbers(d: int) -> np.ndarray:
+    """The unscrambled d-dimensional Sobol' direction numbers as 30-bit
+    integers, shape (30, d), dtype uint32: scipy's, built from the Joe-Kuo
+    table (Joe & Kuo, SIAM J. Sci. Comput. 30, 2008)."""
     with zipfile.ZipFile(_SOBOL_TABLE) as table:
         with table.open("poly.npy") as f:
             rows, poly = _leading_rows(f, d)
@@ -206,17 +279,7 @@ def _sobol_integers(d: int, count: int) -> np.ndarray:
         for i in range(int(degree.max())):
             new ^= (taps[:, i] * v[:, j - i - 1]) << (i + 1)
         v[:, j] = np.where(degree <= j, new, v[:, j])
-    v = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
-    # point k is the XOR of the direction numbers at the set bits of k's
-    # Gray code; the reflected Gray code doubles by XORing column b into
-    # the first 2^b points read backwards
-    out = np.zeros((count + 1, d), dtype=np.uint32)
-    filled = 1
-    for b in range(count.bit_length()):
-        step = min(filled, count + 1 - filled)
-        np.bitwise_xor(out[filled - step : filled][::-1], v[:, b], out=out[filled : filled + step])
-        filled += step
-    return out[1:]
+    return np.ascontiguousarray((v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32).T)
 
 
 def _leading_rows(f, d: int) -> tuple[int, np.ndarray]:
@@ -559,7 +622,7 @@ def integral_calculus(
     polys = list(polys)
     if not polys:
         return []
-    full, coarse = _quadrature_sum(dom, draw, polys, quad.nodes, quad.weights, quad.estimate)
+    full, coarse = _quadrature_sum(dom, draw, polys, quad)
     out = []
     for value, rough in zip(full, coarse):
         est = float(np.linalg.norm(value - rough, 2) / max(1.0, np.linalg.norm(value, 2)))
@@ -575,36 +638,34 @@ def _quadrature_sum(
     dom: DomainSpec,
     draw: tuple[np.ndarray, list[np.ndarray]],
     polys: list[Polynomial],
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    estimate: np.ndarray,
+    quad: ShilovQuadrature,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-rule and estimate-rule sums of f(node) Delta(T, node)^{-n/r}.
 
     Returns two (P, h, h) stacks, one matrix per polynomial.  The sums run in
     the simultaneous Schur basis Z of the spectrum guard's first draw, passed
     as ``draw`` = (Z, Z* T_i Z).  The rotated tuple's Delta factors are
-    built once; each chunk of nodes gets one kernel batch from them, in the
-    one work array every chunk reuses, and one (2P, chunk) coefficient block
-    (full weights, then the estimate rule's equal weights on its nodes, times
-    the values f(node)), accumulated with one matrix product, and each total
-    S is rotated back once as Z S Z*.
+    built once; each chunk of nodes is made by ``quad.chunks`` just before
+    its kernel batch, in the one work array every chunk reuses, and gets one
+    (2P, chunk) coefficient block (full weights, then the estimate rule's
+    equal weights on its nodes, times the values f(node)), accumulated with
+    one matrix product, and each total S is rotated back once as Z S Z*.
     """
     basis, rotated = draw
     factors, power = _delta_factors(dom, rotated), round(dom.hardy_weight)
     h = basis.shape[0]
     count = len(polys)
-    estimate_weight = 1.0 / estimate.size
+    weight, estimate_weight = 1.0 / quad.node_count, 1.0 / quad.estimate_count
     total = np.zeros((2 * count, h * h), dtype=complex)
-    work = np.empty((3, h * h, min(_CHUNK, nodes.shape[0])), dtype=complex)
-    for start in range(0, nodes.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, nodes.shape[0])
-        kernel = _szegoe_batch(factors, power, nodes[start:stop], work).reshape(h * h, stop - start)
-        values = np.array([f.eval_batch(nodes[start:stop]) for f in polys])
-        coeff = np.zeros((2 * count, stop - start), dtype=complex)
-        coeff[:count] = weights[start:stop] * values
-        local = estimate[np.searchsorted(estimate, start):np.searchsorted(estimate, stop)] - start
+    work = np.empty((3, h * h, min(_CHUNK, quad.node_count)), dtype=complex)
+    for _, nodes, local in quad.chunks():
+        kernel = _szegoe_batch(factors, power, nodes, work).reshape(h * h, nodes.shape[0])
+        coeff = np.zeros((2 * count, nodes.shape[0]), dtype=complex)
+        values = coeff[:count]  # f(node), weighted in place once the estimate rule has read it
+        for row, f in zip(values, polys):
+            row[:] = f.eval_batch(nodes)
         coeff[count:, local] = estimate_weight * values[:, local]
+        values *= weight
         total += coeff @ kernel.T
     total = basis @ total.reshape(2 * count, h, h) @ basis.conj().T
     return total[:count], total[count:]

@@ -390,9 +390,14 @@ def normalize_config(cfg: dict, command: str) -> dict:
                 f"eigenvalues reach it, so the joint spectral radius can reach it times "
                 f"sqrt({dom.dim})",
             )
+    # Moebius base points are interior, checked before any work is done
+    bases = [("z0", out["z0"])] if command == "invariance" else []
+    if command == "calculus":
+        bases = [(f"z0_list[{i}]", z0) for i, z0 in enumerate(out["z0_list"])]
+    for where, z0 in bases:
+        if spectral_norm(dom, flatten_point(dom, _point(z0))) >= 1.0:
+            raise _error(where, "Moebius parameter must be interior")
     if command == "invariance":
-        if spectral_norm(dom, flatten_point(dom, _point(out["z0"]))) >= 1.0:
-            raise _error("z0", "Moebius parameter must be interior")
         if out["permissive"]["c"] == 0:
             raise _error("permissive.c", "must be positive")
     return out

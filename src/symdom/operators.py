@@ -794,7 +794,9 @@ def _denominator(model: QuotientModel, q: Polynomial):
     low = _dense(model, entries)
     if not model.dim_quotient:
         return 1.0, low  # the empty S_q: nothing to invert
-    sv = np.linalg.svd(low + q0 * np.eye(model.dim_quotient), compute_uv=False)
+    # real S_q (real q) takes a real SVD: only this guard reads its values
+    (s_q,) = koszul._in_field([low + q0 * np.eye(model.dim_quotient)])
+    sv = np.linalg.svd(s_q, compute_uv=False)
     if sv[-1] == 0 or sv[0] / sv[-1] > CONDITION_CUTOFF:
         raise NumericallySingular(
             "compressed denominator condition number exceeds cutoff"

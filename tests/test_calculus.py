@@ -1,6 +1,7 @@
 """Shilov-boundary quadrature, kernel powers of tuples, integral and series
 calculus, Moebius transforms of tuples, and the composition law."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -13,10 +14,12 @@ from symdom.calculus import (
     _CHUNK,
     _delta_expansion,
     _delta_factors,
+    _direction_numbers,
+    _gray_tables,
     _ndtri,
     _quadrature_sum,
     _SOBOL_BITS,
-    _sobol_integers,
+    _sobol_chunk,
     _szegoe_batch,
     composition_residual,
     delta_power_tuple,
@@ -126,9 +129,16 @@ def test_torus_estimate_rule_is_lower_level(dom, level):
     assert np.array_equal(quad.nodes[quad.estimate], lower.nodes)
 
 
+def sobol_integers(d, count, start=0):
+    # points start + 1..count from the chunk generator, with the 30-bit
+    # direction numbers of every bit the Gray codes of 1..count reach
+    rows = _direction_numbers(d)[: count.bit_length()]
+    return _sobol_chunk(_gray_tables(rows), start, count)
+
+
 def sobol_points(d, count):
     # the generator's 30-bit integers scaled as scipy scales them
-    return _sobol_integers(d, count) * 2.0**-_SOBOL_BITS
+    return sobol_integers(d, count) * 2.0**-_SOBOL_BITS
 
 
 def scipy_sobol(d, count):
@@ -145,32 +155,40 @@ def scipy_sobol(d, count):
 def test_sobol_stream_is_scipy_unscrambled(d):
     # 1023/1024/1025 and 4095/4096/4097 straddle 2^k; 1000 and 3000 are not powers of two
     for count in (1, 2, 3, 1000, 1023, 1024, 1025, 3000, 4095, 4096, 4097):
-        assert _sobol_integers(d, count).dtype == np.uint32
-        assert np.array_equal(sobol_points(d, count), scipy_sobol(d, count))
+        assert sobol_integers(d, count).dtype == np.uint32
+        want = scipy_sobol(d, count)
+        assert np.array_equal(sobol_points(d, count), want)
+        # a chunk that starts anywhere is its run of the stream
+        for start in {0, count // 3, count - 1}:
+            got = sobol_integers(d, count, start) * 2.0**-_SOBOL_BITS
+            assert np.array_equal(got, want[start:])
 
 
 def test_sobol_table_rows_are_the_np_load_route(monkeypatch):
-    got = {d: _sobol_integers(d, 3000) for d in (2, 4, 6, 20)}
+    got = {d: _direction_numbers(d) for d in (2, 4, 6, 20)}
 
     def load_rows(f, d):
         table = np.load(f)
         return table.shape[0], table[:d].copy()
 
     monkeypatch.setattr(calculus, "_leading_rows", load_rows)
-    for d, integers in got.items():
-        assert np.array_equal(integers, _sobol_integers(d, 3000))
+    for d, directions in got.items():
+        assert directions.shape == (_SOBOL_BITS, d)
+        assert np.array_equal(directions, _direction_numbers(d))
 
 
 def test_sobol_table_is_never_held_whole():
-    # the Fortran-ordered 21201 x 18 int64 table is 3 MB; the integers keep 1 MB
-    _sobol_integers(4, 10)
+    # the Fortran-ordered 21201 x 18 int64 table is 3 MB; it is read a
+    # 170 kB column at a time (the read peaks at 0.7 MB with the zip's
+    # buffers), and the direction numbers keep 480 bytes
+    _direction_numbers(4)
     tracemalloc.start()
     try:
-        integers = _sobol_integers(4, 64_000)
+        _direction_numbers(4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= integers.nbytes + 512 * 1024, (peak, integers.nbytes)
+    assert peak <= 1024 * 1024, peak
 
 
 def test_sphere_nodes_are_the_scipy_route():
@@ -235,6 +253,30 @@ def test_ndtri_port_is_scipy_bit_for_bit(rng):
     for p in (near, 1.0 - near):
         assert np.array_equal(port_ndtri(p), ndtri(p))
     assert port_ndtri([0.5])[0] == 0.0 and not np.signbit(port_ndtri([0.5])[0])
+
+
+@pytest.mark.parametrize(
+    "dom, level",
+    [(BALL2, level) for level in (1, 2, 3, 4)]
+    + [(BALL3, level) for level in (1, 2, 3, 4)]
+    + [(BALL1, 1), (BALL1, 10), (POLY2, 1), (POLY2, 6), (POLY3, 4)],
+    ids=lambda v: v.label() if isinstance(v, DomainSpec) else f"level{v}",
+)
+def test_chunks_of_any_size_concatenate_to_the_rule(dom, level):
+    # runs of 1 (the first 5000), 7, 2047, 2048 and every node, so that
+    # chunks start off the multiples of 2048 and end past the estimate rule
+    quad = shilov_quadrature(dom, level)
+    nodes, estimate = quad.nodes, quad.estimate
+    assert nodes.shape == (quad.node_count, dom.dim) and len(quad) == quad.node_count
+    assert estimate.size == quad.estimate_count
+    for size in (1, 7, 2047, _CHUNK, quad.node_count):
+        chunks = list(itertools.islice(quad.chunks(size), 5000))
+        starts = [start for start, _, _ in chunks]
+        assert starts == list(range(0, quad.node_count, size))[:5000]
+        got = np.concatenate([part for _, part, _ in chunks])
+        assert got.tobytes() == nodes[: got.shape[0]].tobytes()
+        local = [np.arange(start, start + len(part))[where] for start, part, where in chunks]
+        assert np.array_equal(np.concatenate(local), estimate[estimate < got.shape[0]])
 
 
 def test_sphere_estimate_rule_is_first_half():
@@ -505,7 +547,7 @@ def test_schur_basis_kernel_matches_dense_inverses(rng):
         polys = [Polynomial.constant(dom.dim, 1.0), Polynomial.coordinate(0, dom.dim),
                  Polynomial.monomial((2,) + (1,) * (dom.dim - 1), 0.5)]
         draw = koszul._joint_eigenvalues_and_draw(mats)[1]
-        full, rough = _quadrature_sum(dom, draw, polys, quad.nodes, quad.weights, quad.estimate)
+        full, rough = _quadrature_sum(dom, draw, polys, quad)
         kernel = _dense_szegoe_batch(dom, mats, quad.nodes)
         values = np.array([f.eval_batch(quad.nodes) for f in polys])
         want_full = np.einsum("pn,nij->pij", quad.weights * values, kernel)
@@ -630,19 +672,25 @@ def test_polydisc_delta_factors_grow_linearly_in_n(rng):
         assert np.array_equal(blocks[:, :, 0], -t)
 
 
-def test_sphere_rule_peak_memory_is_near_what_it_keeps():
-    # the level-3 ball2 rule keeps its nodes and estimate subset; on the way
-    # it holds the Sobol' integers, the quantile table and the normalization's
-    # squares, never a float copy of every point or the quantile of each
-    shilov_quadrature(BALL2, 1)  # the first call loads what the table reader needs
+def test_sphere_rule_peak_memory_is_near_what_it_keeps(rng):
+    # the level-4 ball2 rule keeps its quantile table and two small XOR
+    # tables; its 256 000 nodes, 8 MB as complex, are made 2048 at a time
+    # inside the sums, so the integral's traced peak stays under the table,
+    # the three (h^2, 2048) work buffers and 1 MB
+    quad = shilov_quadrature(BALL2, 4)
+    assert quad.quantiles.nbytes == 2**18 * 8
+    assert sum(table.nbytes for table in quad.gray) <= 64 * 1024
+    mats = _scaled_into_ball(random_commuting_tuple(2, 5, rng), BALL2, 0.8)
+    polys = [Polynomial.constant(2, 1.0), Polynomial.coordinate(0, 2)]
+    integral_calculus(mats, polys, shilov_quadrature(BALL2, 1), BALL2)  # first-call imports
     tracemalloc.start()
     try:
-        quad = shilov_quadrature(BALL2, 3)
-        kept, peak = tracemalloc.get_traced_memory()
+        integral_calculus(mats, polys, quad, BALL2)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept >= quad.nodes.nbytes + quad.estimate.nbytes
-    assert peak <= 2.5 * kept, (peak, kept)
+    work = 3 * 5 * 5 * _CHUNK * 16
+    assert peak <= quad.quantiles.nbytes + work + 2**20, (peak, quad.quantiles.nbytes + work)
 
 
 def test_integral_calculus_checks_the_quadrature_domain_first():

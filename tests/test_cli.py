@@ -356,6 +356,31 @@ def test_calculus_level_one_on_circle_and_torus(tmp_path, kind, n):
     assert {r[6] for r in integral} == {str(2**n)}
 
 
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("calculus", {"domain": {"kind": "ball", "n": 2}, "z0_list": [[1.0, 0]]}, "z0_list[0]"),
+        (
+            "calculus",
+            {"domain": {"kind": "ball", "n": 2}, "z0_list": [[0.3, 0], [0.6, 0.8]]},
+            "z0_list[1]",
+        ),
+        ("calculus", {"domain": {"kind": "polydisc", "n": 2}, "z0_list": [[0, "1j"]]}, "z0_list[0]"),
+        ("invariance", invariance_cfg(None, z0=[1.0, 0.0]), "z0"),
+    ],
+)
+def test_moebius_base_point_on_the_boundary_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, cfg, field
+):
+    # calculus's z0_list is checked as invariance's z0: at config time, before
+    # the quadrature rule (or anything else) is built
+    monkeypatch.setattr(cli, "shilov_quadrature", lambda *a: pytest.fail("rule built"))
+    assert main([command, "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at '{field}': Moebius parameter must be interior" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # invariance
 # ---------------------------------------------------------------------
