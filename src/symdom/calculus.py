@@ -83,7 +83,7 @@ _MAX_TORUS_ENTRIES = 1 << 26
 # quadrature of the normalized Shilov measure
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShilovQuadrature:
     """An equal-weight rule and its estimate rule, kept as per-rule
     constants; ``chunks`` makes the nodes (rows, flattened points) a run at
@@ -590,7 +590,7 @@ def _lu_solve_in_place(
         b[:p] -= update
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalculusResult:
     value: np.ndarray
     est_error: float

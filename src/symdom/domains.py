@@ -333,7 +333,7 @@ def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     return (root + root.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mobius:
     """Moebius transformation g_{z0}(w) = z0 + B(z0,z0)^{1/2} (w quasi-inverse
     at -z0); g_{z0}(0) = z0, g_{z0}(-z0) = 0, inverse is g_{-z0}."""

@@ -215,7 +215,7 @@ def _dense(classes, stacks) -> np.ndarray:
 # series blocks
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesBlock:
     """Degree-d coefficient block C_d of the kernel expansion (real, since
     Delta has real coefficients and the weight is real), stored per torus
@@ -393,7 +393,7 @@ def _monomial_vectors(dom: DomainSpec, z, max_degree: int) -> list[np.ndarray]:
 # Gram blocks and closed forms
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramBlock:
     """Gram matrix of degree-d monomials, G_d[alpha, beta] = <z^alpha, z^beta>."""
 
@@ -493,7 +493,7 @@ def kernel_eval(dom: DomainSpec, lam: float, z, w) -> complex:
 # orthonormal graded basis
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedBasis:
     """Orthonormal basis of polynomials of degree <= D for weight lam.
 

@@ -169,7 +169,7 @@ def creation_matrices(n: int, k: int) -> list[np.ndarray]:
 # the complex
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KoszulComplex:
     """Boundary maps D_0 .. D_{n-1} of the Koszul complex of a tuple."""
 

@@ -6,12 +6,11 @@ kernel space.  z^gamma maps degree d to degree d + |gamma| and carries each
 torus-weight class into one class, so P_D M_f P_D is held as class-pair
 blocks (``_shift_block``, ``_mult_block``), one small block per
 (destination class, source class); ``_dense_block`` assembles a dense
-degree block from them where one is read (the filtration path,
-``mult_op``), and no dense dim x dim product is formed.  The submodule
-generated by f_1, ..., f_m is the span of the ranges of the P_D M_{f_j} P_D,
-which keeps it exactly invariant under the truncated coordinate
-multipliers, so the compressed tuple commutes in exact arithmetic for every
-generator set.  A model holds only the complement: an orthonormal basis Q
+degree block from them for the public ``mult_op``, and no dense dim x dim
+product is formed.  The submodule generated by f_1, ..., f_m is the span of
+the ranges of the P_D M_{f_j} P_D, which keeps it exactly invariant under
+the truncated coordinate multipliers, so the compressed tuple commutes in
+exact arithmetic for every generator set.  A model holds only the complement: an orthonormal basis Q
 of M^(D) orth, each vector labelled by a degree, and the compressed tuple
 S_i = Q^H T_i Q, both as block entries (rows, cols, stack) of
 ``blocksparse``: stack[e] sits on the rows rows[e] and the columns
@@ -19,25 +18,27 @@ cols[e], and blocks of one shape share one stack.  T_i raises the degree
 and T_i* keeps the quotient, so S_i is strictly lower in the labels.  The
 submodule is never stored; its invariance is checked from Q alone as
 ||Q^H T_i - S_i Q^H||_2, which equals ||Q^H T_i M||_2 for any orthonormal
-basis M of M^(D).  ``quotient_model`` picks one of two paths from its
-generators:
+basis M of M^(D).
 
-- graded path, when every generator is homogeneous: the submodule is
-  graded and the quotient splits as the sum over d of P_d orth M_d, each
-  degree further by groups of torus-weight classes (``_graded_model``).
-  Every quotient column lies in one degree, its label, and in one group's
-  classes.  Q is stored as its class frames, and S_i, which carries each
-  group into one group of the next degree, as group-pair blocks
-  (``_compress_coordinate``).  An empty generator list is the zero submodule:
-  the quotient is the whole space.
-- filtration path, when some generator is inhomogeneous (z1^2 + z2, say):
-  the complement is built degree by degree, one SVD per degree
-  (``_filtration_complement``).  Each quotient basis vector is supported on
-  degrees <= its label, the complement at a lower D is the label prefix of
-  the one at a higher D, and S_i has every label block l > k.  Q is stored
-  by degree and S_i by label pair.
+``quotient_model`` is one build for every generator set.  The complement is
+built degree by degree: the label-k columns span the degree-<= k
+polynomials orthogonal to the degree-<= k rows of the generator columns, so
+each is supported on degrees <= its label, and the complement at a lower D
+is the label prefix of the one at a higher D.  The lambda inner product is
+invariant under the torus, so its weight classes are orthogonal, and the
+generator columns and rows of degree <= k are block-diagonal by group: the
+classes that one column reaches, joined (``_group_svds``).  So each degree
+takes one SVD per group, of the group's carried coordinates over its
+degree-k rows, batched by shape (``_complement``).  A homogeneous generator
+reaches one degree per column, so each group lies in one degree and carries
+nothing: the quotient splits as the sum over d of P_d orth M_d, group by
+group.  An inhomogeneous one (z1 - z2^2, say) joins classes of several
+degrees.  A cell is the columns of one group at one label; Q is stored as
+class frames, and S_i, which carries each group into one group of the next
+degree, as cell-pair blocks (``_compress_coordinate``).  An empty generator
+list is the zero submodule: the quotient is the whole space.
 
-One routine takes both guards on both paths from blocks (``_check_tuple``):
+One routine takes both guards from blocks (``_check_tuple``):
 invariance, the defect above against ``INVARIANCE_TOL`` times
 max(1, largest ||T_i||_2), and commuting, max ||[S_i, S_j]||_2 against
 ``koszul.COMMUTE_TOL`` times max(1, largest ||S_i||_2).  ||X||_2 <= ||X||_F
@@ -168,13 +169,6 @@ def _dense_block(basis: TruncatedBasis, pairs, d: int, k: int) -> np.ndarray:
     return out
 
 
-def _coordinate_blocks(basis: TruncatedBasis, i: int) -> list[list]:
-    """Class-pair blocks (``_shift_block``) of the truncated coordinate
-    multiplier z_i from degree d to d + 1, for d = 0 .. D - 1."""
-    gamma = tuple(int(j == i) for j in range(basis.dom.dim))
-    return [_shift_block(basis, gamma, d) for d in range(basis.max_degree)]
-
-
 def _pair_norm(pairs) -> float:
     """2-norm of multiplication by a monomial from its class-pair blocks.
 
@@ -218,7 +212,7 @@ def _check_generators(basis: TruncatedBasis, generators) -> None:
         raise ValidationError("generators produce an empty span at this degree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientModel:
     """Compression of the coordinate multipliers to the quotient M^(D) orth.
 
@@ -229,16 +223,18 @@ class QuotientModel:
     (module notes), real while the generators are:
 
     - ``frames``, the blocks of Q: rows are positions of the truncated
-      space, columns quotient columns.  On the graded path each block is a
-      torus-weight class against the columns of its class group
-      (``_class_frames``); on the filtration path each is a degree d
-      against the columns labelled d or higher.
+      space, columns quotient columns.  Each block is one torus-weight
+      class against the columns of every cell whose group holds it
+      (``_class_frames``): for homogeneous generators, one cell of the
+      class's degree; for inhomogeneous ones, cells of that degree or
+      higher.
     - ``tuple_stacks[i]``, the blocks of S_i, on quotient rows and columns.
-      On the graded path (every generator homogeneous, or none) each is a
-      group pair: S_i carries the columns of one class group of degree d
-      into those of one group of degree d + 1, and is zero elsewhere.  On
-      the filtration path each is a label pair l > k.
+      Each is a cell pair: S_i carries the columns of one group into those
+      of groups of higher labels (for homogeneous generators, one group of
+      the next degree), and is zero elsewhere.
 
+    The model is compared by identity (``eq=False``): its fields are
+    arrays.
     Blocks that are empty are not stored.  ``quotient_onb``, ``projector``
     and ``tuple_mats`` assemble the dense matrices on each access; the
     profile and the compressions never read them.
@@ -278,56 +274,15 @@ class QuotientModel:
         return q @ q.conj().T
 
 
-def _filtration_complement(basis: TruncatedBasis, generators):
-    """The filtration-adapted complement of arbitrary generators' span as a
-    pair (start, block) per degree d, block the degree-d rows of Q on the
-    columns from start on (those labelled d or higher; Q's degree-d rows
-    vanish on the others), and the labels.  B is an orthonormal basis of the
-    span of the columns' degree-< k rows, Y = B^H C their coordinates, and a
-    source degree s of P_D M_f P_D enters at k = s + min deg f with Y = 0.
-    The SVD of Y over the degree-k rows, lifted through diag(B, I), gives
-    the next B (singular values above ``SPAN_RANK_TOL`` times the largest),
-    the label-k vectors (the rest) and the next Y = Sigma V^H; it is real
-    while the rows are (``koszul._in_field``)."""
-    parts = [f.homogeneous_parts() for f in generators]
-    sizes = basis.degree_sizes
-    span, coords = np.zeros((0, 0)), np.zeros((0, 0))  # B and Y
-    sources: list[tuple[dict, int]] = []  # (homogeneous parts, source degree)
-    pieces = [[np.zeros((size, 0))] for size in sizes]  # degree-d rows, by label
-    labels: list[int] = []
-    for k, size in enumerate(sizes):
-        sources += [(p, k - min(p)) for p in parts if k >= min(p)]
-        rows = [
-            _dense_block(basis, _mult_block(basis, p[k - s], s), s, k - s)
-            if k - s in p
-            else np.zeros((size, sizes[s]))
-            for p, s in sources
-        ]
-        if rows:
-            entered = sum(sizes[s] for _, s in sources) - coords.shape[1]
-            coords = np.hstack([coords, np.zeros((len(coords), entered))])
-            u, sv, vh = np.linalg.svd(
-                np.vstack([coords, np.hstack(koszul._in_field(rows))]), full_matrices=True
-            )
-            kept = int(np.sum(sv > SPAN_RANK_TOL * sv.max(initial=0.0)))
-            coords = sv[:kept, None] * vh[:kept]
-        else:
-            u, kept = np.eye(size), 0
-        lifted = np.vstack([span @ u[: span.shape[1]], u[span.shape[1]:]])
-        span = lifted[:, :kept]
-        for d in range(k + 1):
-            pieces[d].append(lifted[basis.block_slice(d), kept:])
-        labels += [k] * (lifted.shape[1] - kept)
-    starts = np.searchsorted(labels, np.arange(len(sizes)))
-    blocks = tuple((int(i), np.hstack(p)) for i, p in zip(starts, pieces))
-    return blocks, np.asarray(labels, dtype=int)
-
-
 def _multiplier_scale(basis: TruncatedBasis) -> float:
     """Largest ||T_i||_2 over the truncated coordinate multipliers: the
-    largest class-pair block norm of any degree (``_pair_norm``)."""
-    blocks = (pairs for i in range(basis.dom.dim) for pairs in _coordinate_blocks(basis, i))
-    return max(map(_pair_norm, blocks), default=0.0)
+    largest class-pair block norm (``_shift_block``, ``_pair_norm``) of any
+    coordinate z_i from any degree d to d + 1."""
+    n = basis.dom.dim
+    return max((
+        _pair_norm(_shift_block(basis, tuple(int(j == i) for j in range(n)), d))
+        for i in range(n) for d in range(basis.max_degree)
+    ), default=0.0)
 
 
 def _check_tuple(basis: TruncatedBasis, nq: int, tuple_stacks, residues) -> None:
@@ -371,103 +326,211 @@ def _class_ids(dom: DomainSpec, d: int) -> np.ndarray:
     return firsts[stack] + row
 
 
-def _group_svds(basis: TruncatedBasis, generators, d: int):
-    """The degree-d generator columns, one full SVD per group of
-    torus-weight classes.
+def _block_diagonal(mats) -> np.ndarray:
+    """The block-diagonal matrix of ``mats``, in their order."""
+    out = np.zeros(tuple(np.sum([m.shape for m in mats], axis=0)), np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
-    The columns of degree d are the blocks of P_D M_f P_D from degree
-    d - deg f, for each homogeneous generator f.  z^gamma carries class mu
-    of degree d - |gamma| into class mu + wt(gamma), so the column of f on
-    one source monomial lies in the classes that f's terms carry its class
-    to; classes shared by a column form one group, and the columns are
-    block-diagonal by group.  A generator whose terms share one weight
-    (z11, det z, any monomial) gives one class per group; z11 + z22 merges
-    classes.  The groups' matrices are filled straight from the class-pair
-    blocks (``_mult_block``), stacked by shape.
 
-    Returns the positions of the classes that no column reaches; per stack
-    of groups of one shape (m rows, k columns): the groups' positions
-    (g, m), their left singular vectors (g, m, m) and singular values; and
-    the group of each class, labelled by its smallest class (a class that
-    no column reaches is a group of its own).
+@dataclass(eq=False)
+class _Run:
+    """The columns P_D M_f P_D z^p of one generator f on the degree-``source``
+    monomials p: its degree-j part carries p into degree source + j, the
+    last of them into degree ``last``.  ``groups`` and ``slots`` give each
+    column's group and its place among the group's columns, once it has
+    entered."""
+
+    parts: dict
+    source: int
+    last: int
+    groups: np.ndarray | None = None
+    slots: np.ndarray | None = None
+
+
+def _group_svds(basis: TruncatedBasis, runs: list, states: dict, k: int, first: int, offset: int):
+    """Degree k of the complement: the groups of torus-weight classes, and
+    one full SVD per group, batched by shape.
+
+    Each run (``_Run``) enters the columns of one generator.  z^gamma
+    carries class mu into class mu + wt(gamma), so a column's rows of
+    degree <= k lie in the classes that the terms of f of degree
+    <= k - source carry p's class to.  Classes that share such a column form a group,
+    the columns and the rows of degree <= k are block-diagonal by group,
+    and a group grows with k; it is labelled by its smallest class
+    (classes and positions numbered degree by degree, degree k's from
+    ``first`` and ``offset``).  ``states`` maps each group that later
+    degrees may still reach to (positions, B, Y, last): B an orthonormal
+    basis on its positions of the span of its columns' rows, Y = B^H C
+    their coordinates, and last the highest degree its columns reach.
+
+    Each group's matrix stacks its carried Y (block-diagonal over the
+    groups that degree k joins, zero on the columns entering now) over its
+    degree-k rows, filled straight from the class-pair blocks
+    (``_mult_block``).  The runs are updated and the joined states popped.
+    Returns the degree-k positions of the classes that no column reaches,
+    and per stack of groups of one shape (r carried rows over m degree-k
+    rows, n columns, P carried positions): the groups' labels, their
+    positions (g, P + m), their left singular vectors lifted through
+    diag(B, I) (g, P + m, r + m), their singular values and V^H, and their
+    last degrees.
     """
     dom = basis.dom
-    cls = _class_ids(dom, d)
-    columns, keys, tails, heads = [], [], [], []
-    first = 0  # the generator's first column
-    for f in generators:
-        if f.degree() <= d:
-            src = d - f.degree()
-            # hit[t, p]: the class that term t carries source position p into
-            hit = np.array([cls[_shift_positions(dom.dim, src, gamma)] for gamma in f.terms])
-            columns.append((first, src, _mult_block(basis, f, src)))
-            first += basis.degree_sizes[src]
-            keys.append(hit[0])
-            tails.append(np.broadcast_to(hit[0], hit[1:].shape).ravel())
-            heads.append(hit[1:].ravel())
+    cls = _class_ids(dom, k)
     empty = [np.zeros(0, dtype=np.intp)]
-    group = _components(
-        sum(len(s) for s in _weight_classes(dom, d)),
-        np.concatenate(empty + tails),
-        np.concatenate(empty + heads),
-    )
-    col_group = group[np.concatenate(empty + keys)]
-    row_group = group[cls]
-    reached = np.zeros(group.size, dtype=bool)
-    reached[col_group] = True
-    rows = np.flatnonzero(reached[row_group])
-    by_group, row_starts, heights = _sorted_runs(row_group[rows])
+    reach = [(run, run.parts[k - run.source]) for run in runs if k - run.source in run.parts]
+    # hit[t, p]: the degree-k class that term t carries source p into
+    hits = [
+        cls[np.array([_shift_positions(dom.dim, run.source, gamma) for gamma in part.terms])]
+        for run, part in reach
+    ]
+    # the nodes: the groups that reach degree k, then the degree-k classes
+    old = _distinct(np.concatenate(empty + [run.groups for run, _ in reach if run.groups is not None]))
+    tails = [
+        old.size + hit[0] if run.groups is None else np.searchsorted(old, run.groups)
+        for (run, _), hit in zip(reach, hits)
+    ]
+    ncls = sum(len(s) for s in _weight_classes(dom, k))
+    label = np.concatenate([old, first + np.arange(ncls)])[_components(
+        old.size + ncls,
+        np.concatenate(empty + [np.broadcast_to(t, hit.shape).ravel() for t, hit in zip(tails, hits)]),
+        np.concatenate(empty + [old.size + hit.ravel() for hit in hits]),
+    )]
+    reached = np.zeros(ncls, dtype=bool)
+    reached[np.concatenate(empty + [hit.ravel() for hit in hits])] = True
+    rows = np.flatnonzero(reached[cls])
+    by_group, row_starts, heights = _sorted_runs(label[old.size + cls[rows]])
     rows = rows[by_group]
-    cols, col_starts, widths = _sorted_runs(col_group)
-    svds = []
+    groups = label[old.size + cls[rows[row_starts]]]
+    # the joined states, each group's in label order, and where each old
+    # group's columns start among its new group's
+    joined: dict = {}
+    shift = np.zeros(old.size, dtype=np.intp)
+    for a, b in enumerate(np.searchsorted(groups, label[:old.size])):
+        shift[a] = sum(state[2].shape[1] for state in joined.get(b, []))
+        joined.setdefault(b, []).append(states.pop(int(old[a])))
+    for run in runs:
+        if run.groups is not None and old.size:
+            a = np.minimum(np.searchsorted(old, run.groups), old.size - 1)
+            moved = old[a] == run.groups
+            run.slots = np.where(moved, run.slots + shift[a], run.slots)
+            run.groups = np.where(moved, label[a], run.groups)
+    r, size, n, last = (np.zeros(groups.size, dtype=np.intp) for _ in range(4))
+    carried = {}
+    for b, js in joined.items():
+        carried[b] = (np.concatenate([s[0] for s in js]), *map(_block_diagonal, zip(*(s[1:3] for s in js))))
+        size[b], r[b], n[b] = carried[b][1].shape + carried[b][2].shape[1:]
+        last[b] = max(s[3] for s in js)
+    # the columns entering now come after the carried ones, in run order
+    fresh = [(run, hit) for (run, _), hit in zip(reach, hits) if run.groups is None]
+    col_group = np.concatenate(empty + [label[old.size + hit[0]] for _, hit in fresh])
+    order, col_starts, widths = _sorted_runs(col_group)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(col_starts, widths)
+    slot = n[np.searchsorted(groups, col_group)] + rank
+    n[np.searchsorted(groups, col_group[order[col_starts]])] += widths
+    at = 0
+    for run, hit in fresh:
+        run.groups, run.slots = col_group[at:at + hit.shape[1]], slot[at:at + hit.shape[1]]
+        at += hit.shape[1]
+        np.maximum.at(last, np.searchsorted(groups, run.groups), run.last)
+    stacks = []
     if rows.size:
         # entry (position p, column c) of its group's matrix sits at
-        # flat[at_row[p] + at_col[c]]: the groups of one shape are one stack
+        # flat[at_row[p] + slot of c], groups of one shape consecutive
+        h = r + heights
+        order = np.lexsort((n, heights, size, r))
+        area = (h * n)[order]
+        base = np.empty(groups.size, dtype=np.intp)
+        base[order] = np.cumsum(area) - area
+        of = np.repeat(np.arange(groups.size), heights)
         at_row = np.zeros(cls.size, dtype=np.intp)
-        at_col = np.zeros(col_group.size, dtype=np.intp)
-        stacks, end = [], 0
-        order, starts, _ = _sorted_runs(heights * (widths.max() + 1) + widths)
-        for same in np.split(order, starts[1:]):
-            m, k = heights[same[0]], widths[same[0]]
-            r = rows[row_starts[same][:, None] + np.arange(m)]
-            at_row[r] = end + k * (m * np.arange(len(same))[:, None] + np.arange(m))
-            at_col[cols[col_starts[same][:, None] + np.arange(k)]] = np.arange(k)
-            stacks.append((r, end, (len(same), m, k)))
-            end += len(same) * m * k
-        flat = np.zeros(end, np.result_type(float, *(
-            b for _, _, pairs in columns for _, _, b in pairs
-        )))
-        targets = _weight_classes(dom, d)
-        for first, src, pairs in columns:
-            sources = _weight_classes(dom, src)
+        at_row[rows] = base[of] + n[of] * (r[of] + np.arange(rows.size) - np.repeat(row_starts, heights))
+        columns = [(run, _mult_block(basis, part, run.source)) for run, part in reach]
+        flat = np.zeros(int(area.sum()), np.result_type(
+            float, *(b for _, pairs in columns for _, _, b in pairs), *(c[2] for c in carried.values())
+        ))
+        for b, (_, _, y) in carried.items():
+            flat[base[b]:base[b] + h[b] * n[b]].reshape(h[b], n[b])[:r[b], :y.shape[1]] = y
+        targets = _weight_classes(dom, k)
+        for run, pairs in columns:
+            sources = _weight_classes(dom, run.source)
             for (t, trows), (j, srows), block in pairs:
-                at = at_col[first + sources[j][srows]]
+                at = run.slots[sources[j][srows]]
                 flat[at_row[targets[t][trows]][:, :, None] + at[:, None, :]] += block
-        for r, start, shape in stacks:
-            mats = flat[start:start + math.prod(shape)].reshape(shape)
-            u, s, _ = np.linalg.svd(mats, full_matrices=True)
-            svds.append((r, u, s))
-    return np.flatnonzero(~reached[row_group]), svds, group
+        keys = np.stack([r, size, heights, n])[:, order]
+        starts = np.flatnonzero(np.append(True, np.any(keys[:, 1:] != keys[:, :-1], axis=0)))
+        for same in np.split(order, starts[1:]):
+            b = same[0]
+            mats = flat[base[b]:base[b] + len(same) * h[b] * n[b]].reshape(len(same), h[b], n[b])
+            u, s, vh = np.linalg.svd(mats, full_matrices=True)
+            pos = offset + rows[row_starts[same][:, None] + np.arange(heights[b])]
+            if size[b]:  # lift through diag(B, I)
+                span = np.stack([carried[a][1] for a in same])
+                pos = np.concatenate([np.stack([carried[a][0] for a in same]), pos], axis=1)
+                u = np.concatenate([span @ u[:, :r[b]], u[:, r[b]:]], axis=1)
+            stacks.append((groups[same], pos, u, s, vh, last[same]))
+    return np.flatnonzero(~reached[cls]), stacks
 
 
-def _complement_block(free: np.ndarray, svds, cutoff: float, row_group):
-    """The degree-d complement: the basis vectors of the classes no column
-    reaches, then each group's left singular vectors past its rank, the
-    singular values above ``cutoff``; real when the generator columns are.
-    Returns the group (``row_group`` of its positions) that owns each
-    column, and the columns as (positions (c, m), values (c, m)) runs: Q_d
-    is nonzero on column c only at its positions."""
-    kept = [(free[:, None], np.ones((free.size, 1)))]
-    for pos, u, s in svds:
-        g, j = np.nonzero(np.arange(u.shape[1]) >= np.sum(s > cutoff, axis=1)[:, None])
-        kept.append((pos[g], u[g, :, j]))
-    return np.concatenate([row_group[pos[:, 0]] for pos, _ in kept]), kept
+def _complement(basis: TruncatedBasis, generators):
+    """The complement Q of the generators' span, built degree by degree and
+    split by group (``_group_svds``): its class frames (``_class_frames``),
+    the cells of its columns (``_cells``) and its labels; real when the
+    generator columns are.
+
+    Per group, the left singular vectors past the rank are its label-k
+    columns, those up to the rank the next B, and Sigma V^H the next Y.
+    The rank counts the singular values above ``SPAN_RANK_TOL`` times the
+    largest of degree k over every group, the rank rule of one SVD of the
+    block-diagonal whole.  A class that no column reaches keeps its basis
+    vectors.  Each quotient column is supported on degrees <= its label,
+    and degree k sees only the columns and rows that reach it, the same at
+    every D, so the complement at a lower D is the label prefix of the one
+    at a higher D.  A cell is the columns of one group at one label.
+    """
+    dom, top = basis.dom, basis.max_degree
+    parts = [f.homogeneous_parts() for f in generators]
+    firsts = np.cumsum([0] + [sum(len(s) for s in _weight_classes(dom, d)) for d in range(top + 1)])
+    offsets = np.cumsum([0] + basis.degree_sizes)
+    runs, states, pieces, owners, counts = [], {}, [], [], []
+    for k in range(top + 1):
+        runs += [_Run(p, k - min(p), k - min(p) + max(p)) for p in parts if min(p) <= k]
+        free, stacks = _group_svds(basis, runs, states, k, firsts[k], offsets[k])
+        cutoff = SPAN_RANK_TOL * max((s.max() for *_, s, _, _ in stacks if s.size), default=0.0)
+        pieces.append((offsets[k] + free[:, None], np.ones((free.size, 1))))
+        owner = [firsts[k] + _class_ids(dom, k)[free]]
+        for groups, pos, lifted, s, vh, last in stacks:
+            kept = np.sum(s > cutoff, axis=1)
+            g, j = np.nonzero(np.arange(lifted.shape[2]) >= kept[:, None])
+            pieces.append((pos[g], lifted[g, :, j]))
+            owner.append(groups[g])
+            for a in np.flatnonzero(last > k):
+                states[int(groups[a])] = (
+                    pos[a], lifted[a, :, :kept[a]], s[a, :kept[a], None] * vh[a, :kept[a]], last[a]
+                )
+        runs = [run for run in runs if run.last > k]
+        owners.append(k * firsts[-1] + np.concatenate(owner))  # distinct across labels
+        counts.append(owners[-1].size)
+    nq = sum(counts)
+    starts = np.cumsum([0] + [len(p) for p, _ in pieces])
+    col = np.concatenate([
+        np.repeat(np.arange(f, f + len(p)), p.shape[1]) for f, (p, _) in zip(starts, pieces)
+    ])
+    frames = _class_frames(
+        basis, firsts, offsets, np.concatenate([p.ravel() for p, _ in pieces]), col,
+        np.concatenate([v.ravel() for _, v in pieces]), nq,
+    )
+    return frames, _cells(np.concatenate(owners)), np.repeat(np.arange(top + 1), counts)
 
 
 def _cells(owner: np.ndarray):
     """The cells of the complement's columns, a cell being the columns that
-    one class group of one degree owns (``owner``, distinct across
-    degrees), ascending.  Per column c, and a padding column nq =
+    one group owns at one label (``owner``, distinct across labels),
+    ascending.  Per column c, and a padding column nq =
     owner.size after them: its cell's first column (-1 for the padding),
     its cell's width and its rank in its cell, as the rows of one array;
     and the cells' columns, those of the cell with first column f at
@@ -483,71 +546,44 @@ def _cells(owner: np.ndarray):
     return info, members, where
 
 
-def _class_frames(dom: DomainSpec, d: int, heads, cells, first: int, columns) -> list:
-    """Q_d class by class, for the class-pair products of
-    ``_compress_coordinate``.
+def _class_frames(basis: TruncatedBasis, firsts, offsets, pos, col, value, nq: int) -> list:
+    """Q class by class, for the class-pair products of
+    ``_compress_coordinate``, from its entries (position, column, value)
+    and the first class and position of each degree.
 
-    Per stack of ``_weight_classes(dom, d)``, a triple (positions (k, s),
-    columns (k, W), frame (k, s, W)): the columns of Q that the class's
-    group owns, ascending and padded to the stack's widest (at least one)
-    with the padding column nq, and Q_d's rows on the class there.
-    ``heads`` gives each class's first column (nq when its group owns
-    none), and ``columns`` the column runs of ``_complement_block``,
-    numbered from ``first``.  Q_d vanishes on a class outside its group's
-    columns, and a padded column of a frame is zero."""
-    info, members, where = cells
-    nq = members.size
-    # Q_d's nonzero entries (position, column, value), and where each position sits
-    firsts = np.cumsum([first] + [len(pos) for pos, _ in columns])
-    col = np.concatenate([
-        np.repeat(np.arange(f, f + len(p)), p.shape[1]) for f, (p, _) in zip(firsts, columns)
-    ])
-    value = np.concatenate([v.ravel() for _, v in columns])
-    slot = _class_slots(dom, d)[np.concatenate([p.ravel() for p, _ in columns])]
-    frames, at = [], 0
-    for k, stack in enumerate(_weight_classes(dom, d)):
-        head = heads[at:at + len(stack)]
-        at += len(stack)
-        width = info[1, head]
-        place = np.arange(max(width.max(initial=0), 1))
-        valid = place < width[:, None]
-        cols = np.full(valid.shape, nq)
-        cols[valid] = members[(where[head][:, None] + place)[valid]]
-        frame = np.zeros(stack.shape + place.shape, value.dtype)
-        on = slot[:, 0] == k
-        frame[slot[on, 1], slot[on, 2], info[2, col[on]]] = value[on]
-        frames.append((stack, cols, frame))
+    Per degree d and stack of ``_weight_classes(dom, d)``, a triple
+    (positions (k, s), columns (k, W), frame (k, s, W)): the columns of Q
+    that hold entries on the class, those of every cell whose group holds
+    it, ascending and padded to the stack's widest (at least one) with the
+    padding column nq, and Q's rows on the class there.  Q vanishes on a
+    class outside these columns, and a padded column of a frame is zero."""
+    dom = basis.dom
+    cls = np.concatenate([at + _class_ids(dom, d) for d, at in enumerate(firsts[:-1])])[pos]
+    order = np.argsort(cls * (nq + 1) + col, kind="stable")
+    cls, pos, col, value = cls[order], pos[order], col[order], value[order]
+    new = np.ones(cls.size, dtype=bool)
+    new[1:] = (cls[1:] != cls[:-1]) | (col[1:] != col[:-1])
+    # each class's distinct columns, ascending, from pair_start[class] on
+    pair_start = np.searchsorted(cls[new], np.arange(firsts[-1] + 1))
+    rank = np.cumsum(new) - 1 - pair_start[cls]
+    width, pair_col = np.diff(pair_start), col[new]
+    frames = []
+    for d, (lo, hi) in enumerate(zip(*np.searchsorted(cls, [firsts[:-1], firsts[1:]]))):
+        stack, row, at = _class_slots(dom, d)[pos[lo:hi] - offsets[d]].T
+        classes, ids = [], firsts[d]
+        for k, members in enumerate(_weight_classes(dom, d)):
+            w = width[ids:ids + len(members)]
+            place = np.arange(max(w.max(initial=0), 1))
+            valid = place < w[:, None]
+            cols = np.full(valid.shape, nq)
+            cols[valid] = pair_col[(pair_start[ids:ids + len(members), None] + place)[valid]]
+            frame = np.zeros(members.shape + place.shape, value.dtype)
+            on = stack == k
+            frame[row[on], at[on], rank[lo:hi][on]] = value[lo:hi][on]
+            classes.append((members, cols, frame))
+            ids += len(members)
+        frames.append(classes)
     return frames
-
-
-def _graded_complement(basis: TruncatedBasis, generators):
-    """The complement Q of homogeneous generators: its class frames per
-    degree (``_class_frames``), the cells of its columns (``_cells``) and
-    the first column of each degree, then dim_quotient; real when the
-    generator columns are.  The rank counts the singular values above
-    ``SPAN_RANK_TOL`` times the largest one over every group of every
-    degree."""
-    parts = [_group_svds(basis, generators, d) for d in range(basis.max_degree + 1)]
-    cutoff = SPAN_RANK_TOL * max(
-        (s.max() for _, svds, _ in parts for _, _, s in svds if s.size), default=0.0
-    )
-    blocks = [
-        _complement_block(free, svds, cutoff, group[_class_ids(basis.dom, d)])
-        for d, (free, svds, group) in enumerate(parts)
-    ]
-    starts = np.cumsum([0] + [owner.size for owner, _ in blocks])
-    # groups are labelled by a class of their degree: number the classes on
-    offsets = np.cumsum([0] + [group.size for _, _, group in parts])
-    owner = np.concatenate([owner + at for (owner, _), at in zip(blocks, offsets)])
-    cells = _cells(owner)
-    heads = np.full(offsets[-1], owner.size)
-    heads[owner] = cells[0][0, :-1]
-    frames = [
-        _class_frames(basis.dom, d, heads[at + group], cells, first, columns)
-        for d, ((_, _, group), at, first, (_, columns))
-        in enumerate(zip(parts, offsets, starts, blocks))
-    ]
-    return frames, cells, starts
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -555,71 +591,84 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _compress_coordinate(basis: TruncatedBasis, i: int, frames, cells):
-    """S_i = Q^H T_i Q as group-pair block entries, and the pieces of the
+def _compress_coordinate(basis: TruncatedBasis, i: int, frames, cells, labels):
+    """S_i = Q^H T_i Q as cell-pair block entries, and the pieces of the
     invariance defect Q^H T_i - S_i Q^H (``_check_tuple``), from the class
-    frames and cells of ``_graded_complement``.
+    frames, cells and labels of ``_complement``.
 
-    T_i carries class c of degree d into one class tau of degree d + 1, and
-    Q vanishes on tau outside the columns of tau's group, so the pair adds
-    F_tau^H B F_c to the block of (tau's group, c's group), and the defect
-    on c's positions is X - S[tau's columns, c's columns] F_c^H with
-    X = F_tau^H B.  The class pairs (``_shift_plan``) lay the blocks out in
-    one flat array, those of one shape consecutive; then each degree's
-    multiplier blocks are solved, added in and read back for the defect,
-    one degree at a time.  The products stay real while the frames are.
-    Padded frame columns are zero and land in one spare entry past the
-    blocks; their defect rows are zero and get row -1.
+    T_i carries class c of degree d into one class tau of degree d + 1,
+    and Q vanishes on tau outside the columns of tau's frame, so the pair
+    adds F_tau^H B F_c to the blocks of (tau's cells, c's cells).  T_i
+    carries a group into one group of the next degree, and groups only
+    grow, so S_i carries c's columns into tau's, and the defect on c's
+    positions is X - S[tau's columns, c's columns] F_c^H with X = F_tau^H
+    B.  Only the entries whose row label exceeds their column label are
+    kept: the others are exactly 0, and rounding residues there would
+    close the nilpotent S_i into cycles.  The class pairs
+    (``_shift_plan``) lay the blocks out in one flat array, those of one
+    shape consecutive; then each degree's multiplier blocks are solved and
+    added in, and a pair's defect is read once the blocks it reads are
+    complete, after the degree of the highest label among c's columns.
+    The products stay real while the frames are.  Padded frame columns and
+    the cut entries land in one spare entry past the blocks, which is
+    zeroed before the defect reads it; padded defect rows get row -1.
     """
     info, members, where = cells
-    nq = members.size
+    nq, top = members.size, basis.max_degree
     gamma = tuple(int(j == i) for j in range(basis.dom.dim))
-    plans = [_shift_plan(basis.dom, gamma, d) for d in range(basis.max_degree)]
-    # each class pair's block: (target cell, source cell) by their first columns
-    none = [np.zeros(0, np.intp)]
-    heads = [
-        info[0, np.concatenate(none + [
-            frames[d + 1][k][1][rows, 0] for d, plan in enumerate(plans) for (k, rows), _, _ in plan
-        ])],
-        info[0, np.concatenate(none + [
-            frames[d][j][1][cols, 0] for d, plan in enumerate(plans) for _, (j, cols), _ in plan
-        ])],
-    ]
+    # entry (row l, column c) lies in the block keyed head(l) stride + head(c)
+    # and is kept when l is past the last column of c's label; a padding
+    # column or a cut entry gets the key ``never``, past every block's
     stride = nq + 1
-    key = heads[0] * stride + heads[1]
-    keys = _distinct(key[(heads[0] >= 0) & (heads[1] >= 0)])
+    never = stride * stride
+    row_key, col_key = np.append(info[0, :-1] * stride, never), np.append(info[0, :-1], never)
+    after = np.append(np.searchsorted(labels, labels, side="right"), 0)
+    pairs, found = [], [np.zeros(0, dtype=np.intp)]
+    for d in range(top):
+        degree = []
+        for (k, rows), (j, cols), _ in _shift_plan(basis.dom, gamma, d):
+            lcols, rcols = frames[d + 1][k][1][rows], frames[d][j][1][cols]
+            key = row_key[lcols][:, :, None] + col_key[rcols][:, None, :]
+            key[lcols[:, :, None] < after[rcols][:, None, :]] = never
+            pairs.append((lcols, rcols, key))
+            degree.append(key[key < never])
+        found.append(_distinct(np.concatenate(found[:1] + degree)))
+    keys = _distinct(np.concatenate(found))
     heights, widths = info[1, keys // stride], info[1, keys % stride]
     order, starts, _ = _sorted_runs(heights * (widths.max(initial=0) + 1) + widths)
     sizes = (heights * widths)[order]
     base = np.empty(keys.size, dtype=np.intp)
     base[order] = np.cumsum(sizes) - sizes
-    spare = int(sizes.sum())  # the entry past the blocks takes the padding
+    spare = int(sizes.sum())  # the entry past the blocks
     flat = np.zeros(spare + 1, np.result_type(float, *(f for fs in frames for _, _, f in fs)))
-    # a class pair without a block (a cell without columns) starts at the
-    # spare entry, and so does a padding column: every index past it is cut to it
-    pair = np.searchsorted(keys, key)
-    pair[(heads[0] < 0) | (heads[1] < 0)] = keys.size
-    first, width = np.append(base, spare)[pair], np.append(widths, 0)[pair]
+    # an entry without a block starts at the spare entry, and so does a
+    # padding column: every index past it is cut to it
+    first, step = np.append(base, spare), np.append(widths, 0)
     rank = np.append(info[2, :-1], spare)
+    label = np.append(labels, -1)
     offsets = np.cumsum([0] + basis.degree_sizes)
-    pieces, at = [], 0
-    for d in range(basis.max_degree):
-        parts = []
+    pieces, pending, at = [], [], 0  # at: the class pairs so far
+    for d in range(top):
         for (k, rows), (j, cols), block in _shift_block(basis, gamma, d):
-            (_, lcols, lframe), (pos, rcols, rframe) = frames[d + 1][k], frames[d][j]
-            lcols, rcols, rframe = lcols[rows], rcols[cols], rframe[cols]
-            x = _adjoint(lframe[rows]) @ block
-            on = slice(at, at + len(rows))
-            at += len(rows)
-            lead = first[on, None] + width[on, None] * rank[lcols]
-            place = np.minimum(lead[:, :, None] + rank[rcols][:, None, :], spare)
+            (lcols, rcols, key), pairs[at] = pairs[at], None  # the keys are freed as they are read
+            pair = np.searchsorted(keys, key)
+            at += 1
+            rframe = frames[d][j][2][cols]
+            x = _adjoint(frames[d + 1][k][2][rows]) @ block
+            place = np.minimum(
+                first[pair] + step[pair] * rank[lcols][:, :, None] + rank[rcols][:, None, :],
+                spare,
+            )
             np.add.at(flat, place.ravel(), (x @ rframe).ravel())  # 1-D: numpy's fast path
-            parts.append((lcols, offsets[d] + pos[cols], x, rframe, place))
-        # the blocks from degree d are complete: the defect on its positions
-        for lcols, pos, x, rframe, place in parts:
+            pending.append((label[rcols].max(), lcols, (d, j, cols), x, rframe, place))
+        # the blocks of the columns labelled d or lower are complete
+        flat[spare] = 0.0
+        done = d if d + 1 < top else top
+        for _, lcols, (e, j, cols), x, rframe, place in (part for part in pending if part[0] <= done):
             residue = x - flat[place] @ _adjoint(rframe)
             if residue.any():  # a zero piece (all of them, for monomial generators) adds nothing
-                pieces.append((np.where(lcols < nq, lcols, -1), pos, residue))
+                pieces.append((np.where(lcols < nq, lcols, -1), offsets[e] + frames[e][j][0][cols], residue))
+        pending = [part for part in pending if part[0] > done]
     entries = []
     for same in np.split(order, starts[1:]) if keys.size else []:
         m, n = heights[same[0]], widths[same[0]]
@@ -631,22 +680,25 @@ def _compress_coordinate(basis: TruncatedBasis, i: int, frames, cells):
     return tuple(entries), pieces
 
 
-def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
-    """Quotient by homogeneous generators: M^(D) and its complement split
-    as sums over d of M_d and P_d orth M_d, and each degree further by
-    groups of torus-weight classes (``_group_svds``); one SVD per group,
-    with the rank counted against the largest singular value over every
-    group of every degree, applies the rank rule of one SVD of all columns.
-    Without generators no class is reached: the whole space.  Each
-    coordinate multiplier shifts degree d to d + 1 and each class into one
-    class, so S_i and the invariance defect are taken per class pair, into
-    group-pair blocks (``_compress_coordinate``); Q keeps its class frames,
-    less the classes whose group owns no column.
+def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
+    """Quotient module model: projector onto M^(D) orth and compressed tuple.
+
+    One build serves every generator set (module notes): the complement
+    degree by degree, split by group of torus-weight classes
+    (``_complement``), and S_i per class pair into cell-pair blocks
+    (``_compress_coordinate``).  An empty generator list is the zero
+    submodule, whose quotient is the whole space.  The model asserts the
+    two structural identities that hold in exact arithmetic: M^(D) is
+    invariant under the truncated multipliers (defect <= 1e-12) and the
+    compressed coordinates commute (defect <= 1e-10).  Q keeps its class
+    frames, less the classes that no column holds.
     """
-    frames, cells, starts = _graded_complement(basis, generators)
-    nq = int(starts[-1])
+    generators = tuple(generators)
+    _check_generators(basis, generators)
+    frames, cells, labels = _complement(basis, generators)
+    nq = labels.size
     tuple_stacks, residues = zip(*(
-        _compress_coordinate(basis, i, frames, cells) for i in range(basis.dom.dim)
+        _compress_coordinate(basis, i, frames, cells, labels) for i in range(basis.dom.dim)
     ))
     _check_tuple(basis, nq, tuple_stacks, residues)
     offsets, stored = np.cumsum([0] + basis.degree_sizes), []
@@ -656,76 +708,7 @@ def _graded_model(basis: TruncatedBasis, generators) -> QuotientModel:
             for w in _distinct(width[width > 0]):
                 on = width == w
                 stored.append((offsets[d] + pos[on], cols[on, :w], frame[on, :, :w]))
-    labels = np.repeat(np.arange(len(frames)), np.diff(starts))
     return QuotientModel(basis, _by_shape(stored), labels, tuple_stacks)
-
-
-def _filtration_model(basis: TruncatedBasis, generators) -> QuotientModel:
-    """Quotient by arbitrary generators through the filtration-adapted
-    complement; the only path for inhomogeneous generators.
-
-    S_i sums X_d Q_d, X_d = Q_{d+1}^H T_i(d), over d, in the field of Q (real
-    while the generators are, ``_filtration_complement``), and keeps the
-    label blocks l > k only: the others are exactly 0, and rounding residues
-    there would close the nilpotent S_i into cycles.  The invariance defect
-    of the kept tuple is X_d - S_i Q_d^H on the degree-d positions (its rows
-    labelled d or lower vanish).  Q is stored by degree, S_i by label pair.
-    """
-    blocks, labels = _filtration_complement(basis, generators)
-    nq = labels.size
-    starts = [start for start, _ in blocks] + [nq]
-    spans = [np.arange(starts[l], starts[l + 1])[None] for l in range(len(blocks))]
-    tuple_stacks, residues = [], []
-    for i in range(basis.dom.dim):
-        s, products = np.zeros((nq, nq), np.result_type(*(q for _, q in blocks))), []
-        for d, pairs in enumerate(_coordinate_blocks(basis, i)):
-            (lstart, q1), (rstart, q0) = blocks[d + 1], blocks[d]
-            x = q1.conj().T @ _dense_block(basis, pairs, d, 1)
-            s[lstart:, rstart:] += x @ q0
-            products.append(x)
-        s *= labels[:, None] > labels[None, :]  # only the blocks l > k are kept
-        tuple_stacks.append(_by_shape(
-            (spans[l], spans[k], s[starts[l]:starts[l + 1], starts[k]:starts[k + 1]][None].copy())
-            for l in range(len(blocks)) for k in range(l)
-        ))
-        residues.append([
-            (
-                np.arange(starts[d + 1], nq),
-                basis.offset(d) + np.arange(basis.degree_sizes[d]),
-                x - s[starts[d + 1]:, start:] @ q.conj().T,
-            )
-            for d, (x, (start, q)) in enumerate(zip(products, blocks))
-        ])
-    _check_tuple(basis, nq, tuple_stacks, residues)
-    frames = _by_shape(
-        (basis.offset(d) + np.arange(q.shape[0])[None], start + np.arange(q.shape[1])[None], q[None])
-        for d, (start, q) in enumerate(blocks)
-    )
-    return QuotientModel(basis, frames, labels, tuple(tuple_stacks))
-
-
-def _is_graded(generators) -> bool:
-    """Whether ``quotient_model`` takes the graded path: every generator
-    homogeneous."""
-    return all(len(g.homogeneous_parts()) == 1 for g in generators)
-
-
-def quotient_model(basis: TruncatedBasis, generators) -> QuotientModel:
-    """Quotient module model: projector onto M^(D) orth and compressed tuple.
-
-    Homogeneous generators, and the empty tuple (the zero submodule, whose
-    quotient is the whole space), take the graded path (per-degree
-    complements, see ``_graded_model``); any inhomogeneous generator takes
-    the filtration path.  Both assert the two structural identities that
-    hold in exact arithmetic: M^(D) is invariant under the truncated
-    multipliers (defect <= 1e-12) and the compressed coordinates commute
-    (defect <= 1e-10).
-    """
-    generators = tuple(generators)
-    _check_generators(basis, generators)
-    if _is_graded(generators):
-        return _graded_model(basis, generators)
-    return _filtration_model(basis, generators)
 
 
 def _polynomial_entries(model: QuotientModel, f: Polynomial):

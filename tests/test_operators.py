@@ -24,9 +24,7 @@ from symdom.operators import (
     INVARIANCE_TOL,
     SPAN_RANK_TOL,
     _check_tuple,
-    _coordinate_blocks,
     _dense_block,
-    _filtration_model,
     _mult_block,
     _pair_norm,
     _shift_block,
@@ -217,9 +215,11 @@ def test_passing_graded_defect_takes_no_svd(monkeypatch):
 
 
 def graded_complement_blocks(basis, gens):
-    """The dense complement blocks Q_0 .. Q_D, assembled from the class
-    frames of ``_graded_complement`` (a padded column reads index nq)."""
-    frames, _, starts = operators._graded_complement(basis, gens)
+    """The dense complement blocks Q_0 .. Q_D of homogeneous generators,
+    assembled from the class frames of ``_complement`` (a padded column
+    reads index nq)."""
+    frames, _, labels = operators._complement(basis, gens)
+    starts = np.searchsorted(labels, np.arange(basis.max_degree + 2))
     out = []
     for d, classes in enumerate(frames):
         q = np.zeros((basis.degree_sizes[d], starts[-1] + 1), dtype=complex)
@@ -351,27 +351,36 @@ def column_degrees(basis, vec):
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
 def test_graded_path_matches_filtration_path(dom, lam, d_trunc, rng):
+    # homogeneous generators against the dense filtration route
+    # (``prefix_svd_complement``): every quotient column lies in the one
+    # degree of its label, and the cells are those of the dense sandwich
+    # Q^H P_D M_z P_D Q on the reference's Q, which differs from the
+    # model's by a unitary inside each label
     basis = truncated_basis(dom, lam, d_trunc)
     n = dom.dim
     symbols = [Polynomial.coordinate(0, n), Polynomial.coordinate(1, n)]
     for gens in graded_generator_sets(n):
-        graded = quotient_model(basis, gens)
-        filtered = _filtration_model(basis, gens)
-        assert graded.dim_quotient == filtered.dim_quotient
-        assert np.array_equal(graded.degree_labels, filtered.degree_labels)
-        assert np.abs(graded.projector() - filtered.projector()).max() < 1e-12
-        for k, label in enumerate(graded.degree_labels):
-            assert column_degrees(basis, graded.quotient_onb[:, k]) == {label}
+        model = quotient_model(basis, gens)
+        ref, labels = prefix_svd_complement(basis, gens)
+        assert np.array_equal(model.degree_labels, labels)
+        assert np.abs(model.projector() - ref @ ref.conj().T).max() < 1e-12
+        for k, label in enumerate(model.degree_labels):
+            assert column_degrees(basis, model.quotient_onb[:, k]) == {label}
         f = random_poly(n, 2, rng)
-        q = graded.quotient_onb
+        q = model.quotient_onb
         dense = q.conj().T @ mult_op(basis, f) @ q
-        assert np.abs(compress(graded, f) - dense).max(initial=0.0) < 1e-12
-        rows = essential_normality_profile(graded, symbols, [2.0, 3.0])
-        reference = essential_normality_profile(filtered, symbols, [2.0, 3.0])
-        for a, b in zip(rows, reference, strict=True):
-            assert a.dim_quotient == b.dim_quotient
-            assert abs(a.schatten_full - b.schatten_full) < 1e-10
-            assert abs(a.schatten_windowed - b.schatten_windowed) < 1e-10
+        assert np.abs(compress(model, f) - dense).max(initial=0.0) < 1e-12
+        rows = essential_normality_profile(model, symbols, [2.0, 3.0])
+        mats = [ref.conj().T @ mult_op(basis, z) @ ref for z in symbols]
+        reference = [
+            (schatten_norm(c, p), schatten_norm(windowed_submatrix(c, labels, d_trunc - 2), p))
+            for c in (cross_commutator(mats[a], mats[b]) for a, b in ((0, 0), (0, 1), (1, 1)))
+            for p in (2.0, 3.0)
+        ]
+        for row, (full, windowed) in zip(rows, reference, strict=True):
+            assert row.dim_quotient == labels.size
+            assert abs(row.schatten_full - full) < 1e-10
+            assert abs(row.schatten_windowed - windowed) < 1e-10
 
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
@@ -433,7 +442,8 @@ def test_blockwise_multiplier_norm_is_dense_norm(dom, lam, d_trunc):
     basis = truncated_basis(dom, lam, d_trunc)
     for i in range(dom.dim):
         dense = np.linalg.norm(mult_op(basis, Polynomial.coordinate(i, dom.dim)), 2)
-        blocks = _coordinate_blocks(basis, i)
+        gamma = tuple(int(j == i) for j in range(dom.dim))
+        blocks = [_shift_block(basis, gamma, d) for d in range(d_trunc)]
         # the largest class-pair block norm is the dense norm
         assert abs(max(map(_pair_norm, blocks)) - dense) <= 1e-12 * dense
 
@@ -461,8 +471,7 @@ def test_multiplier_ranges_span_the_truncated_products(dom, lam, d_trunc):
     eye = np.eye(basis.dim)
     for gens in ([z1], [z1 * z2], [z1 * z1, z1 * z2], [z1 * z1 + z2]):
         want = reference_span_projector(basis, gens)
-        for model in (quotient_model(basis, gens), _filtration_model(basis, gens)):
-            assert np.abs(model.projector() - (eye - want)).max() < 1e-12
+        assert np.abs(quotient_model(basis, gens).projector() - (eye - want)).max() < 1e-12
 
 
 @pytest.mark.parametrize("dom, lam, d_trunc", GRADED_CASES, ids=lambda v: getattr(v, "kind", None))
@@ -478,7 +487,8 @@ def test_no_generators_is_the_whole_space(dom, lam, d_trunc):
 
 
 def test_no_path_takes_the_dense_commutator_check(monkeypatch):
-    # both paths check commuting from the label blocks, Frobenius norm first
+    # the build checks commuting from the cell blocks, Frobenius norm first,
+    # for homogeneous and inhomogeneous generators alike
     def dense_check(mats):
         raise AssertionError("dense commutator check")
 
@@ -490,10 +500,11 @@ def test_no_path_takes_the_dense_commutator_check(monkeypatch):
 
 
 def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
-    """The per-degree route to the complement: one full SVD of each degree's
-    generator columns, the rank counted against ``tol`` times the largest
-    singular value over all degrees.  Returns the dense complement Q, its
-    degree labels and the dense compressed tuple Q^H T_i Q."""
+    """The per-degree route to the complement of homogeneous generators: one
+    full SVD of each degree's generator columns, the rank counted against
+    ``tol`` times that degree's largest singular value.  Returns the dense
+    complement Q, its degree labels and the dense compressed tuple
+    Q^H T_i Q."""
     svds = []
     for d, size in enumerate(basis.degree_sizes):
         cols = [
@@ -506,8 +517,7 @@ def per_degree_oracle(basis, gens, tol=SPAN_RANK_TOL):
         else:
             u, s = np.eye(size), np.zeros(0)
         svds.append((u, s))
-    cutoff = tol * max((s[0] for _, s in svds if s.size), default=0.0)
-    blocks = [u[:, int(np.sum(s > cutoff)):] for u, s in svds]
+    blocks = [u[:, int(np.sum(s > tol * s.max(initial=0.0))):] for u, s in svds]
     q = np.zeros((basis.dim, sum(b.shape[1] for b in blocks)), dtype=complex)
     col = 0
     for d, b in enumerate(blocks):
@@ -566,30 +576,44 @@ def test_class_group_complement_is_the_per_degree_route(dom, lam, d_trunc):
 
 
 @pytest.mark.parametrize("tol", [SPAN_RANK_TOL, 0.05, 0.3, 0.6])
-def test_group_ranks_count_against_the_largest_singular_value_of_all_degrees(tol, monkeypatch):
+def test_group_ranks_count_against_the_largest_singular_value_of_its_degree(tol, monkeypatch):
     # a coarse tolerance puts the cutoff among the singular values: each
-    # group's rank must still follow the one cutoff over every group
+    # group's rank must still follow the one cutoff over every group of its
+    # degree, the rank rule of one SVD of that degree's columns
     dom = DomainSpec.matrix_ball(2, 2)
     basis = truncated_basis(dom, 2.5, 6)
     monkeypatch.setattr(operators, "SPAN_RANK_TOL", tol)
     for name, gens in oracle_generator_sets(dom).items():
         _, labels, _ = per_degree_oracle(basis, gens, tol)
-        widths = np.diff(operators._graded_complement(basis, gens)[2]).tolist()
-        assert widths == np.bincount(labels, minlength=len(widths)).tolist(), name
+        assert np.array_equal(operators._complement(basis, gens)[2], labels), name
 
 
-def test_sum_generator_joins_weight_classes():
+def test_sum_generator_joins_weight_classes(monkeypatch):
     # z11 + z22 carries a monomial into two torus-weight classes, so groups of
-    # several classes share one SVD; a monomial generator keeps one class each
+    # several classes share one SVD and their quotient columns lie on several
+    # classes; a monomial generator keeps one class each
     dom = DomainSpec.matrix_ball(2, 2)
     basis = truncated_basis(dom, 2.5, 4)
     gens = oracle_generator_sets(dom)
+    group_svds, seen = operators._group_svds, []
+
+    def recorded(*args):
+        free, stacks = group_svds(*args)
+        seen.append([pos for _, pos, *_ in stacks])
+        return free, stacks
+
+    monkeypatch.setattr(operators, "_group_svds", recorded)
     for name, joined in (("z11", False), ("sum", True)):
-        for d in range(1, 5):
+        seen.clear()
+        model = quotient_model(basis, gens[name])
+        for d, stacks in enumerate(seen):
             cls = operators._class_ids(dom, d)
-            _, svds, _ = operators._group_svds(basis, gens[name], d)
-            most = max(len(set(cls[row])) for pos, _, _ in svds for row in pos)
-            assert (most > 1) == joined, (name, d)
+            most = max((len(set(cls[row - basis.offset(d)])) for pos in stacks for row in pos), default=1)
+            assert (most > 1) == (joined and d > 0), (name, d)
+        classes = np.zeros(model.dim_quotient, dtype=int)  # the frames on each quotient column
+        for _, cols, stack in model.frames:
+            np.add.at(classes, cols.ravel(), 1)
+        assert (classes.max() > 1) == joined, name
 
 
 def test_empty_complement_degrees():
@@ -614,7 +638,8 @@ def test_graded_tuple_is_stored_as_shift_blocks():
     # most one dimension, so S_i is a weighted shift on the class lattice:
     # one 1 x 1 block per column at most, from label d to label d + 1,
     # against the 4 sum_d nq_{d+1} nq_d entries of dense degree-shift
-    # blocks.  The filtration path stores every label block l > k
+    # blocks.  An inhomogeneous generator's S_i is stored the same way, by
+    # pairs of cells, each from a lower label into a higher one
     basis = truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 20)
     model = quotient_model(basis, [Polynomial.coordinate(0, 4)])
     nq = [math.comb(d + 2, 2) for d in range(21)]
@@ -627,15 +652,16 @@ def test_graded_tuple_is_stored_as_shift_blocks():
         assert len(set(cols[:, 0].tolist())) == len(cols) <= sum(nq[:20])
     z11, z12 = Polynomial.coordinate(0, 4), Polynomial.coordinate(1, 4)
     model = quotient_model(truncated_basis(DomainSpec.matrix_ball(2, 2), 2.5, 5), [z11 + z12 * z12])
-    starts = model.label_starts
-    spans = [np.arange(starts[l], starts[l + 1]) for l in range(6)]
+    labels = model.degree_labels
     for stacks, mat in zip(model.tuple_stacks, model.tuple_mats, strict=True):
+        seen = np.zeros(mat.shape, dtype=int)
         blocks = [b for rows, cols, stack in stacks for b in zip(rows, cols, stack)]
-        pairs = [(model.degree_labels[r[0]], model.degree_labels[c[0]]) for r, c, _ in blocks]
-        assert sorted(pairs) == [(l, k) for l in range(6) for k in range(l)]
-        for (l, k), (r, c, block) in zip(pairs, blocks):
-            assert np.array_equal(r, spans[l]) and np.array_equal(c, spans[k])
+        assert blocks
+        for r, c, block in blocks:
+            assert len(set(labels[r])) == 1 == len(set(labels[c])) and labels[r[0]] > labels[c[0]]
             assert np.array_equal(block, mat[np.ix_(r, c)])
+            seen[np.ix_(r, c)] += 1
+        assert seen.max() == 1 and not mat[seen == 0].any()
 
 
 @pytest.mark.parametrize(
@@ -734,15 +760,19 @@ def test_inhomogeneous_generator_takes_filtration_path(rng):
     supports = [column_degrees(basis, q[:, k]) for k in range(model.dim_quotient)]
     assert all(max(sup) == label for sup, label in zip(supports, model.degree_labels))
     assert any(len(sup) > 1 for sup in supports)
-    # Q is stored by degree d, on every column labelled d or higher, some
-    # of them zero on degree d
-    starts = model.label_starts
-    frames = [b for rows, cols, stack in model.frames for b in zip(rows, cols, stack)]
-    assert len(frames) == basis.max_degree + 1
-    for d, (rows, cols, block) in enumerate(sorted(frames, key=lambda b: b[0][0])):
-        assert np.array_equal(rows, np.arange(basis.offset(d), basis.offset(d + 1)))
-        assert np.array_equal(cols, np.arange(starts[d], model.dim_quotient))
-    assert any(not block.any(axis=0).all() for _, _, block in frames)
+    # Q is stored as class frames: the positions of one torus class of one
+    # degree d against columns labelled d or higher, entry for entry, no
+    # entry twice
+    seen = np.zeros(q.shape, dtype=int)
+    offsets = [basis.offset(d) for d in range(basis.max_degree + 2)]
+    for rows, cols, stack in model.frames:
+        for r, c, block in zip(rows, cols, stack):
+            d = np.searchsorted(offsets, r[0], side="right") - 1
+            assert r[-1] < offsets[d + 1] and model.degree_labels[c].min() >= d
+            assert len(set(operators._class_ids(basis.dom, d)[r - offsets[d]])) == 1
+            assert np.array_equal(q[np.ix_(r, c)], block)
+            seen[np.ix_(r, c)] += 1
+    assert seen.max() == 1 and not q[seen == 0].any()
     f = random_poly(2, 3, rng)
     assert np.abs(compress(model, f) - q.conj().T @ mult_op(basis, f) @ q).max() < 1e-12
 
@@ -760,10 +790,9 @@ def test_generators_are_checked_before_either_path(graded, monkeypatch):
         ),
     }
     with monkeypatch.context() as patch:
-        for path in ("_graded_model", "_filtration_model"):
-            patch.setattr(operators, path, lambda *args: pytest.fail("path reached"))
+        patch.setattr(operators, "_complement", lambda *args: pytest.fail("build reached"))
         for message, gens in cases.items():
-            assert operators._is_graded(gens) == graded
+            assert all(len(g.homogeneous_parts()) == 1 for g in gens) == graded
             with pytest.raises(ValidationError, match=message):
                 quotient_model(basis, gens)
     # the lowest degree decides: one term of degree <= D gives a span
@@ -819,34 +848,42 @@ def filtration_generator_sets(n):
     }
 
 
+def prefix_generator_sets(dom):
+    """The inhomogeneous sets of ``filtration_generator_sets``, and on ball2
+    z1 and (z1, z2), on MB(2,2) the sum z11 + z22, which joins classes."""
+    sets = filtration_generator_sets(dom.dim)
+    z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    if dom == BALL2:
+        sets.update({"z1": [z[0]], "z1,z2": [z[0], z[1]]})
+    if dom == DomainSpec.matrix_ball(2, 2):
+        sets["z11+z22"] = [z[0] + z[3]]
+    return sets
+
+
 @pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
 def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkeypatch):
     basis = truncated_basis(dom, lam, d_trunc)
-    svd, norm = np.linalg.svd, np.linalg.norm
-    for name, gens in filtration_generator_sets(dom.dim).items():
+    norm = np.linalg.norm
+    for name, gens in prefix_generator_sets(dom).items():
         q, labels = prefix_svd_complement(basis, gens)
         calls = []
-
-        def counted_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
 
         def counted_norm(x, ord=None, *args, **kwargs):
             if ord in (2, -2):
                 calls.append(2)
             return norm(x, ord, *args, **kwargs)
 
-        # no dense multiplier, at most one SVD per degree, and no 2-norm in
-        # the guards: their Frobenius norms settle them
+        # no dense multiplier or degree block, and no 2-norm in the guards:
+        # their Frobenius norms settle them
         with monkeypatch.context() as patch:
-            patch.setattr(operators, "mult_op", lambda *args: pytest.fail("dense multiplier"))
-            patch.setattr(np.linalg, "svd", counted_svd)
+            for dense in ("mult_op", "_dense_block"):
+                patch.setattr(operators, dense, lambda *args: pytest.fail("dense multiplier"))
             patch.setattr(np.linalg, "norm", counted_norm)
             model = quotient_model(basis, gens)
-        assert 2 not in calls and len(calls) <= d_trunc + 1, name
-        # one block per pair of nonempty labels l > k
-        blocks = sum(len(stack) for _, _, stack in model.tuple_stacks[0])
-        assert blocks == math.comb(len(set(model.degree_labels.tolist())), 2), name
+        assert not calls, name
+        # each block of S_i carries one cell into a cell of a higher label
+        for rows, cols, _ in model.tuple_stacks[0]:
+            assert (model.degree_labels[rows].min(axis=1) > model.degree_labels[cols].max(axis=1)).all()
         assert np.array_equal(model.degree_labels, labels), name
         qm = model.quotient_onb
         for k in range(d_trunc + 1):
@@ -856,10 +893,13 @@ def test_filtration_complement_is_the_prefix_svd_route(dom, lam, d_trunc, monkey
 
 @pytest.mark.parametrize("dom, lam, d_trunc", FILTRATION_CASES, ids=FILTRATION_IDS)
 def test_lower_degree_complement_is_a_label_prefix(dom, lam, d_trunc):
-    # each degree's SVD sees only the sources that reach it, the same at
-    # every D, so a lower D's complement is the top one's label prefix, bit
-    # for bit, and the top one vanishes below those rows
-    for name, gens in filtration_generator_sets(dom.dim).items():
+    # each degree's SVDs see only the sources and the groups that reach it,
+    # the same at every D, so a lower D's complement is the top one's label
+    # prefix, bit for bit, and the top one vanishes below those rows; so
+    # for homogeneous generators too
+    z1, z2 = Polynomial.coordinate(0, dom.dim), Polynomial.coordinate(1, dom.dim)
+    sets = {**filtration_generator_sets(dom.dim), "z1": [z1], "z1,z2": [z1, z2]}
+    for name, gens in sets.items():
         top = quotient_model(truncated_basis(dom, lam, d_trunc), gens)
         for lower in range(2, d_trunc):
             basis = truncated_basis(dom, lam, lower)
@@ -868,6 +908,62 @@ def test_lower_degree_complement_is_a_label_prefix(dom, lam, d_trunc):
             assert np.array_equal(model.degree_labels, top.degree_labels[keep]), (name, lower)
             assert np.array_equal(model.quotient_onb, top.quotient_onb[: basis.dim, keep])
             assert not top.quotient_onb[basis.dim:, keep].any()
+
+
+@pytest.mark.parametrize(
+    "dom, lam, d_trunc, weights",
+    [(BALL2, 1.5, 16, (2, 1)), (DomainSpec.matrix_ball(2, 2), 2.5, 7, (2, 1, 2, 1))],
+    ids=["ball2-z1-z2^2", "matrixball22-z11-z12^2"],
+)
+def test_quotient_columns_are_weight_vectors_of_the_generators_circle(dom, lam, d_trunc, weights):
+    # z1 - z2^2 and z11 - z12^2 are weight vectors of the circle acting on
+    # the coordinates with these weights; the lambda inner product and P_D
+    # commute with it, and every quotient column lies in the classes of one
+    # group, so each is a weight vector too, of degrees up to its label
+    z = [Polynomial.coordinate(i, dom.dim) for i in range(dom.dim)]
+    model = quotient_model(truncated_basis(dom, lam, d_trunc), [z[0] - z[1] * z[1]])
+    alphas = np.vstack([np.array(multi_indices(dom.dim, d)) for d in range(d_trunc + 1)])
+    weight = alphas @ np.array(weights)
+    q = model.quotient_onb
+    mixed = 0
+    for k in range(model.dim_quotient):
+        support = np.flatnonzero(q[:, k])
+        assert len(set(weight[support].tolist())) == 1, k
+        mixed += len(set(alphas[support].sum(axis=1).tolist())) > 1
+    assert mixed > 0  # some columns still span several degrees
+
+
+def windowed_trace(model, i, window=2):
+    """tr [S_i*, S_i] on the quotient columns labelled <= D - window."""
+    s = model.tuple_mats[i]
+    comm = s.conj().T @ s - s @ s.conj().T
+    top = model.basis.max_degree - window
+    return float(np.trace(windowed_submatrix(comm, model.degree_labels, top)).real)
+
+
+def test_curve_traces_converge_to_the_area_of_the_variety():
+    # on a curve V the self-commutators of the compressed tuple are trace
+    # class, and tr [S_f*, S_f] is the area of f(V), counted with
+    # multiplicity, over pi (Helton-Howe, Berger-Shaw; Guo-Wang on quotients
+    # of the ball).  The parabola z1 = z2^2 meets the ball over the disc
+    # |z2|^2 < r^2, r^4 + r^2 = 1, so S_z2 tends to r^2 = (sqrt 5 - 1) / 2
+    # and S_z1, covering its disc twice, to 2 r^4 = 3 - sqrt 5.  The windowed
+    # traces at D 32 and 40, extrapolated to first order in 1/D, miss these
+    # by 9e-5 and 2e-5 at lambda 1.5
+    traces = {
+        d_trunc: [windowed_trace(model, i) for i in range(2)]
+        for d_trunc in (32, 40)
+        for model in [quotient_model(truncated_basis(BALL2, 1.5, d_trunc), [Z1 - Z2 * Z2])]
+    }
+    for i, area in enumerate((3 - math.sqrt(5), (math.sqrt(5) - 1) / 2)):
+        limit = (40 * traces[40][i] - 32 * traces[32][i]) / 8
+        assert abs(limit - area) < 5e-4, (i, limit)
+    # on the disc V = {z1 = 0} the windowed trace of [S2*, S2] is
+    # (D - w + 1) / (lambda + D - w), which tends to the disc's area over pi
+    for lam in (1.5, 2.0, 3.0):
+        for d_trunc in (10, 24):
+            model = quotient_model(truncated_basis(BALL2, lam, d_trunc), [Z1])
+            assert abs(windowed_trace(model, 1) - (d_trunc - 1) / (lam + d_trunc - 2)) < 1e-13
 
 
 # ---------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Property tests with Hypothesis: quotient models by random homogeneous
-generator sets agree across the graded and filtration paths, in their
-submodules (invariant under the dense truncated multipliers) and in the
-Schatten cells of the coordinate and Moebius symbols; on either path the
+generator sets agree with the dense filtration route
+(``prefix_svd_complement``: SVDs of the dense ``mult_op`` columns), in
+their submodules (invariant under the dense truncated multipliers) and in
+the Schatten cells of the coordinate and Moebius symbols, which the dense
+route takes from the sandwiches Q^H P_D M_f P_D Q on its own Q; the
 compressions of polynomial symbols (products of the stored blocks) and of
 rational ones (block substitution over the labels) are the dense sandwich
-Q^H P_D M_f P_D Q and S_p S_q^{-1} with a dense inverse.  The profile
-cells of coordinate, Moebius, degree-2 and mixed symbol lists are those of
-the dense route."""
+and S_p S_q^{-1} with a dense inverse.  The profile cells of coordinate,
+Moebius, degree-2 and mixed symbol lists are those of the dense route."""
 
 import itertools
 
@@ -14,13 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_operators import prefix_svd_complement
 
 from symdom.calculus import mobius_rational_components
 from symdom.domains import DomainSpec
 from symdom.kernels import multi_indices, truncated_basis
 from symdom.operators import (
-    _filtration_model,
-    _graded_model,
     compress,
     compress_rational,
     cross_commutator,
@@ -71,28 +71,39 @@ def symbol(draw, n):
 
 
 def both_paths(case):
-    """The graded and the filtration model of one case."""
+    """The basis, the model and the dense filtration route's (Q, labels) of
+    one case."""
     dom, lam, d_trunc, gens = case
     basis = truncated_basis(dom, lam, d_trunc)
-    return basis, (_graded_model(basis, gens), _filtration_model(basis, gens))
+    return basis, quotient_model(basis, gens), prefix_svd_complement(basis, gens)
 
 
-def sandwich(basis, model, f):
+def sandwich(basis, q, f):
     """The dense oracle Q^H P_D M_f P_D Q."""
-    q = model.quotient_onb
     return q.conj().T @ mult_op(basis, f) @ q
+
+
+def assert_dense_cells(model, rows, basis, reference, symbols):
+    """The profile rows of ``model`` against the dense cells on the
+    reference's Q, each within 1e-12 relative or both below 1e-13."""
+    q, labels = reference
+    assert np.array_equal(model.degree_labels, labels)
+    want = dense_cells(basis, q, labels, symbols, max(f.degree() for f in symbols) + 1, P_VALUES)
+    assert len(rows) == len(want) > 0
+    for row, cells in zip(rows, want):
+        assert row.dim_quotient == labels.size
+        for got, ref in zip((row.schatten_full, row.schatten_windowed), cells):
+            assert abs(got - ref) <= 1e-12 * ref or max(got, ref) < 1e-13
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(quotient_cases())
 def test_graded_and_filtration_paths_agree_on_invariant_submodules(case):
-    dom, lam, d_trunc, gens = case
-    basis = truncated_basis(dom, lam, d_trunc)
-    graded = _graded_model(basis, gens)
-    filtered = _filtration_model(basis, gens)
-    assert np.array_equal(graded.degree_labels, filtered.degree_labels)
-    proj = graded.projector()
-    assert np.abs(proj - filtered.projector()).max(initial=0.0) < 1e-12
+    dom = case[0]
+    basis, model, (q, labels) = both_paths(case)
+    assert np.array_equal(model.degree_labels, labels)
+    proj = model.projector()
+    assert np.abs(proj - q @ q.conj().T).max(initial=0.0) < 1e-12
     module = np.eye(basis.dim) - proj
     for i in range(dom.dim):
         op = mult_op(basis, Polynomial.coordinate(i, dom.dim))
@@ -103,18 +114,11 @@ def test_graded_and_filtration_paths_agree_on_invariant_submodules(case):
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(quotient_cases())
 def test_graded_and_filtration_paths_give_the_same_coordinate_cells(case):
-    # both form [S_i, S_j*] from the stored blocks: group pairs on the
-    # graded path, label pairs on the filtration path
+    # the model forms [S_i, S_j*] from its stored cell-pair blocks, the
+    # dense route from the sandwiches on its own Q
     z = [Polynomial.coordinate(i, case[0].dim) for i in range(case[0].dim)]
-    graded, filtered = (essential_normality_profile(m, z, P_VALUES) for m in both_paths(case)[1])
-    assert len(graded) == len(filtered) > 0
-    for a, b in zip(graded, filtered):
-        assert a.dim_quotient == b.dim_quotient
-        for got, want in (
-            (a.schatten_full, b.schatten_full),
-            (a.schatten_windowed, b.schatten_windowed),
-        ):
-            assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
+    basis, model, reference = both_paths(case)
+    assert_dense_cells(model, essential_normality_profile(model, z, P_VALUES), basis, reference, z)
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -122,12 +126,11 @@ def test_graded_and_filtration_paths_give_the_same_coordinate_cells(case):
 def test_compress_is_the_dense_sandwich(data):
     case = data.draw(quotient_cases())
     f = data.draw(symbol(case[0].dim))
-    basis, models = both_paths(case)
-    for model in models:
-        want = sandwich(basis, model, f)
-        assert np.abs(compress(model, f) - want).max(initial=0.0) <= 1e-12 * max(
-            1.0, np.abs(want).max(initial=0.0)
-        )
+    basis, model, _ = both_paths(case)
+    want = sandwich(basis, model.quotient_onb, f)
+    assert np.abs(compress(model, f) - want).max(initial=0.0) <= 1e-12 * max(
+        1.0, np.abs(want).max(initial=0.0)
+    )
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -138,15 +141,14 @@ def test_compress_rational_is_the_dense_inverse_route(data):
     case = data.draw(quotient_cases())
     dom = case[0]
     z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
-    basis, models = both_paths(case)
-    for model in models:
-        for s in mobius_rational_components(dom, z0):
-            sq = sandwich(basis, model, s.q)
-            want = sandwich(basis, model, s.p) @ np.linalg.inv(sq)
-            got = compress_rational(model, s.p, s.q)
-            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
-                1.0, np.abs(want).max(initial=0.0)
-            )
+    basis, model, _ = both_paths(case)
+    q = model.quotient_onb
+    for s in mobius_rational_components(dom, z0):
+        want = sandwich(basis, q, s.p) @ np.linalg.inv(sandwich(basis, q, s.q))
+        got = compress_rational(model, s.p, s.q)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(
+            1.0, np.abs(want).max(initial=0.0)
+        )
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -156,15 +158,9 @@ def test_graded_and_filtration_paths_give_the_same_mobius_cells(data):
     dom = case[0]
     z0 = data.draw(st.lists(BASE_ENTRIES, min_size=dom.dim, max_size=dom.dim))
     symbols = mobius_rational_components(dom, z0)
-    graded, filtered = (essential_normality_profile(m, symbols, P_VALUES) for m in both_paths(case)[1])
-    assert len(graded) == len(filtered) > 0
-    for a, b in zip(graded, filtered):
-        assert a.dim_quotient == b.dim_quotient
-        for got, want in (
-            (a.schatten_full, b.schatten_full),
-            (a.schatten_windowed, b.schatten_windowed),
-        ):
-            assert abs(got - want) <= 1e-12 * want or max(got, want) < 1e-13
+    basis, model, reference = both_paths(case)
+    rows = essential_normality_profile(model, symbols, P_VALUES)
+    assert_dense_cells(model, rows, basis, reference, symbols)
 
 
 # The dense oracle of every Schatten cell: dense sandwiches of mult_op for
@@ -197,10 +193,10 @@ def oracle_generators(dom):
     return sets
 
 
-def dense_cells(basis, model, symbols, window):
-    """Per pair a <= b and p: the full and windowed Schatten p-norms of
-    [S_a, S_b*] by the dense route."""
-    q = model.quotient_onb
+def dense_cells(basis, q, labels, symbols, window, ps):
+    """Per pair a <= b and p in ``ps``: the full and windowed Schatten
+    p-norms of [S_a, S_b*] by the dense route on the complement Q with
+    these labels."""
 
     def dense(f):
         if isinstance(f, Polynomial):
@@ -208,13 +204,11 @@ def dense_cells(basis, model, symbols, window):
         return dense(f.p) @ np.linalg.inv(dense(f.q))
 
     mats = [dense(f) for f in symbols]
-    keep = np.flatnonzero(model.degree_labels <= basis.max_degree - window)
+    keep = np.flatnonzero(labels <= basis.max_degree - window)
     out = []
     for a, b in itertools.combinations_with_replacement(range(len(symbols)), 2):
         comm = cross_commutator(mats[a], mats[b])
-        out += [
-            (schatten_norm(comm, p), schatten_norm(comm[np.ix_(keep, keep)], p)) for p in ORACLE_PS
-        ]
+        out += [(schatten_norm(comm, p), schatten_norm(comm[np.ix_(keep, keep)], p)) for p in ps]
     return out
 
 
@@ -243,7 +237,10 @@ def test_cells_are_the_dense_route(dom, lam, d_trunc, z0):
         model = quotient_model(basis, gens)
         for family, symbols in families.items():
             rows = essential_normality_profile(model, symbols, ORACLE_PS)
-            want = dense_cells(basis, model, symbols, max(f.degree() for f in symbols) + 1)
+            want = dense_cells(
+                basis, model.quotient_onb, model.degree_labels, symbols,
+                max(f.degree() for f in symbols) + 1, ORACLE_PS,
+            )
             assert len(rows) == len(want), (name, family)
             for row, cells in zip(rows, want):
                 assert row.dim_quotient == model.dim_quotient
